@@ -16,21 +16,11 @@ from typing import Union
 import numpy as np
 
 from .params import ProblemParams
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    log_sin_kernel,
-    log_sinh_kernel,
-)
+from .quadrature import _log_cosh, log_sin_kernel, log_sinh_kernel
 from .radial import Geometry, GeometryKind, RadialSolution, eval_log_u
 
 
-def _log_cosh(x: float) -> float:
-    return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
-
-
-def upper_E(params: ProblemParams, dist: float,
-            config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def upper_E(params: ProblemParams, dist: float) -> float:
     """log of the upper envelope at boundary distance dist.
 
     Finite p: E = I(0) / I(sqrt(p') dist / eps); at p = infinity
@@ -43,12 +33,11 @@ def upper_E(params: ProblemParams, dist: float,
         return math.log(2.0) - math.log1p(math.exp(-2.0 * dist / params.eps))
     root = math.sqrt(params.p_conjugate)
     a = params.alpha
-    rt = config.rel_tol
-    return log_sin_kernel(0.0, a, rt) - log_sin_kernel(root * dist / params.eps, a, rt)
+    return log_sin_kernel(0.0, a) - log_sin_kernel(root * dist / params.eps, a)
 
 
-def lower_e(params: ProblemParams, dist_x_z: float, dist_gamma_z: float,
-            config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def lower_e(params: ProblemParams, dist_x_z: float,
+            dist_gamma_z: float) -> float:
     """log of the lower envelope seen from a witness z outside the domain.
 
     e = f(sqrt(p') |x-z|/eps) / f(sqrt(p') d_Gamma(z)/eps) for finite p
@@ -64,9 +53,8 @@ def lower_e(params: ProblemParams, dist_x_z: float, dist_gamma_z: float,
         return 0.0
     root = math.sqrt(params.p_conjugate)
     a = params.alpha
-    rt = config.rel_tol
-    return (log_sinh_kernel(root * dist_x_z / params.eps, a, rt)
-            - log_sinh_kernel(root * dist_gamma_z / params.eps, a, rt))
+    return (log_sinh_kernel(root * dist_x_z / params.eps, a)
+            - log_sinh_kernel(root * dist_gamma_z / params.eps, a))
 
 
 @dataclass(frozen=True)
@@ -96,8 +84,7 @@ class EnhancedBarriers:
         return math.sqrt(self.params.p_conjugate) * self.r_e / self.params.eps
 
 
-def enhanced_U(b: EnhancedBarriers, tau: Union[float, np.ndarray],
-               config: QuadratureConfig = DEFAULT_CONFIG
+def enhanced_U(b: EnhancedBarriers, tau: Union[float, np.ndarray]
                ) -> Union[float, np.ndarray]:
     """log U(tau) = -tau + log f(sigma_e + tau) - log f(sigma_e); p=inf: -tau.
 
@@ -109,19 +96,15 @@ def enhanced_U(b: EnhancedBarriers, tau: Union[float, np.ndarray],
     if b.params.is_infinity:
         out = -tau_arr
     else:
-        a = b.params.alpha
-        rt = config.rel_tol
-        se = b.sigma_e
-        base = log_sinh_kernel(se, a, rt)
-        out = -tau_arr + np.array(
-            [log_sinh_kernel(se + t, a, rt) for t in tau_arr]) - base
+        log_f = log_sinh_kernel(b.sigma_e + np.append(tau_arr, 0.0),
+                                b.params.alpha)
+        out = -tau_arr + log_f[:-1] - log_f[-1]
     if np.isscalar(tau) or np.asarray(tau).ndim == 0:
         return float(out[0])
     return out
 
 
-def enhanced_V(b: EnhancedBarriers, tau: Union[float, np.ndarray],
-               config: QuadratureConfig = DEFAULT_CONFIG
+def enhanced_V(b: EnhancedBarriers, tau: Union[float, np.ndarray]
                ) -> Union[float, np.ndarray]:
     """log V(tau): the upper barrier, piecewise across tau = sigma_i.
 
@@ -134,23 +117,17 @@ def enhanced_V(b: EnhancedBarriers, tau: Union[float, np.ndarray],
     if np.any(tau_arr < 0.0):
         raise ValueError("tau must be >= 0")
     si = b.sigma_i
+    first = tau_arr < si
     if b.params.is_infinity:
-        out = np.where(
-            tau_arr < si,
-            [_log_cosh(si - t) - _log_cosh(si) for t in tau_arr],
-            [-_log_cosh(t) for t in tau_arr])
+        out = np.where(first, _log_cosh(si - tau_arr) - _log_cosh(si),
+                       -_log_cosh(tau_arr))
     else:
-        a = b.params.alpha
-        rt = config.rel_tol
-        base = log_sin_kernel(si, a, rt)
-        zero = log_sin_kernel(0.0, a, rt)
-        vals = []
-        for t in tau_arr:
-            if t < si:
-                vals.append(-t + log_sin_kernel(si - t, a, rt) - base)
-            else:
-                vals.append(-t + zero - log_sin_kernel(t, a, rt))
-        out = np.asarray(vals)
+        # one call for every branch argument, then I(sigma_i) and I(0)
+        log_i = log_sin_kernel(
+            np.concatenate([np.where(first, si - tau_arr, tau_arr),
+                            [si, 0.0]]), b.params.alpha)
+        log_k, base, zero = log_i[:-2], log_i[-2], log_i[-1]
+        out = -tau_arr + np.where(first, log_k - base, zero - log_k)
     if np.isscalar(tau) or np.asarray(tau).ndim == 0:
         return float(out[0])
     return out
@@ -165,8 +142,7 @@ def _barriers_for(params: ProblemParams, geometry: Geometry,
 
 
 def sandwich_check(params: ProblemParams, geometry: Geometry,
-                   r_grid: np.ndarray,
-                   config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+                   r_grid: np.ndarray) -> float:
     """Max signed violation of log U <= log u <= log V over the radius grid.
 
     Positive return means a violation; exactness of one side per geometry
@@ -181,16 +157,15 @@ def sandwich_check(params: ProblemParams, geometry: Geometry,
     else:
         d = r_arr - geometry.R
     tau = math.sqrt(params.p_conjugate) * d / params.eps
-    log_u = eval_log_u(sol, r_arr, config)
-    log_low = enhanced_U(b, tau, config)
-    log_high = enhanced_V(b, tau, config)
+    log_u = eval_log_u(sol, r_arr)
+    log_low = enhanced_U(b, tau)
+    log_high = enhanced_V(b, tau)
     worst = np.maximum(log_low - log_u, log_u - log_high)
     return float(np.max(worst))
 
 
 def sandwich_table(params: ProblemParams, geometry: Geometry,
-                   r_grid: np.ndarray,
-                   config: QuadratureConfig = DEFAULT_CONFIG) -> list:
+                   r_grid: np.ndarray) -> list:
     """Rows (r, d_gamma, log_U, log_u, log_V, violation) for reporting."""
     sol = RadialSolution(params, geometry)
     b = _barriers_for(params, geometry)
@@ -198,9 +173,9 @@ def sandwich_table(params: ProblemParams, geometry: Geometry,
     for r in np.asarray(r_grid, dtype=float):
         d = geometry.R - r if geometry.kind is GeometryKind.BALL else r - geometry.R
         tau = math.sqrt(params.p_conjugate) * d / params.eps
-        lu = eval_log_u(sol, float(r), config)
-        lo = enhanced_U(b, tau, config)
-        hi = enhanced_V(b, tau, config)
+        lu = eval_log_u(sol, float(r))
+        lo = enhanced_U(b, tau)
+        hi = enhanced_V(b, tau)
         rows.append({"r": float(r), "d_gamma": float(d), "log_U": lo,
                      "log_u": lu, "log_V": hi,
                      "violation": max(lo - lu, lu - hi)})
@@ -208,8 +183,7 @@ def sandwich_table(params: ProblemParams, geometry: Geometry,
 
 
 def comparison_chain(params: ProblemParams, geometry: Geometry,
-                     r_x: float, r_z: float,
-                     config: QuadratureConfig = DEFAULT_CONFIG) -> tuple:
+                     r_x: float, r_z: float) -> tuple:
     """(lower, middle, upper) of the eps-scaled comparison chain on the exterior.
 
     With x, z on the same ray through the origin, z inside the excluded ball:
@@ -229,8 +203,8 @@ def comparison_chain(params: ProblemParams, geometry: Geometry,
     d_z = R - r_z
     dist_xz = r_x - r_z
     sol = RadialSolution(params, geometry)
-    middle = eps * eval_log_u(sol, r_x, config) + root * d_x
+    middle = eps * eval_log_u(sol, r_x) + root * d_x
     lower = (root * (d_x + d_z - dist_xz)
-             + eps * lower_e(params, dist_xz, d_z, config))
-    upper = eps * upper_E(params, d_x, config)
+             + eps * lower_e(params, dist_xz, d_z))
+    upper = eps * upper_E(params, d_x)
     return lower, middle, upper

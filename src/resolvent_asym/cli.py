@@ -1,7 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 on success, 2 on validation errors (bad flags, bad config
-files, I/O failures), 3 when adaptive quadrature fails to converge.
+files, I/O failures), 3 on numerical failures: adaptive quadrature that does
+not converge ("numerical non-convergence: ...") and any other failed
+numerical check, such as a growing residual/model ratio in a rate sweep or a
+nearest-point projection that does not converge ("numerical failure: ...").
 """
 
 from __future__ import annotations
@@ -214,6 +217,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except NonConvergenceError as e:
         print(f"numerical non-convergence: {e}", file=sys.stderr)
+        return 3
+    except RuntimeError as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

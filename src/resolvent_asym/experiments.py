@@ -1,9 +1,7 @@
 """Parameter sweeps, rate fits against the regime models, and table emission.
 
-Sweeps fan out over the eps grid with a thread pool (capped by the
-RESOLVENT_ASYM_THREADS environment variable) and assemble rows in
-deterministic order, so identical configs and seeds produce byte-identical
-output files.
+Sweeps run serially over the eps grid and assemble rows in a fixed order,
+so identical configs and seeds produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -11,8 +9,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .geometry import (
+    _DEFAULT_SEED,
     BallDomain,
     ExteriorBallDomain,
     ModulusOfContinuity,
@@ -29,10 +26,8 @@ from .geometry import (
     touching_ball,
 )
 from .params import INFINITY, ProblemParams, is_infinity
-from .qmeans import kernel_table, qmean_limit_experiment
+from .qmeans import qmean_limit_experiment
 from .radial import Geometry, RadialSolution, varadhan_residual
-
-_DEFAULT_SEED = 20260815
 
 
 class RateModel(Enum):
@@ -248,20 +243,6 @@ class SweepConfig:
         )
 
 
-def _max_workers(n_tasks: int) -> int:
-    raw = os.environ.get("RESOLVENT_ASYM_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"RESOLVENT_ASYM_THREADS must be an integer, got {raw!r}")
-        cap = max(1, cap)
-    return max(1, min(n_tasks, cap))
-
-
 def _radial_geometry(geom: GeometrySpec) -> Geometry:
     if geom.kind == "ball":
         return Geometry.ball(geom.domain_radius)
@@ -310,15 +291,11 @@ def run_varadhan_sweep(cfg: SweepConfig
                 raise ValueError(
                     "the eps log(1/eps) model needs eps < 1 throughout")
 
-            def one(eps: float) -> np.ndarray:
-                params = ProblemParams(n=n, p=p, eps=eps)
-                sol = RadialSolution(params, geometry)
-                return np.asarray(varadhan_residual(sol, np.array(r_eval)))
-
-            with ThreadPoolExecutor(_max_workers(len(eps_seq))) as pool:
-                results = list(pool.map(one, eps_seq))
             sup = []
-            for eps, res in zip(eps_seq, results):
+            for eps in eps_seq:
+                sol = RadialSolution(ProblemParams(n=n, p=p, eps=eps),
+                                     geometry)
+                res = np.asarray(varadhan_residual(sol, np.array(r_eval)))
                 for r, val in zip(r_eval, res):
                     rows.append({"n": n, "p": p, "eps": eps, "r": r,
                                  "residual": float(val)})
@@ -380,29 +357,15 @@ def run_qmean_sweep(cfg: SweepConfig) -> List[dict]:
     """Scaled q-means over the (N, p, q) grid with a Richardson column."""
     eps_seq = cfg.eps_sequence
     geom = cfg.geometry
-    kind = "sin" if geom.kind == "ball" else "sinh"
-    for n in cfg.n_values:
-        for p in cfg.p_values:
-            if not is_infinity(p):
-                # warm the kernel cache before fanning out
-                kernel_table(kind, ProblemParams(n=n, p=p, eps=1.0).alpha)
     rows: List[dict] = []
     for n in cfg.n_values:
         ball_cfg = touching_config(geom, n)
         for p in cfg.p_values:
+            seq = [ProblemParams(n=n, p=p, eps=eps) for eps in eps_seq]
             for q in cfg.q_values:
-
-                def one(eps: float) -> List[dict]:
-                    seq = [ProblemParams(n=n, p=p, eps=eps)]
-                    return qmean_limit_experiment(seq, ball_cfg, q,
-                                                  seed=cfg.seed)
-
-                with ThreadPoolExecutor(_max_workers(len(eps_seq))) as pool:
-                    chunks = list(pool.map(one, eps_seq))
-                group = []
-                for chunk in chunks:
-                    for r in chunk:
-                        group.append({"n": n, "p": p, "q": q, **r})
+                group = [{"n": n, "p": p, "q": q, **r}
+                         for r in qmean_limit_experiment(seq, ball_cfg, q,
+                                                         seed=cfg.seed)]
                 _add_richardson(group)
                 rows.extend(group)
     return rows

@@ -9,20 +9,25 @@ co-area formula, to one-dimensional integrals against the level-set area,
 which is closed-form on radial domains.  Implicit domains fall back to an
 empirical root search over a fixed Monte Carlo sample; the same sampler
 doubles as an independent oracle for the co-area path.
+
+Solution profiles evaluate the exact radial solution through
+radial.eval_log_u, whose kernels are closed-form; on implicit domains the
+limit experiment brackets the solution between the enhanced barriers of
+barriers.enhanced_U and barriers.enhanced_V.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gammaln
 
+from .barriers import EnhancedBarriers, enhanced_U, enhanced_V
 from .geometry import (
+    _DEFAULT_SEED,
     BallDomain,
     ExteriorBallDomain,
     ImplicitDomain,
@@ -30,26 +35,14 @@ from .geometry import (
     boundary_distances,
     level_set_area,
 )
-from .params import INFINITY, ProblemParams, is_infinity, limit_constants
+from .params import ProblemParams, is_infinity, limit_constants
 from .quadrature import (
     _BASE_STEP,
     _level_abscissae,
-    _log_cosh,
     _node_geometry,
     _t_max_for,
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    log_sin_kernel,
-    log_sinh_kernel,
 )
 from .radial import Geometry, RadialSolution, eval_log_u
-
-_DEFAULT_SEED = 20260815
-
-_SIN_HEAD_MAX = 1.0
-_SIN_SIGMA_MAX = 3.0e4
-_SINH_SIGMA_MIN = 1.0e-4
-_SINH_SIGMA_MAX = 2.0e4
 
 
 def _fixed_tanh_sinh(f: Callable, a: float, b: float, level: int = 6,
@@ -73,90 +66,6 @@ def _fixed_tanh_sinh(f: Callable, a: float, b: float, level: int = 6,
         total += float(np.sum(terms[np.isfinite(terms)]))
     h = _BASE_STEP * 2.0 ** (-level)
     return half_span * h * total
-
-
-class _KernelTable:
-    """Cubic-spline surrogate of a log kernel in sigma, self-checked at build.
-
-    kind "sin" covers sigma in [0, 3e4] (linear head below 1, log-sigma
-    tail above); kind "sinh" covers [1e-4, 2e4] in log sigma.  Out-of-range
-    arguments fall back to the exact memoized integrals.
-    """
-
-    def __init__(self, kind: str, alpha: float, rel_tol: float = 1e-10):
-        if kind not in ("sin", "sinh"):
-            raise ValueError(f"kernel kind must be 'sin' or 'sinh', got {kind!r}")
-        self.kind = kind
-        self.alpha = float(alpha)
-        self.rel_tol = float(rel_tol)
-        if kind == "sin":
-            head_x = np.linspace(0.0, _SIN_HEAD_MAX, 321)
-            head_y = [self._exact(s) for s in head_x]
-            self._head = CubicSpline(head_x, head_y)
-            tail_t = np.linspace(0.0, math.log(_SIN_SIGMA_MAX), 1280)
-            tail_y = [self._exact(math.exp(t)) for t in tail_t]
-            self._tail = CubicSpline(tail_t, tail_y)
-        else:
-            self._head = None
-            tail_t = np.linspace(math.log(_SINH_SIGMA_MIN),
-                                 math.log(_SINH_SIGMA_MAX), 1400)
-            tail_y = [self._exact(math.exp(t)) for t in tail_t]
-            self._tail = CubicSpline(tail_t, tail_y)
-        self._self_check()
-
-    def _exact(self, sigma: float) -> float:
-        if self.kind == "sin":
-            return log_sin_kernel(float(sigma), self.alpha, self.rel_tol)
-        return log_sinh_kernel(float(sigma), self.alpha, self.rel_tol)
-
-    def _self_check(self) -> None:
-        rng = np.random.default_rng(987654321)
-        if self.kind == "sin":
-            probes = np.concatenate([
-                rng.uniform(1e-3, _SIN_HEAD_MAX, 8),
-                np.exp(rng.uniform(0.0, math.log(_SIN_SIGMA_MAX), 12)),
-            ])
-        else:
-            probes = np.exp(rng.uniform(math.log(_SINH_SIGMA_MIN),
-                                        math.log(_SINH_SIGMA_MAX), 16))
-        worst = max(abs(float(self(s)) - self._exact(s)) for s in probes)
-        if worst > 1e-9:
-            raise RuntimeError(
-                f"kernel table self-check failed for kind={self.kind}, "
-                f"alpha={self.alpha}: max log deviation {worst:.3e}")
-
-    def __call__(self, sigma: Union[float, np.ndarray]
-                 ) -> Union[float, np.ndarray]:
-        scalar = np.isscalar(sigma) or np.asarray(sigma).ndim == 0
-        arr = np.atleast_1d(np.asarray(sigma, dtype=float))
-        out = np.empty_like(arr)
-        if self.kind == "sin":
-            low = arr <= _SIN_HEAD_MAX
-            mid = (~low) & (arr <= _SIN_SIGMA_MAX)
-            out[low] = self._head(arr[low])
-            out[mid] = self._tail(np.log(arr[mid]))
-            over = ~(low | mid)
-        else:
-            inside = (arr >= _SINH_SIGMA_MIN) & (arr <= _SINH_SIGMA_MAX)
-            out[inside] = self._tail(np.log(arr[inside]))
-            over = ~inside
-        if np.any(over):
-            out[over] = [self._exact(s) for s in arr[over]]
-        return float(out[0]) if scalar else out
-
-
-_TABLE_LOCK = threading.Lock()
-_TABLE_CACHE: Dict[Tuple[str, float, float], _KernelTable] = {}
-
-
-def kernel_table(kind: str, alpha: float,
-                 rel_tol: float = 1e-10) -> _KernelTable:
-    """Memoized kernel table; build once, reuse across eps sweeps."""
-    key = (kind, float(alpha), float(rel_tol))
-    with _TABLE_LOCK:
-        if key not in _TABLE_CACHE:
-            _TABLE_CACHE[key] = _KernelTable(kind, alpha, rel_tol)
-        return _TABLE_CACHE[key]
 
 
 def _s_max(cfg: TouchingBallConfig) -> float:
@@ -297,8 +206,7 @@ def _coarea_G(mu: float, profile: Callable, xi: float, q: float,
     return total
 
 
-def q_mean(query: QMeanQuery, config: QuadratureConfig = DEFAULT_CONFIG,
-           level: int = 6, n_samples: int = 400_000,
+def q_mean(query: QMeanQuery, level: int = 6, n_samples: int = 400_000,
            seed: int = _DEFAULT_SEED) -> QMeanResult:
     """The q-mean of the query's function over B_R(x), q finite.
 
@@ -434,9 +342,8 @@ def qmean_profile_limit(cfg: TouchingBallConfig, q: float,
 
 
 def solution_profile(params: ProblemParams,
-                     domain: Union[BallDomain, ExteriorBallDomain],
-                     config: QuadratureConfig = DEFAULT_CONFIG,
-                     table: Optional[Callable] = None) -> Callable:
+                     domain: Union[BallDomain, ExteriorBallDomain]
+                     ) -> Callable:
     """The exact radial solution as a profile of tau = d_Gamma/xi."""
     if isinstance(domain, BallDomain):
         sol = RadialSolution(params, Geometry.ball(domain.rho))
@@ -456,41 +363,16 @@ def solution_profile(params: ProblemParams,
         scalar = np.isscalar(tau) or np.asarray(tau).ndim == 0
         tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
         r = rmap(xi * tau_arr)
-        out = np.exp(np.asarray(eval_log_u(sol, r, config, kernel=table),
-                                dtype=float))
+        out = np.exp(np.asarray(eval_log_u(sol, r), dtype=float))
         return float(out[0]) if scalar else out
 
     return prof
-
-
-def _log_barrier_U(params: ProblemParams, r_e: float, tau: np.ndarray,
-                   table_f: Optional[Callable]) -> np.ndarray:
-    tau = np.asarray(tau, dtype=float)
-    if params.is_infinity:
-        return -tau
-    sig_e = math.sqrt(params.p_conjugate) * r_e / params.eps
-    return -tau + table_f(sig_e + tau) - table_f(sig_e)
-
-
-def _log_barrier_V(params: ProblemParams, r_i: float, tau: np.ndarray,
-                   table_i: Optional[Callable]) -> np.ndarray:
-    tau = np.asarray(tau, dtype=float)
-    if params.is_infinity:
-        sig_i = r_i / params.eps
-        first = _log_cosh(sig_i - tau) - _log_cosh(np.array(sig_i))
-        second = -_log_cosh(tau)
-        return np.where(tau < sig_i, first, second)
-    sig_i = math.sqrt(params.p_conjugate) * r_i / params.eps
-    first = -tau + table_i(np.maximum(sig_i - tau, 0.0)) - table_i(sig_i)
-    second = -tau + table_i(0.0) - table_i(tau)
-    return np.where(tau < sig_i, first, second)
 
 
 def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
                            cfg: TouchingBallConfig, q: float,
                            n_samples: int = 200_000,
                            seed: int = _DEFAULT_SEED,
-                           config: QuadratureConfig = DEFAULT_CONFIG,
                            level: int = 6) -> List[dict]:
     """Scaled q-means along an eps sequence against the limit prediction.
 
@@ -527,35 +409,26 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
                 "path": path, "ill_conditioned": ill}
 
     if isinstance(dom, (BallDomain, ExteriorBallDomain)):
-        table = None
-        if not params_seq[0].is_infinity:
-            kind = "sin" if isinstance(dom, BallDomain) else "sinh"
-            table = kernel_table(kind, params_seq[0].alpha, config.rel_tol)
         for pp in params_seq:
-            prof = solution_profile(pp, dom, config=config, table=table)
+            prof = solution_profile(pp, dom)
             query = QMeanQuery(cfg=cfg, q=q, xi=pp.xi, profile=prof)
             if is_infinity(q):
                 mu, residual = q_mean_infinity(query), 0.0
             else:
-                res = q_mean(query, config=config, level=level)
+                res = q_mean(query, level=level)
                 mu, residual = res.mu, res.residual
             rows.append(make_row(pp, mu, residual, "coarea"))
         return rows
 
-    table_i = table_f = None
-    if not params_seq[0].is_infinity:
-        table_i = kernel_table("sin", params_seq[0].alpha, config.rel_tol)
-        table_f = kernel_table("sinh", params_seq[0].alpha, config.rel_tol)
     pts = _sample_ball(np.asarray(cfg.x, dtype=float), cfg.R, n_samples, seed)
     d = np.maximum(boundary_distances(dom, pts), 0.0)
     for pp in params_seq:
+        b = EnhancedBarriers(pp, r_i=cfg.R, r_e=cfg.R)
         tau = d / pp.xi
         ends = np.array([0.0, 2.0 * cfg.R / pp.xi])
         for path, log_vals, log_ends in (
-                ("barrier-U", _log_barrier_U(pp, cfg.R, tau, table_f),
-                 _log_barrier_U(pp, cfg.R, ends, table_f)),
-                ("barrier-V", _log_barrier_V(pp, cfg.R, tau, table_i),
-                 _log_barrier_V(pp, cfg.R, ends, table_i))):
+                ("barrier-U", enhanced_U(b, tau), enhanced_U(b, ends)),
+                ("barrier-V", enhanced_V(b, tau), enhanced_V(b, ends))):
             if is_infinity(q):
                 mu = 0.5 * float(np.sum(np.exp(log_ends)))
                 residual = 0.0

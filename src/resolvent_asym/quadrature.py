@@ -1,28 +1,32 @@
-"""Adaptive tanh-sinh quadrature for the two weighted kernel families.
-
-Everything here runs in the log domain: node weights, endpoint offsets and
-integrand values are kept as logarithms and accumulated with logsumexp, so
-endpoint singularities (sin theta)^alpha with alpha near -1 neither underflow
-nor overflow.  The two public families are
+"""The two weighted kernel families: closed Bessel forms and tanh-sinh.
 
     I(sigma) = int_0^pi  exp(-sigma (1 - cos theta)) (sin theta)^alpha g dtheta
     f(sigma) = int_0^inf exp(-sigma (cosh theta - 1)) (sinh theta)^alpha g dtheta
 
-returned as LogValue.  A linear-domain engine backs signed integrands
-(mollifier numerators), sharing the same node construction.
+With g = 1 both are modified Bessel functions of order nu = alpha/2 (DLMF
+10.32.2 and 10.32.8); log_sin_kernel and log_sinh_kernel evaluate those
+closed forms, vectorized in sigma.  The adaptive tanh-sinh engine integrates
+the general families (any nonnegative g), serves as the kernels' fallback
+where the scaled Bessel values leave the float range, and is the oracle the
+closed forms are tested against.  It runs in the log domain: node weights,
+endpoint offsets and integrand values are kept as logarithms and accumulated
+with logsumexp, so endpoint singularities (sin theta)^alpha with alpha near
+-1 neither underflow nor overflow.  A linear-domain twin backs signed
+integrands (mollifier numerators), sharing the same node construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, ive, kve, logsumexp
 
 _LOG_PI_HALF = math.log(math.pi / 2.0)
+_HALF_LOG_PI = 0.5 * math.log(math.pi)
+_TINY = np.finfo(float).tiny
 _BASE_STEP = 0.5
 
 
@@ -233,10 +237,22 @@ def integrate_sin_weighted(sigma: float, alpha: float,
     return LogValue(tanh_sinh_log(log_f, 0.0, math.pi, config, beta=beta))
 
 
-def sinh_theta_cutoff(sigma: float, config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Upper integration limit: sigma(cosh(theta)-1) = -log(rel_tol) + 50, >= 5."""
+def sinh_theta_cutoff(sigma: float, alpha: float,
+                      config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Upper integration limit theta_max = acosh(1 + tau_max/sigma), >= 5.
+
+    In tau = sigma(cosh theta - 1) the integrand is e^{-tau} times a factor
+    whose log grows no faster than k log tau, k = alpha - 1.  Past tau = k it
+    falls by at least k(x - 1 - log x) at tau = k x, and
+    x = 1 + T/k + log(2(1 + T/k)) makes that at least T = 50 - log(rel_tol).
+    For alpha <= 1 the factor does not grow and tau_max = T.
+    """
     target = 50.0 - math.log(config.rel_tol)
-    return max(5.0, math.acosh(1.0 + target / sigma))
+    k = alpha - 1.0
+    tau_max = target
+    if k > 0.0:
+        tau_max += k * (1.0 + math.log(2.0 * (1.0 + target / k)))
+    return max(5.0, math.acosh(1.0 + tau_max / sigma))
 
 
 def integrate_sinh_weighted(sigma: float, alpha: float,
@@ -254,7 +270,7 @@ def integrate_sinh_weighted(sigma: float, alpha: float,
         raise ValueError(f"alpha must be > -1, got {alpha}")
     if theta_min < 0.0:
         raise ValueError(f"theta_min must be >= 0, got {theta_min}")
-    theta_max = sinh_theta_cutoff(sigma, config)
+    theta_max = sinh_theta_cutoff(sigma, alpha, config)
     if theta_min >= theta_max:
         return LogValue(-math.inf)
     singular_left = theta_min == 0.0 and alpha != 0.0
@@ -296,17 +312,54 @@ def integrate_sinh_weighted_substituted(
     return LogValue(tanh_sinh_log(log_f, 0.0, tau_max, config, beta=beta))
 
 
-@lru_cache(maxsize=200_000)
-def log_sin_kernel(sigma: float, alpha: float, rel_tol: float = 1e-10) -> float:
-    """Memoized log I(sigma) with g = 1."""
-    cfg = QuadratureConfig(rel_tol=rel_tol) if rel_tol != DEFAULT_CONFIG.rel_tol \
-        else DEFAULT_CONFIG
-    return integrate_sin_weighted(sigma, alpha, config=cfg).log_magnitude
+def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,
+                       scaled_bessel: Callable, integrate: Callable):
+    """log_const - nu log(sigma/2) + log scaled_bessel(nu, sigma), nu = alpha/2.
+
+    Entries whose scaled Bessel value is zero, subnormal or infinite carry no
+    usable digits (large nu at small sigma) although the kernel is finite;
+    they go to the quadrature `integrate`.
+    """
+    if not alpha > -1.0:
+        raise ValueError(f"alpha must be > -1, got {alpha}")
+    s = np.asarray(sigma, dtype=float)
+    valid = s > 0.0 if positive else s >= 0.0
+    if not np.all(valid):
+        raise ValueError(f"sigma must be {'>' if positive else '>='} 0, "
+                         f"got {sigma}")
+    flat = s.reshape(-1)
+    nu = 0.5 * alpha
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        b = scaled_bessel(nu, flat)
+        out = log_const - nu * np.log(0.5 * flat) + np.log(b)
+    zero = flat == 0.0
+    # I(0) = sqrt(pi) Gamma((alpha+1)/2) / Gamma(nu+1), the Beta integral
+    out[zero] = log_const - gammaln(nu + 1.0)
+    for i in np.flatnonzero(~zero & ~((b >= _TINY) & (b < math.inf))):
+        out[i] = integrate(float(flat[i]), alpha).log_magnitude
+    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
-@lru_cache(maxsize=200_000)
-def log_sinh_kernel(sigma: float, alpha: float, rel_tol: float = 1e-10) -> float:
-    """Memoized log f(sigma) with g = 1."""
-    cfg = QuadratureConfig(rel_tol=rel_tol) if rel_tol != DEFAULT_CONFIG.rel_tol \
-        else DEFAULT_CONFIG
-    return integrate_sinh_weighted(sigma, alpha, config=cfg).log_magnitude
+def log_sin_kernel(sigma: Union[float, np.ndarray], alpha: float
+                   ) -> Union[float, np.ndarray]:
+    """log I(sigma) with g = 1, for sigma >= 0 (scalar or array).
+
+    log I = log(pi)/2 + log Gamma((alpha+1)/2) - nu log(sigma/2)
+            + log(e^{-sigma} I_nu(sigma)),  nu = alpha/2.
+    """
+    return _log_bessel_kernel(sigma, alpha, False,
+                              _HALF_LOG_PI + gammaln(0.5 * (alpha + 1.0)),
+                              ive, integrate_sin_weighted)
+
+
+def log_sinh_kernel(sigma: Union[float, np.ndarray], alpha: float
+                    ) -> Union[float, np.ndarray]:
+    """log f(sigma) with g = 1, for sigma > 0 (scalar or array).
+
+    log f = -log(pi)/2 + log Gamma((alpha+1)/2) - nu log(sigma/2)
+            + log(e^{sigma} K_nu(sigma)),  nu = alpha/2.
+    """
+    return _log_bessel_kernel(sigma, alpha, True,
+                              -_HALF_LOG_PI + gammaln(0.5 * (alpha + 1.0)),
+                              kve, integrate_sinh_weighted)

@@ -12,17 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .params import ProblemParams
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    log_sin_kernel,
-    log_sinh_kernel,
-)
+from .quadrature import _log_cosh, log_sin_kernel, log_sinh_kernel
 
 
 class GeometryKind(Enum):
@@ -58,10 +53,6 @@ class RadialSolution:
     geometry: Geometry
 
 
-def _log_cosh(x: float) -> float:
-    return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
-
-
 def _check_radius(sol: RadialSolution, r: np.ndarray) -> None:
     R = sol.geometry.R
     if sol.geometry.kind is GeometryKind.BALL:
@@ -72,15 +63,12 @@ def _check_radius(sol: RadialSolution, r: np.ndarray) -> None:
             raise ValueError(f"radius inside the excluded ball (< {R})")
 
 
-def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray],
-               config: QuadratureConfig = DEFAULT_CONFIG,
-               kernel: Optional[Callable[[float], float]] = None
+def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray]
                ) -> Union[float, np.ndarray]:
     """log u at radius r (scalar or array).
 
-    kernel, when given, must map sigma to the log of the geometry's kernel
-    (sin-weighted for the ball, sinh-weighted for the exterior) and is used
-    in place of direct quadrature; the default is the exact memoized path.
+    The kernel ratio is evaluated in closed form, one array call per
+    geometry (sin-weighted for the ball, sinh-weighted for the exterior).
 
     Examples
     --------
@@ -92,49 +80,30 @@ def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray],
     p = sol.params
     R = sol.geometry.R
     eps = p.eps
+    ball = sol.geometry.kind is GeometryKind.BALL
     if p.is_infinity:
-        if sol.geometry.kind is GeometryKind.BALL:
-            out = np.array([_log_cosh(x / eps) - _log_cosh(R / eps)
-                            for x in r_arr])
+        if ball:
+            out = _log_cosh(r_arr / eps) - _log_cosh(R / eps)
         else:
             out = -(r_arr - R) / eps
     else:
         root = math.sqrt(p.p_conjugate)
-        a = p.alpha
-        if sol.geometry.kind is GeometryKind.BALL:
-            if kernel is None:
-                log_kr = np.array([log_sin_kernel(root * x / eps, a,
-                                                  config.rel_tol)
-                                   for x in r_arr])
-                log_kR = log_sin_kernel(root * R / eps, a, config.rel_tol)
-            else:
-                # custom kernels must accept array arguments
-                log_kr = np.asarray(kernel(root * r_arr / eps), dtype=float)
-                log_kR = float(kernel(root * R / eps))
-            out = root * (r_arr - R) / eps + log_kr - log_kR
-        else:
-            if kernel is None:
-                log_kr = np.array([log_sinh_kernel(root * x / eps, a,
-                                                   config.rel_tol)
-                                   for x in r_arr])
-                log_kR = log_sinh_kernel(root * R / eps, a, config.rel_tol)
-            else:
-                log_kr = np.asarray(kernel(root * r_arr / eps), dtype=float)
-                log_kR = float(kernel(root * R / eps))
-            out = -root * (r_arr - R) / eps + log_kr - log_kR
+        kernel = log_sin_kernel if ball else log_sinh_kernel
+        log_k = kernel(root * np.append(r_arr, R) / eps, p.alpha)
+        sign = 1.0 if ball else -1.0
+        out = sign * root * (r_arr - R) / eps + log_k[:-1] - log_k[-1]
     if np.isscalar(r) or np.asarray(r).ndim == 0:
         return float(out[0])
     return out
 
 
-def eval_u(sol: RadialSolution, r: Union[float, np.ndarray],
-           config: QuadratureConfig = DEFAULT_CONFIG) -> Union[float, np.ndarray]:
-    return np.exp(eval_log_u(sol, r, config))
+def eval_u(sol: RadialSolution, r: Union[float, np.ndarray]
+           ) -> Union[float, np.ndarray]:
+    return np.exp(eval_log_u(sol, r))
 
 
 def scaling_check(sol: RadialSolution, r_grid: np.ndarray,
-                  scale: float = math.pi / 3.0,
-                  config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+                  scale: float = math.pi / 3.0) -> float:
     """Max |log u(r) - log u_scaled(scale*r)| when (eps, R, r) all scale.
 
     The solution depends on (r/eps, R/eps) only, so the result is pure
@@ -145,13 +114,13 @@ def scaling_check(sol: RadialSolution, r_grid: np.ndarray,
     scaled = RadialSolution(
         ProblemParams(sol.params.n, sol.params.p, sol.params.eps * scale),
         Geometry(sol.geometry.kind, sol.geometry.R * scale))
-    a = eval_log_u(sol, np.asarray(r_grid), config)
-    b = eval_log_u(scaled, np.asarray(r_grid) * scale, config)
+    a = eval_log_u(sol, np.asarray(r_grid))
+    b = eval_log_u(scaled, np.asarray(r_grid) * scale)
     return float(np.max(np.abs(a - b)))
 
 
-def ode_residual(sol: RadialSolution, r: float, h: Optional[float] = None,
-                 config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def ode_residual(sol: RadialSolution, r: float, h: Optional[float] = None
+                 ) -> float:
     """Relative residual of the radial equation at r by central differences.
 
     The equation is checked in ratio form: with rho_pm = u(r ± h)/u(r),
@@ -174,7 +143,7 @@ def ode_residual(sol: RadialSolution, r: float, h: Optional[float] = None,
     else:
         if not r - h > R:
             raise ValueError(f"need r - h > {R}, got r={r}, h={h}")
-    log_u = eval_log_u(sol, np.array([r - h, r, r + h]), config)
+    log_u = eval_log_u(sol, np.array([r - h, r, r + h]))
     rho_minus = math.exp(log_u[0] - log_u[1])
     rho_plus = math.exp(log_u[2] - log_u[1])
     d2 = (rho_plus - 2.0 + rho_minus) / h ** 2
@@ -188,8 +157,7 @@ def ode_residual(sol: RadialSolution, r: float, h: Optional[float] = None,
     return abs(eps ** 2 * operator - 1.0)
 
 
-def varadhan_residual(sol: RadialSolution, r: Union[float, np.ndarray],
-                      config: QuadratureConfig = DEFAULT_CONFIG
+def varadhan_residual(sol: RadialSolution, r: Union[float, np.ndarray]
                       ) -> Union[float, np.ndarray]:
     """eps log u + sqrt(p') d_Gamma: the defect of the distance asymptotics.
 
@@ -203,7 +171,7 @@ def varadhan_residual(sol: RadialSolution, r: Union[float, np.ndarray],
     else:
         d_gamma = r_arr - R
     root = math.sqrt(sol.params.p_conjugate)
-    out = sol.params.eps * eval_log_u(sol, r_arr, config) + root * d_gamma
+    out = sol.params.eps * eval_log_u(sol, r_arr) + root * d_gamma
     if np.isscalar(r) or np.asarray(r).ndim == 0:
         return float(out[0])
     return out

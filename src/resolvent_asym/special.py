@@ -21,6 +21,8 @@ from .quadrature import (
     DEFAULT_CONFIG,
     LogValue,
     QuadratureConfig,
+    _log_sin_theta,
+    _log_sinh_theta,
     integrate_sinh_weighted,
     log_sin_kernel,
     log_sinh_kernel,
@@ -137,17 +139,12 @@ def mollifier_expectation(g: Callable, sigma: float, alpha: float,
     if not alpha > -1.0:
         raise ValueError(f"alpha must be > -1, got {alpha}")
     if kind is MollifierKind.MU:
-        log_den = log_sin_kernel(sigma, alpha, config.rel_tol)
+        log_den = log_sin_kernel(sigma, alpha)
 
         def integrand(x, da, db, log_da, log_db):
             expo = -sigma * 2.0 * np.sin(0.5 * da) ** 2
             if alpha != 0.0:
-                dmin = np.minimum(da, db)
-                log_dmin = np.minimum(log_da, log_db)
-                small = dmin < 1e-8
-                logsin = np.where(small, log_dmin,
-                                  np.log(np.sin(np.where(small, 1.0, dmin))))
-                expo = expo + alpha * logsin
+                expo = expo + alpha * _log_sin_theta(da, db, log_da, log_db)
             return np.asarray(g(x), dtype=float) * np.exp(expo)
 
         num = tanh_sinh_sum(integrand, 0.0, math.pi, config,
@@ -155,16 +152,13 @@ def mollifier_expectation(g: Callable, sigma: float, alpha: float,
         return num * math.exp(-log_den)
 
     if kind is MollifierKind.NU:
-        log_den = log_sinh_kernel(sigma, alpha, config.rel_tol)
-        theta_max = sinh_theta_cutoff(sigma, config)
+        log_den = log_sinh_kernel(sigma, alpha)
+        theta_max = sinh_theta_cutoff(sigma, alpha, config)
 
         def integrand(x, da, db, log_da, log_db):
             expo = -sigma * 2.0 * np.sinh(0.5 * x) ** 2
             if alpha != 0.0:
-                small = da < 1e-8
-                logsinh = np.where(small, log_da,
-                                   np.log(np.sinh(np.where(small, 1.0, x))))
-                expo = expo + alpha * logsinh
+                expo = expo + alpha * _log_sinh_theta(x, da, log_da, True)
             return np.asarray(g(x), dtype=float) * np.exp(expo)
 
         num = tanh_sinh_sum(integrand, 0.0, theta_max, config,
@@ -181,5 +175,5 @@ def mollifier_tail_mass(delta: float, sigma: float, alpha: float,
         raise ValueError(f"delta must be > 0, got {delta}")
     tail = integrate_sinh_weighted(sigma, alpha, config=config,
                                    theta_min=delta).log_magnitude
-    full = log_sinh_kernel(sigma, alpha, config.rel_tol)
+    full = log_sinh_kernel(sigma, alpha)
     return math.exp(tail - full)

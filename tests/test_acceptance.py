@@ -23,7 +23,7 @@ from resolvent_asym.geometry import BallDomain, ExteriorBallDomain, \
     touching_ball
 from resolvent_asym.params import INFINITY, ProblemParams, conjugate, \
     limit_constants
-from resolvent_asym.qmeans import QMeanQuery, kernel_table, q_mean, \
+from resolvent_asym.qmeans import QMeanQuery, q_mean, \
     q_mean_bruteforce, q_mean_infinity, qmean_profile_limit, solution_profile
 from resolvent_asym.radial import Geometry, RadialSolution, eval_log_u, \
     ode_residual, varadhan_residual
@@ -195,9 +195,7 @@ def test_criterion_08_qmean_limit():
             assert integral == pytest.approx(closed, rel=1e-10)
         for p in (2.0, INFINITY):
             params = ProblemParams(n=2, p=p, eps=0.005)
-            table = None if params.is_infinity else \
-                kernel_table("sin", params.alpha)
-            prof = solution_profile(params, BallDomain(1.0), table=table)
+            prof = solution_profile(params, BallDomain(1.0))
             query = QMeanQuery(cfg=BALL_CFG, q=INFINITY, xi=params.xi,
                                profile=prof)
             assert abs(q_mean_infinity(query) - 0.5) < 1e-3
@@ -211,8 +209,7 @@ def test_criterion_09_qmean_solver_properties():
         assert q_mean(query).mu == 0.7
 
         params = ProblemParams(n=2, p=2.0, eps=0.05)
-        table = kernel_table("sin", params.alpha)
-        prof = solution_profile(params, BallDomain(1.0), table=table)
+        prof = solution_profile(params, BallDomain(1.0))
         xi = params.xi
         query = QMeanQuery(cfg=BALL_CFG, q=2.0, xi=xi, profile=prof)
         mu = q_mean(query).mu
@@ -242,10 +239,7 @@ def test_criterion_09_qmean_solver_properties():
             eps = 0.05 + 0.1 * float(rng.random())
             params = ProblemParams(n=2, p=p, eps=eps)
             dom = cfg.domain
-            kind = "sin" if isinstance(dom, BallDomain) else "sinh"
-            table = None if params.is_infinity else \
-                kernel_table(kind, params.alpha)
-            prof = solution_profile(params, dom, table=table)
+            prof = solution_profile(params, dom)
             mu_c = q_mean(QMeanQuery(cfg=cfg, q=q, xi=params.xi,
                                      profile=prof)).mu
 

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from resolvent_asym import cli
 from resolvent_asym.cli import main
 from resolvent_asym.params import ProblemParams
 from resolvent_asym.radial import Geometry, RadialSolution, eval_log_u
@@ -260,6 +261,18 @@ class TestRatesCommand:
         assert "model=eps_log" in out
         assert "matched=true" in out
         assert "eps_log_psi_converges" not in out
+
+    def test_numerical_failure_exits_3(self, capsys, tmp_path, monkeypatch):
+        def growing_ratio(cfg):
+            raise RuntimeError("residual/model ratio grows along the sweep")
+
+        monkeypatch.setattr(cli, "run_varadhan_sweep", growing_ratio)
+        cfg_path = qmean_config(
+            tmp_path, eps_sequence={"start": 0.1, "factor": 0.1, "count": 4})
+        code, _, err = run_cli(capsys, "rates", "--config", str(cfg_path))
+        assert code == 3
+        assert err == ("numerical failure: residual/model ratio grows along "
+                       "the sweep\n")
 
 
 def test_console_script_help():

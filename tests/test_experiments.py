@@ -364,20 +364,12 @@ class TestEmit:
 
 
 class TestDeterminism:
-    def test_qmean_sweep_bytes_stable(self, tmp_path, monkeypatch):
+    def test_qmean_sweep_bytes_stable(self, tmp_path):
         cfg = make_cfg(p_values=(INFINITY,), q_values=(2.0,),
                        eps_start=0.05, eps_factor=0.5, eps_count=2)
         rows_a = run_qmean_sweep(cfg)
-        monkeypatch.setenv("RESOLVENT_ASYM_THREADS", "1")
         rows_b = run_qmean_sweep(cfg)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         emit(rows_a, "csv", str(pa), config=cfg)
         emit(rows_b, "csv", str(pb), config=cfg)
         assert pa.read_bytes() == pb.read_bytes()
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("RESOLVENT_ASYM_THREADS", "many")
-        cfg = make_cfg(p_values=(INFINITY,), q_values=(2.0,),
-                       eps_start=0.05, eps_factor=0.5, eps_count=2)
-        with pytest.raises(ValueError, match="RESOLVENT_ASYM_THREADS"):
-            run_qmean_sweep(cfg)

@@ -1,0 +1,91 @@
+"""The kernels against 40-digit mpmath Bessel functions.
+
+mpmath is a test-only dependency: it shares no code with scipy's Bessel
+routines or with the package's tanh-sinh engine, so it pins both the closed
+forms and the quadrature that backs them.
+"""
+
+import numpy as np
+import pytest
+
+from resolvent_asym.quadrature import (
+    DEFAULT_CONFIG,
+    integrate_sinh_weighted,
+    log_sin_kernel,
+    log_sinh_kernel,
+)
+
+mp = pytest.importorskip("mpmath")
+mp.mp.dps = 40
+
+SIGMAS = (1e-8, 1e-4, 1.0, 1e3, 3e4, 1e7)
+ALPHAS = (-0.95, -0.5, 0.0, 1.0, 19.0, 39.0)
+
+
+def log_sin_oracle(sigma, alpha):
+    # I = sqrt(pi) Gamma((a+1)/2) (sigma/2)^-nu e^-sigma I_nu(sigma), DLMF 10.32.2
+    s, a = mp.mpf(sigma), mp.mpf(alpha)
+    nu = a / 2
+    head = mp.log(mp.pi) / 2 + mp.loggamma((a + 1) / 2)
+    if s == 0:
+        return float(head - mp.loggamma(nu + 1))
+    return float(head - nu * mp.log(s / 2) + mp.log(mp.besseli(nu, s)) - s)
+
+
+def log_sinh_oracle(sigma, alpha):
+    # f = Gamma((a+1)/2)/sqrt(pi) (sigma/2)^-nu e^sigma K_nu(sigma), DLMF 10.32.8
+    s, a = mp.mpf(sigma), mp.mpf(alpha)
+    nu = a / 2
+    return float(-mp.log(mp.pi) / 2 + mp.loggamma((a + 1) / 2)
+                 - nu * mp.log(s / 2) + mp.log(mp.besselk(nu, s)) + s)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_sin_kernel_closed_form(alpha):
+    for sigma in (0.0,) + SIGMAS:
+        assert abs(log_sin_kernel(sigma, alpha)
+                   - log_sin_oracle(sigma, alpha)) <= 1e-12, sigma
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_sinh_kernel_closed_form(alpha):
+    for sigma in SIGMAS:
+        assert abs(log_sinh_kernel(sigma, alpha)
+                   - log_sinh_oracle(sigma, alpha)) <= 1e-12, sigma
+
+
+@pytest.mark.parametrize("sigma", [1e-8, 1e-6])
+def test_fallback_region(sigma):
+    # nu = 50: e^-sigma I_nu underflows and e^sigma K_nu overflows here, so
+    # these values come from the quadrature fallback
+    alpha = 100.0
+    assert abs(log_sin_kernel(sigma, alpha)
+               - log_sin_oracle(sigma, alpha)) <= 1e-10
+    assert abs(log_sinh_kernel(sigma, alpha)
+               - log_sinh_oracle(sigma, alpha)) <= 1e-10
+
+
+@pytest.mark.parametrize("kernel,oracle", [
+    (log_sin_kernel, log_sin_oracle),
+    (log_sinh_kernel, log_sinh_oracle),
+])
+def test_array_and_scalar_calls(kernel, oracle):
+    # a 2-d array mixing the closed form and the fallback keeps its shape
+    alpha = 100.0
+    sigma = np.array([[1e-8, 1.0], [1e3, 1e-6]])
+    got = kernel(sigma, alpha)
+    assert got.shape == sigma.shape
+    for idx in np.ndindex(sigma.shape):
+        assert abs(got[idx] - oracle(sigma[idx], alpha)) <= 1e-10
+    scalar = kernel(1.0, alpha)
+    assert isinstance(scalar, float)
+    assert scalar == got[0, 1]
+
+
+@pytest.mark.parametrize("alpha", [-0.95, 0.5, 39.0])
+@pytest.mark.parametrize("sigma", [1e-4, 0.1, 1.0, 23.0])
+def test_sinh_quadrature_cutoff(sigma, alpha):
+    # alpha = 39 (N = 3, p = 1.05) puts most of the mass beyond a cutoff
+    # that ignores the growth of (sinh theta)^alpha
+    got = integrate_sinh_weighted(sigma, alpha).log_magnitude
+    assert abs(got - log_sinh_oracle(sigma, alpha)) <= DEFAULT_CONFIG.rel_tol

@@ -20,14 +20,17 @@ from resolvent_asym.params import (
     conjugate,
     limit_constants,
 )
+from resolvent_asym.quadrature import (
+    integrate_sin_weighted,
+    integrate_sinh_weighted,
+    log_sin_kernel,
+    log_sinh_kernel,
+)
 from resolvent_asym.qmeans import (
     QMeanQuery,
     QMeanResult,
     _empirical_qmean,
-    _log_barrier_U,
-    _log_barrier_V,
     _sample_ball,
-    kernel_table,
     q_mean,
     q_mean_bruteforce,
     q_mean_infinity,
@@ -45,40 +48,24 @@ def exp_profile(tau):
 
 
 class TestKernelTable:
+    """The closed-form kernels that solution profiles evaluate."""
+
     def test_sin_table_accuracy(self):
-        table = kernel_table("sin", 0.0)
-        from resolvent_asym.quadrature import log_sin_kernel
         for s in (0.0, 0.37, 1.0, 4.2, 55.0, 1.7e3, 2.9e4):
-            assert table(s) == pytest.approx(log_sin_kernel(s, 0.0, 1e-10),
-                                             abs=1e-9)
+            assert log_sin_kernel(s, 0.0) == pytest.approx(
+                integrate_sin_weighted(s, 0.0).log_magnitude, abs=1e-9)
 
     def test_sinh_table_accuracy(self):
-        table = kernel_table("sinh", 0.5)
-        from resolvent_asym.quadrature import log_sinh_kernel
         for s in (2e-4, 0.31, 7.7, 940.0, 1.9e4):
-            assert table(s) == pytest.approx(log_sinh_kernel(s, 0.5, 1e-10),
-                                             abs=1e-9)
-
-    def test_out_of_range_falls_back_to_exact(self):
-        table = kernel_table("sin", 0.0)
-        from resolvent_asym.quadrature import log_sin_kernel
-        assert table(4.0e4) == pytest.approx(log_sin_kernel(4.0e4, 0.0, 1e-10),
-                                             abs=1e-12)
+            assert log_sinh_kernel(s, 0.5) == pytest.approx(
+                integrate_sinh_weighted(s, 0.5).log_magnitude, abs=1e-9)
 
     def test_array_and_scalar_calls(self):
-        table = kernel_table("sin", 0.0)
-        arr = table(np.array([0.5, 3.0, 100.0]))
-        assert arr.shape == (3,)
-        assert arr[1] == pytest.approx(table(3.0))
-        assert isinstance(table(3.0), float)
-
-    def test_cache_returns_same_object(self):
-        assert kernel_table("sin", 0.0) is kernel_table("sin", 0.0)
-
-    def test_bad_kind_rejected(self):
-        from resolvent_asym.qmeans import _KernelTable
-        with pytest.raises(ValueError):
-            _KernelTable("cos", 0.0)
+        for kernel in (log_sin_kernel, log_sinh_kernel):
+            arr = kernel(np.array([0.5, 3.0, 100.0]), 0.0)
+            assert arr.shape == (3,)
+            assert arr[1] == pytest.approx(kernel(3.0, 0.0))
+            assert isinstance(kernel(3.0, 0.0), float)
 
 
 class TestQueryValidation:
@@ -161,8 +148,7 @@ class TestCoareaRoute:
     def test_q2_is_volume_average(self):
         # direct Fubini integration with an unrelated adaptive integrator
         params = ProblemParams(n=2, p=2.0, eps=0.05)
-        table = kernel_table("sin", params.alpha)
-        prof = solution_profile(params, BALL_CFG.domain, table=table)
+        prof = solution_profile(params, BALL_CFG.domain)
         query = QMeanQuery(cfg=BALL_CFG, q=2.0, xi=params.xi, profile=prof)
         res = q_mean(query)
 
@@ -263,8 +249,9 @@ class TestInvariants:
         pts = _sample_ball(cfg.x, cfg.R, 40_000, seed=9)
         d = np.maximum(boundary_distances(dom, pts), 0.0)
         tau = d / params.xi
-        u_vals = np.exp(_log_barrier_U(params, cfg.R, tau, None))
-        v_vals = np.exp(_log_barrier_V(params, cfg.R, tau, None))
+        b = EnhancedBarriers(params, r_i=cfg.R, r_e=cfg.R)
+        u_vals = np.exp(enhanced_U(b, tau))
+        v_vals = np.exp(enhanced_V(b, tau))
         assert np.all(u_vals <= v_vals + 1e-15)
         mu_u, _ = _empirical_qmean(u_vals, 2.0)
         mu_v, _ = _empirical_qmean(v_vals, 2.0)
@@ -273,8 +260,7 @@ class TestInvariants:
     @pytest.mark.parametrize("q", [2.0, 3.0])
     def test_coarea_matches_bruteforce(self, q):
         params = ProblemParams(n=2, p=2.0, eps=0.1)
-        table = kernel_table("sin", params.alpha)
-        prof = solution_profile(params, BALL_CFG.domain, table=table)
+        prof = solution_profile(params, BALL_CFG.domain)
         res = q_mean(QMeanQuery(cfg=BALL_CFG, q=q, xi=params.xi,
                                 profile=prof))
 
@@ -398,46 +384,12 @@ class TestLimitExperiment:
             qmean_limit_experiment(wrong_n, BALL_CFG, 2.0)
 
 
-class TestBarrierHelpers:
-    def test_match_exact_barriers(self):
-        params = ProblemParams(n=3, p=2.0, eps=0.25)
-        table_i = kernel_table("sin", params.alpha)
-        table_f = kernel_table("sinh", params.alpha)
-        b = EnhancedBarriers(params, r_i=1.0, r_e=1.0)
-        for tau in (0.0, 0.3, 2.7, 9.9):
-            got_u = float(_log_barrier_U(params, 1.0, np.array([tau]),
-                                         table_f)[0])
-            got_v = float(_log_barrier_V(params, 1.0, np.array([tau]),
-                                         table_i)[0])
-            assert got_u == pytest.approx(enhanced_U(b, tau), abs=1e-8)
-            assert got_v == pytest.approx(enhanced_V(b, tau), abs=1e-8)
-
-    def test_infinity_p_closed_forms(self):
-        params = ProblemParams(n=2, p=INFINITY, eps=0.2)
-        b = EnhancedBarriers(params, r_i=1.0, r_e=1.0)
-        for tau in (0.0, 1.1, 4.0, 9.0):
-            got_u = float(_log_barrier_U(params, 1.0, np.array([tau]),
-                                         None)[0])
-            got_v = float(_log_barrier_V(params, 1.0, np.array([tau]),
-                                         None)[0])
-            assert got_u == pytest.approx(enhanced_U(b, tau), abs=1e-12)
-            assert got_v == pytest.approx(enhanced_V(b, tau), abs=1e-12)
-
-
 class TestSolutionProfile:
     def test_exterior_infinity_is_exponential(self):
         params = ProblemParams(n=3, p=INFINITY, eps=0.1)
         prof = solution_profile(params, ExteriorBallDomain(1.0))
         tau = np.array([0.0, 0.7, 3.0])
         assert prof(tau) == pytest.approx(np.exp(-tau), rel=1e-14)
-
-    def test_table_matches_exact_path(self):
-        params = ProblemParams(n=2, p=2.0, eps=0.1)
-        table = kernel_table("sin", params.alpha)
-        fast = solution_profile(params, BallDomain(1.0), table=table)
-        slow = solution_profile(params, BallDomain(1.0))
-        tau = np.array([0.0, 1.3, 6.0, 11.0])
-        assert fast(tau) == pytest.approx(slow(tau), rel=1e-8)
 
     def test_implicit_rejected(self):
         params = ProblemParams(n=2, p=2.0, eps=0.1)

@@ -159,11 +159,12 @@ class TestAdaptivity:
         assert math.isfinite(exc.value.previous_estimate)
 
 
-class TestKernelCache:
-    def test_matches_direct_integration(self):
-        for sigma, alpha in [(0.0, 1.0), (3.0, 0.0), (40.0, -0.5)]:
-            assert log_sin_kernel(sigma, alpha) == integrate_sin_weighted(
-                sigma, alpha).log_magnitude
-        for sigma, alpha in [(0.5, 1.0), (3.0, 0.0), (40.0, -0.5)]:
-            assert log_sinh_kernel(sigma, alpha) == integrate_sinh_weighted(
-                sigma, alpha).log_magnitude
+class TestClosedFormKernels:
+    def test_rejects_bad_arguments(self):
+        for kernel in (log_sin_kernel, log_sinh_kernel):
+            with pytest.raises(ValueError):
+                kernel(np.array([1.0, -1.0]), 0.5)
+            with pytest.raises(ValueError):
+                kernel(1.0, -1.0)
+        with pytest.raises(ValueError):
+            log_sinh_kernel(0.0, 0.5)
