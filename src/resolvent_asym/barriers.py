@@ -133,12 +133,14 @@ def enhanced_V(b: EnhancedBarriers, tau: Union[float, np.ndarray]
     return out
 
 
-def _barriers_for(params: ProblemParams, geometry: Geometry,
-                  r_i: float = None) -> EnhancedBarriers:
-    R = geometry.R
-    if geometry.kind is GeometryKind.BALL:
-        return EnhancedBarriers(params, r_i=R, r_e=R)
-    return EnhancedBarriers(params, r_i=R if r_i is None else r_i, r_e=R)
+def _sandwich(params: ProblemParams, geometry: Geometry, r_grid: np.ndarray):
+    """(r, d_Gamma, log U, log u, log V) on a radius grid, as arrays."""
+    sol = RadialSolution(params, geometry)
+    b = EnhancedBarriers(params, r_i=geometry.R, r_e=geometry.R)
+    r = np.atleast_1d(np.asarray(r_grid, dtype=float))
+    d = geometry.R - r if geometry.kind is GeometryKind.BALL else r - geometry.R
+    tau = math.sqrt(params.p_conjugate) * d / params.eps
+    return r, d, enhanced_U(b, tau), eval_log_u(sol, r), enhanced_V(b, tau)
 
 
 def sandwich_check(params: ProblemParams, geometry: Geometry,
@@ -149,37 +151,17 @@ def sandwich_check(params: ProblemParams, geometry: Geometry,
     (U on the exterior, the first V branch on the ball) keeps the result at
     rounding level for the radial benchmarks.
     """
-    sol = RadialSolution(params, geometry)
-    b = _barriers_for(params, geometry)
-    r_arr = np.asarray(r_grid, dtype=float)
-    if geometry.kind is GeometryKind.BALL:
-        d = geometry.R - r_arr
-    else:
-        d = r_arr - geometry.R
-    tau = math.sqrt(params.p_conjugate) * d / params.eps
-    log_u = eval_log_u(sol, r_arr)
-    log_low = enhanced_U(b, tau)
-    log_high = enhanced_V(b, tau)
-    worst = np.maximum(log_low - log_u, log_u - log_high)
-    return float(np.max(worst))
+    _, _, log_low, log_u, log_high = _sandwich(params, geometry, r_grid)
+    return float(np.max(np.maximum(log_low - log_u, log_u - log_high)))
 
 
 def sandwich_table(params: ProblemParams, geometry: Geometry,
                    r_grid: np.ndarray) -> list:
     """Rows (r, d_gamma, log_U, log_u, log_V, violation) for reporting."""
-    sol = RadialSolution(params, geometry)
-    b = _barriers_for(params, geometry)
-    rows = []
-    for r in np.asarray(r_grid, dtype=float):
-        d = geometry.R - r if geometry.kind is GeometryKind.BALL else r - geometry.R
-        tau = math.sqrt(params.p_conjugate) * d / params.eps
-        lu = eval_log_u(sol, float(r))
-        lo = enhanced_U(b, tau)
-        hi = enhanced_V(b, tau)
-        rows.append({"r": float(r), "d_gamma": float(d), "log_U": lo,
-                     "log_u": lu, "log_V": hi,
-                     "violation": max(lo - lu, lu - hi)})
-    return rows
+    return [{"r": float(r), "d_gamma": float(d), "log_U": float(lo),
+             "log_u": float(lu), "log_V": float(hi),
+             "violation": float(max(lo - lu, lu - hi))}
+            for r, d, lo, lu, hi in zip(*_sandwich(params, geometry, r_grid))]
 
 
 def comparison_chain(params: ProblemParams, geometry: Geometry,

@@ -110,12 +110,11 @@ def _cmd_geom(args) -> int:
                         R=args.R)
     cfg = touching_config(spec, args.N)
     limit = area_ratio_limit(cfg)
-    rows = []
-    for s in args.s:
-        area = level_set_area(cfg.domain, cfg, s)
-        rows.append({"s": s, "area": area,
-                     "ratio": area / s ** (0.5 * (args.N - 1)),
-                     "predicted_limit": limit})
+    areas = level_set_area(cfg.domain, cfg, np.asarray(args.s, dtype=float))
+    rows = [{"s": s, "area": area,
+             "ratio": area / s ** (0.5 * (args.N - 1)),
+             "predicted_limit": limit}
+            for s, area in zip(args.s, areas)]
     _print_table(rows)
     return 0
 

@@ -195,8 +195,10 @@ class SweepConfig:
             raise ValueError(
                 f"eps_factor must lie in (0, 1) so the sequence is strictly "
                 f"decreasing, got {self.eps_factor}")
-        if self.eps_count < 1:
-            raise ValueError(f"eps_count must be >= 1, got {self.eps_count}")
+        if isinstance(self.eps_count, bool) or \
+                not isinstance(self.eps_count, int) or self.eps_count < 1:
+            raise ValueError(
+                f"eps_count must be an integer >= 1, got {self.eps_count!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
@@ -230,16 +232,16 @@ class SweepConfig:
                                   slope=(float(m["slope"])
                                          if "slope" in m else None))
         return SweepConfig(
-            n_values=tuple(int(n) for n in grid.get("N", [])),
+            n_values=tuple(grid.get("N", [])),
             p_values=tuple(_parse_exponent(p) for p in grid.get("p", [])),
             q_values=tuple(_parse_exponent(q) for q in grid.get("q", [])),
             eps_start=float(eps.get("start", 0.0)),
             eps_factor=float(eps.get("factor", 0.0)),
-            eps_count=int(eps.get("count", 0)),
+            eps_count=eps.get("count", 0),
             geometry=geometry,
             modulus=modulus,
             output=d.get("output"),
-            seed=int(d.get("seed", _DEFAULT_SEED)),
+            seed=d.get("seed", _DEFAULT_SEED),
         )
 
 

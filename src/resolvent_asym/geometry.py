@@ -252,62 +252,64 @@ def touching_ball(domain: DomainOracle, x: Sequence[float], R: float,
                               domain=domain)
 
 
-def _sin_power_integral(m: int, phi: float) -> float:
-    """int_0^phi sin^m t dt for integer m >= 0, phi in [0, pi]."""
-    if phi <= 0.0:
-        return 0.0
+def _sin_power_integral(m: int, phi: np.ndarray) -> np.ndarray:
+    """int_0^phi sin^m t dt for integer m >= 0, elementwise; phi is clipped
+    to [0, pi]."""
+    phi = np.clip(phi, 0.0, math.pi)
     total = math.sqrt(math.pi) * gamma(0.5 * (m + 1)) / gamma(0.5 * m + 1.0)
-    if phi >= math.pi:
-        return total
-    a = 0.5 * (m + 1)
-    s2 = math.sin(phi) ** 2
-    half = 0.5 * total * betainc(a, 0.5, s2)
-    if phi <= 0.5 * math.pi:
-        return half
-    return total - 0.5 * total * betainc(a, 0.5, math.sin(math.pi - phi) ** 2)
+    half = 0.5 * total * betainc(0.5 * (m + 1), 0.5,
+                                 np.sin(np.minimum(phi, math.pi - phi)) ** 2)
+    return np.where(phi <= 0.5 * math.pi, half, total - half)
 
 
-def _sphere_cap_area(n: int, r1: float, c: float, window: float) -> float:
-    """Area of {|p| = r1} cut to the ball of radius `window` centered at
-    distance c from the origin (ambient dimension n)."""
-    if r1 <= 0.0:
-        return 0.0
+def _sphere_cap_area(n: int, r1: np.ndarray, c: float,
+                     window: float) -> np.ndarray:
+    """Areas of the spheres {|p| = r1} cut to the ball of radius `window`
+    centered at distance c from the origin (ambient dimension n),
+    elementwise in r1; r1 <= 0 gives 0."""
+    r1 = np.asarray(r1, dtype=float)
     full = unit_sphere_area(n) * r1 ** (n - 1)
-    if c < 1e-14 * max(1.0, r1):
-        return full if r1 <= window else 0.0
-    cos_phi = (r1 * r1 + c * c - window * window) / (2.0 * r1 * c)
-    if cos_phi >= 1.0:
-        return 0.0
-    if cos_phi <= -1.0:
-        return full
-    phi = math.acos(cos_phi)
-    return (unit_sphere_area(n - 1) * r1 ** (n - 1)
-            * _sin_power_integral(n - 2, phi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_phi = (r1 * r1 + c * c - window * window) / (2.0 * r1 * c)
+    cap = (unit_sphere_area(n - 1) * r1 ** (n - 1)
+           * _sin_power_integral(n - 2, np.arccos(np.clip(cos_phi, -1.0, 1.0))))
+    out = np.where(cos_phi >= 1.0, 0.0, np.where(cos_phi <= -1.0, full, cap))
+    centered = c < 1e-14 * np.maximum(1.0, r1)
+    out = np.where(centered, np.where(r1 <= window, full, 0.0), out)
+    return np.where(r1 > 0.0, out, 0.0)
 
 
-def level_set_area(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
+def level_set_area(domain: DomainOracle, cfg: TouchingBallConfig,
+                   s: Union[float, np.ndarray],
                    n_samples: int = 1_000_000,
                    seed: int = _DEFAULT_SEED,
-                   half_width: Optional[float] = None) -> float:
-    """Surface measure of {d_Gamma = s} inside B_R(x).
+                   half_width: Optional[float] = None
+                   ) -> Union[float, np.ndarray]:
+    """Surface measure of {d_Gamma = s} inside B_R(x), scalar or array s.
 
-    Closed sphere-cap formulas for ball and ball-complement domains; Monte
-    Carlo volume-derivative binning for implicit domains (the sampling
-    parameters only matter there).  s >= 2R returns 0 (the level set has left
-    the ball); s <= 0 is rejected.
+    Closed sphere-cap formulas for ball and ball-complement domains, one
+    array evaluation for all of s; Monte Carlo volume-derivative binning for
+    implicit domains, one level_set_area_mc call per value (the sampling
+    parameters only matter there).  s >= 2R gives 0 (the level set has left
+    the ball); any s <= 0 is rejected.  A scalar s returns a float.
     """
-    if not s > 0.0:
+    s_arr = np.asarray(s, dtype=float)
+    if not np.all(s_arr > 0.0):
         raise ValueError(f"level distance s must be > 0, got {s}")
-    if s >= 2.0 * cfg.R:
-        return 0.0
-    c = float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
-    if isinstance(domain, BallDomain):
-        return _sphere_cap_area(cfg.n, domain.rho - s, c, cfg.R)
-    if isinstance(domain, ExteriorBallDomain):
-        return _sphere_cap_area(cfg.n, domain.r_e + s, c, cfg.R)
-    area, _ = level_set_area_mc(domain, cfg, s, n_samples=n_samples,
-                                seed=seed, half_width=half_width)
-    return area
+    inside = s_arr < 2.0 * cfg.R
+    if isinstance(domain, (BallDomain, ExteriorBallDomain)):
+        c = float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
+        r1 = (domain.rho - s_arr if isinstance(domain, BallDomain)
+              else domain.r_e + s_arr)
+        out = np.where(inside, _sphere_cap_area(cfg.n, r1, c, cfg.R), 0.0)
+    else:
+        out = np.array([
+            level_set_area_mc(domain, cfg, float(si), n_samples=n_samples,
+                              seed=seed, half_width=half_width)[0]
+            if ok else 0.0
+            for si, ok in zip(s_arr.ravel(), inside.ravel())
+        ]).reshape(s_arr.shape)
+    return float(out) if s_arr.ndim == 0 else out
 
 
 def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,

@@ -6,9 +6,12 @@ The q-mean of a function on B_R(x) is the unique root mu of
 
 For functions of the boundary distance the integrals collapse, by the
 co-area formula, to one-dimensional integrals against the level-set area,
-which is closed-form on radial domains.  Implicit domains fall back to an
-empirical root search over a fixed Monte Carlo sample; the same sampler
-doubles as an independent oracle for the co-area path.
+which is closed-form on radial domains; they are evaluated by the fixed-level
+rule quadrature.tanh_sinh_fixed with one array area call per node set.
+Implicit domains fall back to an empirical root search over a fixed Monte
+Carlo sample; the same sampler doubles as an independent oracle for the
+co-area path.  Every root (the q-mean itself and the distance where a
+profile crosses mu) is found by scipy's brentq through one helper, _root.
 
 Solution profiles evaluate the exact radial solution through
 radial.eval_log_u, whose kernels are closed-form; on implicit domains the
@@ -36,36 +39,38 @@ from .geometry import (
     level_set_area,
 )
 from .params import ProblemParams, is_infinity, limit_constants
-from .quadrature import (
-    _BASE_STEP,
-    _level_abscissae,
-    _node_geometry,
-    _t_max_for,
-)
+from .quadrature import tanh_sinh_fixed
 from .radial import Geometry, RadialSolution, eval_log_u
 
+# Fixed tanh-sinh level of the co-area integrals: adaptive stopping would make
+# G jump between levels as mu moves, a fixed level keeps it smooth and monotone.
+_LEVEL = 6
+_RTOL = 4.0 * np.finfo(float).eps
 
-def _fixed_tanh_sinh(f: Callable, a: float, b: float, level: int = 6,
-                     beta: float = 1.0) -> float:
-    """Tanh-sinh quadrature at a fixed refinement depth.
 
-    Unlike the adaptive variants this is a smooth deterministic function of
-    the interval endpoints, which keeps the root search below strictly
-    monotone.
+def _root(G: Callable, lo: float, hi: float, *args) -> Tuple[float, float]:
+    """Root of a nonincreasing G(mu, *args) on [lo, hi] by Brent's method.
+
+    Returns (mu, G(mu)/scale), scale the larger |G| at the two ends.  When G
+    does not change sign the root is lo if G(lo) <= 0, else hi if G(hi) >= 0.
+    Brent stops at 4 ulp relative, or at 2^-60 of the bracket near zero.  The
+    data travels through brentq's `args`, not a closure: brentq wraps G in a
+    self-referencing function, and a closure over a sample array would keep
+    the array alive until the next garbage collection.
     """
-    t_max = _t_max_for(beta)
-    half_span = 0.5 * (b - a)
-    total = 0.0
-    for lv in range(level + 1):
-        t = _level_abscissae(lv, t_max)
-        x, da, db, log_da, log_db, log_w = _node_geometry(t, a, b)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                         under="ignore"):
-            vals = np.asarray(f(x, da, db, log_da, log_db), dtype=float)
-        terms = np.exp(log_w) * vals
-        total += float(np.sum(terms[np.isfinite(terms)]))
-    h = _BASE_STEP * 2.0 ** (-level)
-    return half_span * h * total
+    # imported here: scipy.optimize adds about 0.3 s to every command's start
+    from scipy.optimize import brentq
+
+    g_lo, g_hi = G(lo, *args), G(hi, *args)
+    scale = max(abs(g_lo), abs(g_hi), 1e-300)
+    if g_lo <= 0.0:
+        mu = lo
+    elif g_hi >= 0.0:
+        mu = hi
+    else:
+        mu = brentq(G, lo, hi, args=args, xtol=2.0 ** -60 * (hi - lo),
+                    rtol=_RTOL)
+    return mu, G(mu, *args) / scale
 
 
 def _s_max(cfg: TouchingBallConfig) -> float:
@@ -137,82 +142,70 @@ def _sample_ball(x: np.ndarray, R: float, n_samples: int,
     return x[None, :] + radii[:, None] * dirs
 
 
+def _sample_G(mu: float, v: np.ndarray, qm1: float) -> float:
+    return float(np.mean(np.maximum(v - mu, 0.0) ** qm1)
+                 - np.mean(np.maximum(mu - v, 0.0) ** qm1))
+
+
 def _empirical_qmean(values: np.ndarray, q: float) -> Tuple[float, float]:
-    """Root of the sample version of G by bisection: (mu, residual/scale)."""
+    """Root of the sample version of G by Brent's method: (mu, residual/scale)."""
     v = np.asarray(values, dtype=float)
     lo, hi = float(v.min()), float(v.max())
     if hi - lo <= 1e-14 * max(1.0, abs(hi)):
         return 0.5 * (lo + hi), 0.0
-    qm1 = q - 1.0
-
-    def G(mu: float) -> float:
-        return float(np.mean(np.maximum(v - mu, 0.0) ** qm1)
-                     - np.mean(np.maximum(mu - v, 0.0) ** qm1))
-
-    scale = max(abs(G(lo)), abs(G(hi)), 1e-300)
-    a, b = lo, hi
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        if G(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    mu = 0.5 * (a + b)
-    return mu, G(mu) / scale
+    return _root(_sample_G, lo, hi, v, q - 1.0)
 
 
 def _prof_at(profile: Callable, tau: float) -> float:
     return float(np.asarray(profile(np.array([tau])), dtype=float)[0])
 
 
+def _profile_excess(s: float, profile: Callable, mu: float,
+                    xi: float) -> float:
+    return _prof_at(profile, s / xi) - mu
+
+
 def _crossing(profile: Callable, mu: float, xi: float, smax: float) -> float:
-    """The distance s_c where the nonincreasing profile crosses mu."""
-    if _prof_at(profile, 0.0) <= mu:
-        return 0.0
-    if _prof_at(profile, smax / xi) >= mu:
-        return smax
-    lo, hi = 0.0, smax
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if _prof_at(profile, mid / xi) > mu:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """The distance s_c where the nonincreasing profile crosses mu: 0 when
+    the profile starts at or below mu, smax when it stays at or above it."""
+    return _root(_profile_excess, 0.0, smax, profile, mu, xi)[0]
 
 
 def _coarea_G(mu: float, profile: Callable, xi: float, q: float,
-              cfg: TouchingBallConfig, smax: float, level: int,
-              beta: float) -> float:
-    dom = cfg.domain
+              cfg: TouchingBallConfig, smax: float, beta: float) -> float:
     sc = _crossing(profile, mu, xi, smax)
 
-    def areas(svals: np.ndarray) -> np.ndarray:
-        return np.array([level_set_area(dom, cfg, float(s)) if s > 0.0
-                         else 0.0 for s in svals])
+    def areas(s: np.ndarray) -> np.ndarray:
+        # tanh-sinh nodes next to s = 0 round to 0, where the area vanishes
+        out = np.zeros_like(s)
+        pos = s > 0.0
+        out[pos] = level_set_area(cfg.domain, cfg, s[pos])
+        return out
 
     qm1 = q - 1.0
     total = 0.0
     if sc > 0.0:
-        total += _fixed_tanh_sinh(
+        total += tanh_sinh_fixed(
             lambda x, *rest: np.maximum(profile(x / xi) - mu, 0.0) ** qm1
             * areas(x),
-            0.0, sc, level=level, beta=beta)
+            0.0, sc, _LEVEL, beta)
     if smax - sc > 1e-15 * smax:
-        total -= _fixed_tanh_sinh(
+        total -= tanh_sinh_fixed(
             lambda x, *rest: np.maximum(mu - profile(x / xi), 0.0) ** qm1
             * areas(x),
-            sc, smax, level=level, beta=beta)
+            sc, smax, _LEVEL, beta)
     return total
 
 
-def q_mean(query: QMeanQuery, level: int = 6, n_samples: int = 400_000,
+def q_mean(query: QMeanQuery, n_samples: int = 400_000,
            seed: int = _DEFAULT_SEED) -> QMeanResult:
     """The q-mean of the query's function over B_R(x), q finite.
 
-    Profiles on radial domains go through the co-area route with closed-form
-    level-set areas; raw functions and implicit domains use the empirical
-    root search (n_samples, seed).
+    Profiles on radial domains go through the co-area route: G(mu) is a
+    fixed-level tanh-sinh integral against closed-form level-set areas (one
+    array area call per node set), and mu and the profile's crossing of mu
+    are Brent roots.  Raw functions and implicit domains use the empirical
+    root search over a Monte Carlo sample (n_samples, seed).
     """
     if is_infinity(query.q):
         raise ValueError("q = INFINITY is handled by q_mean_infinity")
@@ -228,14 +221,13 @@ def q_mean(query: QMeanQuery, level: int = 6, n_samples: int = 400_000,
         mu, residual = _empirical_qmean(values, q)
         path = "bruteforce"
     else:
-        mu, residual = _coarea_root(query, q, level)
+        mu, residual = _coarea_root(query, q)
         path = "coarea"
     scaled = (cfg.R / query.xi) ** _scaled_exponent(cfg.n, q) * mu
     return QMeanResult(mu=mu, scaled=scaled, residual=residual, path=path)
 
 
-def _coarea_root(query: QMeanQuery, q: float, level: int
-                 ) -> Tuple[float, float]:
+def _coarea_root(query: QMeanQuery, q: float) -> Tuple[float, float]:
     cfg = query.cfg
     xi = query.xi
     prof = query.profile
@@ -245,30 +237,18 @@ def _coarea_root(query: QMeanQuery, q: float, level: int
     if f0 - fend <= 1e-14 * max(1.0, abs(f0)):
         return 0.5 * (f0 + fend), 0.0
     beta = min(1.0, q - 1.0, 0.5 * (cfg.n - 1))
-
-    def G(mu: float) -> float:
-        return _coarea_G(mu, prof, xi, q, cfg, smax, level, beta)
-
-    scale = max(abs(G(fend)), abs(G(f0)), 1e-300)
-    a, b = fend, f0
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        if G(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    mu = 0.5 * (a + b)
-    return mu, G(mu) / scale
+    return _root(_coarea_G, fend, f0, prof, xi, q, cfg, smax, beta)
 
 
 def q_mean_infinity(query: QMeanQuery) -> float:
-    """Midrange over the ball: (f(2R/xi) + f(0))/2 for monotone profiles."""
+    """Midrange over the ball: (f(s_max/xi) + f(0))/2 for monotone profiles,
+    s_max the largest boundary distance in B_R(x)."""
     if not is_infinity(query.q):
         raise ValueError(f"q_mean_infinity requires q = INFINITY, got {query.q}")
     if query.profile is None:
         raise ValueError("the midrange needs the monotone scaled profile")
     vals = np.asarray(query.profile(
-        np.array([0.0, 2.0 * query.cfg.R / query.xi])), dtype=float)
+        np.array([0.0, _s_max(query.cfg) / query.xi])), dtype=float)
     return 0.5 * float(vals[0] + vals[1])
 
 
@@ -315,9 +295,9 @@ def qmean_profile_limit(cfg: TouchingBallConfig, q: float,
     beta = min(1.0, m)
 
     def seg(a: float, b: float) -> float:
-        return _fixed_tanh_sinh(
+        return tanh_sinh_fixed(
             lambda x, *rest: np.asarray(f(x), dtype=float) ** qm1 * x ** m,
-            a, b, level=7, beta=beta)
+            a, b, 7, beta)
 
     total = seg(0.0, 8.0)
     t_hi = 8.0
@@ -372,8 +352,7 @@ def solution_profile(params: ProblemParams,
 def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
                            cfg: TouchingBallConfig, q: float,
                            n_samples: int = 200_000,
-                           seed: int = _DEFAULT_SEED,
-                           level: int = 6) -> List[dict]:
+                           seed: int = _DEFAULT_SEED) -> List[dict]:
     """Scaled q-means along an eps sequence against the limit prediction.
 
     Radial domains evaluate the exact solution through the co-area route
@@ -415,7 +394,7 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
             if is_infinity(q):
                 mu, residual = q_mean_infinity(query), 0.0
             else:
-                res = q_mean(query, level=level)
+                res = q_mean(query)
                 mu, residual = res.mu, res.residual
             rows.append(make_row(pp, mu, residual, "coarea"))
         return rows

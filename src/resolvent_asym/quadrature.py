@@ -12,14 +12,17 @@ closed forms are tested against.  It runs in the log domain: node weights,
 endpoint offsets and integrand values are kept as logarithms and accumulated
 with logsumexp, so endpoint singularities (sin theta)^alpha with alpha near
 -1 neither underflow nor overflow.  A linear-domain twin backs signed
-integrands (mollifier numerators), sharing the same node construction.
+integrands (mollifier numerators), sharing the same node construction; its
+running level sums also serve, stopped at a fixed level, as the smooth rule
+of the co-area q-mean (tanh_sinh_fixed).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 from scipy.special import gammaln, ive, kve, logsumexp
@@ -163,32 +166,49 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
         "tanh-sinh refinement did not reach rel_tol", current, prev)
 
 
-def tanh_sinh_sum(f: Callable, a: float, b: float,
-                  config: QuadratureConfig = DEFAULT_CONFIG,
-                  beta: float = 1.0) -> float:
-    """Linear-domain twin of tanh_sinh_log for signed integrands."""
+def _linear_level_sums(f: Callable, a: float, b: float,
+                       beta: float) -> Iterator[float]:
+    """Running tanh-sinh estimates of int_a^b f, one per refinement level."""
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
     t_max = _t_max_for(beta)
     half_span = 0.5 * (b - a)
-    blocks: list[np.ndarray] = []
-    prev = math.nan
-    for level in range(config.max_refinements + 1):
+    total = 0.0
+    for level in itertools.count():
         t = _level_abscissae(level, t_max)
         x, da, db, log_da, log_db, log_w = _node_geometry(t, a, b)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                          under="ignore"):
             vals = np.asarray(f(x, da, db, log_da, log_db), dtype=float)
         terms = np.exp(log_w) * vals
-        blocks.append(terms[np.isfinite(terms)])
-        h = _BASE_STEP * 2.0 ** (-level)
-        current = half_span * h * float(np.sum(np.concatenate(blocks)))
+        total += float(np.sum(terms[np.isfinite(terms)]))
+        yield half_span * _BASE_STEP * 2.0 ** (-level) * total
+
+
+def tanh_sinh_sum(f: Callable, a: float, b: float,
+                  config: QuadratureConfig = DEFAULT_CONFIG,
+                  beta: float = 1.0) -> float:
+    """Linear-domain twin of tanh_sinh_log for signed integrands."""
+    prev = math.nan
+    for level, current in zip(range(config.max_refinements + 1),
+                              _linear_level_sums(f, a, b, beta)):
         if level >= 3:
             if abs(current - prev) <= config.rel_tol * abs(current) + config.abs_tol:
                 return current
         prev = current
     raise NonConvergenceError(
         "tanh-sinh refinement did not reach rel_tol", current, prev)
+
+
+def tanh_sinh_fixed(f: Callable, a: float, b: float, level: int,
+                    beta: float = 1.0) -> float:
+    """tanh_sinh_sum stopped at a fixed refinement level.
+
+    Unlike the adaptive rule the result is a smooth deterministic function
+    of the endpoints, which keeps a root search over them monotone.
+    """
+    return next(itertools.islice(_linear_level_sums(f, a, b, beta),
+                                 level, None))
 
 
 def _log_sin_theta(da: np.ndarray, db: np.ndarray,

@@ -227,6 +227,12 @@ class TestQmeanCommand:
         assert code == 2
         assert "not valid JSON" in err
 
+    def test_fractional_seed_exits_2(self, capsys, tmp_path):
+        cfg_path = qmean_config(tmp_path, seed=7.9)
+        code, _, err = run_cli(capsys, "qmean", "--config", str(cfg_path))
+        assert code == 2
+        assert "seed must be an integer" in err
+
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg_path = qmean_config(tmp_path, typo=1)
         code, _, err = run_cli(capsys, "qmean", "--config", str(cfg_path))

@@ -73,6 +73,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="cannot parse exponent"):
             SweepConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("section,key,value,msg", [
+        (None, "seed", 7.9, "seed"),
+        (None, "seed", True, "seed"),
+        ("eps_sequence", "count", 3.7, "eps_count"),
+        ("params_grid", "N", [2.9], "integers >= 2"),
+    ])
+    def test_from_dict_rejects_non_integers(self, section, key, value, msg):
+        doc = {"params_grid": {"N": [2], "p": [2], "q": [2]},
+               "eps_sequence": {"start": 0.1, "factor": 0.5, "count": 4},
+               "geometry": {"kind": "ball", "domain_radius": 1.0, "R": 0.5}}
+        (doc if section is None else doc[section])[key] = value
+        with pytest.raises(ValueError, match=msg):
+            SweepConfig.from_dict(doc)
+
     @pytest.mark.parametrize("field,value,msg", [
         ("n_values", (1,), "integers >= 2"),
         ("n_values", (), "integers >= 2"),
@@ -82,6 +96,7 @@ class TestConfig:
         ("eps_factor", 1.5, "eps_factor"),
         ("eps_factor", 0.0, "eps_factor"),
         ("eps_count", 0, "eps_count"),
+        ("eps_count", 2.5, "eps_count"),
         ("seed", 1.5, "seed"),
     ])
     def test_invalid_fields(self, field, value, msg):

@@ -204,6 +204,36 @@ class TestLevelSetArea:
             level_set_area(cfg.domain, cfg, 0.0)
         with pytest.raises(ValueError):
             level_set_area(cfg.domain, cfg, -0.1)
+        with pytest.raises(ValueError):
+            level_set_area(cfg.domain, cfg, np.array([0.1, 0.0]))
+
+    @pytest.mark.parametrize("domain,x,R", [
+        # R > rho/2: levels s in (rho, 2R) have rho - s <= 0 inside B_R(x)
+        (BallDomain(1.0), [0.25, 0.0], 0.75),
+        (BallDomain(2.0), [1.2, 0.0, 0.0], 0.8),
+        (ExteriorBallDomain(1.0), [2.0, 0.0, 0.0], 1.0),
+    ])
+    def test_array_call_matches_scalar_calls(self, domain, x, R):
+        cfg = touching_ball(domain, x, R)
+        s = np.array([1e-9, 1e-3, 0.1, 0.5, 0.74, 0.99, 1.0, 1.2, 1.49,
+                      1.5, 1.6, 2.0, 5.0])
+        areas = level_set_area(domain, cfg, s)
+        assert areas.shape == s.shape
+        scalar = [level_set_area(domain, cfg, float(t)) for t in s]
+        assert all(isinstance(a, float) for a in scalar)
+        assert np.array_equal(areas, scalar)
+        assert np.all(areas[s >= 2.0 * R] == 0.0)
+        assert level_set_area(domain, cfg, np.array([])).shape == (0,)
+
+    def test_array_call_on_implicit_domain(self):
+        dom = implicit_ball(1.0, dim=2)
+        cfg = touching_ball(dom, [0.5, 0.0], 0.5)
+        s = np.array([0.1, 0.4, 1.0])
+        areas = level_set_area(dom, cfg, s, n_samples=20_000, seed=3)
+        scalar = [level_set_area(dom, cfg, float(t), n_samples=20_000, seed=3)
+                  for t in s]
+        assert np.array_equal(areas, scalar)
+        assert areas[-1] == 0.0
 
     def test_mc_oracle_agrees_closed_form(self):
         cfg = self.ball_cfg()

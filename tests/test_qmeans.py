@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +112,19 @@ class TestEmpiricalRoot:
         assert mu == pytest.approx(float(np.mean(v)), abs=1e-12)
         assert abs(res) < 1e-12
 
+    def test_keeps_no_reference_to_the_sample(self):
+        # the root search must not leave the sample in a reference cycle,
+        # which only the cyclic garbage collector would free
+        v = np.exp(-3.0 * np.random.default_rng(7).random(10_000))
+        ref = weakref.ref(v)
+        gc.disable()
+        try:
+            _empirical_qmean(v, 3.0)
+            del v
+            assert ref() is None
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 6.0])
     def test_root_residual_small(self, q):
         rng = np.random.default_rng(6)
@@ -215,6 +230,13 @@ class TestInfinityMidrange:
         devs = [abs(v - 0.5) for v in vals]
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-3
+
+    def test_ball_reaching_the_center(self):
+        # R > rho/2: the largest distance in B_R(x) is rho = 1, not 2R = 1.5
+        cfg = touching_ball(BallDomain(1.0), [0.25, 0.0], 0.75)
+        query = QMeanQuery(cfg=cfg, q=INFINITY, xi=1.0, profile=exp_profile)
+        assert q_mean_infinity(query) == pytest.approx(
+            0.5 * (1.0 + math.exp(-1.0)), rel=1e-14)
 
     def test_wrong_q_rejected(self):
         query = QMeanQuery(cfg=BALL_CFG, q=INFINITY, xi=0.1,
