@@ -160,7 +160,28 @@ def _parse_exponent(v) -> float:
         if v.strip().lower() in ("inf", "infinity"):
             return INFINITY
         raise ValueError(f"cannot parse exponent {v!r}")
+    return _number(v, "exponent")
+
+
+def _number(v, name: str) -> float:
+    """A config value that must be a JSON number (not a boolean)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{name} must be a number, got {v!r}")
     return float(v)
+
+
+def _section(d: dict, key: str) -> dict:
+    v = d[key]
+    if not isinstance(v, dict):
+        raise ValueError(f"{key} must be an object, got {v!r}")
+    return v
+
+
+def _grid(grid: dict, key: str) -> list:
+    v = grid.get(key, [])
+    if not isinstance(v, list):
+        raise ValueError(f"params_grid.{key} must be a list, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -209,34 +230,37 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SweepConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         known = {"params_grid", "eps_sequence", "geometry", "modulus",
                  "output", "seed"}
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         try:
-            grid = d["params_grid"]
-            eps = d["eps_sequence"]
-            geo = d["geometry"]
+            grid = _section(d, "params_grid")
+            eps = _section(d, "eps_sequence")
+            geo = _section(d, "geometry")
         except KeyError as e:
             raise ValueError(f"config is missing required key {e.args[0]!r}")
         geometry = GeometrySpec(kind=geo.get("kind", ""),
-                                domain_radius=float(
-                                    geo.get("domain_radius", 0.0)),
-                                R=float(geo.get("R", 0.0)))
+                                domain_radius=_number(
+                                    geo.get("domain_radius", 0.0),
+                                    "geometry.domain_radius"),
+                                R=_number(geo.get("R", 0.0), "geometry.R"))
         modulus = None
         if d.get("modulus") is not None:
-            m = d["modulus"]
+            m = _section(d, "modulus")
             modulus = ModulusSpec(kind=m.get("kind", ""),
-                                  r=float(m.get("r", 0.0)),
-                                  slope=(float(m["slope"])
+                                  r=_number(m.get("r", 0.0), "modulus.r"),
+                                  slope=(_number(m["slope"], "modulus.slope")
                                          if "slope" in m else None))
         return SweepConfig(
-            n_values=tuple(grid.get("N", [])),
-            p_values=tuple(_parse_exponent(p) for p in grid.get("p", [])),
-            q_values=tuple(_parse_exponent(q) for q in grid.get("q", [])),
-            eps_start=float(eps.get("start", 0.0)),
-            eps_factor=float(eps.get("factor", 0.0)),
+            n_values=tuple(_grid(grid, "N")),
+            p_values=tuple(_parse_exponent(p) for p in _grid(grid, "p")),
+            q_values=tuple(_parse_exponent(q) for q in _grid(grid, "q")),
+            eps_start=_number(eps.get("start", 0.0), "eps_sequence.start"),
+            eps_factor=_number(eps.get("factor", 0.0), "eps_sequence.factor"),
             eps_count=eps.get("count", 0),
             geometry=geometry,
             modulus=modulus,

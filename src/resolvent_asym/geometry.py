@@ -19,6 +19,8 @@ from .params import pi_gamma as _pi_gamma_product
 
 _PROJECT_TOL = 1e-12
 _PROJECT_MAX_ITER = 80
+_CURVATURE_FLOOR = 1e-3
+_TOUCH_TOL = 1e-9
 _DEFAULT_SEED = 20260815
 _UNIQUENESS_DIRECTIONS = 10_000
 
@@ -80,48 +82,120 @@ class ImplicitDomain:
 DomainOracle = Union[BallDomain, ExteriorBallDomain, ImplicitDomain]
 
 
+def _dot(u, v):
+    """Pointwise inner product of vectors given as lists of (k,) arrays."""
+    return sum(ui * vi for ui, vi in zip(u, v))
+
+
+def _hform(h, v, w):
+    """Pointwise bilinear form v^T h w for h of shape (k, N, N)."""
+    return sum(h[:, i, j] * vi * wj
+               for i, vi in enumerate(v) for j, wj in enumerate(w))
+
+
+def _tangent_frame(nrm):
+    """Orthonormal tangent vectors to the unit normals nrm (a list of (k,)
+    arrays), N = 2 or 3; at N = 3 the branch-free basis of Duff et al.,
+    JCGT 6(1), 2017."""
+    if len(nrm) == 2:
+        return [(-nrm[1], nrm[0])]
+    nx, ny, nz = nrm
+    sign = np.copysign(1.0, nz)
+    a = -1.0 / (sign + nz)
+    b = nx * ny * a
+    return [(1.0 + sign * nx * nx * a, sign * b, -sign * nx),
+            (b, sign + ny * ny * a, -ny)]
+
+
+def _ray_start(domain: ImplicitDomain,
+               x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Start (y, lam) of the projection: y is the root of the second-order
+    model of phi along the gradient ray from x (the exact ray root on
+    quadric domains), lam = |y - x| / |model gradient at y|."""
+    n = x.shape[1]
+    g = np.asarray(domain.grad(x), dtype=float)
+    h = np.asarray(domain.hess(x), dtype=float)
+    phi = np.asarray(domain.phi(x), dtype=float)
+    gn = np.sqrt(np.einsum("ij,ij->i", g, g))
+    u = [g[:, i] / gn for i in range(n)]
+    hu = [sum(h[:, i, j] * u[j] for j in range(n)) for i in range(n)]
+    t = -2.0 * phi / (gn + np.sqrt(np.maximum(
+        gn * gn - 2.0 * phi * _dot(u, hu), 0.0)))
+    y = np.stack([x[:, i] + t * u[i] for i in range(n)], axis=1)
+    lam = t / np.sqrt(sum((g[:, i] + t * hu[i]) ** 2 for i in range(n)))
+    return y, lam
+
+
+def _newton_step(domain: ImplicitDomain, x: np.ndarray, y: np.ndarray,
+                 lam: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One safeguarded Newton step (dy, dlam) for y - x = lam grad(phi)(y),
+    phi(y) = 0, on per-component (k,) arrays.
+
+    dy = a nrm + T b: the normal row gives a = -phi/|g|; the tangent rows
+    give T^T (I - lam H) T b = T^T r + a lam T^T H nrm, with r the residual
+    x - y + lam g; the remaining row gives dlam.  The smallest eigenvalue of
+    T^T (I - lam H) T is raised to _CURVATURE_FLOOR (modified Newton), so
+    each step heads for a local minimum of the distance; a zero step still
+    means a zero residual.
+    """
+    n = x.shape[1]
+    g = np.asarray(domain.grad(y), dtype=float)
+    h = np.asarray(domain.hess(y), dtype=float)
+    phi = np.asarray(domain.phi(y), dtype=float)
+    gn = np.sqrt(np.einsum("ij,ij->i", g, g))
+    nrm = [g[:, i] / gn for i in range(n)]
+    res = [x[:, i] - y[:, i] + lam * g[:, i] for i in range(n)]
+    a = -phi / gn
+    frame = _tangent_frame(nrm)
+    c = [_dot(tp, res) + a * lam * _hform(h, tp, nrm) for tp in frame]
+    if n == 2:
+        mtt = 1.0 - lam * _hform(h, frame[0], frame[0])
+        b = [c[0] / np.maximum(mtt, _CURVATURE_FLOOR)]
+    else:
+        m11 = 1.0 - lam * _hform(h, frame[0], frame[0])
+        m22 = 1.0 - lam * _hform(h, frame[1], frame[1])
+        m12 = -lam * _hform(h, frame[0], frame[1])
+        low = 0.5 * (m11 + m22) - np.hypot(0.5 * (m11 - m22), m12)
+        shift = np.maximum(_CURVATURE_FLOOR - low, 0.0)
+        m11 += shift
+        m22 += shift
+        det = m11 * m22 - m12 * m12
+        b = [(c[0] * m22 - c[1] * m12) / det,
+             (m11 * c[1] - m12 * c[0]) / det]
+    dy = [a * nrm[i] + _dot(b, [tp[i] for tp in frame]) for i in range(n)]
+    dlam = (a - lam * _hform(h, nrm, dy) - _dot(nrm, res)) / gn
+    return np.stack(dy, axis=1), dlam
+
+
 def _project_implicit(domain: ImplicitDomain, points: np.ndarray) -> np.ndarray:
     """Nearest boundary points for a batch (m, N) of interior points.
 
-    Newton iteration on the first-order system y - x = lambda grad(phi)(y),
-    phi(y) = 0, started from one explicit linearization step.
+    Newton iteration on the first-order system y - x = lam grad(phi)(y),
+    phi(y) = 0, started from the root of phi along the gradient ray from x
+    (_ray_start): a single linearization step overshoots where |grad phi|
+    is small and can end on a far critical point.  The steps are solved in
+    closed form with the tangential curvature floored (_newton_step).
+    Stops when a step moves y and lam by at most _PROJECT_TOL (1 + |y|).
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
-    m, n = x.shape
-    g0 = np.asarray(domain.grad(x), dtype=float)
-    phi0 = np.asarray(domain.phi(x), dtype=float)
-    gnorm2 = np.einsum("ij,ij->i", g0, g0)
-    lam = -phi0 / gnorm2
-    y = x + lam[:, None] * g0
-    active = np.ones(m, dtype=bool)
+    m = x.shape[0]
+    y, lam = _ray_start(domain, x)
+    idx = np.arange(m)
     for _ in range(_PROJECT_MAX_ITER):
-        if not np.any(active):
+        if idx.size == 0:
             break
-        ya, xa, la = y[active], x[active], lam[active]
-        g = np.asarray(domain.grad(ya), dtype=float)
-        h = np.asarray(domain.hess(ya), dtype=float)
-        phi = np.asarray(domain.phi(ya), dtype=float)
-        k = ya.shape[0]
-        jac = np.zeros((k, n + 1, n + 1))
-        jac[:, :n, :n] = np.eye(n)[None, :, :] - la[:, None, None] * h
-        jac[:, :n, n] = -g
-        jac[:, n, :n] = g
-        rhs = np.empty((k, n + 1))
-        rhs[:, :n] = -(ya - xa - la[:, None] * g)
-        rhs[:, n] = -phi
-        delta = np.linalg.solve(jac, rhs[..., None])[..., 0]
-        y[active] += delta[:, :n]
-        lam[active] += delta[:, n]
-        moved = np.max(np.abs(delta), axis=1)
+        ya, la = y[idx], lam[idx]
+        dy, dlam = _newton_step(domain, x[idx], ya, la)
+        y[idx] = ya + dy
+        lam[idx] = la + dlam
+        moved = np.maximum(np.max(np.abs(dy), axis=1), np.abs(dlam))
         scale = 1.0 + np.max(np.abs(ya), axis=1)
         # written so that a NaN iterate stays active and is reported below
-        still = ~(moved <= _PROJECT_TOL * scale)
-        idx = np.where(active)[0]
-        active[idx[~still]] = False
-    if np.any(active):
+        idx = idx[~(moved <= _PROJECT_TOL * scale)]
+    if idx.size:
         raise RuntimeError(
             f"nearest-point projection did not converge for "
-            f"{int(np.sum(active))} of {m} points")
+            f"{idx.size} of {m} points")
     return y
 
 
@@ -230,7 +304,7 @@ def touching_ball(domain: DomainOracle, x: Sequence[float], R: float,
     if not R > 0.0:
         raise ValueError(f"R must be positive, got {R}")
     d, y = distance_and_nearest(domain, x)
-    if abs(d - R) > 1e-9 * max(1.0, R):
+    if abs(d - R) > _TOUCH_TOL * max(1.0, R):
         raise ValueError(f"x is at boundary distance {d}, not R = {R}")
     kappas = principal_curvatures(domain, y)
     _pi_gamma_product(kappas, R)  # raises when any kappa >= 1/R
@@ -239,7 +313,7 @@ def touching_ball(domain: DomainOracle, x: Sequence[float], R: float,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     probes = x[None, :] + R * dirs
     dists = boundary_distances(domain, probes)
-    if np.min(dists) < -1e-9 * max(1.0, R):
+    if np.min(dists) < -_TOUCH_TOL * max(1.0, R):
         raise ValueError("the closed ball B_R(x) leaves the domain")
     axis = (y - x) / R
     angles = np.arccos(np.clip(dirs @ axis, -1.0, 1.0))
@@ -322,6 +396,15 @@ def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
     Uniform samples in B_R(x), stratified over radius shells with one
     spawned bit-generator per stratum; the level-set measure is the fraction
     landing in [s - hw, s + hw] times vol(B_R)/(2 hw).
+
+    Strata that cannot reach the bin are counted without drawing.  The
+    distance is 1-Lipschitz and d_Gamma(x) = R (to the tolerance that
+    touching_ball checks), so a point at radius r from x has d_Gamma >=
+    R - r; stratum j has radii below R ((j+1)/S)^{1/N}, and when that bound
+    stays below R - s - hw no sample can land in the bin: the stratum adds
+    its m samples to the total and nothing to the hits or the variance.
+    Each stratum draws from its own generator, so the estimate is the one
+    a full draw gives (a computed distance is never below the true one).
     """
     if not s > 0.0:
         raise ValueError(f"level distance s must be > 0, got {s}")
@@ -333,12 +416,16 @@ def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
     vol = ball_volume(n, cfg.R)
     seqs = np.random.SeedSequence(seed).spawn(n_strata)
     base = n_samples // n_strata
+    reach = (cfg.R - s - hw - _TOUCH_TOL * max(1.0, cfg.R)) * (1.0 - 1e-12)
     counts_total = 0
     var_sum = 0.0
     total = 0
     for j, seq in enumerate(seqs):
         m = base + (1 if j < n_samples % n_strata else 0)
         if m == 0:
+            continue
+        if cfg.R * ((j + 1) / n_strata) ** (1.0 / n) < reach:
+            total += m
             continue
         rng = np.random.default_rng(seq)
         u = (j + rng.random(m)) / n_strata

@@ -80,6 +80,8 @@ class NonConvergenceError(RuntimeError):
 
     def __init__(self, message: str, last_estimate: float,
                  previous_estimate: float) -> None:
+        last_estimate = float(last_estimate)
+        previous_estimate = float(previous_estimate)
         super().__init__(
             f"{message} (last estimate {last_estimate!r}, "
             f"previous {previous_estimate!r})")
@@ -141,7 +143,7 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
     t_max = _t_max_for(beta)
     log_half_span = math.log(0.5 * (b - a))
     blocks: list[np.ndarray] = []
-    prev = math.nan
+    prev = current = math.nan
     log_abs_floor = math.log(config.abs_tol) if config.abs_tol > 0 else -math.inf
     for level in range(config.max_refinements + 1):
         t = _level_abscissae(level, t_max)
@@ -152,7 +154,7 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
         terms = log_w + vals
         blocks.append(terms[~np.isnan(terms)])
         h = _BASE_STEP * 2.0 ** (-level)
-        current = log_half_span + math.log(h) + logsumexp(
+        prev, current = current, log_half_span + math.log(h) + logsumexp(
             np.concatenate(blocks))
         if level >= 3:
             if current == -math.inf and prev == -math.inf:
@@ -161,7 +163,6 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
                 return current
             if abs(current - prev) <= config.rel_tol:
                 return current
-        prev = current
     raise NonConvergenceError(
         "tanh-sinh refinement did not reach rel_tol", current, prev)
 
@@ -189,13 +190,13 @@ def tanh_sinh_sum(f: Callable, a: float, b: float,
                   config: QuadratureConfig = DEFAULT_CONFIG,
                   beta: float = 1.0) -> float:
     """Linear-domain twin of tanh_sinh_log for signed integrands."""
-    prev = math.nan
-    for level, current in zip(range(config.max_refinements + 1),
-                              _linear_level_sums(f, a, b, beta)):
+    prev = current = math.nan
+    for level, estimate in zip(range(config.max_refinements + 1),
+                               _linear_level_sums(f, a, b, beta)):
+        prev, current = current, estimate
         if level >= 3:
             if abs(current - prev) <= config.rel_tol * abs(current) + config.abs_tol:
                 return current
-        prev = current
     raise NonConvergenceError(
         "tanh-sinh refinement did not reach rel_tol", current, prev)
 

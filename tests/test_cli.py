@@ -98,6 +98,16 @@ class TestSpecialF:
         assert code == 3
         assert "non-convergence" in err
 
+    def test_non_convergence_reports_last_two_estimates(self, capsys):
+        code, _, err = run_cli(capsys, "special-f", "--sigma", "1e-3",
+                               "--alpha", "39", "--max-refinements", "1",
+                               "--rel-tol", "1e-15")
+        assert code == 3
+        assert "np.float64" not in err
+        tail = err.split("(last estimate ")[1].rstrip(")\n")
+        last, prev = (float(v) for v in tail.split(", previous "))
+        assert last != prev
+
     def test_negative_sigma_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "special-f", "--sigma", "-1.0",
                                "--alpha", "1.0")
@@ -232,6 +242,20 @@ class TestQmeanCommand:
         code, _, err = run_cli(capsys, "qmean", "--config", str(cfg_path))
         assert code == 2
         assert "seed must be an integer" in err
+
+    @pytest.mark.parametrize("override,msg", [
+        ({"params_grid": {"N": 2, "p": ["inf"], "q": [2.0]}},
+         "params_grid.N must be a list"),
+        ({"eps_sequence": {"start": None, "factor": 0.5, "count": 2}},
+         "eps_sequence.start must be a number"),
+    ])
+    def test_config_type_error_exits_2(self, capsys, tmp_path, override,
+                                       msg):
+        cfg_path = qmean_config(tmp_path, **override)
+        code, _, err = run_cli(capsys, "qmean", "--config", str(cfg_path))
+        assert code == 2
+        assert err.startswith(f"error: {msg}")
+        assert err.count("\n") == 1
 
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg_path = qmean_config(tmp_path, typo=1)

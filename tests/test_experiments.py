@@ -87,6 +87,28 @@ class TestConfig:
         with pytest.raises(ValueError, match=msg):
             SweepConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("section,key,value,msg", [
+        ("params_grid", "p", 2.0, "params_grid.p must be a list"),
+        ("params_grid", "q", [None], "exponent must be a number"),
+        ("eps_sequence", "factor", "0.5", "eps_sequence.factor"),
+        ("geometry", "R", None, "geometry.R must be a number"),
+        ("geometry", "domain_radius", True, "geometry.domain_radius"),
+        (None, "geometry", 3, "geometry must be an object"),
+        (None, "modulus", {"kind": "linear", "r": 1.0, "slope": [1]},
+         "modulus.slope must be a number"),
+    ])
+    def test_from_dict_rejects_wrong_types(self, section, key, value, msg):
+        doc = {"params_grid": {"N": [2], "p": [2], "q": [2]},
+               "eps_sequence": {"start": 0.1, "factor": 0.5, "count": 4},
+               "geometry": {"kind": "ball", "domain_radius": 1.0, "R": 0.5}}
+        (doc if section is None else doc[section])[key] = value
+        with pytest.raises(ValueError, match=msg):
+            SweepConfig.from_dict(doc)
+
+    def test_from_dict_rejects_non_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            SweepConfig.from_dict([1, 2])
+
     @pytest.mark.parametrize("field,value,msg", [
         ("n_values", (1,), "integers >= 2"),
         ("n_values", (), "integers >= 2"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from resolvent_asym import geometry
 from resolvent_asym.geometry import (
     BallDomain,
     ExteriorBallDomain,
@@ -21,6 +22,7 @@ from resolvent_asym.geometry import (
     touching_ball,
     unit_sphere_area,
 )
+from resolvent_asym.qmeans import _sample_ball
 
 
 def implicit_ball(rho: float, dim: int = 2) -> ImplicitDomain:
@@ -39,6 +41,64 @@ def implicit_ball(rho: float, dim: int = 2) -> ImplicitDomain:
         return out
 
     return ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=dim, name="ball")
+
+
+def implicit_ellipsoid(axes) -> ImplicitDomain:
+    """sum_i (p_i / a_i)^2 < 1 in N = len(axes) dimensions."""
+    inv = 1.0 / np.asarray(axes, dtype=float) ** 2
+    n = inv.size
+
+    def phi(p):
+        return np.sum(np.asarray(p, dtype=float) ** 2 * inv, axis=-1) - 1.0
+
+    def grad(p):
+        return 2.0 * np.asarray(p, dtype=float) * inv
+
+    def hess(p):
+        p = np.asarray(p, dtype=float)
+        out = np.zeros(p.shape[:-1] + (n, n))
+        out[..., np.arange(n), np.arange(n)] = 2.0 * inv
+        return out
+
+    return ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=n,
+                          name="ellipsoid")
+
+
+def secular_distance(axes, pts) -> np.ndarray:
+    """Unsigned boundary distance for an ellipsoid, by a route independent
+    of the Newton projection: the nearest point is
+    y_i = a_i^2 p_i / (a_i^2 + t), t the root of
+    sum_i (a_i p_i / (a_i^2 + t))^2 = 1 in (-min a_i^2, 0] for interior
+    points and in [0, |a p|] outside, where the left side decreases in t
+    (D. Eberly, "Distance from a point to an ellipse, an ellipsoid, or a
+    hyperellipsoid"); bisection to machine precision.  Interior points need
+    p_i != 0 on the shortest axis."""
+    a = np.asarray(axes, dtype=float)
+    p = np.atleast_2d(np.asarray(pts, dtype=float))
+    outside = np.sum((p / a) ** 2, axis=1) > 1.0
+    lo = np.where(outside, 0.0, -np.min(a * a))
+    hi = np.where(outside, np.linalg.norm(a * p, axis=1), 0.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = np.sum((a * p / (a * a + mid[:, None])) ** 2, axis=1) > 1.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    y = a * a * p / (a * a + hi[:, None])
+    return np.linalg.norm(y - p, axis=1)
+
+
+def ellipse_parallel_length(s: float, center, R: float, a: float = 2.0,
+                            b: float = 1.0, nodes: int = 20_001) -> float:
+    """Length inside B_R(center) of the curve at inward distance s from the
+    upper arc of x^2/a^2 + y^2/b^2 = 1: int speed (1 - s kappa) dt over the
+    arc parameters whose parallel point lies in the ball (trapezoid rule)."""
+    t = np.linspace(0.0, math.pi, nodes)
+    speed = np.hypot(a * np.sin(t), b * np.cos(t))
+    px = a * np.cos(t) - s * b * np.cos(t) / speed
+    py = b * np.sin(t) - s * a * np.sin(t) / speed
+    inside = np.hypot(px - center[0], py - center[1]) < R
+    f = np.where(inside, speed - s * a * b / speed ** 2, 0.0)
+    return float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(t)))
 
 
 class TestSphereFormulas:
@@ -101,6 +161,70 @@ class TestDistanceAndNearest:
         _, y = distance_and_nearest(dom, [0.3, 0.4])
         d2, _ = distance_and_nearest(dom, y)
         assert abs(d2) < 1e-10
+
+    def test_ellipse_against_dense_parametric_minimum(self):
+        # the sample of the workload ball touching the minor-axis vertex;
+        # deep points there have a tiny |grad phi| and four critical points
+        dom = make_ellipse_domain(2.0, 1.0)
+        pts = _sample_ball(np.array([0.0, 0.5]), 0.5, 20_000, 101)
+        d = np.linalg.norm(geometry._project_implicit(dom, pts) - pts, axis=1)
+        # 4e4 parametric nodes; the points have y >= 0 and reflecting
+        # y -> -y brings a lower boundary point nearer, so the upper half
+        # of the nodes suffices.  |p - (2 cos t, sin t)|^2 =
+        # |p|^2 + 1 + 3 cos^2 t - 4 p_x cos t - 2 p_y sin t.
+        t = np.linspace(0.0, 2.0 * math.pi, 40_000, endpoint=False)
+        t = t[t <= math.pi]
+        c, sn = np.cos(t), np.sin(t)
+        weights = np.stack([4.0 * c, 2.0 * sn])
+        base = 1.0 + 3.0 * c * c
+        best = np.empty(len(pts))
+        for lo in range(0, len(pts), 256):
+            block = pts[lo:lo + 256]
+            best[lo:lo + 256] = np.min(base - block @ weights, axis=1)
+        dense = np.sqrt(np.maximum(best + np.sum(pts * pts, axis=1), 0.0))
+        # the node minimum is never below the true minimum
+        assert int(np.sum(d > dense + 1e-6)) == 0
+
+    @pytest.mark.parametrize("pt,expected", [
+        ([0.12, 0.05], 0.94764),
+        ([0.07, 0.005], 0.99418),
+    ])
+    def test_ellipse_deep_points(self, pt, expected):
+        # one linearization step from these points lands near (2, 0),
+        # in the basin of a far critical point
+        d, y = distance_and_nearest(make_ellipse_domain(2.0, 1.0), pt)
+        assert d == pytest.approx(secular_distance([2.0, 1.0], pt)[0],
+                                  abs=1e-12)
+        assert d == pytest.approx(expected, abs=5e-6)
+        assert y[1] > 0.99
+
+    @pytest.mark.parametrize("pt,expected", [
+        ([1.0, 0.1, 0.1], 0.72029),
+        ([0.3, 0.1, 0.2], 0.87029),
+    ])
+    def test_ellipsoid_points(self, pt, expected):
+        axes = [2.0, 1.0, 1.5]
+        d, y = distance_and_nearest(implicit_ellipsoid(axes), pt)
+        assert d == pytest.approx(secular_distance(axes, pt)[0], abs=1e-12)
+        assert d == pytest.approx(expected, abs=5e-6)
+        assert np.sum((y / axes) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_ellipsoid_batch(self):
+        axes = np.array([2.0, 1.0, 1.5])
+        dom = implicit_ellipsoid(axes)
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-1.0, 1.0, (40_000, 3)) * axes
+        pts = pts[dom.phi(pts) < 0.0][:20_000]
+        d = np.linalg.norm(geometry._project_implicit(dom, pts) - pts, axis=1)
+        assert np.max(np.abs(d - secular_distance(axes, pts))) < 1e-9
+
+    def test_ellipse_signed_distances_inside_and_out(self):
+        dom = make_ellipse_domain(2.0, 1.0)
+        pts = np.random.default_rng(1).uniform(-6.0, 6.0, (20_000, 2))
+        sign = np.where(dom.phi(pts) <= 0.0, 1.0, -1.0)
+        d = boundary_distances(dom, pts)
+        assert np.max(np.abs(d - sign * secular_distance([2.0, 1.0], pts))) \
+            < 1e-9
 
     def test_batch_signed_distances(self):
         dom = BallDomain(1.0)
@@ -246,6 +370,50 @@ class TestLevelSetArea:
                        for t in grid])
         assert abs(area - avg) <= 3.0 * se
         assert se < 0.05 * avg
+
+    @pytest.mark.parametrize("domain,x,R,s,hw,n,seed,expected", [
+        (BallDomain(1.0), [0.5, 0.0], 0.5, 0.05, 0.005, 200_000, 1,
+         (0.5929756133650735, 0.014902196990668578)),
+        (ExteriorBallDomain(1.0), [2.0, 0.0, 0.0], 1.0, 0.05, 0.005,
+         200_000, 1, (0.17383479349863526, 0.019053056551140014)),
+        (make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5, 0.05, 0.005,
+         200_000, 1, (0.4747731897737575, 0.013420558769139227)),
+        # s + hw >= R: every stratum can reach the bin
+        (BallDomain(1.0), [0.5, 0.0], 0.5, 0.45, 0.05, 50_000, 4,
+         (1.0822786691616837, 0.011599075666742443)),
+    ])
+    def test_mc_equals_full_draw(self, domain, x, R, s, hw, n, seed,
+                                 expected):
+        # recorded from a draw of every stratum: skipping the strata that
+        # cannot reach the bin leaves the estimate bit-identical
+        cfg = touching_ball(domain, x, R)
+        assert level_set_area_mc(domain, cfg, s, n_samples=n, seed=seed,
+                                 half_width=hw) == expected
+
+    def test_mc_draws_only_strata_that_reach_the_bin(self, monkeypatch):
+        cfg = self.ball_cfg()
+        drawn = []
+
+        def counting(domain, pts):
+            drawn.append(len(pts))
+            return boundary_distances(domain, pts)
+
+        monkeypatch.setattr(geometry, "boundary_distances", counting)
+        level_set_area_mc(cfg.domain, cfg, 0.05, n_samples=64_000, seed=1,
+                          half_width=0.005)
+        # stratum j reaches radius R sqrt((j+1)/64), which exceeds
+        # R - s - hw = 0.445 from j = 50 on
+        assert drawn == [1000] * 14
+
+    @pytest.mark.parametrize("s", [0.9, 0.99])
+    def test_mc_deep_level_on_ellipse(self, s):
+        dom = make_ellipse_domain(2.0, 1.0)
+        cfg = touching_ball(dom, [0.0, 0.5], 0.5)
+        hw = 0.1 * s
+        ref = np.mean([ellipse_parallel_length(g, cfg.x, cfg.R)
+                       for g in np.linspace(s - hw, s + hw, 201)])
+        area, se = level_set_area_mc(dom, cfg, s, n_samples=200_000, seed=7)
+        assert abs(area - ref) <= 3.0 * se
 
     def test_mc_deterministic_given_seed(self):
         cfg = self.ball_cfg()

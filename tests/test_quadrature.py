@@ -15,6 +15,7 @@ from resolvent_asym.quadrature import (
     log_ratio,
     log_sin_kernel,
     log_sinh_kernel,
+    tanh_sinh_sum,
 )
 
 
@@ -157,6 +158,10 @@ class TestAdaptivity:
             integrate_sin_weighted(5.0, 0.5, config=cfg)
         assert math.isfinite(exc.value.last_estimate)
         assert math.isfinite(exc.value.previous_estimate)
+        assert exc.value.last_estimate != exc.value.previous_estimate
+        with pytest.raises(NonConvergenceError) as exc:
+            tanh_sinh_sum(lambda x, *rest: np.exp(x), 0.0, 3.0, config=cfg)
+        assert exc.value.last_estimate != exc.value.previous_estimate
 
 
 class TestClosedFormKernels:
