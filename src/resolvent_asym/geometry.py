@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import betainc, gamma
@@ -21,6 +21,8 @@ _PROJECT_TOL = 1e-12
 _PROJECT_MAX_ITER = 80
 _CURVATURE_FLOOR = 1e-3
 _TOUCH_TOL = 1e-9
+# points per projection block: keeps the Newton working set cache-sized
+_PROJECT_BLOCK = 1 << 15
 _DEFAULT_SEED = 20260815
 _UNIQUENESS_DIRECTIONS = 10_000
 
@@ -82,6 +84,40 @@ class ImplicitDomain:
 DomainOracle = Union[BallDomain, ExteriorBallDomain, ImplicitDomain]
 
 
+def _require_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless value is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (m, N) array: the squared columns
+    summed in coordinate order: bit-identical to np.linalg.norm(a, axis=1)
+    for N < 8 (numpy sums fewer than 8 terms in order), without a reduction
+    over the short coordinate axis."""
+    total = a[:, 0] * a[:, 0]
+    for i in range(1, a.shape[1]):
+        total += a[:, i] * a[:, i]
+    return np.sqrt(total)
+
+
+def _max_abs(cols) -> np.ndarray:
+    """Elementwise max of |c| over a list of (k,) arrays; NaN propagates."""
+    out = np.abs(cols[0])
+    for c in cols[1:]:
+        np.maximum(out, np.abs(c), out=out)
+    return out
+
+
+def _unit_directions(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m directions uniform on S^{n-1}: standard normals over their norms."""
+    dirs = rng.standard_normal((m, n))
+    dirs /= _row_norms(dirs)[:, None]
+    return dirs
+
+
 def _dot(u, v):
     """Pointwise inner product of vectors given as lists of (k,) arrays."""
     return sum(ui * vi for ui, vi in zip(u, v))
@@ -107,17 +143,40 @@ def _tangent_frame(nrm):
             (b, sign + ny * ny * a, -ny)]
 
 
+def _top_eigenvectors(h: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors (f, N) of the largest eigenvalue of each symmetric
+    h (f, N, N), the component of largest magnitude made positive; raises
+    ValueError unless that eigenvalue is positive."""
+    w, v = np.linalg.eigh(h)
+    if not np.all(w[:, -1] > 0.0):
+        raise ValueError(
+            "grad phi vanishes and the Hessian of phi has no positive "
+            "eigenvalue at a point to project: no direction to the boundary")
+    top = v[:, :, -1]
+    lead = top[np.arange(len(top)), np.argmax(np.abs(top), axis=1)]
+    return top * np.sign(lead)[:, None]
+
+
 def _ray_start(domain: ImplicitDomain,
                x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Start (y, lam) of the projection: y is the root of the second-order
     model of phi along the gradient ray from x (the exact ray root on
-    quadric domains), lam = |y - x| / |model gradient at y|."""
+    quadric domains), lam = |y - x| / |model gradient at y|.  Where
+    grad phi = 0 the ray follows the eigenvector of the largest Hessian
+    eigenvalue (_top_eigenvectors), along which the model has its nearest
+    root; a fixed axis could end on a far critical point."""
     n = x.shape[1]
     g = np.asarray(domain.grad(x), dtype=float)
     h = np.asarray(domain.hess(x), dtype=float)
     phi = np.asarray(domain.phi(x), dtype=float)
     gn = np.sqrt(np.einsum("ij,ij->i", g, g))
-    u = [g[:, i] / gn for i in range(n)]
+    with np.errstate(invalid="ignore"):
+        u = [g[:, i] / gn for i in range(n)]
+    flat = np.flatnonzero(gn == 0.0)
+    if flat.size:
+        top = _top_eigenvectors(h[flat])
+        for i in range(n):
+            u[i][flat] = top[:, i]
     hu = [sum(h[:, i, j] * u[j] for j in range(n)) for i in range(n)]
     t = -2.0 * phi / (gn + np.sqrt(np.maximum(
         gn * gn - 2.0 * phi * _dot(u, hu), 0.0)))
@@ -127,9 +186,10 @@ def _ray_start(domain: ImplicitDomain,
 
 
 def _newton_step(domain: ImplicitDomain, x: np.ndarray, y: np.ndarray,
-                 lam: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                 lam: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
     """One safeguarded Newton step (dy, dlam) for y - x = lam grad(phi)(y),
-    phi(y) = 0, on per-component (k,) arrays.
+    phi(y) = 0, on per-component (k,) arrays; dy is the list of its N
+    components.
 
     dy = a nrm + T b: the normal row gives a = -phi/|g|; the tangent rows
     give T^T (I - lam H) T b = T^T r + a lam T^T H nrm, with r the residual
@@ -164,7 +224,7 @@ def _newton_step(domain: ImplicitDomain, x: np.ndarray, y: np.ndarray,
              (m11 * c[1] - m12 * c[0]) / det]
     dy = [a * nrm[i] + _dot(b, [tp[i] for tp in frame]) for i in range(n)]
     dlam = (a - lam * _hform(h, nrm, dy) - _dot(nrm, res)) / gn
-    return np.stack(dy, axis=1), dlam
+    return dy, dlam
 
 
 def _project_implicit(domain: ImplicitDomain, points: np.ndarray) -> np.ndarray:
@@ -176,27 +236,51 @@ def _project_implicit(domain: ImplicitDomain, points: np.ndarray) -> np.ndarray:
     is small and can end on a far critical point.  The steps are solved in
     closed form with the tangential curvature floored (_newton_step).
     Stops when a step moves y and lam by at most _PROJECT_TOL (1 + |y|).
+    The points go in blocks of _PROJECT_BLOCK (_project_block); each point's
+    iterates do not depend on the others, so blocking changes no bit.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     m = x.shape[0]
+    y = np.empty_like(x)
+    failed = sum(_project_block(domain, x[lo:lo + _PROJECT_BLOCK],
+                                y[lo:lo + _PROJECT_BLOCK])
+                 for lo in range(0, m, _PROJECT_BLOCK))
+    if failed:
+        raise RuntimeError(
+            f"nearest-point projection did not converge for "
+            f"{failed} of {m} points")
+    return y
+
+
+def _project_block(domain: ImplicitDomain, x: np.ndarray,
+                   out: np.ndarray) -> int:
+    """Newton sweeps of _project_implicit for the rows of x: writes each
+    converged nearest point into its row of out and returns the number of
+    points that did not converge.  The iterates of the active points are
+    updated in place; when points converge they are written out and the
+    active set is compacted with take."""
+    n = x.shape[1]
     y, lam = _ray_start(domain, x)
-    idx = np.arange(m)
+    idx = np.arange(x.shape[0])
     for _ in range(_PROJECT_MAX_ITER):
         if idx.size == 0:
             break
-        ya, la = y[idx], lam[idx]
-        dy, dlam = _newton_step(domain, x[idx], ya, la)
-        y[idx] = ya + dy
-        lam[idx] = la + dlam
-        moved = np.maximum(np.max(np.abs(dy), axis=1), np.abs(dlam))
-        scale = 1.0 + np.max(np.abs(ya), axis=1)
-        # written so that a NaN iterate stays active and is reported below
-        idx = idx[~(moved <= _PROJECT_TOL * scale)]
-    if idx.size:
-        raise RuntimeError(
-            f"nearest-point projection did not converge for "
-            f"{idx.size} of {m} points")
-    return y
+        dy, dlam = _newton_step(domain, x, y, lam)
+        moved = _max_abs(dy + [dlam])
+        scale = 1.0 + _max_abs([y[:, i] for i in range(n)])
+        for i in range(n):
+            y[:, i] += dy[i]
+        lam += dlam
+        # written so that a NaN iterate stays active and is reported
+        done = moved <= _PROJECT_TOL * scale
+        keep = np.flatnonzero(~done)
+        if keep.size == idx.size:
+            continue
+        fin = np.flatnonzero(done)
+        out[idx.take(fin)] = y.take(fin, axis=0)
+        idx, x, y, lam = (idx.take(keep), x.take(keep, axis=0),
+                          y.take(keep, axis=0), lam.take(keep))
+    return idx.size
 
 
 def distance_and_nearest(domain: DomainOracle,
@@ -229,22 +313,17 @@ def distance_and_nearest(domain: DomainOracle,
     return float(np.linalg.norm(y - x)), y
 
 
-def boundary_distances(domain: DomainOracle, points: np.ndarray,
-                       chunk: int = 200_000) -> np.ndarray:
+def boundary_distances(domain: DomainOracle, points: np.ndarray) -> np.ndarray:
     """Signed boundary distances for a batch; negative means outside."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if isinstance(domain, BallDomain):
-        return domain.rho - np.linalg.norm(pts, axis=1)
+        return domain.rho - _row_norms(pts)
     if isinstance(domain, ExteriorBallDomain):
-        return np.linalg.norm(pts, axis=1) - domain.r_e
-    out = np.empty(len(pts))
-    for lo in range(0, len(pts), chunk):
-        block = pts[lo:lo + chunk]
-        y = _project_implicit(domain, block)
-        d = np.linalg.norm(y - block, axis=1)
-        sign = np.where(np.asarray(domain.phi(block)) <= 0.0, 1.0, -1.0)
-        out[lo:lo + chunk] = sign * d
-    return out
+        return _row_norms(pts) - domain.r_e
+    y = _project_implicit(domain, pts)
+    y -= pts
+    sign = np.where(np.asarray(domain.phi(pts)) <= 0.0, 1.0, -1.0)
+    return sign * _row_norms(y)
 
 
 def principal_curvatures(domain: DomainOracle,
@@ -308,9 +387,8 @@ def touching_ball(domain: DomainOracle, x: Sequence[float], R: float,
         raise ValueError(f"x is at boundary distance {d}, not R = {R}")
     kappas = principal_curvatures(domain, y)
     _pi_gamma_product(kappas, R)  # raises when any kappa >= 1/R
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((_UNIQUENESS_DIRECTIONS, x.size))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _unit_directions(np.random.default_rng(seed),
+                            _UNIQUENESS_DIRECTIONS, x.size)
     probes = x[None, :] + R * dirs
     dists = boundary_distances(domain, probes)
     if np.min(dists) < -_TOUCH_TOL * max(1.0, R):
@@ -411,6 +489,8 @@ def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
     hw = half_width if half_width is not None else 0.1 * s
     if not hw > 0.0:
         raise ValueError(f"half_width must be > 0, got {hw}")
+    _require_count("n_samples", n_samples)
+    _require_count("n_strata", n_strata)
     x = np.asarray(cfg.x, dtype=float)
     n = x.size
     vol = ball_volume(n, cfg.R)
@@ -430,9 +510,9 @@ def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
         rng = np.random.default_rng(seq)
         u = (j + rng.random(m)) / n_strata
         radii = cfg.R * u ** (1.0 / n)
-        dirs = rng.standard_normal((m, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = x[None, :] + radii[:, None] * dirs
+        pts = _unit_directions(rng, m, n)
+        pts *= radii[:, None]
+        pts += x
         d = boundary_distances(domain, pts)
         hits = int(np.sum(np.abs(d - s) <= hw))
         p_hat = hits / m

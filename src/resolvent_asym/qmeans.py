@@ -35,6 +35,8 @@ from .geometry import (
     ExteriorBallDomain,
     ImplicitDomain,
     TouchingBallConfig,
+    _require_count,
+    _unit_directions,
     boundary_distances,
     level_set_area,
 )
@@ -133,13 +135,15 @@ def _scaled_exponent(n: int, q: float) -> float:
 
 def _sample_ball(x: np.ndarray, R: float, n_samples: int,
                  seed: int) -> np.ndarray:
+    _require_count("n_samples", n_samples)
     x = np.asarray(x, dtype=float)
     n = x.size
     rng = np.random.default_rng(seed)
     radii = R * rng.random(n_samples) ** (1.0 / n)
-    dirs = rng.standard_normal((n_samples, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return x[None, :] + radii[:, None] * dirs
+    pts = _unit_directions(rng, n_samples, n)
+    pts *= radii[:, None]
+    pts += x
+    return pts
 
 
 def _sample_G(mu: float, v: np.ndarray, qm1: float) -> float:
@@ -265,6 +269,8 @@ def q_mean_bruteforce(cfg: TouchingBallConfig, q: float, raw: Callable,
         raise ValueError("the Monte Carlo oracle covers finite q only")
     if not q > 1.0:
         raise ValueError(f"q must be > 1, got {q}")
+    # the standard error needs two samples
+    _require_count("n_samples", n_samples, 2)
     pts = _sample_ball(np.asarray(cfg.x, dtype=float), cfg.R, n_samples, seed)
     v = np.asarray(raw(pts), dtype=float)
     mu, _ = _empirical_qmean(v, q)

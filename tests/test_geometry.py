@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +228,81 @@ class TestDistanceAndNearest:
         assert np.max(np.abs(d - sign * secular_distance([2.0, 1.0], pts))) \
             < 1e-9
 
+    def test_ellipse_center(self):
+        # grad phi vanishes at the center: the start follows the eigenvector
+        # of the largest Hessian eigenvalue, here the minor axis
+        dom = make_ellipse_domain(2.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, y = distance_and_nearest(dom, [0.0, 0.0])
+        assert d == pytest.approx(1.0, abs=1e-12)
+        assert abs(y[0]) < 1e-12 and abs(y[1]) == pytest.approx(1.0,
+                                                                abs=1e-12)
+        pts = np.array([[0.3, 0.2], [0.0, 0.0], [1.0, -0.1]])
+        d = boundary_distances(dom, pts)
+        assert d[1] == pytest.approx(1.0, abs=1e-12)
+        assert d[[0, 2]] == pytest.approx(
+            secular_distance([2.0, 1.0], pts[[0, 2]]), abs=1e-12)
+
+    def test_ellipsoid_center(self):
+        axes = [2.0, 1.0, 1.5]
+        dom = implicit_ellipsoid(axes)
+        d, y = distance_and_nearest(dom, [0.0, 0.0, 0.0])
+        assert d == pytest.approx(1.0, abs=1e-12)
+        assert np.sum((y / axes) ** 2) == pytest.approx(1.0, abs=1e-12)
+        pts = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, 0.2]])
+        d = boundary_distances(dom, pts)
+        assert d[0] == pytest.approx(1.0, abs=1e-12)
+        assert d[1] == pytest.approx(secular_distance(axes, pts[1])[0],
+                                     abs=1e-12)
+
+    def test_degenerate_start_rejected(self):
+        # x^4 + y^4 < 1: gradient and Hessian both vanish at the origin
+        def phi(p):
+            return np.sum(np.asarray(p, dtype=float) ** 4, axis=-1) - 1.0
+
+        def grad(p):
+            return 4.0 * np.asarray(p, dtype=float) ** 3
+
+        def hess(p):
+            p = np.asarray(p, dtype=float)
+            out = np.zeros(p.shape[:-1] + (2, 2))
+            out[..., [0, 1], [0, 1]] = 12.0 * p ** 2
+            return out
+
+        dom = ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=2)
+        with pytest.raises(ValueError, match="no positive eigenvalue"):
+            distance_and_nearest(dom, [0.0, 0.0])
+        assert distance_and_nearest(dom, [0.5, 0.0])[0] == pytest.approx(0.5)
+
+    def test_blocks_change_no_bit(self, monkeypatch):
+        dom = make_ellipse_domain(2.0, 1.0)
+        m = 2 * geometry._PROJECT_BLOCK + 1234
+        pts = np.random.default_rng(2).uniform(-3.0, 3.0, (m, 2))
+        d = boundary_distances(dom, pts)
+        by_block = np.concatenate([boundary_distances(dom, pts[lo:lo + 5000])
+                                   for lo in range(0, m, 5000)])
+        assert np.array_equal(d, by_block)
+        monkeypatch.setattr(geometry, "_PROJECT_BLOCK", 777)
+        assert np.array_equal(boundary_distances(dom, pts), d)
+
+    def test_nan_gradient_in_a_later_block_is_reported(self):
+        ell = make_ellipse_domain(2.0, 1.0)
+        m = 2 * geometry._PROJECT_BLOCK + 100
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (m, 2))
+        pts *= [1.4, 0.7]
+        bad = pts[geometry._PROJECT_BLOCK + 17].copy()
+
+        def grad(p):
+            out = ell.grad(p)
+            out[np.all(np.asarray(p) == bad, axis=-1)] = np.nan
+            return out
+
+        dom = ImplicitDomain(phi=ell.phi, grad=grad, hess=ell.hess, dim=2)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                RuntimeError, match=f"did not converge for 1 of {m} points"):
+            boundary_distances(dom, pts)
+
     def test_batch_signed_distances(self):
         dom = BallDomain(1.0)
         pts = np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])
@@ -415,6 +492,15 @@ class TestLevelSetArea:
         area, se = level_set_area_mc(dom, cfg, s, n_samples=200_000, seed=7)
         assert abs(area - ref) <= 3.0 * se
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_samples": 0}, {"n_samples": -5}, {"n_samples": 2.5},
+        {"n_samples": True}, {"n_strata": 0}, {"n_strata": 1.5},
+    ])
+    def test_mc_rejects_bad_counts(self, kwargs):
+        cfg = self.ball_cfg()
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            level_set_area_mc(cfg.domain, cfg, 0.05, **kwargs)
+
     def test_mc_deterministic_given_seed(self):
         cfg = self.ball_cfg()
         a1 = level_set_area_mc(cfg.domain, cfg, 0.1, n_samples=200_000, seed=11)
@@ -431,6 +517,39 @@ class TestLevelSetArea:
         approx, se = level_set_area_mc(dom, cfg_impl, s, n_samples=100_000,
                                        seed=3)
         assert abs(approx - closed) <= max(3.0 * se, 0.05 * closed)
+
+
+class TestRecordedOutputs:
+    """sha256 digests recorded before the column and block rewrite of the
+    Monte Carlo geometry: sampling and projection stay bit-identical."""
+
+    @staticmethod
+    def digest(a: np.ndarray) -> str:
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    def test_ellipse_distances(self):
+        pts = np.random.default_rng(1).uniform(-6.0, 6.0, (10_000, 2))
+        d = boundary_distances(make_ellipse_domain(2.0, 1.0), pts)
+        assert self.digest(d) == ("8f84ca9d424f48b3afb66e922882989d"
+                                  "b5324337e3a342b9110aba7e38800db6")
+
+    def test_ellipsoid_distances(self):
+        axes = np.array([2.0, 1.0, 1.5])
+        dom = implicit_ellipsoid(axes)
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, (20_000, 3)) * axes
+        pts = pts[dom.phi(pts) < 0.0][:10_000]
+        assert len(pts) == 10_000
+        assert self.digest(boundary_distances(dom, pts)) == (
+            "c42d0ea1ee68911ff0711358bc6e087d2346c53f12918ea104db3b00cdf87882")
+
+    @pytest.mark.parametrize("x,R,expected", [
+        ([0.5, 0.0], 0.5,
+         "4a74dba551917d0ae4a017036dcd8c5b0276241e058c33325e0eabb1fe78b628"),
+        ([2.0, 0.0, 0.0], 1.0,
+         "84b2a22ca7c47d10d142c67de89aeb2bccc0eb807f3333afb3854c066fc73d25"),
+    ])
+    def test_sample_ball(self, x, R, expected):
+        assert self.digest(_sample_ball(np.array(x), R, 50_000, 3)) == expected
 
 
 class TestModulusAndPsi:

@@ -305,6 +305,33 @@ class TestInvariants:
         assert se == pytest.approx(float(np.std(v)) / math.sqrt(v.size),
                                    rel=1e-3)
 
+    @pytest.mark.parametrize("domain,x,R,expected", [
+        (BallDomain(1.0), [0.5, 0.0], 0.5,
+         (0.08656110488767073, 0.0005045168626329552)),
+        (ExteriorBallDomain(1.0), [2.0, 0.0], 1.0,
+         (0.018413685169259467, 0.0002476145834543002)),
+        (ExteriorBallDomain(1.0), [2.0, 0.0, 0.0], 1.0,
+         (0.007851599085123265, 0.00013438818778155838)),
+    ])
+    def test_bruteforce_recorded(self, domain, x, R, expected):
+        # recorded before the column rewrite of the sampler and distances
+        cfg = touching_ball(domain, np.array(x), R)
+        pp = ProblemParams(n=cfg.n, p=INFINITY, eps=0.1)
+        prof = solution_profile(pp, domain)
+
+        def raw(pts):
+            return prof(np.maximum(boundary_distances(domain, pts), 0.0)
+                        / pp.xi)
+
+        assert q_mean_bruteforce(cfg, 2.0, raw, n_samples=100_000,
+                                 seed=17) == expected
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 2.5, np.float64(100.0)])
+    def test_bruteforce_rejects_bad_sample_counts(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            q_mean_bruteforce(BALL_CFG, 2.0, lambda pts: pts[:, 0],
+                              n_samples=n_samples)
+
     def test_bruteforce_rejects_infinite_q(self):
         with pytest.raises(ValueError):
             q_mean_bruteforce(BALL_CFG, INFINITY,
@@ -393,6 +420,16 @@ class TestLimitExperiment:
             assert lo["eps"] == hi["eps"]
             assert lo["scaled"] <= hi["scaled"]
             assert 0.2 < lo["ratio"] and hi["ratio"] < 5.0
+
+    def test_implicit_recorded(self):
+        # recorded before the column and block rewrite of the projection
+        cfg = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5)
+        seq = [ProblemParams(n=2, p=INFINITY, eps=e) for e in (0.05, 0.025)]
+        rows = qmean_limit_experiment(seq, cfg, 2.0, n_samples=100_000,
+                                      seed=9)
+        assert [r["mu"] for r in rows] == [
+            0.025826428316150615, 0.025832154545288595,
+            0.009361254883457916, 0.009361255014499827]
 
     def test_validation(self):
         with pytest.raises(ValueError):
