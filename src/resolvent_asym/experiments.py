@@ -222,6 +222,9 @@ class SweepConfig:
                 f"eps_count must be an integer >= 1, got {self.eps_count!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not (self.output is None or isinstance(self.output, str)):
+            raise ValueError(
+                f"output must be a string or null, got {self.output!r}")
 
     @property
     def eps_sequence(self) -> Tuple[float, ...]:

@@ -374,8 +374,9 @@ def touching_ball(domain: DomainOracle, x: Sequence[float], R: float,
                   seed: int = _DEFAULT_SEED) -> TouchingBallConfig:
     """Validate and assemble a touching-ball configuration at x.
 
-    Checks: d_Gamma(x) = R to 1e-9 relative; the closed ball stays inside the
-    closed domain; the touching point is unique (probed along 10^4 random
+    Checks: d_Gamma(x) = R to within 1e-9 max(1, R), so absolute below R = 1
+    and relative above; the closed ball stays inside the closed domain, to
+    the same tolerance; the touching point is unique (probed along 10^4 random
     directions: everything more than 0.3 rad away from the contact direction
     keeps boundary distance >= 1e-4 R); all curvatures < 1/R.
     """

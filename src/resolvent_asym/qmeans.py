@@ -86,35 +86,33 @@ def _s_max(cfg: TouchingBallConfig) -> float:
 class QMeanQuery:
     """Input bundle for a q-mean over the touching ball B_R(x).
 
-    Exactly one of `profile` (nonnegative nonincreasing function of the
-    scaled distance tau = d_Gamma/xi, vectorized) and `raw` (arbitrary
-    function of points on the ball, shape (m, N) -> (m,)) must be given.
+    `profile` is a nonnegative nonincreasing function of the scaled distance
+    tau = d_Gamma/xi, vectorized; q_mean_bruteforce takes functions of the
+    points themselves.
     """
 
     cfg: TouchingBallConfig
     q: float
     xi: float
     profile: Optional[Callable] = None
-    raw: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if not (is_infinity(self.q) or self.q > 1.0):
             raise ValueError(f"q must be > 1 or INFINITY, got {self.q}")
         if not self.xi > 0.0:
             raise ValueError(f"xi must be positive, got {self.xi}")
-        if (self.profile is None) == (self.raw is None):
-            raise ValueError("exactly one of profile and raw must be given")
-        if self.profile is not None:
-            tau = np.linspace(0.0, _s_max(self.cfg) / self.xi, 129)
-            vals = np.asarray(self.profile(tau), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("profile must be finite on the ball")
-            span = float(vals.max() - vals.min())
-            slack = 1e-9 * (span + 1e-30)
-            if np.any(np.diff(vals) > slack):
-                raise ValueError("profile must be nonincreasing in tau")
-            if np.min(vals) < -1e-12 * max(1.0, float(vals[0])):
-                raise ValueError("profile must be nonnegative")
+        if self.profile is None:
+            raise ValueError("a profile must be given")
+        tau = np.linspace(0.0, _s_max(self.cfg) / self.xi, 129)
+        vals = np.asarray(self.profile(tau), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("profile must be finite on the ball")
+        span = float(vals.max() - vals.min())
+        slack = 1e-9 * (span + 1e-30)
+        if np.any(np.diff(vals) > slack):
+            raise ValueError("profile must be nonincreasing in tau")
+        if np.min(vals) < -1e-12 * max(1.0, float(vals[0])):
+            raise ValueError("profile must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -203,26 +201,23 @@ def _coarea_G(mu: float, profile: Callable, xi: float, q: float,
 
 def q_mean(query: QMeanQuery, n_samples: int = 400_000,
            seed: int = _DEFAULT_SEED) -> QMeanResult:
-    """The q-mean of the query's function over B_R(x), q finite.
+    """The q-mean of the query's profile over B_R(x), q finite.
 
-    Profiles on radial domains go through the co-area route: G(mu) is a
+    On radial domains it goes through the co-area route: G(mu) is a
     fixed-level tanh-sinh integral against closed-form level-set areas (one
     array area call per node set), and mu and the profile's crossing of mu
-    are Brent roots.  Raw functions and implicit domains use the empirical
-    root search over a Monte Carlo sample (n_samples, seed).
+    are Brent roots.  Implicit domains use the empirical root search over a
+    Monte Carlo sample (n_samples, seed).
     """
     if is_infinity(query.q):
         raise ValueError("q = INFINITY is handled by q_mean_infinity")
     cfg = query.cfg
     q = float(query.q)
-    if query.raw is not None or isinstance(cfg.domain, ImplicitDomain):
+    if isinstance(cfg.domain, ImplicitDomain):
         pts = _sample_ball(cfg.x, cfg.R, n_samples, seed)
-        if query.raw is not None:
-            values = np.asarray(query.raw(pts), dtype=float)
-        else:
-            d = np.maximum(boundary_distances(cfg.domain, pts), 0.0)
-            values = np.asarray(query.profile(d / query.xi), dtype=float)
-        mu, residual = _empirical_qmean(values, q)
+        d = np.maximum(boundary_distances(cfg.domain, pts), 0.0)
+        mu, residual = _empirical_qmean(
+            np.asarray(query.profile(d / query.xi), dtype=float), q)
         path = "bruteforce"
     else:
         mu, residual = _coarea_root(query, q)
@@ -249,8 +244,6 @@ def q_mean_infinity(query: QMeanQuery) -> float:
     s_max the largest boundary distance in B_R(x)."""
     if not is_infinity(query.q):
         raise ValueError(f"q_mean_infinity requires q = INFINITY, got {query.q}")
-    if query.profile is None:
-        raise ValueError("the midrange needs the monotone scaled profile")
     vals = np.asarray(query.profile(
         np.array([0.0, _s_max(query.cfg) / query.xi])), dtype=float)
     return 0.5 * float(vals[0] + vals[1])

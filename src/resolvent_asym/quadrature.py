@@ -5,16 +5,18 @@
 
 With g = 1 both are modified Bessel functions of order nu = alpha/2 (DLMF
 10.32.2 and 10.32.8); log_sin_kernel and log_sinh_kernel evaluate those
-closed forms, vectorized in sigma.  The adaptive tanh-sinh engine integrates
-the general families (any nonnegative g), serves as the kernels' fallback
-where the scaled Bessel values leave the float range, and is the oracle the
-closed forms are tested against.  It runs in the log domain: node weights,
-endpoint offsets and integrand values are kept as logarithms and accumulated
-with logsumexp, so endpoint singularities (sin theta)^alpha with alpha near
--1 neither underflow nor overflow.  A linear-domain twin backs signed
-integrands (mollifier numerators), sharing the same node construction; its
-running level sums also serve, stopped at a fixed level, as the smooth rule
-of the co-area q-mean (tanh_sinh_fixed).
+closed forms, vectorized in sigma.  sin_family and sinh_family define each
+weight once: its log, its interval and the strength of its endpoint
+singularity.  The tanh-sinh engine (Takahasi & Mori 1974) integrates them
+against any nonnegative g, is the kernels' fallback where the scaled Bessel
+values leave the float range, and is the oracle the closed forms are tested
+against.  One generator, _levels, builds the nodes of each refinement level
+and evaluates the integrand there, with endpoint offsets kept as logarithms.
+tanh_sinh_log sums the levels in the log domain with logsumexp, so endpoint
+singularities (sin theta)^alpha with alpha near -1 neither underflow nor
+overflow.  The linear-domain sums back signed integrands (mollifier
+numerators) in tanh_sinh_sum and, stopped at a fixed level, are the smooth
+rule of the co-area q-mean (tanh_sinh_fixed).
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ _LOG_PI_HALF = math.log(math.pi / 2.0)
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
 _TINY = np.finfo(float).tiny
 _BASE_STEP = 0.5
+# Integrals below this absolute floor are accepted as converged.
+_ABS_TOL = 1e-300
+_LOG_ABS_TOL = math.log(_ABS_TOL)
 
 
 @dataclass(frozen=True)
@@ -38,20 +43,16 @@ class QuadratureConfig:
     """Tolerances and refinement budget of the adaptive engine.
 
     rel_tol is a relative target for the log of the integral between two
-    refinement levels; abs_tol is an absolute floor below which integrals
-    are accepted as converged; max_refinements counts level doublings after
-    the coarse pass.
+    refinement levels; max_refinements counts level doublings after the
+    coarse pass.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-300
     max_refinements: int = 10
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.abs_tol < 0.0:
-            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if self.max_refinements < 1:
             raise ValueError(
                 f"max_refinements must be >= 1, got {self.max_refinements}")
@@ -67,12 +68,11 @@ class LogValue:
     log_magnitude: float
 
     def value(self) -> float:
-        return math.exp(self.log_magnitude)
-
-
-def log_ratio(numer: LogValue, denom: LogValue) -> float:
-    """log(numer/denom) without leaving the log domain."""
-    return numer.log_magnitude - denom.log_magnitude
+        """exp(log_magnitude), or math.inf past the float range."""
+        try:
+            return math.exp(self.log_magnitude)
+        except OverflowError:
+            return math.inf
 
 
 class NonConvergenceError(RuntimeError):
@@ -117,17 +117,30 @@ def _level_abscissae(level: int, t_max: float) -> np.ndarray:
     return np.concatenate([-odd[::-1], odd])
 
 
-def _node_geometry(t: np.ndarray, a: float, b: float):
-    """Positions, endpoint offsets (linear and log) and h-free log weights."""
-    span = b - a
-    z = 0.5 * math.pi * np.sinh(t)
-    log_w = _LOG_PI_HALF + _log_cosh(t) - 2.0 * _log_cosh(z)
-    log_da = math.log(span) - _softplus(-2.0 * z)
-    log_db = math.log(span) - _softplus(2.0 * z)
-    da = np.exp(log_da)
-    db = np.exp(log_db)
-    x = np.where(z <= 0.0, a + da, b - db)
-    return x, da, db, log_da, log_db, log_w
+def _levels(f: Callable, a: float, b: float, beta: float
+            ) -> Iterator[tuple]:
+    """(h, h-free log node weights, f at the new nodes), level after level.
+
+    f(x, da, db, log_da, log_db) gets the nodes x and their exact distances
+    da, db to the endpoints; log_da/log_db never underflow.
+    """
+    if not b > a:
+        raise ValueError(f"empty integration interval [{a}, {b}]")
+    t_max = _t_max_for(beta)
+    log_span = math.log(b - a)
+    for level in itertools.count():
+        t = _level_abscissae(level, t_max)
+        z = 0.5 * math.pi * np.sinh(t)
+        log_w = _LOG_PI_HALF + _log_cosh(t) - 2.0 * _log_cosh(z)
+        log_da = log_span - _softplus(-2.0 * z)
+        log_db = log_span - _softplus(2.0 * z)
+        da = np.exp(log_da)
+        db = np.exp(log_db)
+        x = np.where(z <= 0.0, a + da, b - db)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                         under="ignore"):
+            vals = np.asarray(f(x, da, db, log_da, log_db), dtype=float)
+        yield _BASE_STEP * 2.0 ** (-level), log_w, vals
 
 
 def tanh_sinh_log(log_f: Callable, a: float, b: float,
@@ -135,34 +148,20 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
                   beta: float = 1.0) -> float:
     """Log of int_a^b exp(log_f) dx by level-doubled tanh-sinh.
 
-    log_f(x, da, db, log_da, log_db) -> array of log integrand values; da/db
-    are exact distances to the endpoints (log_da/log_db never underflow).
+    log_f takes the node arguments of _levels and returns log integrand
+    values; beta is the strength of the worst endpoint singularity.
     """
-    if not b > a:
-        raise ValueError(f"empty integration interval [{a}, {b}]")
-    t_max = _t_max_for(beta)
-    log_half_span = math.log(0.5 * (b - a))
     blocks: list[np.ndarray] = []
     prev = current = math.nan
-    log_abs_floor = math.log(config.abs_tol) if config.abs_tol > 0 else -math.inf
-    for level in range(config.max_refinements + 1):
-        t = _level_abscissae(level, t_max)
-        x, da, db, log_da, log_db, log_w = _node_geometry(t, a, b)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                         under="ignore"):
-            vals = np.asarray(log_f(x, da, db, log_da, log_db), dtype=float)
+    for level, (h, log_w, vals) in zip(range(config.max_refinements + 1),
+                                       _levels(log_f, a, b, beta)):
         terms = log_w + vals
         blocks.append(terms[~np.isnan(terms)])
-        h = _BASE_STEP * 2.0 ** (-level)
-        prev, current = current, log_half_span + math.log(h) + logsumexp(
-            np.concatenate(blocks))
-        if level >= 3:
-            if current == -math.inf and prev == -math.inf:
-                return current
-            if current < log_abs_floor and prev < log_abs_floor:
-                return current
-            if abs(current - prev) <= config.rel_tol:
-                return current
+        prev, current = current, (math.log(0.5 * (b - a)) + math.log(h)
+                                  + logsumexp(np.concatenate(blocks)))
+        if level >= 3 and ((current < _LOG_ABS_TOL and prev < _LOG_ABS_TOL)
+                           or abs(current - prev) <= config.rel_tol):
+            return current
     raise NonConvergenceError(
         "tanh-sinh refinement did not reach rel_tol", current, prev)
 
@@ -170,20 +169,11 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
 def _linear_level_sums(f: Callable, a: float, b: float,
                        beta: float) -> Iterator[float]:
     """Running tanh-sinh estimates of int_a^b f, one per refinement level."""
-    if not b > a:
-        raise ValueError(f"empty integration interval [{a}, {b}]")
-    t_max = _t_max_for(beta)
-    half_span = 0.5 * (b - a)
     total = 0.0
-    for level in itertools.count():
-        t = _level_abscissae(level, t_max)
-        x, da, db, log_da, log_db, log_w = _node_geometry(t, a, b)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                         under="ignore"):
-            vals = np.asarray(f(x, da, db, log_da, log_db), dtype=float)
+    for h, log_w, vals in _levels(f, a, b, beta):
         terms = np.exp(log_w) * vals
         total += float(np.sum(terms[np.isfinite(terms)]))
-        yield half_span * _BASE_STEP * 2.0 ** (-level) * total
+        yield 0.5 * (b - a) * h * total
 
 
 def tanh_sinh_sum(f: Callable, a: float, b: float,
@@ -194,9 +184,9 @@ def tanh_sinh_sum(f: Callable, a: float, b: float,
     for level, estimate in zip(range(config.max_refinements + 1),
                                _linear_level_sums(f, a, b, beta)):
         prev, current = current, estimate
-        if level >= 3:
-            if abs(current - prev) <= config.rel_tol * abs(current) + config.abs_tol:
-                return current
+        if level >= 3 and (abs(current - prev)
+                           <= config.rel_tol * abs(current) + _ABS_TOL):
+            return current
     raise NonConvergenceError(
         "tanh-sinh refinement did not reach rel_tol", current, prev)
 
@@ -212,50 +202,31 @@ def tanh_sinh_fixed(f: Callable, a: float, b: float, level: int,
                                  level, None))
 
 
-def _log_sin_theta(da: np.ndarray, db: np.ndarray,
-                   log_da: np.ndarray, log_db: np.ndarray) -> np.ndarray:
-    # sin(theta) = sin(min distance to {0, pi}); below 1e-8 the log offset
-    # itself is the answer to full precision.
-    dmin = np.minimum(da, db)
-    log_dmin = np.minimum(log_da, log_db)
-    small = dmin < 1e-8
-    safe = np.where(small, 1.0, dmin)
-    return np.where(small, log_dmin, np.log(np.sin(safe)))
+def sin_family(sigma: float, alpha: float) -> tuple:
+    """The weight e^{-sigma(1-cos theta)} (sin theta)^alpha on [0, pi].
 
-
-def _log_sinh_theta(theta: np.ndarray, da: np.ndarray,
-                    log_da: np.ndarray, singular_left: bool) -> np.ndarray:
-    if singular_left:
-        small = da < 1e-8
-        safe = np.where(small, 1.0, theta)
-        return np.where(small, log_da, np.log(np.sinh(safe)))
-    return np.log(np.sinh(theta))
-
-
-def integrate_sin_weighted(sigma: float, alpha: float,
-                           g: Optional[Callable] = None,
-                           config: QuadratureConfig = DEFAULT_CONFIG) -> LogValue:
-    """LogValue of int_0^pi e^{-sigma(1-cos theta)} (sin theta)^alpha g(theta) dtheta.
-
-    g, when given, must be nonnegative; it is evaluated pointwise and its log
-    is taken by the engine (zeros are fine).
+    Returns (log_w, a, b, beta): log_w takes the node arguments of the
+    engine, [a, b] is the interval and beta = 1 + min(alpha, 0) the strength
+    of the endpoint singularities.
     """
     if not sigma >= 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if not alpha > -1.0:
         raise ValueError(f"alpha must be > -1, got {alpha}")
 
-    def log_f(x, da, db, log_da, log_db):
-        one_minus_cos = 2.0 * np.sin(0.5 * da) ** 2
-        out = -sigma * one_minus_cos
+    def log_w(x, da, db, log_da, log_db):
+        out = -sigma * 2.0 * np.sin(0.5 * da) ** 2
         if alpha != 0.0:
-            out = out + alpha * _log_sin_theta(da, db, log_da, log_db)
-        if g is not None:
-            out = out + np.log(np.asarray(g(x), dtype=float))
+            # sin(theta) = sin(min distance to {0, pi}); below 1e-8 the log
+            # offset itself is the answer to full precision.
+            dmin = np.minimum(da, db)
+            small = dmin < 1e-8
+            log_sin = np.where(small, np.minimum(log_da, log_db),
+                               np.log(np.sin(np.where(small, 1.0, dmin))))
+            out = out + alpha * log_sin
         return out
 
-    beta = 1.0 + min(alpha, 0.0)
-    return LogValue(tanh_sinh_log(log_f, 0.0, math.pi, config, beta=beta))
+    return log_w, 0.0, math.pi, 1.0 + min(alpha, 0.0)
 
 
 def sinh_theta_cutoff(sigma: float, alpha: float,
@@ -276,6 +247,61 @@ def sinh_theta_cutoff(sigma: float, alpha: float,
     return max(5.0, math.acosh(1.0 + tau_max / sigma))
 
 
+def sinh_family(sigma: float, alpha: float,
+                config: QuadratureConfig = DEFAULT_CONFIG,
+                theta_min: float = 0.0) -> tuple:
+    """The weight e^{-sigma(cosh theta-1)} (sinh theta)^alpha past theta_min.
+
+    Returns (log_w, a, b, beta) as sin_family does, on [theta_min,
+    sinh_theta_cutoff]; a positive theta_min removes the endpoint
+    singularity (beta = 1).
+    """
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not alpha > -1.0:
+        raise ValueError(f"alpha must be > -1, got {alpha}")
+    if theta_min < 0.0:
+        raise ValueError(f"theta_min must be >= 0, got {theta_min}")
+    singular_left = theta_min == 0.0
+
+    def log_w(x, da, db, log_da, log_db):
+        out = -sigma * 2.0 * np.sinh(0.5 * x) ** 2
+        if alpha != 0.0:
+            # next to a singular theta = 0 the log offset is log sinh theta
+            small = (da < 1e-8) & singular_left
+            log_sinh = np.where(small, log_da,
+                                np.log(np.sinh(np.where(small, 1.0, x))))
+            out = out + alpha * log_sinh
+        return out
+
+    beta = 1.0 + min(alpha, 0.0) if singular_left else 1.0
+    return log_w, theta_min, sinh_theta_cutoff(sigma, alpha, config), beta
+
+
+def _integrate(family: tuple, g: Optional[Callable],
+               config: QuadratureConfig) -> LogValue:
+    log_w, a, b, beta = family
+    if a >= b:
+        return LogValue(-math.inf)
+
+    def log_f(x, *offsets):
+        return log_w(x, *offsets) + np.log(np.asarray(g(x), dtype=float))
+
+    return LogValue(tanh_sinh_log(log_w if g is None else log_f, a, b, config,
+                                  beta))
+
+
+def integrate_sin_weighted(sigma: float, alpha: float,
+                           g: Optional[Callable] = None,
+                           config: QuadratureConfig = DEFAULT_CONFIG) -> LogValue:
+    """LogValue of int_0^pi e^{-sigma(1-cos theta)} (sin theta)^alpha g(theta) dtheta.
+
+    g, when given, must be nonnegative; it is evaluated pointwise and its log
+    is taken by the engine (zeros are fine).
+    """
+    return _integrate(sin_family(sigma, alpha), g, config)
+
+
 def integrate_sinh_weighted(sigma: float, alpha: float,
                             g: Optional[Callable] = None,
                             config: QuadratureConfig = DEFAULT_CONFIG,
@@ -285,52 +311,7 @@ def integrate_sinh_weighted(sigma: float, alpha: float,
     theta_min defaults to 0 (the full family); a positive theta_min measures
     tail mass and removes the endpoint singularity.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
-    if theta_min < 0.0:
-        raise ValueError(f"theta_min must be >= 0, got {theta_min}")
-    theta_max = sinh_theta_cutoff(sigma, alpha, config)
-    if theta_min >= theta_max:
-        return LogValue(-math.inf)
-    singular_left = theta_min == 0.0 and alpha != 0.0
-
-    def log_f(x, da, db, log_da, log_db):
-        out = -sigma * 2.0 * np.sinh(0.5 * x) ** 2
-        if alpha != 0.0:
-            out = out + alpha * _log_sinh_theta(x, da, log_da, singular_left)
-        if g is not None:
-            out = out + np.log(np.asarray(g(x), dtype=float))
-        return out
-
-    beta = 1.0 + min(alpha, 0.0) if singular_left else 1.0
-    return LogValue(tanh_sinh_log(log_f, theta_min, theta_max, config, beta=beta))
-
-
-def integrate_sinh_weighted_substituted(
-        sigma: float, alpha: float,
-        config: QuadratureConfig = DEFAULT_CONFIG) -> LogValue:
-    """Same integral as integrate_sinh_weighted via tau = sigma(cosh theta - 1).
-
-    f(sigma) = sigma^{-1} int_0^inf e^{-tau} (2 tau/sigma + (tau/sigma)^2)^{(alpha-1)/2} dtau.
-    Kept as an independent code path for cross-checks; never used internally.
-    """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
-    tau_max = 60.0 + 10.0 * max(alpha, 0.0)
-    half = 0.5 * (alpha - 1.0)
-
-    def log_f(x, da, db, log_da, log_db):
-        # log(2 tau/sigma + tau^2/sigma^2) via the log offset near tau = 0
-        log_arg = (math.log(2.0) + log_da - math.log(sigma)
-                   + np.log1p(0.5 * x / sigma))
-        return -x + half * log_arg - math.log(sigma)
-
-    beta = 1.0 + min(half, 0.0)
-    return LogValue(tanh_sinh_log(log_f, 0.0, tau_max, config, beta=beta))
+    return _integrate(sinh_family(sigma, alpha, config, theta_min), g, config)
 
 
 def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,

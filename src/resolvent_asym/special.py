@@ -21,12 +21,11 @@ from .quadrature import (
     DEFAULT_CONFIG,
     LogValue,
     QuadratureConfig,
-    _log_sin_theta,
-    _log_sinh_theta,
     integrate_sinh_weighted,
     log_sin_kernel,
     log_sinh_kernel,
-    sinh_theta_cutoff,
+    sin_family,
+    sinh_family,
     tanh_sinh_sum,
 )
 
@@ -136,36 +135,18 @@ def mollifier_expectation(g: Callable, sigma: float, alpha: float,
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
     if kind is MollifierKind.MU:
-        log_den = log_sin_kernel(sigma, alpha)
-
-        def integrand(x, da, db, log_da, log_db):
-            expo = -sigma * 2.0 * np.sin(0.5 * da) ** 2
-            if alpha != 0.0:
-                expo = expo + alpha * _log_sin_theta(da, db, log_da, log_db)
-            return np.asarray(g(x), dtype=float) * np.exp(expo)
-
-        num = tanh_sinh_sum(integrand, 0.0, math.pi, config,
-                            beta=1.0 + min(alpha, 0.0))
-        return num * math.exp(-log_den)
-
-    if kind is MollifierKind.NU:
-        log_den = log_sinh_kernel(sigma, alpha)
-        theta_max = sinh_theta_cutoff(sigma, alpha, config)
-
-        def integrand(x, da, db, log_da, log_db):
-            expo = -sigma * 2.0 * np.sinh(0.5 * x) ** 2
-            if alpha != 0.0:
-                expo = expo + alpha * _log_sinh_theta(x, da, log_da, True)
-            return np.asarray(g(x), dtype=float) * np.exp(expo)
-
-        num = tanh_sinh_sum(integrand, 0.0, theta_max, config,
-                            beta=1.0 + min(alpha, 0.0))
-        return num * math.exp(-log_den)
-
-    raise ValueError(f"unknown mollifier kind {kind!r}")
+        family, log_kernel = sin_family(sigma, alpha), log_sin_kernel
+    elif kind is MollifierKind.NU:
+        family, log_kernel = sinh_family(sigma, alpha, config), log_sinh_kernel
+    else:
+        raise ValueError(f"unknown mollifier kind {kind!r}")
+    log_w, a, b, beta = family
+    num = tanh_sinh_sum(
+        lambda x, *offsets: (np.asarray(g(x), dtype=float)
+                             * np.exp(log_w(x, *offsets))),
+        a, b, config, beta)
+    return num * math.exp(-log_kernel(sigma, alpha))
 
 
 def mollifier_tail_mass(delta: float, sigma: float, alpha: float,

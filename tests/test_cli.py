@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +109,16 @@ class TestSpecialF:
         tail = err.split("(last estimate ")[1].rstrip(")\n")
         last, prev = (float(v) for v in tail.split(", previous "))
         assert last != prev
+
+    def test_overflowing_f_prints_inf(self, capsys):
+        # log f is finite (about 1899) while f itself is past the float range
+        code, out, _ = run_cli(capsys, "special-f", "--sigma", "1e-20",
+                               "--alpha", "39")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert math.isfinite(float(row["log_f"]))
+        assert float(row["log_f"]) > 709.0
+        assert row["f"] == "inf"
 
     def test_negative_sigma_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "special-f", "--sigma", "-1.0",
@@ -312,3 +324,18 @@ def test_console_script_help():
     for name in ("eval-radial", "special-f", "barriers", "geom", "qmean",
                  "rates"):
         assert name in proc.stdout
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # each of these costs a command start-up time it never uses
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    heavy = ("scipy.optimize", "scipy.integrate", "mpmath", "hypothesis")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, resolvent_asym.cli\n"
+         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

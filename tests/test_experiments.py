@@ -96,6 +96,9 @@ class TestConfig:
         (None, "geometry", 3, "geometry must be an object"),
         (None, "modulus", {"kind": "linear", "r": 1.0, "slope": [1]},
          "modulus.slope must be a number"),
+        (None, "output", 5, "output must be a string or null"),
+        (None, "output", True, "output must be a string or null"),
+        (None, "output", ["a.json"], "output must be a string or null"),
     ])
     def test_from_dict_rejects_wrong_types(self, section, key, value, msg):
         doc = {"params_grid": {"N": [2], "p": [2], "q": [2]},

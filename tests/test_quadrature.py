@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,11 +12,18 @@ from resolvent_asym.quadrature import (
     QuadratureConfig,
     integrate_sin_weighted,
     integrate_sinh_weighted,
-    integrate_sinh_weighted_substituted,
-    log_ratio,
     log_sin_kernel,
     log_sinh_kernel,
+    tanh_sinh_fixed,
+    tanh_sinh_log,
     tanh_sinh_sum,
+)
+from resolvent_asym.special import (
+    MollifierKind,
+    bessel_k_identity_residual,
+    f_exact,
+    mollifier_expectation,
+    mollifier_tail_mass,
 )
 
 
@@ -32,7 +40,6 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(rel_tol=0.0),
         dict(rel_tol=1.5),
-        dict(abs_tol=-1.0),
         dict(max_refinements=0),
     ])
     def test_validation(self, kwargs):
@@ -45,7 +52,11 @@ class TestLogValue:
         a = LogValue(math.log(8.0))
         b = LogValue(math.log(2.0))
         assert a.value() == pytest.approx(8.0)
-        assert log_ratio(a, b) == pytest.approx(math.log(4.0))
+        assert a.log_magnitude - b.log_magnitude == pytest.approx(
+            math.log(4.0))
+        # past the float range the value is inf, not an OverflowError
+        assert LogValue(779.0).value() == math.inf
+        assert LogValue(-math.inf).value() == 0.0
 
 
 class TestSinWeighted:
@@ -125,9 +136,17 @@ class TestSinhWeighted:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.0])
     @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0, 100.0])
     def test_substitution_cross_check(self, sigma, alpha):
-        direct = integrate_sinh_weighted(sigma, alpha)
-        subst = integrate_sinh_weighted_substituted(sigma, alpha)
-        assert abs(log_ratio(direct, subst)) <= 10.0 * DEFAULT_CONFIG.rel_tol
+        # tau = sigma(cosh theta - 1) turns f into sigma^-1 int_0^inf e^-tau
+        # (2 tau/sigma + (tau/sigma)^2)^((alpha-1)/2) dtau; 40-digit mpmath
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            s, half = mp.mpf(sigma), (mp.mpf(alpha) - 1) / 2
+            subst = mp.quad(
+                lambda tau: mp.exp(-tau) * (2 * tau / s + (tau / s) ** 2) ** half,
+                [0, s, 1 + s, mp.inf]) / s
+            expected = float(mp.log(subst))
+        direct = integrate_sinh_weighted(sigma, alpha).log_magnitude
+        assert abs(direct - expected) <= 10.0 * DEFAULT_CONFIG.rel_tol
 
     def test_tail_interval(self):
         # int_delta^inf with alpha=1 integrates exactly
@@ -150,7 +169,7 @@ class TestAdaptivity:
         for sigma, alpha in [(0.5, -0.5), (10.0, 1.0), (200.0, 0.0)]:
             a = integrate_sinh_weighted(sigma, alpha, config=base)
             b = integrate_sinh_weighted(sigma, alpha, config=fine)
-            assert abs(log_ratio(a, b)) <= base.rel_tol
+            assert abs(a.log_magnitude - b.log_magnitude) <= base.rel_tol
 
     def test_nonconvergence_carries_estimates(self):
         cfg = QuadratureConfig(rel_tol=1e-14, max_refinements=1)
@@ -173,3 +192,104 @@ class TestClosedFormKernels:
                 kernel(1.0, -1.0)
         with pytest.raises(ValueError):
             log_sinh_kernel(0.0, 0.5)
+
+
+def _record(fn, *args):
+    """repr of a float result (or of a LogValue's log), or the error text."""
+    try:
+        value = fn(*args)
+    except NonConvergenceError as e:
+        return f"NonConvergenceError: {e}"
+    return repr(float(getattr(value, "log_magnitude", value)))
+
+
+def _recorded_grid(family: str) -> list:
+    configs = (DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-7,
+                                                max_refinements=12))
+    alphas = (-0.9, -0.3, 0.0, 0.5, 2.0, 7.5)
+    out = []
+    if family == "sin":
+        gs = (None, lambda t: 1.0 + np.cos(t), lambda t: t * t)
+        for cfg in configs:
+            for s in (0.0, 1e-3, 0.7, 12.0, 300.0):
+                for a in alphas:
+                    out += [_record(integrate_sin_weighted, s, a, g, cfg)
+                            for g in gs]
+    elif family == "sinh":
+        gs = (None, lambda t: np.cosh(0.3 * t), lambda t: 1.0 / (1.0 + t))
+        for cfg in configs:
+            for s in (1e-3, 0.7, 12.0, 300.0):
+                for a in alphas:
+                    out += [_record(integrate_sinh_weighted, s, a, g, cfg, tm)
+                            for g in gs for tm in (0.0, 0.25, 50.0)]
+                    out.append(_record(f_exact, s, a, cfg))
+    elif family == "special":
+        gs = (np.cos, lambda t: t - 0.5, lambda t: np.exp(-t))
+        for cfg in configs:
+            for s in (0.05, 0.7, 12.0, 300.0):
+                for a in alphas:
+                    out.append(_record(bessel_k_identity_residual, s, a, cfg))
+                    out.append(_record(mollifier_tail_mass, 0.3, s, a, cfg))
+                    out += [_record(mollifier_expectation, g, s, a, kind, cfg)
+                            for kind in MollifierKind for g in gs]
+    elif family == "engine":
+        fs = (lambda x, *rest: np.exp(x), lambda x, *rest: np.cos(5.0 * x),
+              lambda x, da, *rest: da ** -0.5)
+        for cfg in configs:
+            for f in fs:
+                log_f = lambda *nodes, f=f: np.log(np.abs(f(*nodes)))
+                for a, b in ((0.0, 3.0), (-1.0, 2.5)):
+                    for beta in (0.1, 0.5, 1.0):
+                        out.append(_record(tanh_sinh_sum, f, a, b, cfg, beta))
+                        out.append(_record(tanh_sinh_log, log_f, a, b, cfg,
+                                           beta))
+                        if cfg is DEFAULT_CONFIG:
+                            out += [_record(tanh_sinh_fixed, f, a, b, level,
+                                            beta) for level in range(8)]
+    elif family == "kernels":
+        # nu >= 30 at sigma <= 1e-4: the quadrature fallback of the kernels
+        sigma = np.array([[1e-8, 1.0], [1e3, 1e-6]])
+        for a in (60.0, 100.0, 160.0):
+            for s in (1e-10, 1e-8, 1e-6, 1e-4):
+                out.append(_record(log_sin_kernel, s, a))
+                out.append(_record(log_sinh_kernel, s, a))
+            out += [hashlib.sha256(kernel(sigma, a).tobytes()).hexdigest()
+                    for kernel in (log_sin_kernel, log_sinh_kernel)]
+    elif family == "errors":
+        cfg = QuadratureConfig(rel_tol=1e-14, max_refinements=1)
+        for s, a in ((5.0, 0.5), (0.3, -0.7), (40.0, 3.0)):
+            out.append(_record(integrate_sin_weighted, s, a, None, cfg))
+            out.append(_record(integrate_sinh_weighted, s, a, None, cfg))
+            out.append(_record(integrate_sinh_weighted, s, a, None, cfg, 0.5))
+            out += [_record(mollifier_expectation, np.cos, s, a, kind, cfg)
+                    for kind in MollifierKind]
+        out.append(_record(tanh_sinh_sum, lambda x, *rest: np.exp(x),
+                           0.0, 3.0, cfg))
+        out.append(_record(tanh_sinh_log, lambda x, *rest: x, 0.0, 3.0, cfg))
+    return out
+
+
+class TestRecordedOutputs:
+    """sha256 digests of 1,307 engine outputs, recorded before the weight
+    families and the per-level loop were each written once: every value,
+    and every NonConvergenceError text, stays bit-identical."""
+
+    @pytest.mark.parametrize("family,count,expected", [
+        ("sin", 180,
+         "60b61f021070a3f78005acc0dd8356ff442a16a11432602a8e06a94ff0c20e96"),
+        ("sinh", 480,
+         "505b9744fcf20d65faa85713f42cab0632493e15b43650bfd305ac6a7ee737de"),
+        ("special", 384,
+         "1c2df8c77dadcbeaff058102f6bfa57bc5cc68c96353db548529c3ccfceb4d51"),
+        ("engine", 216,
+         "6ba8f25bff8abc963158105f5e401d420bbd8ff1cfb1fc9030a5f5772a6f9d2a"),
+        ("kernels", 30,
+         "18815848aeb102ea4a6f1aa4da3be437e5f5edf78dc7886e9d63c715c1c9e72c"),
+        ("errors", 17,
+         "a61464b7b2dcfc7a94f80df7028205940c1dae418490ed23fda7039838b4eaa5"),
+    ])
+    def test_digest(self, family, count, expected):
+        records = _recorded_grid(family)
+        assert len(records) == count
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert digest == expected
