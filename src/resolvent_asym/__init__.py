@@ -14,7 +14,7 @@ from .barriers import EnhancedBarriers, enhanced_U, enhanced_V, \
     sandwich_check  # noqa: F401
 from .geometry import BallDomain, ExteriorBallDomain, ImplicitDomain, \
     TouchingBallConfig, area_ratio_limit, level_set_area, touching_ball  # noqa: F401
-from .qmeans import QMeanQuery, QMeanResult, q_mean, q_mean_infinity, \
-    qmean_limit_experiment, solution_profile  # noqa: F401
+from .qmeans import QMeanQuery, QMeanResult, q_mean, qmean_limit_experiment, \
+    solution_profile  # noqa: F401
 from .experiments import RateFit, RateModel, SweepConfig, emit, fit_rate, \
     run_psi_rate_table, run_qmean_sweep, run_varadhan_sweep  # noqa: F401

@@ -393,8 +393,7 @@ def run_qmean_sweep(cfg: SweepConfig) -> List[dict]:
             seq = [ProblemParams(n=n, p=p, eps=eps) for eps in eps_seq]
             for q in cfg.q_values:
                 group = [{"n": n, "p": p, "q": q, **r}
-                         for r in qmean_limit_experiment(seq, ball_cfg, q,
-                                                         seed=cfg.seed)]
+                         for r in qmean_limit_experiment(seq, ball_cfg, q)]
                 _add_richardson(group)
                 rows.extend(group)
     return rows
@@ -431,8 +430,7 @@ def _json_safe(v):
 
 
 def emit(table: List[dict], fmt: str, path: str,
-         config: Optional[SweepConfig] = None,
-         seed: Optional[int] = None) -> None:
+         config: Optional[SweepConfig] = None) -> None:
     """Write a table as CSV (12 significant digits) or JSON with metadata.
 
     Values that are not finite become "nan"/"inf" cells in CSV and
@@ -456,8 +454,7 @@ def emit(table: List[dict], fmt: str, path: str,
         meta = {
             "config": _json_safe(dataclasses.asdict(config))
             if config is not None else None,
-            "seed": seed if seed is not None else
-            (config.seed if config is not None else None),
+            "seed": config.seed if config is not None else None,
             "versions": {
                 "package": __version__,
                 "numpy": np.__version__,

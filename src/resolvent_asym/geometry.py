@@ -25,6 +25,8 @@ _TOUCH_TOL = 1e-9
 _PROJECT_BLOCK = 1 << 15
 _DEFAULT_SEED = 20260815
 _UNIQUENESS_DIRECTIONS = 10_000
+_N_STRATA = 64  # radius strata of level_set_area_mc
+_PSI_GRID = 4000  # log-grid points of psi_of_eps's coarse localization
 
 
 def unit_sphere_area(n: int) -> float:
@@ -433,48 +435,39 @@ def _sphere_cap_area(n: int, r1: np.ndarray, c: float,
 
 
 def level_set_area(domain: DomainOracle, cfg: TouchingBallConfig,
-                   s: Union[float, np.ndarray],
-                   n_samples: int = 1_000_000,
-                   seed: int = _DEFAULT_SEED,
-                   half_width: Optional[float] = None
-                   ) -> Union[float, np.ndarray]:
+                   s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Surface measure of {d_Gamma = s} inside B_R(x), scalar or array s.
 
     Closed sphere-cap formulas for ball and ball-complement domains, one
-    array evaluation for all of s; Monte Carlo volume-derivative binning for
-    implicit domains, one level_set_area_mc call per value (the sampling
-    parameters only matter there).  s >= 2R gives 0 (the level set has left
-    the ball); any s <= 0 is rejected.  A scalar s returns a float.
+    array evaluation for all of s; implicit domains have no closed form and
+    are rejected (level_set_area_mc is their seeded Monte Carlo oracle).
+    s >= 2R gives 0 (the level set has left the ball); any s <= 0 is
+    rejected.  A scalar s returns a float.
     """
+    if isinstance(domain, ImplicitDomain):
+        raise ValueError("level_set_area has closed forms on balls and ball "
+                         "complements only; use level_set_area_mc")
     s_arr = np.asarray(s, dtype=float)
     if not np.all(s_arr > 0.0):
         raise ValueError(f"level distance s must be > 0, got {s}")
-    inside = s_arr < 2.0 * cfg.R
-    if isinstance(domain, (BallDomain, ExteriorBallDomain)):
-        c = float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
-        r1 = (domain.rho - s_arr if isinstance(domain, BallDomain)
-              else domain.r_e + s_arr)
-        out = np.where(inside, _sphere_cap_area(cfg.n, r1, c, cfg.R), 0.0)
-    else:
-        out = np.array([
-            level_set_area_mc(domain, cfg, float(si), n_samples=n_samples,
-                              seed=seed, half_width=half_width)[0]
-            if ok else 0.0
-            for si, ok in zip(s_arr.ravel(), inside.ravel())
-        ]).reshape(s_arr.shape)
+    c = float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
+    r1 = (domain.rho - s_arr if isinstance(domain, BallDomain)
+          else domain.r_e + s_arr)
+    out = np.where(s_arr < 2.0 * cfg.R,
+                   _sphere_cap_area(cfg.n, r1, c, cfg.R), 0.0)
     return float(out) if s_arr.ndim == 0 else out
 
 
 def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
                       n_samples: int = 10_000_000,
                       seed: int = _DEFAULT_SEED,
-                      half_width: Optional[float] = None,
-                      n_strata: int = 64) -> Tuple[float, float]:
+                      half_width: Optional[float] = None
+                      ) -> Tuple[float, float]:
     """Monte Carlo oracle (area, stderr) by binning boundary distances.
 
-    Uniform samples in B_R(x), stratified over radius shells with one
-    spawned bit-generator per stratum; the level-set measure is the fraction
-    landing in [s - hw, s + hw] times vol(B_R)/(2 hw).
+    Uniform samples in B_R(x), stratified over _N_STRATA = 64 radius
+    shells with one spawned bit-generator per stratum; the level-set measure
+    is the fraction landing in [s - hw, s + hw] times vol(B_R)/(2 hw).
 
     Strata that cannot reach the bin are counted without drawing.  The
     distance is 1-Lipschitz and d_Gamma(x) = R (to the tolerance that
@@ -491,25 +484,24 @@ def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
     if not hw > 0.0:
         raise ValueError(f"half_width must be > 0, got {hw}")
     _require_count("n_samples", n_samples)
-    _require_count("n_strata", n_strata)
     x = np.asarray(cfg.x, dtype=float)
     n = x.size
     vol = ball_volume(n, cfg.R)
-    seqs = np.random.SeedSequence(seed).spawn(n_strata)
-    base = n_samples // n_strata
+    seqs = np.random.SeedSequence(seed).spawn(_N_STRATA)
+    base = n_samples // _N_STRATA
     reach = (cfg.R - s - hw - _TOUCH_TOL * max(1.0, cfg.R)) * (1.0 - 1e-12)
     counts_total = 0
     var_sum = 0.0
     total = 0
     for j, seq in enumerate(seqs):
-        m = base + (1 if j < n_samples % n_strata else 0)
+        m = base + (1 if j < n_samples % _N_STRATA else 0)
         if m == 0:
             continue
-        if cfg.R * ((j + 1) / n_strata) ** (1.0 / n) < reach:
+        if cfg.R * ((j + 1) / _N_STRATA) ** (1.0 / n) < reach:
             total += m
             continue
         rng = np.random.default_rng(seq)
-        u = (j + rng.random(m)) / n_strata
+        u = (j + rng.random(m)) / _N_STRATA
         radii = cfg.R * u ** (1.0 / n)
         pts = _unit_directions(rng, m, n)
         pts *= radii[:, None]
@@ -556,13 +548,12 @@ class ModulusOfContinuity:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def psi_of_eps(modulus: ModulusOfContinuity, eps: float,
-               grid_size: int = 4000) -> float:
+def psi_of_eps(modulus: ModulusOfContinuity, eps: float) -> float:
     """Distance from (0, eps) to the graph {(s, omega(s)): 0 < s <= r}.
 
-    Requires 0 < eps <= omega(r).  Coarse log-grid localization followed by
-    golden-section refinement in log s; the s -> 0 closure point contributes
-    the candidate value eps.
+    Requires 0 < eps <= omega(r).  Localization on a log grid of _PSI_GRID
+    points, then golden-section refinement in log s; the s -> 0 closure
+    point contributes the candidate value eps.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -574,11 +565,11 @@ def psi_of_eps(modulus: ModulusOfContinuity, eps: float,
         w = np.asarray(modulus.omega(s_arr), dtype=float)
         return np.hypot(s_arr, w - eps)
 
-    s = np.geomspace(1e-280, modulus.r, grid_size)
+    s = np.geomspace(1e-280, modulus.r, _PSI_GRID)
     d = dist(s)
     best = int(np.argmin(d))
     lo = s[max(best - 1, 0)]
-    hi = s[min(best + 1, grid_size - 1)]
+    hi = s[min(best + 1, _PSI_GRID - 1)]
     a, b = math.log(lo), math.log(hi)
     c = b - _GOLDEN * (b - a)
     dd = a + _GOLDEN * (b - a)

@@ -8,15 +8,15 @@ For functions of the boundary distance the integrals collapse, by the
 co-area formula, to one-dimensional integrals against the level-set area,
 which is closed-form on radial domains; they are evaluated by the fixed-level
 rule quadrature.tanh_sinh_fixed with one array area call per node set.
-Implicit domains fall back to an empirical root search over a fixed Monte
-Carlo sample; the same sampler doubles as an independent oracle for the
-co-area path.  Every root (the q-mean itself and the distance where a
-profile crosses mu) is found by scipy's brentq through one helper, _root.
+q_mean covers those domains only; on implicit domains the seeded Monte Carlo
+oracle q_mean_bruteforce takes a raw function of the points.  Every root
+(the q-mean itself and the distance where a profile crosses mu) is found by
+scipy's brentq through one helper, _root.
 
 Solution profiles evaluate the exact radial solution through
 radial.eval_log_u, whose kernels are closed-form; on implicit domains the
 limit experiment brackets the solution between the enhanced barriers of
-barriers.enhanced_U and barriers.enhanced_V.
+barriers.enhanced_U and barriers.enhanced_V over one seeded sample.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class QMeanQuery:
     """Input bundle for a q-mean over the touching ball B_R(x).
 
     `profile` is a nonnegative nonincreasing function of the scaled distance
-    tau = d_Gamma/xi, vectorized; q_mean_bruteforce takes functions of the
-    points themselves.
+    tau = d_Gamma/xi, vectorized, on a ball or ball-complement domain;
+    q_mean_bruteforce takes functions of the points, on any domain.
     """
 
     cfg: TouchingBallConfig
@@ -103,6 +103,9 @@ class QMeanQuery:
             raise ValueError(f"xi must be positive, got {self.xi}")
         if self.profile is None:
             raise ValueError("a profile must be given")
+        if isinstance(self.cfg.domain, ImplicitDomain):
+            raise ValueError("q_mean has no closed-form level-set areas on "
+                             "implicit domains; use q_mean_bruteforce")
         tau = np.linspace(0.0, _s_max(self.cfg) / self.xi, 129)
         vals = np.asarray(self.profile(tau), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -122,7 +125,6 @@ class QMeanResult:
     mu: float
     scaled: float
     residual: float
-    path: str
 
 
 def _scaled_exponent(n: int, q: float) -> float:
@@ -199,54 +201,27 @@ def _coarea_G(mu: float, profile: Callable, xi: float, q: float,
     return total
 
 
-def q_mean(query: QMeanQuery, n_samples: int = 400_000,
-           seed: int = _DEFAULT_SEED) -> QMeanResult:
-    """The q-mean of the query's profile over B_R(x), q finite.
+def q_mean(query: QMeanQuery) -> QMeanResult:
+    """The q-mean of the query's profile over B_R(x) on a radial domain.
 
-    On radial domains it goes through the co-area route: G(mu) is a
-    fixed-level tanh-sinh integral against closed-form level-set areas (one
-    array area call per node set), and mu and the profile's crossing of mu
-    are Brent roots.  Implicit domains use the empirical root search over a
-    Monte Carlo sample (n_samples, seed).
+    Finite q goes through the co-area route: G(mu) is a fixed-level
+    tanh-sinh integral against closed-form level-set areas (one array area
+    call per node set), and mu and the profile's crossing of mu are Brent
+    roots.  q = INFINITY gives the midrange (f(0) + f(s_max/xi))/2 of the
+    monotone profile, s_max the largest boundary distance in B_R(x), with
+    residual 0 and scaled == mu.
     """
-    if is_infinity(query.q):
-        raise ValueError("q = INFINITY is handled by q_mean_infinity")
-    cfg = query.cfg
-    q = float(query.q)
-    if isinstance(cfg.domain, ImplicitDomain):
-        pts = _sample_ball(cfg.x, cfg.R, n_samples, seed)
-        d = np.maximum(boundary_distances(cfg.domain, pts), 0.0)
-        mu, residual = _empirical_qmean(
-            np.asarray(query.profile(d / query.xi), dtype=float), q)
-        path = "bruteforce"
-    else:
-        mu, residual = _coarea_root(query, q)
-        path = "coarea"
-    scaled = (cfg.R / query.xi) ** _scaled_exponent(cfg.n, q) * mu
-    return QMeanResult(mu=mu, scaled=scaled, residual=residual, path=path)
-
-
-def _coarea_root(query: QMeanQuery, q: float) -> Tuple[float, float]:
-    cfg = query.cfg
-    xi = query.xi
-    prof = query.profile
+    cfg, xi, prof, q = query.cfg, query.xi, query.profile, query.q
     smax = _s_max(cfg)
     f0 = _prof_at(prof, 0.0)
     fend = _prof_at(prof, smax / xi)
-    if f0 - fend <= 1e-14 * max(1.0, abs(f0)):
-        return 0.5 * (f0 + fend), 0.0
-    beta = min(1.0, q - 1.0, 0.5 * (cfg.n - 1))
-    return _root(_coarea_G, fend, f0, prof, xi, q, cfg, smax, beta)
-
-
-def q_mean_infinity(query: QMeanQuery) -> float:
-    """Midrange over the ball: (f(s_max/xi) + f(0))/2 for monotone profiles,
-    s_max the largest boundary distance in B_R(x)."""
-    if not is_infinity(query.q):
-        raise ValueError(f"q_mean_infinity requires q = INFINITY, got {query.q}")
-    vals = np.asarray(query.profile(
-        np.array([0.0, _s_max(query.cfg) / query.xi])), dtype=float)
-    return 0.5 * float(vals[0] + vals[1])
+    if is_infinity(q) or f0 - fend <= 1e-14 * max(1.0, abs(f0)):
+        mu, residual = 0.5 * (f0 + fend), 0.0
+    else:
+        beta = min(1.0, q - 1.0, 0.5 * (cfg.n - 1))
+        mu, residual = _root(_coarea_G, fend, f0, prof, xi, q, cfg, smax, beta)
+    scaled = (cfg.R / xi) ** _scaled_exponent(cfg.n, q) * mu
+    return QMeanResult(mu=mu, scaled=scaled, residual=residual)
 
 
 def q_mean_bruteforce(cfg: TouchingBallConfig, q: float, raw: Callable,
@@ -254,6 +229,7 @@ def q_mean_bruteforce(cfg: TouchingBallConfig, q: float, raw: Callable,
                       seed: int = _DEFAULT_SEED) -> Tuple[float, float]:
     """Monte Carlo oracle: (mu, standard error) for a raw function on the ball.
 
+    It is the q-mean on implicit domains and the co-area route's oracle.
     The error is the delta-method estimate sd(g)/(sqrt(n) |E dG/dmu|) for the
     estimating function g(v, mu) = [v-mu]_+^{q-1} - [mu-v]_+^{q-1}; at q = 2
     this reduces to the usual sd/sqrt(n) of the sample mean.
@@ -389,13 +365,8 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
     if isinstance(dom, (BallDomain, ExteriorBallDomain)):
         for pp in params_seq:
             prof = solution_profile(pp, dom)
-            query = QMeanQuery(cfg=cfg, q=q, xi=pp.xi, profile=prof)
-            if is_infinity(q):
-                mu, residual = q_mean_infinity(query), 0.0
-            else:
-                res = q_mean(query)
-                mu, residual = res.mu, res.residual
-            rows.append(make_row(pp, mu, residual, "coarea"))
+            res = q_mean(QMeanQuery(cfg=cfg, q=q, xi=pp.xi, profile=prof))
+            rows.append(make_row(pp, res.mu, res.residual, "coarea"))
         return rows
 
     pts = _sample_ball(np.asarray(cfg.x, dtype=float), cfg.R, n_samples, seed)

@@ -314,13 +314,30 @@ def integrate_sinh_weighted(sigma: float, alpha: float,
     return _integrate(sinh_family(sigma, alpha, config, theta_min), g, config)
 
 
+def _large_argument(nu: float, z: np.ndarray, k: bool) -> np.ndarray:
+    """e^z K_nu(z) if k, else e^{-z} I_nu(z) without its e^{-2z} part, by the
+    large-argument expansions DLMF 10.40.2/10.40.1 summed until a term falls
+    below 1e-17 of the sum; nan where 30 terms do not get there."""
+    sign = 1.0 if k else -1.0
+    term, total = np.ones_like(z), np.ones_like(z)
+    for j in range(1, 31):
+        term *= sign * (4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j * z)
+        total += term
+        small = np.abs(term) <= 1e-17 * np.abs(total)
+        if np.all(small):
+            break
+    total[~small] = math.nan
+    return np.sqrt(0.5 * math.pi / z) / (1.0 if k else math.pi) * total
+
+
 def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,
                        scaled_bessel: Callable, integrate: Callable):
     """log_const - nu log(sigma/2) + log scaled_bessel(nu, sigma), nu = alpha/2.
 
-    Entries whose scaled Bessel value is zero, subnormal or infinite carry no
-    usable digits (large nu at small sigma) although the kernel is finite;
-    they go to the quadrature `integrate`.
+    positive marks the K kernel.  Past scipy's range (nan, sigma > ~1e9) the
+    large-argument expansion stands in.  Entries still zero, subnormal,
+    infinite or nan carry no usable digits (large nu at small sigma) although
+    the kernel is finite; they go to the quadrature `integrate`.
     """
     if not alpha > -1.0:
         raise ValueError(f"alpha must be > -1, got {alpha}")
@@ -334,6 +351,9 @@ def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
         b = scaled_bessel(nu, flat)
+        far = np.isnan(b)
+        if far.any():
+            b[far] = _large_argument(nu, flat[far], positive)
         out = log_const - nu * np.log(0.5 * flat) + np.log(b)
     zero = flat == 0.0
     # I(0) = sqrt(pi) Gamma((alpha+1)/2) / Gamma(nu+1), the Beta integral

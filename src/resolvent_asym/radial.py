@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -102,40 +102,32 @@ def eval_u(sol: RadialSolution, r: Union[float, np.ndarray]
     return np.exp(eval_log_u(sol, r))
 
 
-def scaling_check(sol: RadialSolution, r_grid: np.ndarray,
-                  scale: float = math.pi / 3.0) -> float:
-    """Max |log u(r) - log u_scaled(scale*r)| when (eps, R, r) all scale.
+def scaling_check(sol: RadialSolution, r_grid: np.ndarray) -> float:
+    """Max |log u(r) - log u_s(s r)|, u_s with eps and R scaled by s = pi/3.
 
     The solution depends on (r/eps, R/eps) only, so the result is pure
     numerical noise; callers assert it below 1e-9.
     """
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive finite, got {scale}")
+    s = math.pi / 3.0
     scaled = RadialSolution(
-        ProblemParams(sol.params.n, sol.params.p, sol.params.eps * scale),
-        Geometry(sol.geometry.kind, sol.geometry.R * scale))
+        ProblemParams(sol.params.n, sol.params.p, sol.params.eps * s),
+        Geometry(sol.geometry.kind, sol.geometry.R * s))
     a = eval_log_u(sol, np.asarray(r_grid))
-    b = eval_log_u(scaled, np.asarray(r_grid) * scale)
+    b = eval_log_u(scaled, np.asarray(r_grid) * s)
     return float(np.max(np.abs(a - b)))
 
 
-def ode_residual(sol: RadialSolution, r: float, h: Optional[float] = None
-                 ) -> float:
+def ode_residual(sol: RadialSolution, r: float) -> float:
     """Relative residual of the radial equation at r by central differences.
 
     The equation is checked in ratio form: with rho_pm = u(r ± h)/u(r),
         eps^2 [ (p-1)(rho_+ - 2 + rho_-)/h^2 + (N-1)(rho_+ - rho_-)/(2hr) ] / p = 1
-    (p = infinity keeps only the pure second-difference term).  h defaults to
-    eps/100 and anything above eps/10 is rejected: the solution varies on the
-    scale eps, so coarser steps do not probe the equation.
+    (p = infinity keeps only the pure second-difference term).  The step is
+    h = eps/100: the solution varies on the scale eps, which the step must
+    resolve.
     """
     eps = sol.params.eps
-    if h is None:
-        h = eps / 100.0
-    if h > eps / 10.0:
-        raise ValueError(f"step h = {h} too coarse; need h <= eps/10 = {eps/10}")
-    if h <= 0.0:
-        raise ValueError(f"step h must be positive, got {h}")
+    h = eps / 100.0
     R = sol.geometry.R
     if sol.geometry.kind is GeometryKind.BALL:
         if not (h < r and r + h < R):

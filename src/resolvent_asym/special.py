@@ -21,11 +21,13 @@ from .quadrature import (
     DEFAULT_CONFIG,
     LogValue,
     QuadratureConfig,
+    _log_cosh,
     integrate_sinh_weighted,
     log_sin_kernel,
     log_sinh_kernel,
     sin_family,
     sinh_family,
+    tanh_sinh_log,
     tanh_sinh_sum,
 )
 
@@ -102,17 +104,24 @@ def bessel_k_identity_residual(sigma: float, alpha: float,
     """|f_exact / [pi^{-1/2} Gamma((a+1)/2) (sigma/2)^{-a/2} e^sigma K_{a/2}(sigma)] - 1|.
 
     K_{alpha/2} is evaluated through its own cosh-kernel integral
-    int_0^inf e^{-sigma cosh t} cosh(alpha t / 2) dt, an independent route.
+    int_0^inf e^{-sigma cosh t} cosh(alpha t / 2) dt, an independent route
+    taken in the log domain, where cosh(alpha t / 2) may overflow.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if not alpha > -1.0:
         raise ValueError(f"alpha must be > -1, got {alpha}")
     nu = 0.5 * alpha
-    k_scaled = integrate_sinh_weighted(
-        sigma, 0.0, g=lambda t: np.cosh(nu * t), config=config)
+    log_w, a, b, beta = sinh_family(sigma, 0.0, config)
+
+    def log_f(x, *offsets):
+        c = np.cosh(nu * x)
+        return log_w(x, *offsets) + np.where(
+            np.isfinite(c), np.log(c), _log_cosh(nu * x))
+
+    log_k = tanh_sinh_log(log_f, a, b, config, beta)
     log_rhs = (-0.5 * math.log(math.pi) + gammaln(0.5 * (alpha + 1.0))
-               - nu * math.log(0.5 * sigma) + k_scaled.log_magnitude)
+               - nu * math.log(0.5 * sigma) + log_k)
     log_lhs = f_exact(sigma, alpha, config=config).log_magnitude
     return abs(math.expm1(log_lhs - log_rhs))
 

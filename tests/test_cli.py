@@ -93,6 +93,14 @@ class TestSpecialF:
         row = parse_csv(out)[0]
         assert abs(float(row["bessel_residual"])) < 1e-6
 
+    def test_check_bessel_where_cosh_overflows(self, capsys):
+        # nu t = 19.5 t passes 710 inside the sinh cutoff at sigma = 1e-20
+        code, out, _ = run_cli(capsys, "special-f", "--sigma", "1e-20",
+                               "--alpha", "39", "--check-bessel")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert abs(float(row["bessel_residual"])) < 1e-10
+
     def test_starved_refinement_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "special-f", "--sigma", "5.0",
                                "--alpha", "0.7", "--rel-tol", "1e-15",

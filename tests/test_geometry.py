@@ -426,15 +426,11 @@ class TestLevelSetArea:
         assert np.all(areas[s >= 2.0 * R] == 0.0)
         assert level_set_area(domain, cfg, np.array([])).shape == (0,)
 
-    def test_array_call_on_implicit_domain(self):
+    def test_rejects_implicit_domain(self):
         dom = implicit_ball(1.0, dim=2)
         cfg = touching_ball(dom, [0.5, 0.0], 0.5)
-        s = np.array([0.1, 0.4, 1.0])
-        areas = level_set_area(dom, cfg, s, n_samples=20_000, seed=3)
-        scalar = [level_set_area(dom, cfg, float(t), n_samples=20_000, seed=3)
-                  for t in s]
-        assert np.array_equal(areas, scalar)
-        assert areas[-1] == 0.0
+        with pytest.raises(ValueError, match="level_set_area_mc"):
+            level_set_area(dom, cfg, np.array([0.1, 0.4]))
 
     def test_mc_oracle_agrees_closed_form(self):
         cfg = self.ball_cfg()
@@ -494,7 +490,7 @@ class TestLevelSetArea:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_samples": 0}, {"n_samples": -5}, {"n_samples": 2.5},
-        {"n_samples": True}, {"n_strata": 0}, {"n_strata": 1.5},
+        {"n_samples": True},
     ])
     def test_mc_rejects_bad_counts(self, kwargs):
         cfg = self.ball_cfg()

@@ -1,4 +1,4 @@
-"""The kernels against 40-digit mpmath Bessel functions.
+"""The kernels against 40- and 60-digit mpmath Bessel functions.
 
 mpmath is a test-only dependency: it shares no code with scipy's Bessel
 routines or with the package's tanh-sinh engine, so it pins both the closed
@@ -52,6 +52,19 @@ def test_sinh_kernel_closed_form(alpha):
     for sigma in SIGMAS:
         assert abs(log_sinh_kernel(sigma, alpha)
                    - log_sinh_oracle(sigma, alpha)) <= 1e-12, sigma
+
+
+@pytest.mark.parametrize("alpha", [0.0, 39.0])
+@pytest.mark.parametrize("sigma", [1.2e9, 1e10, 1e20, 1e40])
+def test_past_scipy_range(sigma, alpha):
+    # scipy's ive/kve are nan here, so the large-argument expansions answer;
+    # at 40 digits mpmath itself is off by 0.05 at sigma = 1e40
+    with mp.workdps(60):
+        for kernel, oracle in ((log_sin_kernel, log_sin_oracle),
+                               (log_sinh_kernel, log_sinh_oracle)):
+            ref = oracle(sigma, alpha)
+            err = abs(kernel(sigma, alpha) - ref)
+            assert err <= 1e-14 * max(1.0, abs(ref)), (sigma, alpha)
 
 
 @pytest.mark.parametrize("sigma", [1e-8, 1e-6])

@@ -35,7 +35,6 @@ from resolvent_asym.qmeans import (
     _sample_ball,
     q_mean,
     q_mean_bruteforce,
-    q_mean_infinity,
     qmean_limit_experiment,
     qmean_profile_limit,
     solution_profile,
@@ -95,6 +94,11 @@ class TestQueryValidation:
             QMeanQuery(cfg=BALL_CFG, q=2.0, xi=0.1,
                        profile=lambda t: -1.0 - np.asarray(t, dtype=float))
 
+    def test_implicit_domain_rejected(self):
+        cfg = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5)
+        with pytest.raises(ValueError, match="q_mean_bruteforce"):
+            QMeanQuery(cfg=cfg, q=2.0, xi=0.1, profile=exp_profile)
+
 
 class TestEmpiricalRoot:
     def test_constant_exact(self):
@@ -140,7 +144,6 @@ class TestConstantFixedPoint:
         res = q_mean(query)
         assert res.mu == 0.7
         assert res.residual == 0.0
-        assert res.path == "coarea"
 
     def test_raw_constant(self):
         mu, se = q_mean_bruteforce(BALL_CFG, 3.0,
@@ -152,7 +155,7 @@ class TestConstantFixedPoint:
         query = QMeanQuery(cfg=BALL_CFG, q=INFINITY, xi=0.1,
                            profile=lambda t: np.full_like(
                                np.asarray(t, dtype=float), 0.4))
-        assert q_mean_infinity(query) == pytest.approx(0.4)
+        assert q_mean(query).mu == pytest.approx(0.4)
 
 
 class TestCoareaRoute:
@@ -217,11 +220,11 @@ class TestInfinityMidrange:
         query = QMeanQuery(cfg=BALL_CFG, q=INFINITY, xi=0.25,
                            profile=exp_profile)
         expected = 0.5 * (1.0 + math.exp(-2.0 * 0.5 / 0.25))
-        assert q_mean_infinity(query) == pytest.approx(expected, rel=1e-14)
+        assert q_mean(query).mu == pytest.approx(expected, rel=1e-14)
 
     def test_tends_to_half(self):
-        vals = [q_mean_infinity(QMeanQuery(cfg=BALL_CFG, q=INFINITY, xi=xi,
-                                           profile=exp_profile))
+        vals = [q_mean(QMeanQuery(cfg=BALL_CFG, q=INFINITY, xi=xi,
+                                  profile=exp_profile)).mu
                 for xi in (0.2, 0.05, 0.01)]
         devs = [abs(v - 0.5) for v in vals]
         assert devs[0] > devs[1] > devs[2]
@@ -231,17 +234,19 @@ class TestInfinityMidrange:
         # R > rho/2: the largest distance in B_R(x) is rho = 1, not 2R = 1.5
         cfg = touching_ball(BallDomain(1.0), [0.25, 0.0], 0.75)
         query = QMeanQuery(cfg=cfg, q=INFINITY, xi=1.0, profile=exp_profile)
-        assert q_mean_infinity(query) == pytest.approx(
+        assert q_mean(query).mu == pytest.approx(
             0.5 * (1.0 + math.exp(-1.0)), rel=1e-14)
 
     def test_wrong_q_rejected(self):
-        query = QMeanQuery(cfg=BALL_CFG, q=INFINITY, xi=0.1,
-                           profile=exp_profile)
-        with pytest.raises(ValueError):
-            q_mean(query)
-        finite = QMeanQuery(cfg=BALL_CFG, q=2.0, xi=0.1, profile=exp_profile)
-        with pytest.raises(ValueError):
-            q_mean_infinity(finite)
+        # only +inf is the midrange; nan and -inf are not exponents
+        for q in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="q must be > 1"):
+                QMeanQuery(cfg=BALL_CFG, q=q, xi=0.1, profile=exp_profile)
+
+    def test_result_fields(self):
+        res = q_mean(QMeanQuery(cfg=BALL_CFG, q=INFINITY, xi=0.25,
+                                profile=exp_profile))
+        assert (res.scaled, res.residual) == (res.mu, 0.0)
 
 
 class TestInvariants:
@@ -319,6 +324,19 @@ class TestInvariants:
 
         assert q_mean_bruteforce(cfg, 2.0, raw, n_samples=100_000,
                                  seed=17) == expected
+
+    def test_bruteforce_implicit_recorded(self):
+        # the implicit-domain q-mean: q_mean's former Monte Carlo branch gave
+        # this mu on the same sample
+        dom = make_ellipse_domain(2.0, 1.0)
+        cfg = touching_ball(dom, [0.0, 0.5], 0.5)
+
+        def raw(pts):
+            return exp_profile(np.maximum(boundary_distances(dom, pts), 0.0)
+                               / 0.1)
+
+        mu, _ = q_mean_bruteforce(cfg, 2.0, raw, n_samples=50_000, seed=3)
+        assert mu == 0.06926128851375023
 
     @pytest.mark.parametrize("n_samples", [0, 1, 2.5, np.float64(100.0)])
     def test_bruteforce_rejects_bad_sample_counts(self, n_samples):

@@ -193,6 +193,17 @@ class TestClosedFormKernels:
         with pytest.raises(ValueError):
             log_sinh_kernel(0.0, 0.5)
 
+    @pytest.mark.parametrize("sigma", [1e10, 1e20, 1e40])
+    def test_alpha_one_past_scipy_range(self, sigma):
+        # scipy's ive/kve are nan here; f = 1/sigma and
+        # I = (1 - e^{-2 sigma})/sigma at alpha = 1
+        assert log_sinh_kernel(sigma, 1.0) == pytest.approx(
+            -math.log(sigma), rel=1e-15)
+        assert log_sin_kernel(sigma, 1.0) == pytest.approx(
+            math.log(-math.expm1(-2.0 * sigma)) - math.log(sigma), rel=1e-15)
+        both = log_sinh_kernel(np.array([1.0, sigma]), 1.0)
+        assert both[1] == log_sinh_kernel(sigma, 1.0)
+
 
 def _record(fn, *args):
     """repr of a float result (or of a LogValue's log), or the error text."""

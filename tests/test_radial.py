@@ -142,11 +142,6 @@ class TestOdeResidual:
         for r in np.linspace(1.15, 2.5, 10):
             assert ode_residual(sol, float(r)) < 1e-3
 
-    def test_rejects_coarse_step(self):
-        sol = make(3, 2.0, 0.1, "ball")
-        with pytest.raises(ValueError):
-            ode_residual(sol, 0.5, h=0.02)
-
     def test_rejects_stencil_outside_domain(self):
         sol = make(3, 2.0, 0.1, "ball")
         with pytest.raises(ValueError):
