@@ -7,7 +7,9 @@ The q-mean of a function on B_R(x) is the unique root mu of
 For functions of the boundary distance the integrals collapse, by the
 co-area formula, to one-dimensional integrals against the level-set area,
 which is closed-form on radial domains; they are evaluated by the fixed-level
-rule quadrature.tanh_sinh_fixed with one array area call per node set.
+rule quadrature.tanh_sinh_fixed, which hands all of its nodes to the
+integrand at once, so each integral makes one profile call and one array
+area call.
 q_mean covers those domains only; on implicit domains the seeded Monte Carlo
 oracle q_mean_bruteforce takes a raw function of the points.  Every root
 (the q-mean itself and the distance where a profile crosses mu) is found by
@@ -205,11 +207,11 @@ def q_mean(query: QMeanQuery) -> QMeanResult:
     """The q-mean of the query's profile over B_R(x) on a radial domain.
 
     Finite q goes through the co-area route: G(mu) is a fixed-level
-    tanh-sinh integral against closed-form level-set areas (one array area
-    call per node set), and mu and the profile's crossing of mu are Brent
-    roots.  q = INFINITY gives the midrange (f(0) + f(s_max/xi))/2 of the
-    monotone profile, s_max the largest boundary distance in B_R(x), with
-    residual 0 and scaled == mu.
+    tanh-sinh integral against closed-form level-set areas (one profile
+    call and one array area call per integral), and mu and the profile's
+    crossing of mu are Brent roots.  q = INFINITY gives the midrange
+    (f(0) + f(s_max/xi))/2 of the monotone profile, s_max the largest
+    boundary distance in B_R(x), with residual 0 and scaled == mu.
     """
     cfg, xi, prof, q = query.cfg, query.xi, query.profile, query.q
     smax = _s_max(cfg)

@@ -10,13 +10,17 @@ weight once: its log, its interval and the strength of its endpoint
 singularity.  The tanh-sinh engine (Takahasi & Mori 1974) integrates them
 against any nonnegative g, is the kernels' fallback where the scaled Bessel
 values leave the float range, and is the oracle the closed forms are tested
-against.  One generator, _levels, builds the nodes of each refinement level
-and evaluates the integrand there, with endpoint offsets kept as logarithms.
-tanh_sinh_log sums the levels in the log domain with logsumexp, so endpoint
-singularities (sin theta)^alpha with alpha near -1 neither underflow nor
-overflow.  The linear-domain sums back signed integrands (mollifier
-numerators) in tanh_sinh_sum and, stopped at a fixed level, are the smooth
-rule of the co-area q-mean (tanh_sinh_fixed).
+against.  One helper, _evaluate, places the nodes of a set of abscissae
+(endpoint offsets kept as logarithms) and evaluates the integrand there in
+one call; the generator _levels feeds it one refinement level at a time.
+tanh_sinh_log sums the levels in the log domain, so endpoint singularities
+(sin theta)^alpha with alpha near -1 neither underflow nor overflow; its
+logsumexp is a local copy of scipy's algorithm, bit for bit, without scipy's
+array-API dispatch.  The linear-domain level sums back signed integrands
+(mollifier numerators) in tanh_sinh_sum.  Stopped at a fixed level they
+are the smooth rule of the co-area q-mean, tanh_sinh_fixed, which evaluates
+the nodes of all its levels in one integrand call and then adds the level
+sums in order, bit for bit the adaptive rule's running sum.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
-from scipy.special import gammaln, ive, kve, logsumexp
+from scipy.special import gammaln, ive, kve
 
 _LOG_PI_HALF = math.log(math.pi / 2.0)
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
@@ -117,30 +121,58 @@ def _level_abscissae(level: int, t_max: float) -> np.ndarray:
     return np.concatenate([-odd[::-1], odd])
 
 
-def _levels(f: Callable, a: float, b: float, beta: float
-            ) -> Iterator[tuple]:
-    """(h, h-free log node weights, f at the new nodes), level after level.
+def _evaluate(f: Callable, t: np.ndarray, a: float, b: float) -> tuple:
+    """(h-free log node weights, f at the nodes) for abscissae t on [a, b].
 
     f(x, da, db, log_da, log_db) gets the nodes x and their exact distances
     da, db to the endpoints; log_da/log_db never underflow.
     """
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
-    t_max = _t_max_for(beta)
+    z = 0.5 * math.pi * np.sinh(t)
+    log_w = _LOG_PI_HALF + _log_cosh(t) - 2.0 * _log_cosh(z)
     log_span = math.log(b - a)
+    log_da = log_span - _softplus(-2.0 * z)
+    log_db = log_span - _softplus(2.0 * z)
+    da = np.exp(log_da)
+    db = np.exp(log_db)
+    x = np.where(z <= 0.0, a + da, b - db)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        vals = np.asarray(f(x, da, db, log_da, log_db), dtype=float)
+    return log_w, vals
+
+
+def _levels(f: Callable, a: float, b: float, beta: float
+            ) -> Iterator[tuple]:
+    """(h, h-free log node weights, f at the new nodes), level after level."""
+    t_max = _t_max_for(beta)
     for level in itertools.count():
-        t = _level_abscissae(level, t_max)
-        z = 0.5 * math.pi * np.sinh(t)
-        log_w = _LOG_PI_HALF + _log_cosh(t) - 2.0 * _log_cosh(z)
-        log_da = log_span - _softplus(-2.0 * z)
-        log_db = log_span - _softplus(2.0 * z)
-        da = np.exp(log_da)
-        db = np.exp(log_db)
-        x = np.where(z <= 0.0, a + da, b - db)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                         under="ignore"):
-            vals = np.asarray(f(x, da, db, log_da, log_db), dtype=float)
+        log_w, vals = _evaluate(f, _level_abscissae(level, t_max), a, b)
         yield _BASE_STEP * 2.0 ** (-level), log_w, vals
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a 1-D float array, bit for bit scipy's logsumexp.
+
+    The m entries equal to the maximum are taken out of the shifted sum s,
+    so the result is log1p(s/m) + log(m) + max; where that is not finite the
+    direct log(sum(exp(a))) answers, and an empty array gives -inf.  scipy's
+    array-API dispatch costs more than the arithmetic on these sizes.
+    """
+    if a.size == 0:
+        return np.float64(-np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a)
+        top = a == a_max
+        m = np.sum(top, dtype=float)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+        if s != 0.0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return out
 
 
 def tanh_sinh_log(log_f: Callable, a: float, b: float,
@@ -148,7 +180,7 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
                   beta: float = 1.0) -> float:
     """Log of int_a^b exp(log_f) dx by level-doubled tanh-sinh.
 
-    log_f takes the node arguments of _levels and returns log integrand
+    log_f takes the node arguments of _evaluate and returns log integrand
     values; beta is the strength of the worst endpoint singularity.
     """
     blocks: list[np.ndarray] = []
@@ -158,7 +190,7 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
         terms = log_w + vals
         blocks.append(terms[~np.isnan(terms)])
         prev, current = current, (math.log(0.5 * (b - a)) + math.log(h)
-                                  + logsumexp(np.concatenate(blocks)))
+                                  + _logsumexp(np.concatenate(blocks)))
         if level >= 3 and ((current < _LOG_ABS_TOL and prev < _LOG_ABS_TOL)
                            or abs(current - prev) <= config.rel_tol):
             return current
@@ -166,13 +198,18 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
         "tanh-sinh refinement did not reach rel_tol", current, prev)
 
 
+def _level_sum(log_w: np.ndarray, vals: np.ndarray) -> float:
+    """Sum of the finite weighted terms of one level (h-free)."""
+    terms = np.exp(log_w) * vals
+    return float(np.sum(terms[np.isfinite(terms)]))
+
+
 def _linear_level_sums(f: Callable, a: float, b: float,
                        beta: float) -> Iterator[float]:
     """Running tanh-sinh estimates of int_a^b f, one per refinement level."""
     total = 0.0
     for h, log_w, vals in _levels(f, a, b, beta):
-        terms = np.exp(log_w) * vals
-        total += float(np.sum(terms[np.isfinite(terms)]))
+        total += _level_sum(log_w, vals)
         yield 0.5 * (b - a) * h * total
 
 
@@ -196,10 +233,21 @@ def tanh_sinh_fixed(f: Callable, a: float, b: float, level: int,
     """tanh_sinh_sum stopped at a fixed refinement level.
 
     Unlike the adaptive rule the result is a smooth deterministic function
-    of the endpoints, which keeps a root search over them monotone.
+    of the endpoints, which keeps a root search over them monotone.  The
+    nodes of levels 0..level go to f in one call; the level sums are then
+    added in level order, as the adaptive rule adds them.
     """
-    return next(itertools.islice(_linear_level_sums(f, a, b, beta),
-                                 level, None))
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    t_max = _t_max_for(beta)
+    blocks = [_level_abscissae(k, t_max) for k in range(level + 1)]
+    log_w, vals = _evaluate(f, np.concatenate(blocks), a, b)
+    edges = np.cumsum([block.size for block in blocks[:-1]])
+    total = 0.0
+    for w, v in zip(np.split(log_w, edges), np.split(vals, edges)):
+        total += _level_sum(w, v)
+    h = _BASE_STEP * 2.0 ** (-level)
+    return 0.5 * (b - a) * h * total
 
 
 def sin_family(sigma: float, alpha: float) -> tuple:

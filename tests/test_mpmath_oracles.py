@@ -1,4 +1,5 @@
-"""The kernels against 40- and 60-digit mpmath Bessel functions.
+"""The kernels and the radial solutions against 40- and 60-digit mpmath
+Bessel functions.
 
 mpmath is a test-only dependency: it shares no code with scipy's Bessel
 routines or with the package's tanh-sinh engine, so it pins both the closed
@@ -8,12 +9,14 @@ forms and the quadrature that backs them.
 import numpy as np
 import pytest
 
+from resolvent_asym.params import ProblemParams
 from resolvent_asym.quadrature import (
     DEFAULT_CONFIG,
     integrate_sinh_weighted,
     log_sin_kernel,
     log_sinh_kernel,
 )
+from resolvent_asym.radial import Geometry, RadialSolution, eval_log_u
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -102,3 +105,32 @@ def test_sinh_quadrature_cutoff(sigma, alpha):
     # that ignores the growth of (sinh theta)^alpha
     got = integrate_sinh_weighted(sigma, alpha).log_magnitude
     assert abs(got - log_sinh_oracle(sigma, alpha)) <= DEFAULT_CONFIG.rel_tol
+
+
+def log_u_oracle(kind, alpha, pprime, eps, r, R=1.0):
+    # log u = -nu log(r/R) + log Z_nu(k r) - log Z_nu(k R), Z = I on the
+    # ball and K on the exterior, nu = alpha/2, k = sqrt(p')/eps
+    nu = mp.mpf(alpha) / 2
+    k = mp.sqrt(mp.mpf(pprime)) / mp.mpf(eps)
+    r, R = mp.mpf(r), mp.mpf(R)
+    bessel = mp.besseli if kind == "ball" else mp.besselk
+    return float(-nu * mp.log(r / R) + mp.log(bessel(nu, k * r))
+                 - mp.log(bessel(nu, k * R)))
+
+
+@pytest.mark.parametrize("kind", ["ball", "exterior"])
+@pytest.mark.parametrize("n,p", [(2, 50.0), (3, 1.05)])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_eval_log_u(kind, n, p, eps):
+    # alpha = -48/49 (N = 2, p = 50) and alpha = 39 (N = 3, p = 1.05)
+    params = ProblemParams(n=n, p=p, eps=eps)
+    if kind == "ball":
+        sol = RadialSolution(params, Geometry.ball(1.0))
+        radii = [0.01, 0.3, 1.0 - 10.0 * eps, 1.0 - eps]
+    else:
+        sol = RadialSolution(params, Geometry.exterior(1.0))
+        radii = [1.0 + eps, 1.0 + 10.0 * eps, 1.3, 3.0]
+    got = eval_log_u(sol, np.array(radii))
+    for r, value in zip(radii, got):
+        ref = log_u_oracle(kind, params.alpha, params.p_conjugate, eps, r)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (r, value, ref)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import weakref
 
@@ -28,6 +29,7 @@ from resolvent_asym.quadrature import (
     log_sin_kernel,
     log_sinh_kernel,
 )
+from resolvent_asym import qmeans
 from resolvent_asym.qmeans import (
     QMeanQuery,
     QMeanResult,
@@ -389,6 +391,55 @@ class TestProfileLimit:
         route_b = qmean_profile_limit(BALL_CFG, q, exp_profile) \
             * pp ** (-(n + 1.0) / (4.0 * (q - 1.0)))
         assert route_b == pytest.approx(route_a, rel=1e-10)
+
+
+class TestRecordedCoarea:
+    """sha256 of the co-area q-means and profile limits, recorded before the
+    fixed-level rule evaluated all of its levels in one integrand call."""
+
+    CONFIGS = (BALL_CFG, EXT_CFG,
+               touching_ball(ExteriorBallDomain(1.0), [2.0, 0.0, 0.0], 1.0))
+
+    def test_q_mean_digest(self):
+        records = []
+        for cfg in self.CONFIGS:
+            for p in (1.5, 2.0, INFINITY):
+                for eps in (0.05, 0.02):
+                    pp = ProblemParams(n=cfg.n, p=p, eps=eps)
+                    prof = solution_profile(pp, cfg.domain)
+                    for q in (1.5, 2.0, 3.0):
+                        res = q_mean(QMeanQuery(cfg=cfg, q=q, xi=pp.xi,
+                                                profile=prof))
+                        records.append(repr((res.mu, res.scaled,
+                                             res.residual)))
+        assert len(records) == 54
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert digest == (
+            "60d29a24d0e9f4b9ba21e227990991abbd9782f66bc60f0a562cae302f90d9c0")
+
+    def test_one_area_call_per_integral(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return level_set_area(*args)
+
+        monkeypatch.setattr(qmeans, "level_set_area", counted)
+        cfg = self.CONFIGS[2]
+        pp = ProblemParams(n=3, p=2.0, eps=0.05)
+        prof = solution_profile(pp, cfg.domain)
+        smax = 2.0 * cfg.R
+        # mu between the profile's end values: both integrals are taken
+        mu = 0.5 * (prof(0.0) + prof(smax / pp.xi))
+        qmeans._coarea_G(mu, prof, pp.xi, 2.0, cfg, smax, 1.0)
+        assert len(calls) == 2
+
+    def test_profile_limit_digest(self):
+        records = [repr(qmean_profile_limit(cfg, q, exp_profile))
+                   for cfg in self.CONFIGS for q in (1.5, 2.0, 3.0)]
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert digest == (
+            "c957a613462b547c2bdee5ee92103a29dc1dcc02cd918419142624f19d591e70")
 
 
 class TestLimitExperiment:

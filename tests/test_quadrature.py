@@ -1,9 +1,10 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma, i0e, k0e, k1e, kve
+from scipy.special import gamma, i0e, k0e, k1e, kve, logsumexp
 
 from resolvent_asym.quadrature import (
     DEFAULT_CONFIG,
@@ -17,6 +18,8 @@ from resolvent_asym.quadrature import (
     tanh_sinh_fixed,
     tanh_sinh_log,
     tanh_sinh_sum,
+    _levels,
+    _logsumexp,
 )
 from resolvent_asym.special import (
     MollifierKind,
@@ -203,6 +206,62 @@ class TestClosedFormKernels:
             math.log(-math.expm1(-2.0 * sigma)) - math.log(sigma), rel=1e-15)
         both = log_sinh_kernel(np.array([1.0, sigma]), 1.0)
         assert both[1] == log_sinh_kernel(sigma, 1.0)
+
+
+class TestLogSumExp:
+    """The local logsumexp gives scipy's bits on the cases its algorithm
+    branches on."""
+
+    @pytest.mark.parametrize("a", [
+        [],
+        [0.3],
+        [2.0, -1.0, 2.0, 2.0, 0.5],
+        [-np.inf, -np.inf, -np.inf],
+        [1.0, np.inf, -3.0],
+        list(np.linspace(-700.0, 700.0, 1001)),
+        list(np.random.default_rng(5).normal(-40.0, 30.0, 777)),
+    ], ids=["empty", "one", "ties", "all-neg-inf", "pos-inf", "spread",
+            "normal"])
+    def test_bits_match_scipy(self, a):
+        a = np.array(a, dtype=float)
+        got = _logsumexp(a)
+        expected = logsumexp(a)
+        assert type(got) is type(expected)
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestFixedLevelRule:
+    @staticmethod
+    def _rows(args):
+        rows = np.column_stack(args)
+        return rows[np.lexsort(rows.T[::-1])]
+
+    @pytest.mark.parametrize("level", [0, 3, 7])
+    def test_one_call_on_the_nodes_of_levels_0_to_level(self, level):
+        calls = []
+
+        def f(*args):
+            calls.append([np.array(v) for v in args])
+            return np.exp(args[0])
+
+        tanh_sinh_fixed(f, -1.0, 2.5, level, 0.5)
+        assert len(calls) == 1
+        seen = []
+
+        def g(*args):
+            seen.append([np.array(v) for v in args])
+            return np.zeros_like(args[0])
+
+        for _ in itertools.islice(_levels(g, -1.0, 2.5, 0.5), level + 1):
+            pass
+        levels = [np.concatenate(v) for v in zip(*seen)]
+        assert np.array_equal(self._rows(calls[0]), self._rows(levels))
+
+    def test_rejects_negative_level_and_empty_interval(self):
+        with pytest.raises(ValueError, match="level"):
+            tanh_sinh_fixed(lambda x, *rest: x, 0.0, 1.0, -1)
+        with pytest.raises(ValueError, match="empty integration interval"):
+            tanh_sinh_fixed(lambda x, *rest: x, 1.0, 1.0, 3)
 
 
 def _record(fn, *args):
