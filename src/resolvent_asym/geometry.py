@@ -4,13 +4,19 @@ Three domain kinds are supported: the open ball of radius rho, the complement
 of a closed ball of radius r_e, and implicit domains {phi < 0} with analytic
 gradient and Hessian in dimensions 2 and 3.  Curvatures follow the
 inward-normal convention throughout (ball: +1/rho, ball complement: -1/r_e).
+
+Points go in blocks of _BLOCK = 2^13: the Newton projection works on one
+block at a time, and the Monte Carlo oracles draw their samples block by
+block (_ball_blocks), bit for bit the one-shot draw, so their memory is
+about 3 floats per sample.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import betainc, gamma
@@ -21,8 +27,9 @@ _PROJECT_TOL = 1e-12
 _PROJECT_MAX_ITER = 80
 _CURVATURE_FLOOR = 1e-3
 _TOUCH_TOL = 1e-9
-# points per projection block: keeps the Newton working set cache-sized
-_PROJECT_BLOCK = 1 << 15
+# points per block, for sampling and projection: a block's Newton
+# temporaries (about 2.3 MiB) stay cache-sized
+_BLOCK = 1 << 13
 _DEFAULT_SEED = 20260815
 _UNIQUENESS_DIRECTIONS = 10_000
 _N_STRATA = 64  # radius strata of level_set_area_mc
@@ -118,6 +125,36 @@ def _unit_directions(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     dirs = rng.standard_normal((m, n))
     dirs /= _row_norms(dirs)[:, None]
     return dirs
+
+
+def _ball_blocks(rng: np.random.Generator, x: np.ndarray, R: float, m: int,
+                 j: int = 0, strata: int = 1) -> Iterator[np.ndarray]:
+    """The m points R ((j + U)/S)^{1/N} d + x of radius stratum j of S
+    (j = 0, S = 1: uniform in B_R(x)), in blocks of _BLOCK rows.
+
+    Bit for bit the one-shot draw, whose uniforms U are rng.random(m) and
+    whose directions d (_unit_directions) follow them: Generator.random
+    takes one 64-bit output of a PCG64 generator per double, so the
+    uniforms come from a copy of rng and the directions from rng advanced
+    by m, which ends in the one-shot state.  Each block is scaled and
+    shifted column by column, in place.
+    """
+    n = x.size
+    uniform = copy.deepcopy(rng)
+    rng.bit_generator.advance(m)
+    for lo in range(0, m, _BLOCK):
+        k = min(_BLOCK, m - lo)
+        radii = uniform.random(k)
+        radii += j
+        radii /= strata
+        radii **= 1.0 / n
+        radii *= R
+        pts = _unit_directions(rng, k, n)
+        for i in range(n):
+            col = pts[:, i]
+            col *= radii
+            col += x[i]
+        yield pts
 
 
 def _dot(u, v):
@@ -238,15 +275,16 @@ def _project_implicit(domain: ImplicitDomain, points: np.ndarray) -> np.ndarray:
     is small and can end on a far critical point.  The steps are solved in
     closed form with the tangential curvature floored (_newton_step).
     Stops when a step moves y and lam by at most _PROJECT_TOL (1 + |y|).
-    The points go in blocks of _PROJECT_BLOCK (_project_block); each point's
-    iterates do not depend on the others, so blocking changes no bit.
+    The points go in blocks of _BLOCK = 2^13 (_project_block), the size the
+    Monte Carlo oracles draw in (_ball_blocks, about 3 floats of memory per
+    sample), whose Newton temporaries (about 2.3 MiB) stay cache-sized; each
+    point's iterates do not depend on the others, so blocking changes no bit.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     m = x.shape[0]
     y = np.empty_like(x)
-    failed = sum(_project_block(domain, x[lo:lo + _PROJECT_BLOCK],
-                                y[lo:lo + _PROJECT_BLOCK])
-                 for lo in range(0, m, _PROJECT_BLOCK))
+    failed = sum(_project_block(domain, x[lo:lo + _BLOCK], y[lo:lo + _BLOCK])
+                 for lo in range(0, m, _BLOCK))
     if failed:
         raise RuntimeError(
             f"nearest-point projection did not converge for "
@@ -467,7 +505,10 @@ def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
 
     Uniform samples in B_R(x), stratified over _N_STRATA = 64 radius
     shells with one spawned bit-generator per stratum; the level-set measure
-    is the fraction landing in [s - hw, s + hw] times vol(B_R)/(2 hw).
+    is the fraction landing in [s - hw, s + hw] times vol(B_R)/(2 hw).  The
+    bin must stay in d >= 0, where the samples land: hw <= s.  Each stratum
+    is drawn and binned in blocks (_ball_blocks), bit for bit the one-shot
+    draw, so the working set does not grow with n_samples.
 
     Strata that cannot reach the bin are counted without drawing.  The
     distance is 1-Lipschitz and d_Gamma(x) = R (to the tolerance that
@@ -483,6 +524,10 @@ def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
     hw = half_width if half_width is not None else 0.1 * s
     if not hw > 0.0:
         raise ValueError(f"half_width must be > 0, got {hw}")
+    if hw > s:
+        raise ValueError(
+            f"half_width {hw} exceeds s = {s}: the bin would reach below "
+            "d = 0, where no sample lands")
     _require_count("n_samples", n_samples)
     x = np.asarray(cfg.x, dtype=float)
     n = x.size
@@ -500,14 +545,10 @@ def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
         if cfg.R * ((j + 1) / _N_STRATA) ** (1.0 / n) < reach:
             total += m
             continue
-        rng = np.random.default_rng(seq)
-        u = (j + rng.random(m)) / _N_STRATA
-        radii = cfg.R * u ** (1.0 / n)
-        pts = _unit_directions(rng, m, n)
-        pts *= radii[:, None]
-        pts += x
-        d = boundary_distances(domain, pts)
-        hits = int(np.sum(np.abs(d - s) <= hw))
+        hits = sum(
+            np.count_nonzero(np.abs(boundary_distances(domain, pts) - s) <= hw)
+            for pts in _ball_blocks(np.random.default_rng(seq), x, cfg.R, m,
+                                    j, _N_STRATA))
         p_hat = hits / m
         counts_total += hits
         var_sum += m * p_hat * (1.0 - p_hat)

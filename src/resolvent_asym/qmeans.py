@@ -11,7 +11,11 @@ rule quadrature.tanh_sinh_fixed, which hands all of its nodes to the
 integrand at once, so each integral makes one profile call and one array
 area call.
 q_mean covers those domains only; on implicit domains the seeded Monte Carlo
-oracle q_mean_bruteforce takes a raw function of the points.  Every root
+oracle q_mean_bruteforce takes a raw function of the points.  The Monte Carlo
+paths draw their sample in blocks (geometry._ball_blocks), bit for bit the
+one-shot draw, and keep about 3 floats per sample: the values, one scratch
+array for the empirical root, and the boundary distances in the limit
+experiment.  Every root
 (the q-mean itself and the distance where a profile crosses mu) is found by
 scipy's brentq through one helper, _root.
 
@@ -32,13 +36,14 @@ from scipy.special import gammaln
 
 from .barriers import EnhancedBarriers, enhanced_U, enhanced_V
 from .geometry import (
+    _BLOCK,
     _DEFAULT_SEED,
     BallDomain,
     ExteriorBallDomain,
     ImplicitDomain,
     TouchingBallConfig,
+    _ball_blocks,
     _require_count,
-    _unit_directions,
     boundary_distances,
     level_set_area,
 )
@@ -135,22 +140,32 @@ def _scaled_exponent(n: int, q: float) -> float:
     return (n + 1.0) / (2.0 * (q - 1.0))
 
 
-def _sample_ball(x: np.ndarray, R: float, n_samples: int,
-                 seed: int) -> np.ndarray:
-    _require_count("n_samples", n_samples)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    rng = np.random.default_rng(seed)
-    radii = R * rng.random(n_samples) ** (1.0 / n)
-    pts = _unit_directions(rng, n_samples, n)
-    pts *= radii[:, None]
-    pts += x
-    return pts
+def _fill_from_ball(cfg: TouchingBallConfig, n_samples: int, seed: int,
+                    fn: Callable) -> np.ndarray:
+    """fn of n_samples uniform points of B_R(x), drawn in blocks
+    (_ball_blocks, bit for bit the one-shot draw) into one float array; fn
+    must be pointwise, so that it gives each point the value it would give
+    it in a single call."""
+    out = np.empty(n_samples)
+    lo = 0
+    for pts in _ball_blocks(np.random.default_rng(seed),
+                            np.asarray(cfg.x, dtype=float), cfg.R, n_samples):
+        out[lo:lo + len(pts)] = fn(pts)
+        lo += len(pts)
+    return out
 
 
-def _sample_G(mu: float, v: np.ndarray, qm1: float) -> float:
-    return float(np.mean(np.maximum(v - mu, 0.0) ** qm1)
-                 - np.mean(np.maximum(mu - v, 0.0) ** qm1))
+def _sample_G(mu: float, v: np.ndarray, qm1: float, buf: np.ndarray) -> float:
+    """mean [v - mu]_+^{q-1} - mean [mu - v]_+^{q-1}, each side evaluated
+    in the scratch array buf (`**=` keeps numpy's scalar-power fast paths)."""
+    np.subtract(v, mu, out=buf)
+    np.maximum(buf, 0.0, out=buf)
+    buf **= qm1
+    upper = buf.mean()
+    np.subtract(mu, v, out=buf)
+    np.maximum(buf, 0.0, out=buf)
+    buf **= qm1
+    return float(upper - buf.mean())
 
 
 def _empirical_qmean(values: np.ndarray, q: float) -> Tuple[float, float]:
@@ -159,7 +174,7 @@ def _empirical_qmean(values: np.ndarray, q: float) -> Tuple[float, float]:
     lo, hi = float(v.min()), float(v.max())
     if hi - lo <= 1e-14 * max(1.0, abs(hi)):
         return 0.5 * (lo + hi), 0.0
-    return _root(_sample_G, lo, hi, v, q - 1.0)
+    return _root(_sample_G, lo, hi, v, q - 1.0, np.empty_like(v))
 
 
 def _prof_at(profile: Callable, tau: float) -> float:
@@ -232,9 +247,12 @@ def q_mean_bruteforce(cfg: TouchingBallConfig, q: float, raw: Callable,
     """Monte Carlo oracle: (mu, standard error) for a raw function on the ball.
 
     It is the q-mean on implicit domains and the co-area route's oracle.
-    The error is the delta-method estimate sd(g)/(sqrt(n) |E dG/dmu|) for the
-    estimating function g(v, mu) = [v-mu]_+^{q-1} - [mu-v]_+^{q-1}; at q = 2
-    this reduces to the usual sd/sqrt(n) of the sample mean.
+    raw must be pointwise (a point's value may not depend on the other
+    points): the sample is drawn in blocks, bit for bit the one-shot draw,
+    and raw sees one block at a time, so memory stays at about 3 floats per
+    sample.  The error is the delta-method estimate sd(g)/(sqrt(n) |E dG/dmu|)
+    for the estimating function g(v, mu) = [v-mu]_+^{q-1} - [mu-v]_+^{q-1};
+    at q = 2 this reduces to the usual sd/sqrt(n) of the sample mean.
     """
     if is_infinity(q):
         raise ValueError("the Monte Carlo oracle covers finite q only")
@@ -242,16 +260,27 @@ def q_mean_bruteforce(cfg: TouchingBallConfig, q: float, raw: Callable,
         raise ValueError(f"q must be > 1, got {q}")
     # the standard error needs two samples
     _require_count("n_samples", n_samples, 2)
-    pts = _sample_ball(np.asarray(cfg.x, dtype=float), cfg.R, n_samples, seed)
-    v = np.asarray(raw(pts), dtype=float)
+    v = _fill_from_ball(cfg, n_samples, seed, raw)
     mu, _ = _empirical_qmean(v, q)
     qm1 = q - 1.0
-    g = np.maximum(v - mu, 0.0) ** qm1 - np.maximum(mu - v, 0.0) ** qm1
-    dev = np.abs(v - mu)
+    # g = |v - mu|^{q-1}, negated below mu (0 - [mu-v]^{q-1}, as in G)
+    g = np.subtract(v, mu)
+    below = g < 0.0
+    np.abs(g, out=g)
+    g **= qm1
+    np.subtract(0.0, g, out=g, where=below)
+    var = float(np.var(g))
+    del g, below
+    # the slope terms q-1 |v - mu|^{q-2}, finite and at v != mu, in v itself
+    v -= mu
+    np.abs(v, out=v)
+    keep = v > 0.0
     with np.errstate(divide="ignore", over="ignore"):
-        slope_terms = qm1 * dev[dev > 0.0] ** (qm1 - 1.0)
-    slope = float(np.sum(slope_terms[np.isfinite(slope_terms)])) / v.size
-    se = math.sqrt(float(np.var(g)) / v.size) / max(slope, 1e-300)
+        v **= qm1 - 1.0
+    v *= qm1
+    keep &= np.isfinite(v)
+    slope = float(np.sum(v[keep])) / v.size
+    se = math.sqrt(var / v.size) / max(slope, 1e-300)
     return mu, se
 
 
@@ -306,7 +335,7 @@ def solution_profile(params: ProblemParams,
         sol = RadialSolution(params, Geometry.ball(domain.rho))
 
         def rmap(dist: np.ndarray) -> np.ndarray:
-            return np.clip(domain.rho - dist, 0.0, domain.rho)
+            return np.minimum(np.maximum(domain.rho - dist, 0.0), domain.rho)
     elif isinstance(domain, ExteriorBallDomain):
         sol = RadialSolution(params, Geometry.exterior(domain.r_e))
 
@@ -317,11 +346,9 @@ def solution_profile(params: ProblemParams,
     xi = params.xi
 
     def prof(tau: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        scalar = np.isscalar(tau) or np.asarray(tau).ndim == 0
-        tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        r = rmap(xi * tau_arr)
+        r = rmap(xi * np.asarray(tau, dtype=float))
         out = np.exp(np.asarray(eval_log_u(sol, r), dtype=float))
-        return float(out[0]) if scalar else out
+        return float(out) if np.ndim(tau) == 0 else out
 
     return prof
 
@@ -371,19 +398,25 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
             rows.append(make_row(pp, res.mu, res.residual, "coarea"))
         return rows
 
-    pts = _sample_ball(np.asarray(cfg.x, dtype=float), cfg.R, n_samples, seed)
-    d = np.maximum(boundary_distances(dom, pts), 0.0)
+    _require_count("n_samples", n_samples)
+    d = _fill_from_ball(cfg, n_samples, seed,
+                        lambda pts: boundary_distances(dom, pts))
+    np.maximum(d, 0.0, out=d)
+    vals = np.empty_like(d)
     for pp in params_seq:
         b = EnhancedBarriers(pp, r_i=cfg.R, r_e=cfg.R)
-        tau = d / pp.xi
         ends = np.array([0.0, 2.0 * cfg.R / pp.xi])
-        for path, log_vals, log_ends in (
-                ("barrier-U", enhanced_U(b, tau), enhanced_U(b, ends)),
-                ("barrier-V", enhanced_V(b, tau), enhanced_V(b, ends))):
+        for path, barrier in (("barrier-U", enhanced_U),
+                              ("barrier-V", enhanced_V)):
             if is_infinity(q):
-                mu = 0.5 * float(np.sum(np.exp(log_ends)))
+                mu = 0.5 * float(np.sum(np.exp(barrier(b, ends))))
                 residual = 0.0
             else:
-                mu, residual = _empirical_qmean(np.exp(log_vals), float(q))
+                # the barriers are pointwise in tau: one block at a time
+                for lo in range(0, d.size, _BLOCK):
+                    vals[lo:lo + _BLOCK] = barrier(b, d[lo:lo + _BLOCK]
+                                                   / pp.xi)
+                np.exp(vals, out=vals)
+                mu, residual = _empirical_qmean(vals, float(q))
             rows.append(make_row(pp, mu, residual, path))
     return rows

@@ -391,7 +391,7 @@ def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,
         raise ValueError(f"alpha must be > -1, got {alpha}")
     s = np.asarray(sigma, dtype=float)
     valid = s > 0.0 if positive else s >= 0.0
-    if not np.all(valid):
+    if not valid.all():
         raise ValueError(f"sigma must be {'>' if positive else '>='} 0, "
                          f"got {sigma}")
     flat = s.reshape(-1)
@@ -403,11 +403,13 @@ def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,
         if far.any():
             b[far] = _large_argument(nu, flat[far], positive)
         out = log_const - nu * np.log(0.5 * flat) + np.log(b)
-    zero = flat == 0.0
-    # I(0) = sqrt(pi) Gamma((alpha+1)/2) / Gamma(nu+1), the Beta integral
-    out[zero] = log_const - gammaln(nu + 1.0)
-    for i in np.flatnonzero(~zero & ~((b >= _TINY) & (b < math.inf))):
-        out[i] = integrate(float(flat[i]), alpha).log_magnitude
+    usable = (b >= _TINY) & (b < math.inf)
+    if not (usable.all() and flat.all()):
+        zero = flat == 0.0
+        # I(0) = sqrt(pi) Gamma((alpha+1)/2) / Gamma(nu+1), the Beta integral
+        out[zero] = log_const - gammaln(nu + 1.0)
+        for i in np.flatnonzero(~zero & ~usable):
+            out[i] = integrate(float(flat[i]), alpha).log_magnitude
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 

@@ -56,10 +56,10 @@ class RadialSolution:
 def _check_radius(sol: RadialSolution, r: np.ndarray) -> None:
     R = sol.geometry.R
     if sol.geometry.kind is GeometryKind.BALL:
-        if np.any(r < 0.0) or np.any(r > R * (1.0 + 1e-12)):
+        if (r < 0.0).any() or (r > R * (1.0 + 1e-12)).any():
             raise ValueError(f"radius outside the closed ball [0, {R}]")
     else:
-        if np.any(r < R * (1.0 - 1e-12)):
+        if (r < R * (1.0 - 1e-12)).any():
             raise ValueError(f"radius inside the excluded ball (< {R})")
 
 
@@ -75,7 +75,10 @@ def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray]
     Ball, p=inf, R=1, eps=0.1 at the center: -log cosh(10) ~ -9.30685.
     Exterior, p=inf, R=1, eps=0.1 at r=1.2: exactly -2.
     """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    scalar = np.ndim(r) == 0
+    r_arr = np.asarray(r, dtype=float)
+    if scalar:
+        r_arr = r_arr.reshape(1)
     _check_radius(sol, r_arr)
     p = sol.params
     R = sol.geometry.R
@@ -89,12 +92,11 @@ def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray]
     else:
         root = math.sqrt(p.p_conjugate)
         kernel = log_sin_kernel if ball else log_sinh_kernel
-        log_k = kernel(root * np.append(r_arr, R) / eps, p.alpha)
+        log_k = kernel(root * np.concatenate((r_arr.reshape(-1), [R])) / eps,
+                       p.alpha)
         sign = 1.0 if ball else -1.0
         out = sign * root * (r_arr - R) / eps + log_k[:-1] - log_k[-1]
-    if np.isscalar(r) or np.asarray(r).ndim == 0:
-        return float(out[0])
-    return out
+    return float(out[0]) if scalar else out
 
 
 def eval_u(sol: RadialSolution, r: Union[float, np.ndarray]

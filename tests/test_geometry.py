@@ -24,7 +24,13 @@ from resolvent_asym.geometry import (
     touching_ball,
     unit_sphere_area,
 )
-from resolvent_asym.qmeans import _sample_ball
+
+
+def sample_ball(x, R: float, n: int, seed: int) -> np.ndarray:
+    """n uniform points of B_R(x) from default_rng(seed): the sampler's
+    blocks, concatenated."""
+    return np.concatenate(list(geometry._ball_blocks(
+        np.random.default_rng(seed), np.asarray(x, dtype=float), R, n)))
 
 
 def implicit_ball(rho: float, dim: int = 2) -> ImplicitDomain:
@@ -168,7 +174,7 @@ class TestDistanceAndNearest:
         # the sample of the workload ball touching the minor-axis vertex;
         # deep points there have a tiny |grad phi| and four critical points
         dom = make_ellipse_domain(2.0, 1.0)
-        pts = _sample_ball(np.array([0.0, 0.5]), 0.5, 20_000, 101)
+        pts = sample_ball(np.array([0.0, 0.5]), 0.5, 20_000, 101)
         d = np.linalg.norm(geometry._project_implicit(dom, pts) - pts, axis=1)
         # 4e4 parametric nodes; the points have y >= 0 and reflecting
         # y -> -y brings a lower boundary point nearer, so the upper half
@@ -277,21 +283,21 @@ class TestDistanceAndNearest:
 
     def test_blocks_change_no_bit(self, monkeypatch):
         dom = make_ellipse_domain(2.0, 1.0)
-        m = 2 * geometry._PROJECT_BLOCK + 1234
+        m = 2 * geometry._BLOCK + 1234
         pts = np.random.default_rng(2).uniform(-3.0, 3.0, (m, 2))
         d = boundary_distances(dom, pts)
         by_block = np.concatenate([boundary_distances(dom, pts[lo:lo + 5000])
                                    for lo in range(0, m, 5000)])
         assert np.array_equal(d, by_block)
-        monkeypatch.setattr(geometry, "_PROJECT_BLOCK", 777)
+        monkeypatch.setattr(geometry, "_BLOCK", 777)
         assert np.array_equal(boundary_distances(dom, pts), d)
 
     def test_nan_gradient_in_a_later_block_is_reported(self):
         ell = make_ellipse_domain(2.0, 1.0)
-        m = 2 * geometry._PROJECT_BLOCK + 100
+        m = 2 * geometry._BLOCK + 100
         pts = np.random.default_rng(3).uniform(-1.0, 1.0, (m, 2))
         pts *= [1.4, 0.7]
-        bad = pts[geometry._PROJECT_BLOCK + 17].copy()
+        bad = pts[geometry._BLOCK + 17].copy()
 
         def grad(p):
             out = ell.grad(p)
@@ -497,6 +503,18 @@ class TestLevelSetArea:
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             level_set_area_mc(cfg.domain, cfg, 0.05, **kwargs)
 
+    def test_mc_rejects_bin_below_zero(self):
+        # at s = 0.01, hw = 0.02 the bin [-0.01, 0.03] takes no samples
+        # from d < 0 and the estimate came out low (0.240 against a bin
+        # average of 0.321 over d > 0)
+        cfg = self.ball_cfg()
+        with pytest.raises(ValueError, match="below d = 0"):
+            level_set_area_mc(cfg.domain, cfg, 0.01, n_samples=1000,
+                              half_width=0.02)
+        area, se = level_set_area_mc(cfg.domain, cfg, 0.01, n_samples=1000,
+                                     half_width=0.01)
+        assert area > 0.0 and se > 0.0
+
     def test_mc_deterministic_given_seed(self):
         cfg = self.ball_cfg()
         a1 = level_set_area_mc(cfg.domain, cfg, 0.1, n_samples=200_000, seed=11)
@@ -513,6 +531,35 @@ class TestLevelSetArea:
         approx, se = level_set_area_mc(dom, cfg_impl, s, n_samples=100_000,
                                        seed=3)
         assert abs(approx - closed) <= max(3.0 * se, 0.05 * closed)
+
+
+B = geometry._BLOCK
+
+
+class TestBallBlocks:
+    """The block sampler against the one-shot draws it replaces: uniform in
+    the ball (radii R U^{1/N}) and in a radius stratum (R ((j + U)/S)^{1/N})."""
+
+    @pytest.mark.parametrize("m", [1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("j,strata", [(0, 1), (5, 64), (63, 64)])
+    def test_blocks_are_the_one_shot_draw(self, m, n, j, strata):
+        x, R = np.linspace(0.3, -0.7, n), 0.75
+        one_shot = np.random.default_rng(42)
+        if strata == 1:
+            radii = R * one_shot.random(m) ** (1.0 / n)
+        else:
+            radii = R * ((j + one_shot.random(m)) / strata) ** (1.0 / n)
+        expected = one_shot.standard_normal((m, n))
+        expected /= np.linalg.norm(expected, axis=1)[:, None]
+        expected *= radii[:, None]
+        expected += x
+        rng = np.random.default_rng(42)
+        blocks = list(geometry._ball_blocks(rng, x, R, m, j, strata))
+        assert [len(b) for b in blocks] == \
+            [B] * (m // B) + ([m % B] if m % B else [])
+        assert np.concatenate(blocks).tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == one_shot.bit_generator.state
 
 
 class TestRecordedOutputs:
@@ -545,7 +592,23 @@ class TestRecordedOutputs:
          "84b2a22ca7c47d10d142c67de89aeb2bccc0eb807f3333afb3854c066fc73d25"),
     ])
     def test_sample_ball(self, x, R, expected):
-        assert self.digest(_sample_ball(np.array(x), R, 50_000, 3)) == expected
+        assert self.digest(sample_ball(np.array(x), R, 50_000, 3)) == expected
+
+    @pytest.mark.parametrize("domain,x,R,expected", [
+        (BallDomain(1.0), [0.5, 0.0], 0.5,
+         (0.5918251904261007, 0.006505405897499607)),
+        (ExteriorBallDomain(1.0), [2.0, 0.0, 0.0], 1.0,
+         (0.16337231275408773, 0.008067435965794496)),
+        (make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5,
+         (0.47319052810834017, 0.005844532138771606)),
+    ])
+    def test_level_set_area_mc_uneven_strata(self, domain, x, R, expected):
+        # recorded before the sampler drew in blocks: 64 strata of 16,385
+        # or 16,386 points, each more than two blocks of 8,192
+        cfg = touching_ball(domain, x, R)
+        assert level_set_area_mc(domain, cfg, 0.05,
+                                 n_samples=64 * (2 * 8192 + 1) + 17,
+                                 seed=31) == expected
 
 
 class TestModulusAndPsi:

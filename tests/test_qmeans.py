@@ -29,18 +29,25 @@ from resolvent_asym.quadrature import (
     log_sin_kernel,
     log_sinh_kernel,
 )
-from resolvent_asym import qmeans
+from resolvent_asym import geometry, qmeans
 from resolvent_asym.qmeans import (
     QMeanQuery,
     QMeanResult,
     _empirical_qmean,
-    _sample_ball,
     q_mean,
     q_mean_bruteforce,
     qmean_limit_experiment,
     qmean_profile_limit,
     solution_profile,
 )
+
+
+def sample_ball(x, R: float, n: int, seed: int) -> np.ndarray:
+    """n uniform points of B_R(x) from default_rng(seed): the sampler's
+    blocks, concatenated."""
+    return np.concatenate(list(geometry._ball_blocks(
+        np.random.default_rng(seed), np.asarray(x, dtype=float), R, n)))
+
 
 BALL_CFG = touching_ball(BallDomain(1.0), [0.5, 0.0], 0.5)
 EXT_CFG = touching_ball(ExteriorBallDomain(1.0), [2.0, 0.0], 1.0)
@@ -269,7 +276,7 @@ class TestInvariants:
         dom = make_ellipse_domain(2.0, 1.0)
         cfg = touching_ball(dom, [0.0, 0.5], 0.5)
         params = ProblemParams(n=2, p=INFINITY, eps=0.05)
-        pts = _sample_ball(cfg.x, cfg.R, 40_000, seed=9)
+        pts = sample_ball(cfg.x, cfg.R, 40_000, seed=9)
         d = np.maximum(boundary_distances(dom, pts), 0.0)
         tau = d / params.xi
         b = EnhancedBarriers(params, r_i=cfg.R, r_e=cfg.R)
@@ -300,7 +307,7 @@ class TestInvariants:
         raw = lambda pts: np.asarray(pts[:, 0], dtype=float)
         mu, se = q_mean_bruteforce(BALL_CFG, 2.0, raw, n_samples=100_000,
                                    seed=3)
-        pts = _sample_ball(BALL_CFG.x, BALL_CFG.R, 100_000, seed=3)
+        pts = sample_ball(BALL_CFG.x, BALL_CFG.R, 100_000, seed=3)
         v = pts[:, 0]
         assert mu == pytest.approx(float(np.mean(v)), abs=1e-10)
         assert se == pytest.approx(float(np.std(v)) / math.sqrt(v.size),
@@ -440,6 +447,56 @@ class TestRecordedCoarea:
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
         assert digest == (
             "c957a613462b547c2bdee5ee92103a29dc1dcc02cd918419142624f19d591e70")
+
+
+class TestRecordedMonteCarlo:
+    """Monte Carlo q-means recorded before the sampler drew in blocks; the
+    sample sizes are not multiples of the 8,192-point block."""
+
+    ELLIPSE_CFG = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5],
+                                0.5)
+
+    @pytest.mark.parametrize("case,q,expected", [
+        ("ball", 1.5, (0.02351428233484927, 0.0003326081287788858)),
+        ("ball", 3.0, (0.12504818811647175, 0.0011853935577060956)),
+        ("ext3", 1.5, (0.00023258020433325835, 9.207583572668864e-06)),
+        ("ext3", 3.0, (0.027567933196670568, 0.0010877973533818096)),
+        ("ellipse", 1.5, (0.03337970499262071, 0.000419003120808755)),
+        ("ellipse", 3.0, (0.13944036712349073, 0.00118071019272742)),
+    ])
+    def test_bruteforce(self, case, q, expected):
+        if case == "ellipse":
+            cfg, prof, xi = self.ELLIPSE_CFG, exp_profile, 0.1
+        else:
+            cfg = BALL_CFG if case == "ball" else touching_ball(
+                ExteriorBallDomain(1.0), [2.0, 0.0, 0.0], 1.0)
+            pp = ProblemParams(n=cfg.n, p=2.0, eps=0.1)
+            prof, xi = solution_profile(pp, cfg.domain), pp.xi
+
+        def raw(pts):
+            return prof(np.maximum(boundary_distances(cfg.domain, pts), 0.0)
+                        / xi)
+
+        assert q_mean_bruteforce(cfg, q, raw, n_samples=5 * 8192 + 3,
+                                 seed=23) == expected
+
+    @pytest.mark.parametrize("p,expected", [
+        (2.0, [0.06272024307306359, 1.435539783881219e-18,
+               0.0661006659082048, 0.0,
+               0.0380219715811156, 2.527857024935672e-19,
+               0.0390348855463204, 0.0]),
+        (INFINITY, [0.0826777555303361, 2.858065633830143e-18,
+                    0.08268321287076061, 0.0,
+                    0.049779444865857364, 0.0,
+                    0.04977944498967818, 4.869809537451479e-19]),
+    ])
+    def test_implicit_limit_rows(self, p, expected):
+        seq = [ProblemParams(n=2, p=p, eps=e) for e in (0.05, 0.025)]
+        rows = qmean_limit_experiment(seq, self.ELLIPSE_CFG, 3.0,
+                                      n_samples=3 * 8192 + 5, seed=9)
+        assert [r["path"] for r in rows] == ["barrier-U", "barrier-V"] * 2
+        assert [v for r in rows for v in (r["mu"], r["residual"])] == \
+            expected
 
 
 class TestLimitExperiment:
