@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .geometry import area_ratio_limit, level_set_area
 from .params import INFINITY, ProblemParams
-from .quadrature import DEFAULT_CONFIG, NonConvergenceError, QuadratureConfig
+from .quadrature import NonConvergenceError
 from .radial import Geometry, RadialSolution, eval_log_u, varadhan_residual
 from .special import bessel_k_identity_residual, f_exact
 
@@ -81,14 +81,12 @@ def _cmd_eval_radial(args) -> int:
 
 
 def _cmd_special_f(args) -> int:
-    config = QuadratureConfig(rel_tol=args.rel_tol,
-                              max_refinements=args.max_refinements)
-    lv = f_exact(args.sigma, args.alpha, config)
+    lv = f_exact(args.sigma, args.alpha)
     row = {"sigma": args.sigma, "alpha": args.alpha,
            "f": lv.value(), "log_f": lv.log_magnitude}
     if args.check_bessel:
         row["bessel_residual"] = bessel_k_identity_residual(
-            args.sigma, args.alpha, config)
+            args.sigma, args.alpha)
     _print_table([row])
     return 0
 
@@ -170,9 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--check-bessel", action="store_true",
                     help="also print the Bessel-K identity residual")
-    sp.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol)
-    sp.add_argument("--max-refinements", type=int,
-                    default=DEFAULT_CONFIG.max_refinements)
     sp.set_defaults(func=_cmd_special_f)
 
     sp = sub.add_parser("barriers",

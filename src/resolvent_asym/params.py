@@ -41,9 +41,11 @@ def _validate_dimension(n: int) -> int:
 def conjugate(p: float) -> float:
     """Conjugate exponent p' = p/(p-1); equals 1.0 at p = INFINITY.
 
-    The involution conjugate(conjugate(p)) == p holds exactly for finite p
-    and maps INFINITY <-> 1 only in the limit, so inputs must stay in
-    (1, INFINITY].
+    The involution conjugate(conjugate(p)) == p holds only to
+    |conjugate(conjugate(p)) - p| <= 2^-52 p^2 for finite p: the conjugate
+    of a large p is 1 + 1/(p - 1) and keeps about 52 - log2(p) bits of it
+    (at p = 1e13 the round trip is off by 8e-4 relative).  INFINITY <-> 1
+    holds only in the limit, so inputs must stay in (1, INFINITY].
     """
     p = _validate_p(p)
     if math.isinf(p):

@@ -360,7 +360,8 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
     """Scaled q-means along an eps sequence against the limit prediction.
 
     Radial domains evaluate the exact solution through the co-area route
-    (path "coarea").  Implicit domains sample boundary distances once and
+    (path "coarea").  Implicit domains sample boundary distances once (at
+    q = INFINITY not at all: the barriers' end values give the sup) and
     report the barrier pair (paths "barrier-U", "barrier-V"), which brackets
     the solution's q-mean.  The scaled column is (R/eps)^{(N+1)/(2(q-1))} mu;
     the prediction carries the matching (p')^{(N+1)/2} factor.
@@ -399,10 +400,11 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
         return rows
 
     _require_count("n_samples", n_samples)
-    d = _fill_from_ball(cfg, n_samples, seed,
-                        lambda pts: boundary_distances(dom, pts))
-    np.maximum(d, 0.0, out=d)
-    vals = np.empty_like(d)
+    if not is_infinity(q):
+        d = _fill_from_ball(cfg, n_samples, seed,
+                            lambda pts: boundary_distances(dom, pts))
+        np.maximum(d, 0.0, out=d)
+        vals = np.empty_like(d)
     for pp in params_seq:
         b = EnhancedBarriers(pp, r_i=cfg.R, r_e=cfg.R)
         ends = np.array([0.0, 2.0 * cfg.R / pp.xi])

@@ -20,7 +20,10 @@ array-API dispatch.  The linear-domain level sums back signed integrands
 (mollifier numerators) in tanh_sinh_sum.  Stopped at a fixed level they
 are the smooth rule of the co-area q-mean, tanh_sinh_fixed, which evaluates
 the nodes of all its levels in one integrand call and then adds the level
-sums in order, bit for bit the adaptive rule's running sum.
+sums in order, bit for bit the adaptive rule's running sum.  The adaptive
+rules stop once two levels differ by _REL_TOL (relative; in the log for
+tanh_sinh_log), or fail after _MAX_REFINEMENTS level doublings past the
+coarse pass; both module constants are read at call time.
 """
 
 from __future__ import annotations
@@ -40,29 +43,8 @@ _BASE_STEP = 0.5
 # Integrals below this absolute floor are accepted as converged.
 _ABS_TOL = 1e-300
 _LOG_ABS_TOL = math.log(_ABS_TOL)
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and refinement budget of the adaptive engine.
-
-    rel_tol is a relative target for the log of the integral between two
-    refinement levels; max_refinements counts level doublings after the
-    coarse pass.
-    """
-
-    rel_tol: float = 1e-10
-    max_refinements: int = 10
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_refinements < 1:
-            raise ValueError(
-                f"max_refinements must be >= 1, got {self.max_refinements}")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+_REL_TOL = 1e-10
+_MAX_REFINEMENTS = 10
 
 
 @dataclass(frozen=True)
@@ -176,7 +158,6 @@ def _logsumexp(a: np.ndarray) -> np.float64:
 
 
 def tanh_sinh_log(log_f: Callable, a: float, b: float,
-                  config: QuadratureConfig = DEFAULT_CONFIG,
                   beta: float = 1.0) -> float:
     """Log of int_a^b exp(log_f) dx by level-doubled tanh-sinh.
 
@@ -185,14 +166,14 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
     """
     blocks: list[np.ndarray] = []
     prev = current = math.nan
-    for level, (h, log_w, vals) in zip(range(config.max_refinements + 1),
+    for level, (h, log_w, vals) in zip(range(_MAX_REFINEMENTS + 1),
                                        _levels(log_f, a, b, beta)):
         terms = log_w + vals
         blocks.append(terms[~np.isnan(terms)])
         prev, current = current, (math.log(0.5 * (b - a)) + math.log(h)
                                   + _logsumexp(np.concatenate(blocks)))
         if level >= 3 and ((current < _LOG_ABS_TOL and prev < _LOG_ABS_TOL)
-                           or abs(current - prev) <= config.rel_tol):
+                           or abs(current - prev) <= _REL_TOL):
             return current
     raise NonConvergenceError(
         "tanh-sinh refinement did not reach rel_tol", current, prev)
@@ -214,15 +195,14 @@ def _linear_level_sums(f: Callable, a: float, b: float,
 
 
 def tanh_sinh_sum(f: Callable, a: float, b: float,
-                  config: QuadratureConfig = DEFAULT_CONFIG,
                   beta: float = 1.0) -> float:
     """Linear-domain twin of tanh_sinh_log for signed integrands."""
     prev = current = math.nan
-    for level, estimate in zip(range(config.max_refinements + 1),
+    for level, estimate in zip(range(_MAX_REFINEMENTS + 1),
                                _linear_level_sums(f, a, b, beta)):
         prev, current = current, estimate
         if level >= 3 and (abs(current - prev)
-                           <= config.rel_tol * abs(current) + _ABS_TOL):
+                           <= _REL_TOL * abs(current) + _ABS_TOL):
             return current
     raise NonConvergenceError(
         "tanh-sinh refinement did not reach rel_tol", current, prev)
@@ -277,17 +257,16 @@ def sin_family(sigma: float, alpha: float) -> tuple:
     return log_w, 0.0, math.pi, 1.0 + min(alpha, 0.0)
 
 
-def sinh_theta_cutoff(sigma: float, alpha: float,
-                      config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def sinh_theta_cutoff(sigma: float, alpha: float) -> float:
     """Upper integration limit theta_max = acosh(1 + tau_max/sigma), >= 5.
 
     In tau = sigma(cosh theta - 1) the integrand is e^{-tau} times a factor
     whose log grows no faster than k log tau, k = alpha - 1.  Past tau = k it
     falls by at least k(x - 1 - log x) at tau = k x, and
-    x = 1 + T/k + log(2(1 + T/k)) makes that at least T = 50 - log(rel_tol).
+    x = 1 + T/k + log(2(1 + T/k)) makes that at least T = 50 - log(_REL_TOL).
     For alpha <= 1 the factor does not grow and tau_max = T.
     """
-    target = 50.0 - math.log(config.rel_tol)
+    target = 50.0 - math.log(_REL_TOL)
     k = alpha - 1.0
     tau_max = target
     if k > 0.0:
@@ -295,9 +274,7 @@ def sinh_theta_cutoff(sigma: float, alpha: float,
     return max(5.0, math.acosh(1.0 + tau_max / sigma))
 
 
-def sinh_family(sigma: float, alpha: float,
-                config: QuadratureConfig = DEFAULT_CONFIG,
-                theta_min: float = 0.0) -> tuple:
+def sinh_family(sigma: float, alpha: float, theta_min: float = 0.0) -> tuple:
     """The weight e^{-sigma(cosh theta-1)} (sinh theta)^alpha past theta_min.
 
     Returns (log_w, a, b, beta) as sin_family does, on [theta_min,
@@ -323,11 +300,10 @@ def sinh_family(sigma: float, alpha: float,
         return out
 
     beta = 1.0 + min(alpha, 0.0) if singular_left else 1.0
-    return log_w, theta_min, sinh_theta_cutoff(sigma, alpha, config), beta
+    return log_w, theta_min, sinh_theta_cutoff(sigma, alpha), beta
 
 
-def _integrate(family: tuple, g: Optional[Callable],
-               config: QuadratureConfig) -> LogValue:
+def _integrate(family: tuple, g: Optional[Callable]) -> LogValue:
     log_w, a, b, beta = family
     if a >= b:
         return LogValue(-math.inf)
@@ -335,31 +311,32 @@ def _integrate(family: tuple, g: Optional[Callable],
     def log_f(x, *offsets):
         return log_w(x, *offsets) + np.log(np.asarray(g(x), dtype=float))
 
-    return LogValue(tanh_sinh_log(log_w if g is None else log_f, a, b, config,
-                                  beta))
+    return LogValue(tanh_sinh_log(log_w if g is None else log_f, a, b, beta))
 
 
 def integrate_sin_weighted(sigma: float, alpha: float,
-                           g: Optional[Callable] = None,
-                           config: QuadratureConfig = DEFAULT_CONFIG) -> LogValue:
+                           g: Optional[Callable] = None) -> LogValue:
     """LogValue of int_0^pi e^{-sigma(1-cos theta)} (sin theta)^alpha g(theta) dtheta.
 
     g, when given, must be nonnegative; it is evaluated pointwise and its log
     is taken by the engine (zeros are fine).
     """
-    return _integrate(sin_family(sigma, alpha), g, config)
+    return _integrate(sin_family(sigma, alpha), g)
 
 
 def integrate_sinh_weighted(sigma: float, alpha: float,
                             g: Optional[Callable] = None,
-                            config: QuadratureConfig = DEFAULT_CONFIG,
                             theta_min: float = 0.0) -> LogValue:
     """LogValue of int_{theta_min}^inf e^{-sigma(cosh-1)} (sinh theta)^alpha g dtheta.
 
     theta_min defaults to 0 (the full family); a positive theta_min measures
-    tail mass and removes the endpoint singularity.
+    tail mass and removes the endpoint singularity.  With g = 1 it is the
+    oracle of log_sinh_kernel, within 1e-12 of max(1, |log f|) in log f for
+    1e-30 <= sigma <= 1e16 and -0.98 <= alpha <= 39.  Beyond, its nodes
+    miss the peak of width sigma^{-1/2} at theta = 0: it loses digits, fails
+    or converges wrongly (from sigma ~ 1e17 at alpha = 39, 1e12 at 60).
     """
-    return _integrate(sinh_family(sigma, alpha, config, theta_min), g, config)
+    return _integrate(sinh_family(sigma, alpha, theta_min), g)
 
 
 def _large_argument(nu: float, z: np.ndarray, k: bool) -> np.ndarray:

@@ -4,7 +4,9 @@ The kernel f(sigma) = int_0^inf e^{-sigma(cosh theta - 1)} (sinh theta)^alpha dt
 admits closed leading terms for large and small sigma, an exact rewriting
 through the modified Bessel function K_{alpha/2}, and defines (together with
 its sin-weighted sibling) a family of probability measures concentrating at
-the origin as sigma grows.
+the origin as sigma grows.  f_exact is that Bessel closed form; the
+Bessel-K identity check, the mollifier numerators and the tail masses run
+on the adaptive tanh-sinh engine of quadrature, at its fixed tolerance.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .quadrature import (
-    DEFAULT_CONFIG,
     LogValue,
-    QuadratureConfig,
     _log_cosh,
     integrate_sinh_weighted,
     log_sin_kernel,
@@ -60,10 +60,10 @@ class AsymptoticBranch:
     sign_discrepancy: bool = False
 
 
-def f_exact(sigma: float, alpha: float,
-            config: QuadratureConfig = DEFAULT_CONFIG) -> LogValue:
-    """The kernel itself, by adaptive quadrature; authoritative in all regimes."""
-    return integrate_sinh_weighted(sigma, alpha, config=config)
+def f_exact(sigma: float, alpha: float) -> LogValue:
+    """The kernel itself in closed Bessel form (log_sinh_kernel), valid in all
+    regimes; integrate_sinh_weighted is its independent quadrature oracle."""
+    return LogValue(log_sinh_kernel(sigma, alpha))
 
 
 def f_asymptotic(sigma: float, alpha: float) -> AsymptoticBranch:
@@ -99,30 +99,26 @@ def f_asymptotic(sigma: float, alpha: float) -> AsymptoticBranch:
         f"{LARGE_SIGMA_THRESHOLD}) where only f_exact applies")
 
 
-def bessel_k_identity_residual(sigma: float, alpha: float,
-                               config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """|f_exact / [pi^{-1/2} Gamma((a+1)/2) (sigma/2)^{-a/2} e^sigma K_{a/2}(sigma)] - 1|.
+def bessel_k_identity_residual(sigma: float, alpha: float) -> float:
+    """|f / [pi^{-1/2} Gamma((a+1)/2) (sigma/2)^{-a/2} e^sigma K_{a/2}(sigma)] - 1|.
 
+    f is the quadrature integrate_sinh_weighted, not the closed form, and
     K_{alpha/2} is evaluated through its own cosh-kernel integral
     int_0^inf e^{-sigma cosh t} cosh(alpha t / 2) dt, an independent route
     taken in the log domain, where cosh(alpha t / 2) may overflow.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
+    log_lhs = integrate_sinh_weighted(sigma, alpha).log_magnitude
     nu = 0.5 * alpha
-    log_w, a, b, beta = sinh_family(sigma, 0.0, config)
+    log_w, a, b, beta = sinh_family(sigma, 0.0)
 
     def log_f(x, *offsets):
         c = np.cosh(nu * x)
         return log_w(x, *offsets) + np.where(
             np.isfinite(c), np.log(c), _log_cosh(nu * x))
 
-    log_k = tanh_sinh_log(log_f, a, b, config, beta)
+    log_k = tanh_sinh_log(log_f, a, b, beta)
     log_rhs = (-0.5 * math.log(math.pi) + gammaln(0.5 * (alpha + 1.0))
                - nu * math.log(0.5 * sigma) + log_k)
-    log_lhs = f_exact(sigma, alpha, config=config).log_magnitude
     return abs(math.expm1(log_lhs - log_rhs))
 
 
@@ -132,8 +128,7 @@ class MollifierKind(Enum):
 
 
 def mollifier_expectation(g: Callable, sigma: float, alpha: float,
-                          kind: MollifierKind,
-                          config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+                          kind: MollifierKind) -> float:
     """E[g] under the normalized kernel measure of the requested family.
 
     g must be bounded and continuous on the support (it may change sign); as
@@ -147,23 +142,21 @@ def mollifier_expectation(g: Callable, sigma: float, alpha: float,
     if kind is MollifierKind.MU:
         family, log_kernel = sin_family(sigma, alpha), log_sin_kernel
     elif kind is MollifierKind.NU:
-        family, log_kernel = sinh_family(sigma, alpha, config), log_sinh_kernel
+        family, log_kernel = sinh_family(sigma, alpha), log_sinh_kernel
     else:
         raise ValueError(f"unknown mollifier kind {kind!r}")
     log_w, a, b, beta = family
     num = tanh_sinh_sum(
         lambda x, *offsets: (np.asarray(g(x), dtype=float)
                              * np.exp(log_w(x, *offsets))),
-        a, b, config, beta)
+        a, b, beta)
     return num * math.exp(-log_kernel(sigma, alpha))
 
 
-def mollifier_tail_mass(delta: float, sigma: float, alpha: float,
-                        config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def mollifier_tail_mass(delta: float, sigma: float, alpha: float) -> float:
     """Mass of the sinh-weighted family beyond theta = delta."""
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    tail = integrate_sinh_weighted(sigma, alpha, config=config,
-                                   theta_min=delta).log_magnitude
+    tail = integrate_sinh_weighted(sigma, alpha, theta_min=delta).log_magnitude
     full = log_sinh_kernel(sigma, alpha)
     return math.exp(tail - full)

@@ -101,17 +101,19 @@ class TestSpecialF:
         row = parse_csv(out)[0]
         assert abs(float(row["bessel_residual"])) < 1e-10
 
-    def test_starved_refinement_exits_3(self, capsys):
+    def test_starved_refinement_exits_3(self, capsys, engine_constants):
+        # f is the closed form; the Bessel-K check runs the quadrature
+        engine_constants(1e-15, 1)
         code, _, err = run_cli(capsys, "special-f", "--sigma", "5.0",
-                               "--alpha", "0.7", "--rel-tol", "1e-15",
-                               "--max-refinements", "1")
+                               "--alpha", "0.7", "--check-bessel")
         assert code == 3
         assert "non-convergence" in err
 
-    def test_non_convergence_reports_last_two_estimates(self, capsys):
+    def test_non_convergence_reports_last_two_estimates(self, capsys,
+                                                        engine_constants):
+        engine_constants(1e-15, 1)
         code, _, err = run_cli(capsys, "special-f", "--sigma", "1e-3",
-                               "--alpha", "39", "--max-refinements", "1",
-                               "--rel-tol", "1e-15")
+                               "--alpha", "39", "--check-bessel")
         assert code == 3
         assert "np.float64" not in err
         tail = err.split("(last estimate ")[1].rstrip(")\n")
@@ -127,6 +129,18 @@ class TestSpecialF:
         assert math.isfinite(float(row["log_f"]))
         assert float(row["log_f"]) > 709.0
         assert row["f"] == "inf"
+
+    def test_closed_form_past_the_quadrature_range(self, capsys):
+        code, out, _ = run_cli(capsys, "special-f", "--sigma", "1e40",
+                               "--alpha", "1")
+        assert code == 0
+        assert parse_csv(out)[0]["log_f"] == "-92.1034037198"
+
+    def test_tolerance_flags_are_gone(self):
+        with pytest.raises(SystemExit) as ei:
+            main(["special-f", "--sigma", "2", "--alpha", "1",
+                  "--rel-tol", "1e-8"])
+        assert ei.value.code == 2
 
     def test_negative_sigma_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "special-f", "--sigma", "-1.0",

@@ -9,9 +9,9 @@ forms and the quadrature that backs them.
 import numpy as np
 import pytest
 
+from resolvent_asym import quadrature
 from resolvent_asym.params import ProblemParams
 from resolvent_asym.quadrature import (
-    DEFAULT_CONFIG,
     integrate_sinh_weighted,
     log_sin_kernel,
     log_sinh_kernel,
@@ -104,7 +104,7 @@ def test_sinh_quadrature_cutoff(sigma, alpha):
     # alpha = 39 (N = 3, p = 1.05) puts most of the mass beyond a cutoff
     # that ignores the growth of (sinh theta)^alpha
     got = integrate_sinh_weighted(sigma, alpha).log_magnitude
-    assert abs(got - log_sinh_oracle(sigma, alpha)) <= DEFAULT_CONFIG.rel_tol
+    assert abs(got - log_sinh_oracle(sigma, alpha)) <= quadrature._REL_TOL
 
 
 def log_u_oracle(kind, alpha, pprime, eps, r, R=1.0):

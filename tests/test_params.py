@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resolvent_asym.params import (
     INFINITY,
@@ -27,7 +28,13 @@ class TestConjugate:
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 7.0, 100.0])
     def test_involution(self, p):
-        assert conjugate(conjugate(p)) == pytest.approx(p, rel=1e-12)
+        assert abs(conjugate(conjugate(p)) - p) <= 2.0 ** -52 * p * p
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.floats(min_value=1.0 + 2e-16, max_value=4e15))
+    def test_involution_within_rounding_bound(self, p):
+        # the bound of the docstring; about half of all p miss bit equality
+        assert abs(conjugate(conjugate(p)) - p) <= 2.0 ** -52 * p * p
 
     @pytest.mark.parametrize("bad", [1.0, 0.5, 0.0, -2.0, math.nan])
     def test_rejects_bad_exponent(self, bad):

@@ -525,6 +525,29 @@ class TestLimitExperiment:
             assert r["prediction"] == 0.5
         assert abs(rows[-1]["mu"] - 0.5) < 1e-3
 
+    def test_implicit_infinity_q_draws_no_sample(self, monkeypatch):
+        # at q = INFINITY the barrier rows need only the two end values, so
+        # no point is sampled or projected; the rows are those recorded
+        # when all n_samples points were still drawn
+        cfg = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5)
+        seq = [ProblemParams(n=2, p=2.0, eps=e) for e in (0.05, 0.025)]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return boundary_distances(*args)
+
+        monkeypatch.setattr(qmeans, "boundary_distances", counted)
+        rows = qmean_limit_experiment(seq, cfg, INFINITY, n_samples=1000,
+                                      seed=9)
+        assert calls == []
+        assert [r["path"] for r in rows] == ["barrier-U", "barrier-V"] * 2
+        assert [r["mu"] for r in rows] == [
+            0.5000000000001511, 0.5000000000034528, 0.5, 0.5]
+        assert [r["residual"] for r in rows] == [0.0] * 4
+        with pytest.raises(ValueError, match="n_samples"):
+            qmean_limit_experiment(seq, cfg, INFINITY, n_samples=0)
+
     def test_ill_conditioned_flag(self):
         seq = [ProblemParams(n=2, p=2.0, eps=0.02)]
         rows = qmean_limit_experiment(seq, BALL_CFG, 1.1)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import gamma, i0e, k0e, k1e, kve, logsumexp
 
+from resolvent_asym import quadrature
 from resolvent_asym.quadrature import (
-    DEFAULT_CONFIG,
     LogValue,
     NonConvergenceError,
-    QuadratureConfig,
     integrate_sin_weighted,
     integrate_sinh_weighted,
     log_sin_kernel,
@@ -24,7 +23,6 @@ from resolvent_asym.quadrature import (
 from resolvent_asym.special import (
     MollifierKind,
     bessel_k_identity_residual,
-    f_exact,
     mollifier_expectation,
     mollifier_tail_mass,
 )
@@ -33,21 +31,6 @@ from resolvent_asym.special import (
 def sin_exact_at_zero(alpha: float) -> float:
     # int_0^pi sin^alpha = sqrt(pi) Gamma((a+1)/2) / Gamma(a/2 + 1)
     return math.sqrt(math.pi) * gamma((alpha + 1) / 2) / gamma(alpha / 2 + 1)
-
-
-class TestConfig:
-    def test_defaults(self):
-        assert DEFAULT_CONFIG.rel_tol == 1e-10
-        assert DEFAULT_CONFIG.max_refinements >= 1
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(rel_tol=0.0),
-        dict(rel_tol=1.5),
-        dict(max_refinements=0),
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)
 
 
 class TestLogValue:
@@ -149,7 +132,7 @@ class TestSinhWeighted:
                 [0, s, 1 + s, mp.inf]) / s
             expected = float(mp.log(subst))
         direct = integrate_sinh_weighted(sigma, alpha).log_magnitude
-        assert abs(direct - expected) <= 10.0 * DEFAULT_CONFIG.rel_tol
+        assert abs(direct - expected) <= 10.0 * quadrature._REL_TOL
 
     def test_tail_interval(self):
         # int_delta^inf with alpha=1 integrates exactly
@@ -166,23 +149,24 @@ class TestSinhWeighted:
 
 
 class TestAdaptivity:
-    def test_doubling_refinements_changes_little(self):
-        base = QuadratureConfig(rel_tol=1e-10, max_refinements=8)
-        fine = QuadratureConfig(rel_tol=1e-10, max_refinements=16)
-        for sigma, alpha in [(0.5, -0.5), (10.0, 1.0), (200.0, 0.0)]:
-            a = integrate_sinh_weighted(sigma, alpha, config=base)
-            b = integrate_sinh_weighted(sigma, alpha, config=fine)
-            assert abs(a.log_magnitude - b.log_magnitude) <= base.rel_tol
+    def test_doubling_refinements_changes_little(self, engine_constants):
+        cases = [(0.5, -0.5), (10.0, 1.0), (200.0, 0.0)]
+        engine_constants(1e-10, 8)
+        base = [integrate_sinh_weighted(*case) for case in cases]
+        engine_constants(1e-10, 16)
+        for a, case in zip(base, cases):
+            b = integrate_sinh_weighted(*case)
+            assert abs(a.log_magnitude - b.log_magnitude) <= 1e-10
 
-    def test_nonconvergence_carries_estimates(self):
-        cfg = QuadratureConfig(rel_tol=1e-14, max_refinements=1)
+    def test_nonconvergence_carries_estimates(self, engine_constants):
+        engine_constants(1e-14, 1)
         with pytest.raises(NonConvergenceError) as exc:
-            integrate_sin_weighted(5.0, 0.5, config=cfg)
+            integrate_sin_weighted(5.0, 0.5)
         assert math.isfinite(exc.value.last_estimate)
         assert math.isfinite(exc.value.previous_estimate)
         assert exc.value.last_estimate != exc.value.previous_estimate
         with pytest.raises(NonConvergenceError) as exc:
-            tanh_sinh_sum(lambda x, *rest: np.exp(x), 0.0, 3.0, config=cfg)
+            tanh_sinh_sum(lambda x, *rest: np.exp(x), 0.0, 3.0)
         assert exc.value.last_estimate != exc.value.previous_estimate
 
 
@@ -273,47 +257,52 @@ def _record(fn, *args):
     return repr(float(getattr(value, "log_magnitude", value)))
 
 
-def _recorded_grid(family: str) -> list:
-    configs = (DEFAULT_CONFIG, QuadratureConfig(rel_tol=1e-7,
-                                                max_refinements=12))
+def _recorded_grid(family: str, engine_constants) -> list:
+    """The records of one family, over the default engine constants and
+    (rel_tol, max_refinements) = (1e-7, 12)."""
+    configs = ((1e-10, 10), (1e-7, 12))
     alphas = (-0.9, -0.3, 0.0, 0.5, 2.0, 7.5)
     out = []
     if family == "sin":
         gs = (None, lambda t: 1.0 + np.cos(t), lambda t: t * t)
         for cfg in configs:
+            engine_constants(*cfg)
             for s in (0.0, 1e-3, 0.7, 12.0, 300.0):
                 for a in alphas:
-                    out += [_record(integrate_sin_weighted, s, a, g, cfg)
+                    out += [_record(integrate_sin_weighted, s, a, g)
                             for g in gs]
     elif family == "sinh":
         gs = (None, lambda t: np.cosh(0.3 * t), lambda t: 1.0 / (1.0 + t))
         for cfg in configs:
+            engine_constants(*cfg)
             for s in (1e-3, 0.7, 12.0, 300.0):
                 for a in alphas:
-                    out += [_record(integrate_sinh_weighted, s, a, g, cfg, tm)
+                    out += [_record(integrate_sinh_weighted, s, a, g, tm)
                             for g in gs for tm in (0.0, 0.25, 50.0)]
-                    out.append(_record(f_exact, s, a, cfg))
+                    # recorded as f_exact, which was this quadrature
+                    out.append(_record(integrate_sinh_weighted, s, a))
     elif family == "special":
         gs = (np.cos, lambda t: t - 0.5, lambda t: np.exp(-t))
         for cfg in configs:
+            engine_constants(*cfg)
             for s in (0.05, 0.7, 12.0, 300.0):
                 for a in alphas:
-                    out.append(_record(bessel_k_identity_residual, s, a, cfg))
-                    out.append(_record(mollifier_tail_mass, 0.3, s, a, cfg))
-                    out += [_record(mollifier_expectation, g, s, a, kind, cfg)
+                    out.append(_record(bessel_k_identity_residual, s, a))
+                    out.append(_record(mollifier_tail_mass, 0.3, s, a))
+                    out += [_record(mollifier_expectation, g, s, a, kind)
                             for kind in MollifierKind for g in gs]
     elif family == "engine":
         fs = (lambda x, *rest: np.exp(x), lambda x, *rest: np.cos(5.0 * x),
               lambda x, da, *rest: da ** -0.5)
         for cfg in configs:
+            engine_constants(*cfg)
             for f in fs:
                 log_f = lambda *nodes, f=f: np.log(np.abs(f(*nodes)))
                 for a, b in ((0.0, 3.0), (-1.0, 2.5)):
                     for beta in (0.1, 0.5, 1.0):
-                        out.append(_record(tanh_sinh_sum, f, a, b, cfg, beta))
-                        out.append(_record(tanh_sinh_log, log_f, a, b, cfg,
-                                           beta))
-                        if cfg is DEFAULT_CONFIG:
+                        out.append(_record(tanh_sinh_sum, f, a, b, beta))
+                        out.append(_record(tanh_sinh_log, log_f, a, b, beta))
+                        if cfg is configs[0]:
                             out += [_record(tanh_sinh_fixed, f, a, b, level,
                                             beta) for level in range(8)]
     elif family == "kernels":
@@ -326,16 +315,16 @@ def _recorded_grid(family: str) -> list:
             out += [hashlib.sha256(kernel(sigma, a).tobytes()).hexdigest()
                     for kernel in (log_sin_kernel, log_sinh_kernel)]
     elif family == "errors":
-        cfg = QuadratureConfig(rel_tol=1e-14, max_refinements=1)
+        engine_constants(1e-14, 1)
         for s, a in ((5.0, 0.5), (0.3, -0.7), (40.0, 3.0)):
-            out.append(_record(integrate_sin_weighted, s, a, None, cfg))
-            out.append(_record(integrate_sinh_weighted, s, a, None, cfg))
-            out.append(_record(integrate_sinh_weighted, s, a, None, cfg, 0.5))
-            out += [_record(mollifier_expectation, np.cos, s, a, kind, cfg)
+            out.append(_record(integrate_sin_weighted, s, a))
+            out.append(_record(integrate_sinh_weighted, s, a))
+            out.append(_record(integrate_sinh_weighted, s, a, None, 0.5))
+            out += [_record(mollifier_expectation, np.cos, s, a, kind)
                     for kind in MollifierKind]
         out.append(_record(tanh_sinh_sum, lambda x, *rest: np.exp(x),
-                           0.0, 3.0, cfg))
-        out.append(_record(tanh_sinh_log, lambda x, *rest: x, 0.0, 3.0, cfg))
+                           0.0, 3.0))
+        out.append(_record(tanh_sinh_log, lambda x, *rest: x, 0.0, 3.0))
     return out
 
 
@@ -358,8 +347,8 @@ class TestRecordedOutputs:
         ("errors", 17,
          "a61464b7b2dcfc7a94f80df7028205940c1dae418490ed23fda7039838b4eaa5"),
     ])
-    def test_digest(self, family, count, expected):
-        records = _recorded_grid(family)
+    def test_digest(self, family, count, expected, engine_constants):
+        records = _recorded_grid(family, engine_constants)
         assert len(records) == count
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
         assert digest == expected

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from resolvent_asym.quadrature import QuadratureConfig
+from resolvent_asym.quadrature import integrate_sinh_weighted
 from resolvent_asym.special import (
     AsymptoticBranch,
     MollifierKind,
@@ -154,8 +154,17 @@ class TestFExactRegularity:
         logs = [f_exact(s, 0.5).log_magnitude for s in sigmas]
         assert all(a > b for a, b in zip(logs, logs[1:]))
 
-    def test_respects_config(self):
-        cfg = QuadratureConfig(rel_tol=1e-6, max_refinements=12)
-        a = f_exact(3.0, 0.5, config=cfg).log_magnitude
+    def test_respects_config(self, engine_constants):
+        # the closed form reads no engine constant; its quadrature oracle
+        # at a looser tolerance stays within that tolerance of it
         b = f_exact(3.0, 0.5).log_magnitude
+        engine_constants(1e-6, 12)
+        assert f_exact(3.0, 0.5).log_magnitude == b
+        a = integrate_sinh_weighted(3.0, 0.5).log_magnitude
         assert a == pytest.approx(b, abs=1e-5)
+
+    @pytest.mark.parametrize("sigma", [1e30, 1e32, 1e36, 1e40])
+    def test_alpha_one_past_the_quadrature_range(self, sigma):
+        # f(sigma, 1) = 1/sigma; the quadrature fails or is wrong here
+        assert f_exact(sigma, 1.0).log_magnitude == pytest.approx(
+            -math.log(sigma), rel=1e-15)
