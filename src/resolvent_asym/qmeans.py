@@ -17,7 +17,9 @@ one-shot draw, and keep about 3 floats per sample: the values, one scratch
 array for the empirical root, and the boundary distances in the limit
 experiment.  Every root
 (the q-mean itself and the distance where a profile crosses mu) is found by
-scipy's brentq through one helper, _root.
+one helper, _root: scipy's brentq ported line for line, fed with the end
+values its caller already holds, so that no G is evaluated twice at one
+point.
 
 Solution profiles evaluate the exact radial solution through
 radial.eval_log_u, whose kernels are closed-form; on implicit domains the
@@ -28,6 +30,7 @@ barriers.enhanced_U and barriers.enhanced_V over one seeded sample.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -54,32 +57,78 @@ from .radial import Geometry, RadialSolution, eval_log_u
 # Fixed tanh-sinh level of the co-area integrals: adaptive stopping would make
 # G jump between levels as mu moves, a fixed level keeps it smooth and monotone.
 _LEVEL = 6
-_RTOL = 4.0 * np.finfo(float).eps
+# Brent's relative tolerance (4 ulp) and iteration cap, scipy's brentq defaults;
+# a Python float, so that the roots come back as Python floats
+_RTOL = 4.0 * sys.float_info.epsilon
+_MAXITER = 100
 
 
-def _root(G: Callable, lo: float, hi: float, *args) -> Tuple[float, float]:
-    """Root of a nonincreasing G(mu, *args) on [lo, hi] by Brent's method.
+def _root(G: Callable, lo: float, hi: float, g_lo: float,
+          g_hi: float) -> Tuple[float, float]:
+    """Root of a nonincreasing G(mu) on [lo, hi], given g_lo = G(lo) and
+    g_hi = G(hi).
 
     Returns (mu, G(mu)/scale), scale the larger |G| at the two ends.  When G
     does not change sign the root is lo if G(lo) <= 0, else hi if G(hi) >= 0.
-    Brent stops at 4 ulp relative, or at 2^-60 of the bracket near zero.  The
-    data travels through brentq's `args`, not a closure: brentq wraps G in a
-    self-referencing function, and a closure over a sample array would keep
-    the array alive until the next garbage collection.
+    Otherwise Brent's method (Brent 1973, ch. 4), line for line scipy 1.17's
+    brentq (Zeros/brentq.c) and so bit for bit its root, but with the end
+    values from the caller and G(mu) from the last iteration: G is never
+    evaluated twice at one point.  Brent stops at 4 ulp relative, or at
+    2^-60 of the bracket near zero.  A NaN in G, or 100 iterations without
+    convergence, raise RuntimeError.
     """
-    # imported here: scipy.optimize adds about 0.3 s to every command's start
-    from scipy.optimize import brentq
-
-    g_lo, g_hi = G(lo, *args), G(hi, *args)
+    for x, g in ((lo, g_lo), (hi, g_hi)):
+        if math.isnan(g):
+            raise RuntimeError(f"the root's function is NaN at x={x!r}")
     scale = max(abs(g_lo), abs(g_hi), 1e-300)
     if g_lo <= 0.0:
-        mu = lo
-    elif g_hi >= 0.0:
-        mu = hi
-    else:
-        mu = brentq(G, lo, hi, args=args, xtol=2.0 ** -60 * (hi - lo),
-                    rtol=_RTOL)
-    return mu, G(mu, *args) / scale
+        return lo, g_lo / scale
+    if g_hi >= 0.0:
+        return hi, g_hi / scale
+    xtol = 2.0 ** -60 * (hi - lo)
+    xpre, fpre, xcur, fcur = lo, float(g_lo), hi, float(g_hi)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur / scale
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # a zero divisor gives C an infinite or NaN step, which
+                # fails the step test below
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
+                        else math.inf)
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(G(xcur))
+        if math.isnan(fcur):
+            raise RuntimeError(f"the root's function is NaN at x={xcur!r}")
+    raise RuntimeError(f"Brent's method did not converge after {_MAXITER} "
+                       f"iterations, value is {xcur!r}")
 
 
 def _s_max(cfg: TouchingBallConfig) -> float:
@@ -174,7 +223,9 @@ def _empirical_qmean(values: np.ndarray, q: float) -> Tuple[float, float]:
     lo, hi = float(v.min()), float(v.max())
     if hi - lo <= 1e-14 * max(1.0, abs(hi)):
         return 0.5 * (lo + hi), 0.0
-    return _root(_sample_G, lo, hi, v, q - 1.0, np.empty_like(v))
+    qm1, buf = q - 1.0, np.empty_like(v)
+    return _root(lambda mu: _sample_G(mu, v, qm1, buf), lo, hi,
+                 _sample_G(lo, v, qm1, buf), _sample_G(hi, v, qm1, buf))
 
 
 def _prof_at(profile: Callable, tau: float) -> float:
@@ -186,15 +237,19 @@ def _profile_excess(s: float, profile: Callable, mu: float,
     return _prof_at(profile, s / xi) - mu
 
 
-def _crossing(profile: Callable, mu: float, xi: float, smax: float) -> float:
+def _crossing(profile: Callable, mu: float, xi: float, smax: float,
+              f0: float, fend: float) -> float:
     """The distance s_c where the nonincreasing profile crosses mu: 0 when
-    the profile starts at or below mu, smax when it stays at or above it."""
-    return _root(_profile_excess, 0.0, smax, profile, mu, xi)[0]
+    the profile starts at or below mu, smax when it stays at or above it.
+    f0 and fend are the profile's values at s = 0 and s = smax."""
+    return _root(lambda s: _profile_excess(s, profile, mu, xi), 0.0, smax,
+                 f0 - mu, fend - mu)[0]
 
 
 def _coarea_G(mu: float, profile: Callable, xi: float, q: float,
-              cfg: TouchingBallConfig, smax: float, beta: float) -> float:
-    sc = _crossing(profile, mu, xi, smax)
+              cfg: TouchingBallConfig, smax: float, beta: float, f0: float,
+              fend: float) -> float:
+    sc = _crossing(profile, mu, xi, smax, f0, fend)
 
     def areas(s: np.ndarray) -> np.ndarray:
         # tanh-sinh nodes next to s = 0 round to 0, where the area vanishes
@@ -236,7 +291,16 @@ def q_mean(query: QMeanQuery) -> QMeanResult:
         mu, residual = 0.5 * (f0 + fend), 0.0
     else:
         beta = min(1.0, q - 1.0, 0.5 * (cfg.n - 1))
-        mu, residual = _root(_coarea_G, fend, f0, prof, xi, q, cfg, smax, beta)
+
+        def G(m: float) -> float:
+            return _coarea_G(m, prof, xi, q, cfg, smax, beta, f0, fend)
+
+        mu, residual = _root(G, fend, f0, G(fend), G(f0))
+        if mu <= fend:
+            raise RuntimeError(
+                f"the q-mean lies within the root's absolute tolerance "
+                f"{2.0 ** -60 * (f0 - fend):.3g} of the profile's end value "
+                f"{fend:.3g}; it is not resolved")
     scaled = (cfg.R / xi) ** _scaled_exponent(cfg.n, q) * mu
     return QMeanResult(mu=mu, scaled=scaled, residual=residual)
 

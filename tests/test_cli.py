@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resolvent_asym import cli
+from resolvent_asym import cli, qmeans
 from resolvent_asym.cli import main
 from resolvent_asym.params import ProblemParams
 from resolvent_asym.radial import Geometry, RadialSolution, eval_log_u
@@ -297,6 +297,34 @@ class TestQmeanCommand:
         assert code == 2
         assert "unknown config keys" in err
 
+    def test_unresolved_small_mean_exits_3(self, capsys, tmp_path):
+        # at eps = 1e-4 mu is about 5e-21, below the root's absolute tolerance
+        cfg_path = qmean_config(
+            tmp_path, params_grid={"N": [6], "p": [3.0], "q": [1.5]},
+            eps_sequence={"start": 1e-3, "factor": 0.1, "count": 2})
+        code, out, err = run_cli(capsys, "qmean", "--config", str(cfg_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: the q-mean lies within "
+                              "the root's absolute tolerance 8.67e-19")
+        assert err.count("\n") == 1
+
+    def test_nan_in_the_root_exits_3(self, capsys, tmp_path, monkeypatch):
+        real = qmeans._coarea_G
+        calls = []
+
+        def nan_inside(mu, *args):
+            # the two end values, then NaN
+            calls.append(mu)
+            return real(mu, *args) if len(calls) <= 2 else math.nan
+
+        monkeypatch.setattr(qmeans, "_coarea_G", nan_inside)
+        code, _, err = run_cli(capsys, "qmean", "--config",
+                               str(qmean_config(tmp_path)))
+        assert code == 3
+        assert err == ("numerical failure: the root's function is NaN at "
+                       f"x={calls[2]!r}\n")
+
 
 class TestRatesCommand:
     def test_degenerate_exterior_with_psi_table(self, capsys, tmp_path):
@@ -348,16 +376,21 @@ def test_console_script_help():
         assert name in proc.stdout
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
-    # each of these costs a command start-up time it never uses
+def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
+    # each of these costs a command start-up time it never uses, also in a
+    # qmean run whose co-area route takes Brent roots
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     heavy = ("scipy.optimize", "scipy.integrate", "mpmath", "hypothesis")
+    cfg_path = qmean_config(tmp_path, output=str(tmp_path / "rows.csv"))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, resolvent_asym.cli\n"
+         f"assert resolvent_asym.cli.main(['qmean', '--config', "
+         f"{str(cfg_path)!r}]) == 0\n"
          f"print(sorted(m for m in {heavy!r} if m in sys.modules))"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [
+        f"wrote 2 rows to {tmp_path / 'rows.csv'}", "[]"]

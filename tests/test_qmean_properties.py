@@ -1,7 +1,8 @@
-"""Property tests of the co-area q-mean: homogeneity, translation and order.
+"""Property tests of the co-area q-mean: homogeneity, translation and order,
+and its Brent root against scipy's brentq.
 
-Each example runs a few co-area q-means over the closed-form level-set areas
-of the ball and the two- and three-dimensional ball complements.
+Each q-mean example runs a few co-area q-means over the closed-form level-set
+areas of the ball and the two- and three-dimensional ball complements.
 """
 
 import math
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, event, example, given, settings, strategies as st  # noqa: E402
+from scipy.optimize import brentq  # noqa: E402
 
 from resolvent_asym.barriers import (  # noqa: E402
     EnhancedBarriers,
@@ -23,7 +25,7 @@ from resolvent_asym.geometry import (  # noqa: E402
     touching_ball,
 )
 from resolvent_asym.params import ProblemParams, conjugate  # noqa: E402
-from resolvent_asym.qmeans import QMeanQuery, q_mean  # noqa: E402
+from resolvent_asym.qmeans import _RTOL, QMeanQuery, _root, q_mean  # noqa: E402
 
 CONFIGS = {
     "ball": touching_ball(BallDomain(1.0), [0.5, 0.0], 0.5),
@@ -73,3 +75,41 @@ def test_barrier_order_preserved(name, q, xi, p):
     mu_v = mu_of(name, q, params.xi,
                  lambda tau: np.exp(enhanced_V(b, np.asarray(tau))))
     assert mu_u <= mu_v + 1e-12
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except RuntimeError as e:
+        assert "100 iterations" in str(e)
+        return "no convergence"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["power", "steps"]), lo=st.floats(-10.0, 10.0),
+       width=st.floats(1e-12, 20.0), at=st.floats(0.0, 1.0),
+       k=st.floats(0.05, 25.0), w=st.floats(0.0, 2.0),
+       ripple=st.floats(0.0, 2e-5))
+# a step test that dropped its "- delta" would take another root here
+@example(kind="power", lo=0.462, width=0.068, at=0.119, k=0.354, w=0.0,
+         ripple=1.41e-06)
+def test_root_is_brentq(kind, lo, width, at, k, w, ripple):
+    # G crossing 0 near c: a signed power plus a slope and a ripple of
+    # slope at most 1e-4 (nonincreasing but for that ripple), or a
+    # nonincreasing staircase with k steps per unit that never touches 0
+    hi, c = lo + width, lo + at * width
+    if kind == "power":
+        def G(x):
+            return (-math.copysign(abs(x - c) ** k, x - c) - w * (x - c)
+                    + ripple * math.sin(5.0 * x))
+    else:
+        def G(x):
+            return -math.floor(k * (x - c)) - 0.5
+    g_lo, g_hi = G(lo), G(hi)
+    assume(g_lo > 0.0 > g_hi)
+    ours = _outcome(lambda: _root(G, lo, hi, g_lo, g_hi)[0])
+    theirs = _outcome(lambda: brentq(G, lo, hi, xtol=2.0 ** -60 * width,
+                                     rtol=_RTOL))
+    event(f"{kind}: {'no convergence' if ours == 'no convergence' else 'root'}")
+    assert ours == theirs
+    assert ours == "no convergence" or type(ours) is float

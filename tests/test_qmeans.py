@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from resolvent_asym.barriers import EnhancedBarriers, enhanced_U, enhanced_V
 from resolvent_asym.geometry import (
@@ -223,6 +224,27 @@ class TestCoareaRoute:
             assert abs(res.residual) < 1e-12
             assert 0.0 < res.mu < 1.0
 
+    @pytest.mark.parametrize("n,eps", [(4, 1e-5), (5, 1e-5), (6, 1e-4),
+                                       (6, 1e-5)])
+    def test_unresolved_small_mean_raises(self, n, eps):
+        # mu ~ (eps/R)^((N+1)/(2(q-1))) falls below the root's absolute
+        # tolerance 2^-60 (f0 - fend): the root would stop at fend = 0
+        cfg = touching_ball(BallDomain(1.0), [0.5] + [0.0] * (n - 1), 0.5)
+        pp = ProblemParams(n=n, p=3.0, eps=eps)
+        query = QMeanQuery(cfg=cfg, q=1.5, xi=pp.xi,
+                           profile=solution_profile(pp, cfg.domain))
+        with pytest.raises(RuntimeError, match="absolute tolerance 8.67e-19"):
+            q_mean(query)
+
+    def test_small_resolved_mean_returns(self):
+        cfg = touching_ball(BallDomain(1.0), [0.5] + [0.0] * 5, 0.5)
+        pp = ProblemParams(n=6, p=3.0, eps=1e-3)
+        prof = solution_profile(pp, cfg.domain)
+        res = q_mean(QMeanQuery(cfg=cfg, q=1.5, xi=pp.xi, profile=prof))
+        # the profile's end value fend = prof(smax/xi) underflows to 0
+        assert prof(1.0 / pp.xi) == 0.0
+        assert res.mu == pytest.approx(4.3988252e-14, rel=1e-7)
+
 
 class TestInfinityMidrange:
     def test_literal_formula(self):
@@ -438,7 +460,9 @@ class TestRecordedCoarea:
         smax = 2.0 * cfg.R
         # mu between the profile's end values: both integrals are taken
         mu = 0.5 * (prof(0.0) + prof(smax / pp.xi))
-        qmeans._coarea_G(mu, prof, pp.xi, 2.0, cfg, smax, 1.0)
+        qmeans._coarea_G(mu, prof, pp.xi, 2.0, cfg, smax, 1.0,
+                         qmeans._prof_at(prof, 0.0),
+                         qmeans._prof_at(prof, smax / pp.xi))
         assert len(calls) == 2
 
     def test_profile_limit_digest(self):
@@ -497,6 +521,148 @@ class TestRecordedMonteCarlo:
         assert [r["path"] for r in rows] == ["barrier-U", "barrier-V"] * 2
         assert [v for r in rows for v in (r["mu"], r["residual"])] == \
             expected
+
+
+def coarea_queries():
+    """The 54 queries of TestRecordedCoarea.test_q_mean_digest."""
+    for cfg in TestRecordedCoarea.CONFIGS:
+        for p in (1.5, 2.0, INFINITY):
+            for eps in (0.05, 0.02):
+                pp = ProblemParams(n=cfg.n, p=p, eps=eps)
+                prof = solution_profile(pp, cfg.domain)
+                for q in (1.5, 2.0, 3.0):
+                    yield QMeanQuery(cfg=cfg, q=q, xi=pp.xi, profile=prof)
+
+
+def recorded_mc_means(q):
+    """The sample q-means of TestRecordedMonteCarlo at q: the three
+    brute-force cases and the implicit limit rows at p = 2."""
+    for case in ("ball", "ext3", "ellipse"):
+        if case == "ellipse":
+            cfg = TestRecordedMonteCarlo.ELLIPSE_CFG
+            prof, xi = exp_profile, 0.1
+        else:
+            cfg = BALL_CFG if case == "ball" else touching_ball(
+                ExteriorBallDomain(1.0), [2.0, 0.0, 0.0], 1.0)
+            pp = ProblemParams(n=cfg.n, p=2.0, eps=0.1)
+            prof, xi = solution_profile(pp, cfg.domain), pp.xi
+        q_mean_bruteforce(
+            cfg, q, lambda pts: prof(np.maximum(
+                boundary_distances(cfg.domain, pts), 0.0) / xi),
+            n_samples=5 * 8192 + 3, seed=23)
+    seq = [ProblemParams(n=2, p=2.0, eps=e) for e in (0.05, 0.025)]
+    qmean_limit_experiment(seq, TestRecordedMonteCarlo.ELLIPSE_CFG, q,
+                           n_samples=3 * 8192 + 5, seed=9)
+
+
+def record(monkeypatch, name):
+    """Replace qmeans.<name> by a wrapper that appends each call's
+    arguments to the returned list."""
+    calls = []
+    real = getattr(qmeans, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qmeans, name, recording)
+    return calls
+
+
+def brentq_root(G, lo, hi):
+    return brentq(G, lo, hi, xtol=2.0 ** -60 * (hi - lo), rtol=qmeans._RTOL)
+
+
+# the port itself, whatever a test patches into qmeans._root
+port_root = qmeans._root
+
+
+class TestBrentPort:
+    """qmeans._root is scipy's brentq line for line, fed with the end values
+    its caller already holds: the same roots, never G twice at one point."""
+
+    def assert_matches_brentq(self, roots):
+        for G, lo, hi, g_lo, g_hi in roots:
+            # the caller's end values are G's own
+            assert (g_lo, g_hi) == (G(lo), G(hi))
+            root, residual = port_root(G, lo, hi, g_lo, g_hi)
+            assert type(root) is float
+            assert residual == G(root) / max(abs(g_lo), abs(g_hi), 1e-300)
+            if g_lo > 0.0 > g_hi:
+                assert root == brentq_root(G, lo, hi)
+
+    def test_coarea_roots_match_brentq(self, monkeypatch):
+        # the q-means' G and every profile crossing they evaluate
+        roots = record(monkeypatch, "_root")
+        for query in coarea_queries():
+            q_mean(query)
+        monkeypatch.undo()
+        # the crossings, on [0, smax], are among them
+        assert {hi for _, lo, hi, _, _ in roots if lo == 0.0} == {1.0, 2.0}
+        self.assert_matches_brentq(roots)
+
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    def test_sample_roots_match_brentq(self, monkeypatch, q):
+        # checked at the call: the brute-force oracle reuses its sample
+        # array once the root is found
+        checked = []
+
+        def checking(*args):
+            self.assert_matches_brentq([args])
+            checked.append(args)
+            return port_root(*args)
+
+        monkeypatch.setattr(qmeans, "_root", checking)
+        recorded_mc_means(q)
+        assert len(checked) == 7
+
+    def test_both_fail_after_100_iterations(self):
+        # nonincreasing, with a root where the flat 20th power defeats
+        # both the interpolation and Brent's step-halving test
+        def G(x):
+            return 0.9 - x if x < 0.9 else -1e6 * (x - 0.9) ** 20
+
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            brentq_root(G, 0.0, 1.0)
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            qmeans._root(G, 0.0, 1.0, G(0.0), G(1.0))
+
+    def test_nan_raises_naming_x(self):
+        def G(x):
+            return math.nan if 0.25 < x < 0.75 else 0.5 - x
+
+        # the first secant step from the ends lands on 0.5
+        with pytest.raises(RuntimeError, match=r"NaN at x=0\.5$"):
+            qmeans._root(G, 0.0, 1.0, G(0.0), G(1.0))
+        with pytest.raises(RuntimeError, match=r"NaN at x=1\.0$"):
+            qmeans._root(G, 0.0, 1.0, 0.5, math.nan)
+
+    def test_no_coarea_G_argument_repeats(self, monkeypatch):
+        calls = record(monkeypatch, "_coarea_G")
+        for query in coarea_queries():
+            del calls[:]
+            q_mean(query)
+            mus = [args[0] for args in calls]
+            assert len(mus) == len(set(mus)) >= 2
+
+    def test_no_crossing_evaluates_the_profile_at_an_end(self, monkeypatch):
+        calls = record(monkeypatch, "_profile_excess")
+        for query in coarea_queries():
+            del calls[:]
+            q_mean(query)
+            smax = qmeans._s_max(query.cfg)
+            assert calls
+            assert not {s for s, *_ in calls} & {0.0, smax}
+
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    def test_one_sample_G_per_distinct_mu(self, monkeypatch, q):
+        empirical = record(monkeypatch, "_empirical_qmean")
+        calls = record(monkeypatch, "_sample_G")
+        recorded_mc_means(q)
+        # three brute-force means and four barrier rows
+        assert len(empirical) == 7
+        mus = [args[0] for args in calls]
+        assert len(mus) == len(set(mus))
 
 
 class TestLimitExperiment:
