@@ -4,7 +4,8 @@ On B_R(x) with x touching the boundary, (R/eps)^{(N+1)/(2(q-1))} mu_q tends
 to c_{N,q} / {(p')^{(N+1)/2} Pi}^{1/(2(q-1))}.  The table shows the raw
 scaled value, its two-point Richardson extrapolation, and the prediction;
 the optional ellipse run brackets a non-radial domain between the barrier
-pair.
+pair, whose q-means are deterministic (co-area over the tube formula's
+level-set areas).
 """
 
 import argparse
@@ -45,12 +46,14 @@ def main():
               f"{row['ratio']:9.4f}")
 
     if args.ellipse:
-        print("\nellipse x^2/4 + y^2 = 1, touching point (0, 1), R=0.5; "
-              "the q-mean is bracketed by the barrier pair:")
+        print("\nellipse x^2/4 + y^2 = 1, touching point (0, 1), R=0.5, "
+              "p=inf, q=2; the q-mean is bracketed by the barrier pair, "
+              "whose rows are deterministic:")
         dom = make_ellipse_domain(2.0, 1.0)
         cfg_t = touching_ball(dom, np.array([0.0, 0.5]), 0.5)
-        seq = [ProblemParams(n=2, p=INFINITY, eps=e) for e in (0.05, 0.02)]
-        for row in qmean_limit_experiment(seq, cfg_t, 2.0, n_samples=60_000):
+        seq = [ProblemParams(n=2, p=INFINITY, eps=e)
+               for e in (0.05, 0.02, 0.01, 0.005)]
+        for row in qmean_limit_experiment(seq, cfg_t, 2.0):
             print(f"  eps={row['eps']:5.3f} {row['path']:9s} "
                   f"scaled={row['scaled']:9.6f} "
                   f"prediction={row['prediction']:9.6f} "

@@ -5,6 +5,12 @@ of a closed ball of radius r_e, and implicit domains {phi < 0} with analytic
 gradient and Hessian in dimensions 2 and 3.  Curvatures follow the
 inward-normal convention throughout (ball: +1/rho, ball complement: -1/r_e).
 
+Level-set areas are closed forms: sphere caps on the balls, and on the
+ellipse (EllipseDomain, an implicit domain that records its semi-axes) the
+tube formula, arc lengths by elliptic integrals between arc ends found by
+safeguarded Newton.  Other implicit domains have the seeded Monte Carlo
+oracle level_set_area_mc only.
+
 Points go in blocks of _BLOCK = 2^13: the Newton projection works on one
 block at a time, and the Monte Carlo oracles draw their samples block by
 block (_ball_blocks), bit for bit the one-shot draw, so their memory is
@@ -15,11 +21,11 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import betainc, gamma
+from scipy.special import betainc, ellipeinc, gamma
 
 from .params import pi_gamma as _pi_gamma_product
 
@@ -34,6 +40,11 @@ _DEFAULT_SEED = 20260815
 _UNIQUENESS_DIRECTIONS = 10_000
 _N_STRATA = 64  # radius strata of level_set_area_mc
 _PSI_GRID = 4000  # log-grid points of psi_of_eps's coarse localization
+_EPS = float(np.finfo(float).eps)
+# Newton on the ends of a level-set arc stops once a step is below this
+# fraction of the end's offset from the contact
+_ARC_STEP_TOL = 1e-9
+_ARC_MAX_ITER = 100
 
 
 def unit_sphere_area(n: int) -> float:
@@ -88,6 +99,23 @@ class ImplicitDomain:
     def __post_init__(self) -> None:
         if self.dim not in (2, 3):
             raise ValueError(f"implicit domains support N in {{2, 3}}, got {self.dim}")
+
+
+@dataclass(frozen=True, eq=False)
+class EllipseDomain(ImplicitDomain):
+    """The ellipse x^2/a^2 + y^2/b^2 < 1: an implicit domain that also
+    records its semi-axes, so that level_set_area has a closed form (the
+    tube formula) while projection, curvatures and the Monte Carlo oracles
+    use phi, grad and hess as on any implicit domain."""
+    a: float = field(kw_only=True)
+    b: float = field(kw_only=True)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (self.a > 0.0 and self.b > 0.0):
+            raise ValueError("semi-axes must be positive")
+        if self.dim != 2:
+            raise ValueError(f"an ellipse has N = 2, got {self.dim}")
 
 
 DomainOracle = Union[BallDomain, ExteriorBallDomain, ImplicitDomain]
@@ -475,27 +503,253 @@ def _sphere_cap_area(n: int, r1: np.ndarray, c: float,
     return np.where(r1 > 0.0, out, 0.0)
 
 
+@dataclass(frozen=True)
+class _EllipseTube:
+    """The tube formula at a touching ball B_R(x) on an ellipse, in the frame
+    with the major axis first (a reflection, which keeps every length): the
+    boundary is y(t) = (a cos t, b sin t), a >= b, with speed
+    w(t) = |y'(t)|, inward unit normal nu(t) and curvature ab/w^3.  The
+    ball touches it at y(t0), and parameters are offsets u = t - t0.
+
+    The ball's center is taken as y(t0) + R nu(t0), the center that
+    touching_ball checks to 1e-9, so that the interior test at offset 0
+    reads s (s - 2R), with no cancellation as s -> 0 or s -> 2R.
+    """
+    a: float
+    b: float
+    R: float
+    t0: float
+    center: Tuple[float, float]
+    crit: np.ndarray  # offsets of the other normals through the center
+
+    @classmethod
+    def at(cls, domain: EllipseDomain, cfg: TouchingBallConfig
+           ) -> "_EllipseTube":
+        a, b, y = domain.a, domain.b, np.asarray(cfg.y_x, dtype=float)
+        if a < b:
+            a, b, y = b, a, y[::-1]
+        R, t0 = float(cfg.R), math.atan2(y[1] / b, y[0] / a)
+        w0 = math.hypot(a * math.sin(t0), b * math.cos(t0))
+        cx = math.cos(t0) * (a - R * b / w0)
+        cy = math.sin(t0) * (b - R * a / w0)
+        # (y(t) - center) . y'(t) = 0 is a quartic in z = e^{it}; near-unit
+        # roots are kept (a spurious one only splits a monotone piece), and
+        # the one nearest t0 is t0 itself
+        z = np.roots([b * b - a * a, 2.0 * (a * cx - 1j * b * cy), 0.0,
+                      -2.0 * (a * cx + 1j * b * cy), a * a - b * b])
+        u = _wrap(np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-6]) - t0)
+        return cls(a, b, R, t0, (cx, cy), np.delete(u, np.argmin(np.abs(u))))
+
+    @property
+    def w0(self) -> float:
+        return math.hypot(self.a * math.sin(self.t0),
+                          self.b * math.cos(self.t0))
+
+    def terms(self, u: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """(v, c0, c1, e0, e1) at offsets u, v = sin^2(u/2): the point at
+        distance s along the normal lies in the open ball iff
+        g = s (s - 2R) + s c1 + c0 = |y + s nu - center|^2 - R^2 < 0, and
+        dg/dv = e0 + s e1.  Every term is written in sin(u/2) and cos(u/2),
+        so none cancels as u -> 0, and s - 2R is exact as s -> 2R."""
+        a, b, R = self.a, self.b, self.R
+        st0, ct0, w0 = math.sin(self.t0), math.cos(self.t0), self.w0
+        ab, ecc = a * b, a * a - b * b
+        sig, ch = np.sin(0.5 * u), np.cos(0.5 * u)
+        v = sig * sig
+        cu, su = 1.0 - 2.0 * v, 2.0 * sig * ch
+        st, ct = st0 * cu + ct0 * su, ct0 * cu - st0 * su
+        stb, ctb = st0 * ch + ct0 * sig, ct0 * ch - st0 * sig
+        w2 = b * b + ecc * st * st
+        w = np.sqrt(w2)
+        c0 = 4.0 * v * (b * b + ecc * stb * stb - R * ab / w0)
+        # 1 - nu(t0).nu(t), by the sine of the angle where its cosine is
+        # positive
+        cos_n = (b * b * ct0 * ct + a * a * st0 * st) / (w0 * w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            one_m = np.where(cos_n > 0.0,
+                             (ab * su / (w0 * w)) ** 2 / (1.0 + cos_n),
+                             1.0 - cos_n)
+        c1 = 2.0 * R * one_m - 4.0 * v * ab / w
+        # dg/du = 2 (1 - s kappa) (y - center).y', and dv/du = sig ch
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e0 = 4.0 * ((a * a * st * stb + b * b * ct * ctb) / ch
+                        - R * ab / w0)
+        return v, c0, c1, e0, -e0 * ab / (w2 * w)
+
+    def start(self, s: np.ndarray, side: np.ndarray) -> np.ndarray:
+        """Offsets, on the side of `side`, where the level-s parallel of the
+        osculating circle at y(t0) (radius rho0) leaves the ball: its normal
+        turns by phi, sin^2(phi/2) = s (2R - s) / (4 (rho0 - s)(rho0 - R)),
+        mapped to the ellipse's parameter through tan(theta) = (a/b) tan(t)
+        for the normal angle theta."""
+        a, b, R, w0 = self.a, self.b, self.R, self.w0
+        rho0 = w0 ** 3 / (a * b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = s * (2.0 * R - s) / (4.0 * (rho0 - s) * (rho0 - R))
+        phi = 2.0 * np.arcsin(np.sqrt(np.where(s < rho0,
+                                               np.clip(h, 0.0, 1.0), 1.0)))
+        cth, sth = b * math.cos(self.t0) / w0, a * math.sin(self.t0) / w0
+        sp, cp = side * np.sin(phi), np.cos(phi)
+        return np.arctan2(a * b * sp,
+                          cp * (a * a * cth * cth + b * b * sth * sth)
+                          + sp * cth * sth * (b * b - a * a))
+
+    def primitive(self, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """L(t) - s theta(t) at t = t0 + u, whose differences are the
+        lengths of the parallel curve y + s nu before its cut: L the arc
+        length, an incomplete elliptic integral of the second kind, and
+        theta the normal angle, theta - t = atan((a - b) sin t cos t /
+        (b cos^2 t + a sin^2 t))."""
+        a, b = self.a, self.b
+        t = self.t0 + u
+        st, ct = np.sin(t), np.cos(t)
+        theta = t + np.arctan((a - b) * st * ct / (b * ct * ct + a * st * st))
+        return a * ellipeinc(t - 0.5 * math.pi, 1.0 - (b / a) ** 2) - s * theta
+
+
+def _wrap(u: np.ndarray) -> np.ndarray:
+    """Angles u reduced to [-pi, pi)."""
+    return (u + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _arc_ends(tube: _EllipseTube, s: np.ndarray, lo: np.ndarray,
+              hi: np.ndarray, inside_lo: np.ndarray) -> np.ndarray:
+    """The offset in each bracket [lo, hi] (one side of the contact) where
+    g(., s) of tube.terms changes sign, g < 0 at lo where inside_lo; g is
+    monotone there.  Safeguarded Newton in v = sin^2(u/2), in which g is
+    nearly linear, started at tube.start where the bracket ends at the
+    contact and at the midpoint elsewhere, with a bisection step whenever
+    Newton leaves the bracket.  It stops once a step is below
+    _ARC_STEP_TOL of the offset (the step it then takes leaves an error of
+    about its square), or when the bracket closes to rounding."""
+    side = np.where(hi > 0.0, 1.0, -1.0)
+    u = tube.start(s, side)
+    u = np.where(((lo == 0.0) | (hi == 0.0)) & (u > lo) & (u < hi), u,
+                 0.5 * (lo + hi))
+    out = np.empty_like(u)
+    idx = np.arange(u.size)
+    for _ in range(_ARC_MAX_ITER):
+        v, c0, c1, e0, e1 = tube.terms(u)
+        g = s * (s - 2.0 * tube.R) + s * c1 + c0
+        left = (g < 0.0) == inside_lo
+        lo, hi = np.where(left, u, lo), np.where(left, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = 2.0 * side * np.arcsin(np.sqrt(v - g / (e0 + s * e1)))
+        # a last step may round across the end it started from
+        small = np.abs(newton - u) <= _ARC_STEP_TOL * np.abs(newton)
+        ok = small | ((newton >= lo) & (newton <= hi))
+        done = (small | (g == 0.0)
+                | (hi - lo <= 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))))
+        u = np.where(g == 0.0, u, np.where(ok, np.clip(newton, lo, hi),
+                                           0.5 * (lo + hi)))
+        out[idx] = u
+        keep = np.flatnonzero(~done)
+        if keep.size == 0:
+            return out
+        idx, u, lo, hi, s, side, inside_lo = (
+            idx[keep], u[keep], lo[keep], hi[keep], s[keep], side[keep],
+            inside_lo[keep])
+    raise RuntimeError(f"the ends of {idx.size} level-set arcs did not "
+                       f"converge in {_ARC_MAX_ITER} iterations")
+
+
+def _ellipse_level_area(domain: EllipseDomain, cfg: TouchingBallConfig,
+                        s: np.ndarray) -> np.ndarray:
+    """Length of {d_Gamma = s} inside B_R(x) on an ellipse, for a 1-d array
+    of levels s > 0, by the tube formula (H. Weyl, "On the volume of
+    tubes", 1939).
+
+    The level set is the parallel curve y(t) + s nu(t) over the parameters
+    before its cut, s <= s_cut(t) = b w(t)/a, where the normal meets the
+    major axis: sin^2 t >= c(s).  Along it |y + s nu - x| has the critical
+    points of |y - x| (its derivative is (1 - s kappa) (y - x).y'), so
+    between the offsets of the normals through x (tube.crit), the contact
+    and the cut points, the interior test g of tube.terms is monotone: each
+    piece lies in the ball up to at most one arc end (_arc_ends), however
+    many arcs the level set has there.  Each arc integrates exactly to
+    [L(t2) - L(t1)] - s [theta(t2) - theta(t1)] (tube.primitive); an end
+    shared by consecutive pieces cancels and is not evaluated.
+    """
+    tube = _EllipseTube.at(domain, cfg)
+    a, b, R, n = tube.a, tube.b, tube.R, s.size
+    m = 1.0 - (b / a) ** 2
+    c = ((s / b) ** 2 - (b / a) ** 2) / m if m > 0.0 \
+        else np.where(s <= b, 0.0, 2.0)
+    r = np.sqrt(np.clip(c, 0.0, 1.0))
+    alpha = np.arcsin(r)
+    # the cut points y + s nu = (+-X, +-Y), with Y = 0 where c > 0
+    w_cut = np.sqrt(b * b + (a * a - b * b) * r * r)
+    big_x = np.sqrt(1.0 - r * r) * (a - s * b / w_cut)
+    big_y = r * (b - s * a / w_cut)
+    cx, cy = tube.center
+    signs = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+    fixed = np.concatenate([[-math.pi, 0.0, math.pi], tube.crit])
+    _, c0, c1, _, _ = tube.terms(fixed)
+    sc = s[:, None]
+    u = np.concatenate(
+        [np.broadcast_to(fixed, (n, fixed.size)),
+         _wrap(np.stack([alpha, math.pi - alpha, math.pi + alpha, -alpha],
+                        axis=1) - tube.t0)], axis=1)
+    g = np.concatenate(
+        [sc * (sc - 2.0 * R) + sc * c1 + c0,
+         np.stack([(sx * big_x - cx) ** 2 + (sy * big_y - cy) ** 2 - R * R
+                   for sx, sy in signs], axis=1)], axis=1)
+    order = np.argsort(u, axis=1)
+    u = np.take_along_axis(u, order, axis=1)
+    g = np.take_along_axis(g, order, axis=1)
+    lo, hi = u[:, :-1], u[:, 1:]
+    inside_lo, inside_hi = g[:, :-1] < 0.0, g[:, 1:] < 0.0
+    hit = ((np.sin(tube.t0 + 0.5 * (lo + hi)) ** 2 >= c[:, None])
+           & (inside_lo | inside_hi))
+    start = np.where(inside_lo, lo, 0.0)
+    end = np.where(inside_hi, hi, 0.0)
+    rows, cols = np.nonzero(hit & (inside_lo != inside_hi))
+    ends = _arc_ends(tube, s[rows], lo[rows, cols], hi[rows, cols],
+                     inside_lo[rows, cols])
+    leaves = inside_lo[rows, cols]
+    end[rows[leaves], cols[leaves]] = ends[leaves]
+    start[rows[~leaves], cols[~leaves]] = ends[~leaves]
+    # an end shared with the next piece cancels in the sum
+    shared = hit[:, :-1] & hit[:, 1:] & inside_hi[:, :-1]
+    last, first = hit.copy(), hit.copy()
+    last[:, :-1] &= ~shared
+    first[:, 1:] &= ~shared
+    re, ce = np.nonzero(last)
+    rs, cs = np.nonzero(first)
+    return (np.bincount(re, tube.primitive(end[re, ce], s[re]), minlength=n)
+            - np.bincount(rs, tube.primitive(start[rs, cs], s[rs]),
+                          minlength=n))
+
+
 def level_set_area(domain: DomainOracle, cfg: TouchingBallConfig,
                    s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Surface measure of {d_Gamma = s} inside B_R(x), scalar or array s.
 
-    Closed sphere-cap formulas for ball and ball-complement domains, one
-    array evaluation for all of s; implicit domains have no closed form and
-    are rejected (level_set_area_mc is their seeded Monte Carlo oracle).
-    s >= 2R gives 0 (the level set has left the ball); any s <= 0 is
-    rejected.  A scalar s returns a float.
+    Closed forms, one array evaluation for all of s: sphere caps on balls
+    and ball complements, the tube formula on ellipses
+    (_ellipse_level_area: arc lengths by elliptic integrals, between arc
+    ends found by safeguarded Newton).  Other implicit domains have no
+    closed form and are rejected (level_set_area_mc is their seeded Monte
+    Carlo oracle).  s >= 2R gives 0 (the level set has left the ball); any
+    s <= 0 is rejected.  A scalar s returns a float.
     """
-    if isinstance(domain, ImplicitDomain):
-        raise ValueError("level_set_area has closed forms on balls and ball "
-                         "complements only; use level_set_area_mc")
+    if isinstance(domain, ImplicitDomain) and \
+            not isinstance(domain, EllipseDomain):
+        raise ValueError("level_set_area has closed forms on balls, ball "
+                         "complements and ellipses only; use "
+                         "level_set_area_mc")
     s_arr = np.asarray(s, dtype=float)
     if not np.all(s_arr > 0.0):
         raise ValueError(f"level distance s must be > 0, got {s}")
-    c = float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
-    r1 = (domain.rho - s_arr if isinstance(domain, BallDomain)
-          else domain.r_e + s_arr)
-    out = np.where(s_arr < 2.0 * cfg.R,
-                   _sphere_cap_area(cfg.n, r1, c, cfg.R), 0.0)
+    if isinstance(domain, EllipseDomain):
+        flat = s_arr.ravel()
+        area = _ellipse_level_area(domain, cfg, flat).reshape(s_arr.shape)
+    else:
+        c = float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
+        r1 = (domain.rho - s_arr if isinstance(domain, BallDomain)
+              else domain.r_e + s_arr)
+        area = _sphere_cap_area(cfg.n, r1, c, cfg.R)
+    out = np.where(s_arr < 2.0 * cfg.R, area, 0.0)
     return float(out) if s_arr.ndim == 0 else out
 
 
@@ -632,8 +886,9 @@ def psi_of_eps(modulus: ModulusOfContinuity, eps: float) -> float:
     return min(refined, eps)
 
 
-def make_ellipse_domain(a: float = 2.0, b: float = 1.0) -> ImplicitDomain:
-    """The ellipse x^2/a^2 + y^2/b^2 < 1 as an implicit domain."""
+def make_ellipse_domain(a: float = 2.0, b: float = 1.0) -> EllipseDomain:
+    """The ellipse x^2/a^2 + y^2/b^2 < 1 as an implicit domain that records
+    its semi-axes."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("semi-axes must be positive")
     inv_a2, inv_b2 = 1.0 / (a * a), 1.0 / (b * b)
@@ -657,5 +912,5 @@ def make_ellipse_domain(a: float = 2.0, b: float = 1.0) -> ImplicitDomain:
         out[..., 1, 1] = 2.0 * inv_b2
         return out
 
-    return ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=2,
-                          name=f"ellipse({a},{b})")
+    return EllipseDomain(phi=phi, grad=grad, hess=hess, dim=2,
+                         name=f"ellipse({a},{b})", a=float(a), b=float(b))

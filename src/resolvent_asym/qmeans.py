@@ -6,25 +6,24 @@ The q-mean of a function on B_R(x) is the unique root mu of
 
 For functions of the boundary distance the integrals collapse, by the
 co-area formula, to one-dimensional integrals against the level-set area,
-which is closed-form on radial domains; they are evaluated by the fixed-level
-rule quadrature.tanh_sinh_fixed, which hands all of its nodes to the
-integrand at once, so each integral makes one profile call and one array
-area call.
-q_mean covers those domains only; on implicit domains the seeded Monte Carlo
-oracle q_mean_bruteforce takes a raw function of the points.  The Monte Carlo
-paths draw their sample in blocks (geometry._ball_blocks), bit for bit the
-one-shot draw, and keep about 3 floats per sample: the values, one scratch
-array for the empirical root, and the boundary distances in the limit
-experiment.  Every root
-(the q-mean itself and the distance where a profile crosses mu) is found by
-one helper, _root: scipy's brentq ported line for line, fed with the end
-values its caller already holds, so that no G is evaluated twice at one
-point.
+which is closed-form on balls, ball complements and ellipses
+(geometry.level_set_area); they are evaluated by the fixed-level rule
+quadrature.tanh_sinh_fixed, which hands all of its nodes to the integrand at
+once, so each integral makes one profile call and one array area call.
+q_mean covers those domains only; on other implicit domains the seeded
+Monte Carlo oracle q_mean_bruteforce takes a raw function of the points.  It
+draws its sample in blocks (geometry._ball_blocks), bit for bit the one-shot
+draw, and keeps about 3 floats per sample: the values and one scratch array
+for the empirical root.  Every root (the q-mean itself and the distance
+where a profile crosses mu) is found by one helper, _root: scipy's brentq
+ported line for line, fed with the end values its caller already holds, so
+that no G is evaluated twice at one point.
 
 Solution profiles evaluate the exact radial solution through
-radial.eval_log_u, whose kernels are closed-form; on implicit domains the
-limit experiment brackets the solution between the enhanced barriers of
-barriers.enhanced_U and barriers.enhanced_V over one seeded sample.
+radial.eval_log_u, whose kernels are closed-form; on an ellipse the limit
+experiment brackets the solution between the q-means of the enhanced
+barriers barriers.enhanced_U and barriers.enhanced_V, by the same co-area
+route, so its rows are deterministic.
 """
 
 from __future__ import annotations
@@ -39,15 +38,14 @@ from scipy.special import gammaln
 
 from .barriers import EnhancedBarriers, enhanced_U, enhanced_V
 from .geometry import (
-    _BLOCK,
     _DEFAULT_SEED,
     BallDomain,
+    EllipseDomain,
     ExteriorBallDomain,
     ImplicitDomain,
     TouchingBallConfig,
     _ball_blocks,
     _require_count,
-    boundary_distances,
     level_set_area,
 )
 from .params import ProblemParams, is_infinity, limit_constants
@@ -132,9 +130,15 @@ def _root(G: Callable, lo: float, hi: float, g_lo: float,
 
 
 def _s_max(cfg: TouchingBallConfig) -> float:
-    """Largest boundary distance attained inside B_R(x)."""
-    if isinstance(cfg.domain, BallDomain):
-        return min(2.0 * cfg.R, cfg.domain.rho)
+    """Largest boundary distance inside B_R(x): min(2R, inradius) on a ball
+    and on an ellipse.  On an ellipse that is an upper bound, attained
+    unless the ball misses the center and the point 2R along the contact
+    normal lies past its cut."""
+    dom = cfg.domain
+    if isinstance(dom, BallDomain):
+        return min(2.0 * cfg.R, dom.rho)
+    if isinstance(dom, EllipseDomain):
+        return min(2.0 * cfg.R, dom.a, dom.b)
     return 2.0 * cfg.R
 
 
@@ -143,8 +147,8 @@ class QMeanQuery:
     """Input bundle for a q-mean over the touching ball B_R(x).
 
     `profile` is a nonnegative nonincreasing function of the scaled distance
-    tau = d_Gamma/xi, vectorized, on a ball or ball-complement domain;
-    q_mean_bruteforce takes functions of the points, on any domain.
+    tau = d_Gamma/xi, vectorized, on a ball, ball-complement or ellipse
+    domain; q_mean_bruteforce takes functions of the points, on any domain.
     """
 
     cfg: TouchingBallConfig
@@ -159,9 +163,11 @@ class QMeanQuery:
             raise ValueError(f"xi must be positive, got {self.xi}")
         if self.profile is None:
             raise ValueError("a profile must be given")
-        if isinstance(self.cfg.domain, ImplicitDomain):
-            raise ValueError("q_mean has no closed-form level-set areas on "
-                             "implicit domains; use q_mean_bruteforce")
+        if isinstance(self.cfg.domain, ImplicitDomain) and \
+                not isinstance(self.cfg.domain, EllipseDomain):
+            raise ValueError("q_mean has closed-form level-set areas on "
+                             "balls, ball complements and ellipses only; "
+                             "use q_mean_bruteforce")
         tau = np.linspace(0.0, _s_max(self.cfg) / self.xi, 129)
         vals = np.asarray(self.profile(tau), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -189,21 +195,6 @@ def _scaled_exponent(n: int, q: float) -> float:
     return (n + 1.0) / (2.0 * (q - 1.0))
 
 
-def _fill_from_ball(cfg: TouchingBallConfig, n_samples: int, seed: int,
-                    fn: Callable) -> np.ndarray:
-    """fn of n_samples uniform points of B_R(x), drawn in blocks
-    (_ball_blocks, bit for bit the one-shot draw) into one float array; fn
-    must be pointwise, so that it gives each point the value it would give
-    it in a single call."""
-    out = np.empty(n_samples)
-    lo = 0
-    for pts in _ball_blocks(np.random.default_rng(seed),
-                            np.asarray(cfg.x, dtype=float), cfg.R, n_samples):
-        out[lo:lo + len(pts)] = fn(pts)
-        lo += len(pts)
-    return out
-
-
 def _sample_G(mu: float, v: np.ndarray, qm1: float, buf: np.ndarray) -> float:
     """mean [v - mu]_+^{q-1} - mean [mu - v]_+^{q-1}, each side evaluated
     in the scratch array buf (`**=` keeps numpy's scalar-power fast paths)."""
@@ -218,14 +209,25 @@ def _sample_G(mu: float, v: np.ndarray, qm1: float, buf: np.ndarray) -> float:
 
 
 def _empirical_qmean(values: np.ndarray, q: float) -> Tuple[float, float]:
-    """Root of the sample version of G by Brent's method: (mu, residual/scale)."""
+    """Root of the sample version of G by Brent's method: (mu, residual/scale).
+
+    A sample whose spread is within 1e-14 of its magnitude is constant and
+    gives its midrange.  Otherwise G changes sign between the sample's min
+    and max, and a root within the root's absolute tolerance of the min is
+    not resolved: it raises RuntimeError."""
     v = np.asarray(values, dtype=float)
     lo, hi = float(v.min()), float(v.max())
-    if hi - lo <= 1e-14 * max(1.0, abs(hi)):
+    if hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
         return 0.5 * (lo + hi), 0.0
     qm1, buf = q - 1.0, np.empty_like(v)
-    return _root(lambda mu: _sample_G(mu, v, qm1, buf), lo, hi,
-                 _sample_G(lo, v, qm1, buf), _sample_G(hi, v, qm1, buf))
+    mu, residual = _root(lambda m: _sample_G(m, v, qm1, buf), lo, hi,
+                         _sample_G(lo, v, qm1, buf), _sample_G(hi, v, qm1, buf))
+    xtol = 2.0 ** -60 * (hi - lo)
+    if mu - lo <= xtol:
+        raise RuntimeError(
+            f"the q-mean lies within the root's absolute tolerance "
+            f"{xtol:.3g} of the sample minimum {lo:.3g}; it is not resolved")
+    return mu, residual
 
 
 def _prof_at(profile: Callable, tau: float) -> float:
@@ -274,20 +276,24 @@ def _coarea_G(mu: float, profile: Callable, xi: float, q: float,
 
 
 def q_mean(query: QMeanQuery) -> QMeanResult:
-    """The q-mean of the query's profile over B_R(x) on a radial domain.
+    """The q-mean of the query's profile over B_R(x) on a ball, ball
+    complement or ellipse.
 
     Finite q goes through the co-area route: G(mu) is a fixed-level
-    tanh-sinh integral against closed-form level-set areas (one profile
-    call and one array area call per integral), and mu and the profile's
-    crossing of mu are Brent roots.  q = INFINITY gives the midrange
-    (f(0) + f(s_max/xi))/2 of the monotone profile, s_max the largest
-    boundary distance in B_R(x), with residual 0 and scaled == mu.
+    tanh-sinh integral against closed-form level-set areas (sphere caps, or
+    the ellipse's tube formula; one profile call and one array area call per
+    integral), and mu and the profile's crossing of mu are Brent roots.
+    q = INFINITY gives the midrange (f(0) + f(s_max/xi))/2 of the monotone
+    profile, s_max the largest boundary distance in B_R(x) (_s_max), with
+    residual 0 and scaled == mu.
     """
     cfg, xi, prof, q = query.cfg, query.xi, query.profile, query.q
     smax = _s_max(cfg)
     f0 = _prof_at(prof, 0.0)
     fend = _prof_at(prof, smax / xi)
-    if is_infinity(q) or f0 - fend <= 1e-14 * max(1.0, abs(f0)):
+    # constant to rounding relative to f0 (an absolute test took small
+    # profiles for constants)
+    if is_infinity(q) or f0 - fend <= 1e-14 * abs(f0):
         mu, residual = 0.5 * (f0 + fend), 0.0
     else:
         beta = min(1.0, q - 1.0, 0.5 * (cfg.n - 1))
@@ -310,13 +316,16 @@ def q_mean_bruteforce(cfg: TouchingBallConfig, q: float, raw: Callable,
                       seed: int = _DEFAULT_SEED) -> Tuple[float, float]:
     """Monte Carlo oracle: (mu, standard error) for a raw function on the ball.
 
-    It is the q-mean on implicit domains and the co-area route's oracle.
-    raw must be pointwise (a point's value may not depend on the other
-    points): the sample is drawn in blocks, bit for bit the one-shot draw,
-    and raw sees one block at a time, so memory stays at about 3 floats per
-    sample.  The error is the delta-method estimate sd(g)/(sqrt(n) |E dG/dmu|)
-    for the estimating function g(v, mu) = [v-mu]_+^{q-1} - [mu-v]_+^{q-1};
-    at q = 2 this reduces to the usual sd/sqrt(n) of the sample mean.
+    It is the q-mean on implicit domains other than the ellipse and the
+    co-area route's oracle.  raw must be pointwise (a point's value may not
+    depend on the other points): the sample is drawn in blocks, bit for bit
+    the one-shot draw, and raw sees one block at a time, so memory stays at
+    about 3 floats per sample.  A q-mean within the root's absolute
+    tolerance of the sample's minimum raises RuntimeError
+    (_empirical_qmean).  The error is the delta-method estimate
+    sd(g)/(sqrt(n) |E dG/dmu|) for the estimating function
+    g(v, mu) = [v-mu]_+^{q-1} - [mu-v]_+^{q-1}; at q = 2 this reduces to the
+    usual sd/sqrt(n) of the sample mean.
     """
     if is_infinity(q):
         raise ValueError("the Monte Carlo oracle covers finite q only")
@@ -324,7 +333,12 @@ def q_mean_bruteforce(cfg: TouchingBallConfig, q: float, raw: Callable,
         raise ValueError(f"q must be > 1, got {q}")
     # the standard error needs two samples
     _require_count("n_samples", n_samples, 2)
-    v = _fill_from_ball(cfg, n_samples, seed, raw)
+    v = np.empty(n_samples)
+    lo = 0
+    for pts in _ball_blocks(np.random.default_rng(seed),
+                            np.asarray(cfg.x, dtype=float), cfg.R, n_samples):
+        v[lo:lo + len(pts)] = raw(pts)
+        lo += len(pts)
     mu, _ = _empirical_qmean(v, q)
     qm1 = q - 1.0
     # g = |v - mu|^{q-1}, negated below mu (0 - [mu-v]^{q-1}, as in G)
@@ -424,10 +438,13 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
     """Scaled q-means along an eps sequence against the limit prediction.
 
     Radial domains evaluate the exact solution through the co-area route
-    (path "coarea").  Implicit domains sample boundary distances once (at
-    q = INFINITY not at all: the barriers' end values give the sup) and
-    report the barrier pair (paths "barrier-U", "barrier-V"), which brackets
-    the solution's q-mean.  The scaled column is (R/eps)^{(N+1)/(2(q-1))} mu;
+    (path "coarea").  On an ellipse the solution has no closed form, and
+    the rows are the q-means (q_mean, by co-area over the tube formula's
+    level-set areas) of the barrier pair exp(enhanced_U), exp(enhanced_V)
+    (paths "barrier-U", "barrier-V"), which brackets the solution's q-mean;
+    they are deterministic.  Other implicit domains are rejected: their
+    q-means are q_mean_bruteforce's.  n_samples and seed are validated and
+    otherwise unused.  The scaled column is (R/eps)^{(N+1)/(2(q-1))} mu;
     the prediction carries the matching (p')^{(N+1)/2} factor.
     """
     params_seq = list(params_seq)
@@ -441,48 +458,36 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
         raise ValueError(
             f"params dimension {params_seq[0].n} does not match the "
             f"touching-ball dimension {n}")
+    dom = cfg.domain
+    if isinstance(dom, ImplicitDomain):
+        if not isinstance(dom, EllipseDomain):
+            raise ValueError("the limit experiment needs closed-form "
+                             "level-set areas; on this implicit domain use "
+                             "q_mean_bruteforce")
+        _require_count("n_samples", n_samples)
+        _require_count("seed", seed, 0)
     p = params_seq[0].p
     lim = limit_constants(n, p, q, cfg.curvatures, cfg.R)
     expo = _scaled_exponent(n, q)
     ill = bool((not is_infinity(q)) and q < 1.2)
-    dom = cfg.domain
     rows: List[dict] = []
 
-    def make_row(pp: ProblemParams, mu: float, residual: float,
-                 path: str) -> dict:
-        scaled = (cfg.R / pp.eps) ** expo * mu
-        return {"eps": pp.eps, "xi": pp.xi, "mu": mu, "scaled": scaled,
-                "prediction": lim.prediction,
-                "ratio": scaled / lim.prediction, "residual": residual,
-                "path": path, "ill_conditioned": ill}
+    def add_row(pp: ProblemParams, profile: Callable, path: str) -> None:
+        res = q_mean(QMeanQuery(cfg=cfg, q=q, xi=pp.xi, profile=profile))
+        scaled = (cfg.R / pp.eps) ** expo * res.mu
+        rows.append({"eps": pp.eps, "xi": pp.xi, "mu": res.mu,
+                     "scaled": scaled, "prediction": lim.prediction,
+                     "ratio": scaled / lim.prediction,
+                     "residual": res.residual, "path": path,
+                     "ill_conditioned": ill})
 
-    if isinstance(dom, (BallDomain, ExteriorBallDomain)):
-        for pp in params_seq:
-            prof = solution_profile(pp, dom)
-            res = q_mean(QMeanQuery(cfg=cfg, q=q, xi=pp.xi, profile=prof))
-            rows.append(make_row(pp, res.mu, res.residual, "coarea"))
-        return rows
-
-    _require_count("n_samples", n_samples)
-    if not is_infinity(q):
-        d = _fill_from_ball(cfg, n_samples, seed,
-                            lambda pts: boundary_distances(dom, pts))
-        np.maximum(d, 0.0, out=d)
-        vals = np.empty_like(d)
     for pp in params_seq:
-        b = EnhancedBarriers(pp, r_i=cfg.R, r_e=cfg.R)
-        ends = np.array([0.0, 2.0 * cfg.R / pp.xi])
-        for path, barrier in (("barrier-U", enhanced_U),
-                              ("barrier-V", enhanced_V)):
-            if is_infinity(q):
-                mu = 0.5 * float(np.sum(np.exp(barrier(b, ends))))
-                residual = 0.0
-            else:
-                # the barriers are pointwise in tau: one block at a time
-                for lo in range(0, d.size, _BLOCK):
-                    vals[lo:lo + _BLOCK] = barrier(b, d[lo:lo + _BLOCK]
-                                                   / pp.xi)
-                np.exp(vals, out=vals)
-                mu, residual = _empirical_qmean(vals, float(q))
-            rows.append(make_row(pp, mu, residual, path))
+        if isinstance(dom, EllipseDomain):
+            b = EnhancedBarriers(pp, r_i=cfg.R, r_e=cfg.R)
+            for path, barrier in (("barrier-U", enhanced_U),
+                                  ("barrier-V", enhanced_V)):
+                add_row(pp, lambda tau, barrier=barrier, b=b:
+                        np.exp(barrier(b, tau)), path)
+        else:
+            add_row(pp, solution_profile(pp, dom), "coarea")
     return rows

@@ -20,11 +20,12 @@ from resolvent_asym.experiments import GeometrySpec, SweepConfig, emit, \
     run_qmean_sweep, run_varadhan_sweep
 from resolvent_asym.geometry import BallDomain, ExteriorBallDomain, \
     area_ratio_limit, boundary_distances, level_set_area, level_set_area_mc, \
-    touching_ball
+    make_ellipse_domain, touching_ball
 from resolvent_asym.params import INFINITY, ProblemParams, conjugate, \
     limit_constants
 from resolvent_asym.qmeans import QMeanQuery, q_mean, \
-    q_mean_bruteforce, qmean_profile_limit, solution_profile
+    q_mean_bruteforce, qmean_limit_experiment, qmean_profile_limit, \
+    solution_profile
 from resolvent_asym.radial import Geometry, RadialSolution, eval_log_u, \
     ode_residual, varadhan_residual
 from resolvent_asym.special import MollifierKind, \
@@ -199,6 +200,18 @@ def test_criterion_08_qmean_limit():
             query = QMeanQuery(cfg=BALL_CFG, q=INFINITY, xi=params.xi,
                                profile=prof)
             assert abs(q_mean(query).mu - 0.5) < 1e-3
+        # the ellipse (2, 1) touched at its minor vertex, Pi_Gamma = 7/8:
+        # the barrier pair's deterministic rows close in on the prediction
+        ell = touching_ball(make_ellipse_domain(2.0, 1.0),
+                            np.array([0.0, 0.5]), 0.5)
+        assert ell.pi_gamma == pytest.approx(0.875, abs=1e-10)
+        seq = [ProblemParams(n=2, p=INFINITY, eps=e)
+               for e in (0.02, 0.01, 0.005, 0.0025)]
+        rows = qmean_limit_experiment(seq, ell, 2.0)
+        for path in ("barrier-U", "barrier-V"):
+            devs = [abs(r["ratio"] - 1.0) for r in rows if r["path"] == path]
+            assert devs[0] > devs[1] > devs[2] > devs[3]
+            assert devs[3] < 0.005
 
 
 def test_criterion_09_qmean_solver_properties():

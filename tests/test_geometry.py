@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from resolvent_asym import geometry
+from resolvent_asym.quadrature import tanh_sinh_fixed
 from resolvent_asym.geometry import (
     BallDomain,
+    EllipseDomain,
     ExteriorBallDomain,
     ImplicitDomain,
     ModulusOfContinuity,
@@ -531,6 +533,191 @@ class TestLevelSetArea:
         approx, se = level_set_area_mc(dom, cfg_impl, s, n_samples=100_000,
                                        seed=3)
         assert abs(approx - closed) <= max(3.0 * se, 0.05 * closed)
+
+
+def parallel_length(s: float, a: float, b: float, center, R: float,
+                    grid: int = 4001) -> float:
+    """Length of {d_Gamma = s} inside B_R(center) on x^2/a^2 + y^2/b^2 < 1,
+    independently of the tube formula's code: the parameters t whose point
+    y(t) + s nu(t) lies in the ball and before the cut are located on a
+    grid and their ends bisected 60 times on that indicator; each arc's
+    int |y'| (1 - s kappa) dt is a composite Gauss-Legendre rule, its panels
+    doubled until two rules agree to 1e-14."""
+    def inside(t):
+        speed = np.hypot(a * np.sin(t), b * np.cos(t))
+        px = a * np.cos(t) - s * b * np.cos(t) / speed
+        py = b * np.sin(t) - s * a * np.sin(t) / speed
+        cut = min(a, b) * speed / max(a, b)
+        return (np.hypot(px - center[0], py - center[1]) < R) & (s <= cut)
+
+    def speed_term(t):
+        w2 = (a * np.sin(t)) ** 2 + (b * np.cos(t)) ** 2
+        return np.sqrt(w2) - s * a * b / w2
+
+    t = np.linspace(-math.pi, math.pi, grid)
+    flags = inside(t)
+    assert not (flags[0] or flags[-1]), "an arc crosses the seam"
+    edges = np.flatnonzero(np.diff(flags.astype(int)))
+    ends = []
+    for k in edges:
+        lo, hi = t[k], t[k + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if inside(np.array([mid]))[0] == flags[k]:
+                lo = mid
+            else:
+                hi = mid
+        ends.append(0.5 * (lo + hi))
+    x, w = np.polynomial.legendre.leggauss(20)
+    total = 0.0
+    for t1, t2 in zip(ends[0::2], ends[1::2]):
+        prev, panels = None, 1
+        while True:
+            e = np.linspace(t1, t2, panels + 1)
+            mid, half = 0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e)
+            val = float(np.sum(half[:, None] * w
+                               * speed_term(mid[:, None] + half[:, None] * x)))
+            if prev is not None and abs(val - prev) <= 1e-14 * abs(val):
+                break
+            prev, panels = val, 2 * panels
+        total += val
+    return total
+
+
+def tanh_sinh_nodes(a: float, b: float, level: int, beta: float
+                    ) -> np.ndarray:
+    """The abscissae tanh_sinh_fixed evaluates on [a, b]."""
+    seen = []
+    tanh_sinh_fixed(lambda x, *rest: seen.append(x) or np.zeros_like(x),
+                    a, b, level, beta)
+    return seen[0]
+
+
+ELLIPSE_CFG = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5)
+
+
+class TestEllipseTube:
+    """level_set_area on ellipses: the tube formula."""
+
+    def test_domain_records_its_axes(self):
+        dom = make_ellipse_domain(2.0, 1.0)
+        assert isinstance(dom, EllipseDomain)
+        assert isinstance(dom, ImplicitDomain)
+        assert (dom.a, dom.b, dom.dim) == (2.0, 1.0, 2)
+        with pytest.raises(ValueError):
+            make_ellipse_domain(0.0, 1.0)
+        with pytest.raises(ValueError):
+            EllipseDomain(phi=dom.phi, grad=dom.grad, hess=dom.hess, dim=2,
+                          a=-1.0, b=1.0)
+
+    def test_circle_matches_ball(self):
+        ball = touching_ball(BallDomain(1.0), [0.5, 0.0], 0.5)
+        circle = touching_ball(make_ellipse_domain(1.0, 1.0), [0.5, 0.0], 0.5)
+        # rounding limits both ends: the cap's arccos(1 - s) as s -> 0, and
+        # the tube formula's L - s theta as s -> 2R = rho, where
+        # 1 - s kappa -> 0 (2e-12 at s = 0.9999)
+        s = np.concatenate([np.geomspace(1e-3, 0.1, 30),
+                            np.linspace(0.1, 0.999, 60)])
+        closed = level_set_area(ball.domain, ball, s)
+        tube = level_set_area(circle.domain, circle, s)
+        assert np.max(np.abs(tube / closed - 1.0)) <= 1e-12
+        assert level_set_area(circle.domain, circle,
+                              np.array([1.0, 1.5])).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("s", [0.01, 0.05, 0.3, 0.6, 0.9, 0.99])
+    def test_matches_parallel_curve_length(self, s):
+        ref = parallel_length(s, 2.0, 1.0, ELLIPSE_CFG.x, ELLIPSE_CFG.R)
+        area = level_set_area(ELLIPSE_CFG.domain, ELLIPSE_CFG, s)
+        assert isinstance(area, float)
+        assert area == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("axes,x,s", [
+        # touched at the major vertex, whose own normal is cut at
+        # s = b^2/a = 0.5: the parallel curve past its cut crosses the ball
+        ((2.0, 1.0), (1.7, 0.0), 0.3),
+        ((2.0, 1.0), (1.7, 0.0), 0.55),
+        # two arcs below the cut's onset (s < b^2/a = 0.25), with the far
+        # normals through x off the vertices
+        ((4.0, 1.0), (0.5, 0.05), 0.2),
+    ])
+    def test_cut_and_far_normals(self, axes, x, s):
+        dom = make_ellipse_domain(*axes)
+        cfg = touching_ball(dom, x, distance_and_nearest(dom, x)[0])
+        assert level_set_area(dom, cfg, s) == pytest.approx(
+            parallel_length(s, *axes, cfg.x, cfg.R), rel=1e-9, abs=0.0)
+
+    def test_near_2R_against_mpmath(self):
+        # at s = 2R - 1e-10 every term of the interior test is O(1e-10):
+        # 30-digit roots of |y + s nu - x| = R and the arc's length between.
+        # The area, 1.9e-5, is a difference of primitives of size 1 with
+        # their rounding (4e-16), hence 1e-10 relative
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        a, b, x1, R = mp.mpf(2), mp.mpf(1), mp.mpf("0.5"), mp.mpf("0.5")
+        s = mp.mpf(1.0 - 1e-10)  # the float level itself
+
+        def w2(t):
+            return a * a * mp.sin(t) ** 2 + b * b * mp.cos(t) ** 2
+
+        def g(t):
+            w = mp.sqrt(w2(t))
+            return ((a - s * b / w) * mp.cos(t)) ** 2 \
+                + ((b - s * a / w) * mp.sin(t) - x1) ** 2 - R * R
+
+        ends = [mp.findroot(g, mp.pi / 2 + k * mp.mpf("6e-6")) for k in (-1, 1)]
+        ref = mp.quad(lambda t: mp.sqrt(w2(t)) - s * a * b / w2(t), ends)
+        area = level_set_area(ELLIPSE_CFG.domain, ELLIPSE_CFG, 1.0 - 1e-10)
+        assert area == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+
+    def test_reflection_keeps_the_areas(self):
+        # the same ellipse with its major axis vertical
+        tall = touching_ball(make_ellipse_domain(1.0, 2.0), [0.5, 0.0], 0.5)
+        s = np.linspace(0.01, 0.99, 25)
+        assert level_set_area(tall.domain, tall, s) == pytest.approx(
+            level_set_area(ELLIPSE_CFG.domain, ELLIPSE_CFG, s),
+            rel=1e-13, abs=0.0)
+
+    def test_two_arcs_in_the_ball(self):
+        # the ball covers the middle of a thin ellipse, so the level set
+        # s = 0.5 meets it in the contact arc (length 1.70) and in the
+        # opposite arc across the major axis
+        dom = make_ellipse_domain(4.0, 1.0)
+        cfg = touching_ball(dom, [0.0, 0.05], 0.95)
+        s, hw = 0.5, 0.05
+        area = level_set_area(dom, cfg, s)
+        assert area == pytest.approx(parallel_length(s, 4.0, 1.0, cfg.x, cfg.R),
+                                     rel=1e-9, abs=0.0)
+        assert area > 3.0
+        est, se = level_set_area_mc(dom, cfg, s, n_samples=200_000, seed=5,
+                                    half_width=hw)
+        avg = float(np.mean(level_set_area(dom, cfg, np.linspace(
+            s - hw, s + hw, 101))))
+        assert abs(est - avg) <= 3.0 * se
+
+    def test_mc_oracle_agrees(self):
+        s, hw = 0.05, 0.005
+        est, se = level_set_area_mc(ELLIPSE_CFG.domain, ELLIPSE_CFG, s,
+                                    n_samples=200_000, seed=1, half_width=hw)
+        avg = float(np.mean(level_set_area(ELLIPSE_CFG.domain, ELLIPSE_CFG,
+                                           np.linspace(s - hw, s + hw, 41))))
+        assert abs(est - avg) <= 3.0 * se
+
+    @pytest.mark.parametrize("level", [6, 7])
+    def test_finite_at_every_quadrature_node(self, level):
+        # the co-area integrals' nodes crowd both ends of (0, 2R)
+        cfg = ELLIPSE_CFG
+        s = np.concatenate([tanh_sinh_nodes(0.0, 1.0, level, 0.5),
+                            tanh_sinh_nodes(0.0, 0.02, level, 1.0),
+                            tanh_sinh_nodes(0.02, 1.0, level, 1.0),
+                            [1e-300, 5e-324, 1.0 - 2.0 ** -53]])
+        s = s[s > 0.0]
+        area = level_set_area(cfg.domain, cfg, s)
+        assert np.all(np.isfinite(area))
+        assert np.all(area >= 0.0)
+        # sqrt growth off s = 0: area / sqrt(s) -> 2 sqrt(2R / Pi_Gamma)
+        small = (s > 1e-12) & (s < 1e-8)
+        assert np.allclose(area[small] / np.sqrt(s[small]),
+                           area_ratio_limit(cfg), rtol=1e-3)
 
 
 B = geometry._BLOCK

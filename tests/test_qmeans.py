@@ -12,6 +12,7 @@ from resolvent_asym.barriers import EnhancedBarriers, enhanced_U, enhanced_V
 from resolvent_asym.geometry import (
     BallDomain,
     ExteriorBallDomain,
+    ImplicitDomain,
     boundary_distances,
     level_set_area,
     make_ellipse_domain,
@@ -56,6 +57,22 @@ EXT_CFG = touching_ball(ExteriorBallDomain(1.0), [2.0, 0.0], 1.0)
 
 def exp_profile(tau):
     return np.exp(-np.asarray(tau, dtype=float))
+
+
+ELLIPSE_CFG = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5)
+
+
+def barrier_bruteforce(cfg, pp, barrier, q, n_samples, seed):
+    """q_mean_bruteforce of exp(barrier(b, d/xi)), d the clipped boundary
+    distance: the Monte Carlo barrier rows that qmean_limit_experiment
+    drew on implicit domains before the ellipse had closed-form areas."""
+    b = EnhancedBarriers(pp, r_i=cfg.R, r_e=cfg.R)
+
+    def raw(pts):
+        d = np.maximum(boundary_distances(cfg.domain, pts), 0.0)
+        return np.exp(barrier(b, d / pp.xi))
+
+    return q_mean_bruteforce(cfg, q, raw, n_samples=n_samples, seed=seed)
 
 
 class TestKernelTable:
@@ -105,9 +122,13 @@ class TestQueryValidation:
                        profile=lambda t: -1.0 - np.asarray(t, dtype=float))
 
     def test_implicit_domain_rejected(self):
-        cfg = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5)
+        # the same ellipse without its semi-axes has no closed-form areas
+        ell = make_ellipse_domain(2.0, 1.0)
+        dom = ImplicitDomain(phi=ell.phi, grad=ell.grad, hess=ell.hess, dim=2)
+        cfg = touching_ball(dom, [0.0, 0.5], 0.5)
         with pytest.raises(ValueError, match="q_mean_bruteforce"):
             QMeanQuery(cfg=cfg, q=2.0, xi=0.1, profile=exp_profile)
+        QMeanQuery(cfg=ELLIPSE_CFG, q=2.0, xi=0.1, profile=exp_profile)
 
 
 class TestEmpiricalRoot:
@@ -144,6 +165,21 @@ class TestEmpiricalRoot:
         assert v.min() < mu < v.max()
         assert abs(res) < 1e-12
 
+    def test_unresolved_small_mean_raises(self):
+        # one value 1 among 999 zeros at q = 1.1: mu = 999^-10 or so, far
+        # below the root's absolute tolerance 2^-60 (max - min)
+        v = np.zeros(1000)
+        v[-1] = 1.0
+        with pytest.raises(RuntimeError, match="absolute tolerance 8.67e-19"):
+            _empirical_qmean(v, 1.1)
+
+    def test_tiny_sample_is_not_constant(self):
+        # values far below 1 with spread: the root, not the midrange
+        v = 1e-200 * np.exp(-3.0 * np.random.default_rng(6).random(1000))
+        mu, _ = _empirical_qmean(v, 1.5)
+        assert mu == brentq_root(lambda m: qmeans._sample_G(
+            m, v, 0.5, np.empty_like(v)), v.min(), v.max())
+
 
 class TestConstantFixedPoint:
     @pytest.mark.parametrize("q", [1.5, 2.0, 4.0])
@@ -154,6 +190,18 @@ class TestConstantFixedPoint:
         res = q_mean(query)
         assert res.mu == 0.7
         assert res.residual == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-15, 1e-20])
+    def test_small_profile_is_not_constant(self, scale):
+        # the q-mean scales with the profile; below 1e-14 it came back as
+        # the midrange 0.50002 scale, against 0.0868 scale
+        def prof(t):
+            return np.exp(-np.asarray(t, dtype=float))
+
+        mu = q_mean(QMeanQuery(cfg=BALL_CFG, q=2.0, xi=0.1, profile=prof)).mu
+        small = q_mean(QMeanQuery(cfg=BALL_CFG, q=2.0, xi=0.1,
+                                  profile=lambda t: scale * prof(t))).mu
+        assert small == pytest.approx(scale * mu, rel=1e-12, abs=0.0)
 
     def test_raw_constant(self):
         mu, se = q_mean_bruteforce(BALL_CFG, 3.0,
@@ -380,6 +428,30 @@ class TestInvariants:
             q_mean_bruteforce(BALL_CFG, INFINITY,
                               lambda pts: np.ones(len(pts)))
 
+    def test_bruteforce_small_values_not_taken_as_constant(self):
+        # N = 6, p = 3, q = 1.5, eps = 1e-4: the solution underflows away
+        # from the contact, and 10 points at seed 5 are the smallest sample
+        # with a nonzero value (9.1e-204).  Its spread was below the
+        # absolute 1e-14 that marked a sample constant, so the midrange
+        # 4.6e-204 came back with se 1.7e-204; with nine zeros the sample's
+        # q-mean is 1/82 of its max, and its error bar exceeds it
+        x = np.zeros(6)
+        x[0] = 0.5
+        cfg = touching_ball(BallDomain(1.0), x, 0.5)
+        pp = ProblemParams(n=6, p=3.0, eps=1e-4)
+        prof = solution_profile(pp, cfg.domain)
+
+        def raw(pts):
+            return prof(np.maximum(boundary_distances(cfg.domain, pts), 0.0)
+                        / pp.xi)
+
+        v = sample_ball(cfg.x, cfg.R, 10, seed=5)
+        top = float(np.max(raw(v)))
+        assert top == pytest.approx(9.105917828836623e-204, rel=1e-12, abs=0)
+        mu, se = q_mean_bruteforce(cfg, 1.5, raw, n_samples=10, seed=5)
+        assert mu == pytest.approx(top / 82.0, rel=1e-12, abs=0)
+        assert se > mu
+
 
 class TestProfileLimit:
     @pytest.mark.parametrize("cfg,n", [(BALL_CFG, 2), (EXT_CFG, 2)])
@@ -477,8 +549,7 @@ class TestRecordedMonteCarlo:
     """Monte Carlo q-means recorded before the sampler drew in blocks; the
     sample sizes are not multiples of the 8,192-point block."""
 
-    ELLIPSE_CFG = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5],
-                                0.5)
+    ELLIPSE_CFG = ELLIPSE_CFG
 
     @pytest.mark.parametrize("case,q,expected", [
         ("ball", 1.5, (0.02351428233484927, 0.0003326081287788858)),
@@ -505,22 +576,19 @@ class TestRecordedMonteCarlo:
                                  seed=23) == expected
 
     @pytest.mark.parametrize("p,expected", [
-        (2.0, [0.06272024307306359, 1.435539783881219e-18,
-               0.0661006659082048, 0.0,
-               0.0380219715811156, 2.527857024935672e-19,
-               0.0390348855463204, 0.0]),
-        (INFINITY, [0.0826777555303361, 2.858065633830143e-18,
-                    0.08268321287076061, 0.0,
-                    0.049779444865857364, 0.0,
-                    0.04977944498967818, 4.869809537451479e-19]),
+        (2.0, [0.06272024307306359, 0.0661006659082048,
+               0.0380219715811156, 0.0390348855463204]),
+        (INFINITY, [0.0826777555303361, 0.08268321287076061,
+                    0.049779444865857364, 0.04977944498967818]),
     ])
     def test_implicit_limit_rows(self, p, expected):
-        seq = [ProblemParams(n=2, p=p, eps=e) for e in (0.05, 0.025)]
-        rows = qmean_limit_experiment(seq, self.ELLIPSE_CFG, 3.0,
-                                      n_samples=3 * 8192 + 5, seed=9)
-        assert [r["path"] for r in rows] == ["barrier-U", "barrier-V"] * 2
-        assert [v for r in rows for v in (r["mu"], r["residual"])] == \
-            expected
+        # the barrier rows the limit experiment drew on the ellipse before
+        # its areas had a closed form: now the Monte Carlo oracle's
+        mus = [barrier_bruteforce(self.ELLIPSE_CFG,
+                                  ProblemParams(n=2, p=p, eps=e), barrier,
+                                  3.0, 3 * 8192 + 5, 9)[0]
+               for e in (0.05, 0.025) for barrier in (enhanced_U, enhanced_V)]
+        assert mus == expected
 
 
 def coarea_queries():
@@ -536,7 +604,7 @@ def coarea_queries():
 
 def recorded_mc_means(q):
     """The sample q-means of TestRecordedMonteCarlo at q: the three
-    brute-force cases and the implicit limit rows at p = 2."""
+    brute-force cases and the Monte Carlo barrier rows at p = 2."""
     for case in ("ball", "ext3", "ellipse"):
         if case == "ellipse":
             cfg = TestRecordedMonteCarlo.ELLIPSE_CFG
@@ -550,9 +618,10 @@ def recorded_mc_means(q):
             cfg, q, lambda pts: prof(np.maximum(
                 boundary_distances(cfg.domain, pts), 0.0) / xi),
             n_samples=5 * 8192 + 3, seed=23)
-    seq = [ProblemParams(n=2, p=2.0, eps=e) for e in (0.05, 0.025)]
-    qmean_limit_experiment(seq, TestRecordedMonteCarlo.ELLIPSE_CFG, q,
-                           n_samples=3 * 8192 + 5, seed=9)
+    for eps in (0.05, 0.025):
+        for barrier in (enhanced_U, enhanced_V):
+            barrier_bruteforce(ELLIPSE_CFG, ProblemParams(n=2, p=2.0, eps=eps),
+                               barrier, q, 3 * 8192 + 5, 9)
 
 
 def record(monkeypatch, name):
@@ -692,27 +761,41 @@ class TestLimitExperiment:
         assert abs(rows[-1]["mu"] - 0.5) < 1e-3
 
     def test_implicit_infinity_q_draws_no_sample(self, monkeypatch):
-        # at q = INFINITY the barrier rows need only the two end values, so
-        # no point is sampled or projected; the rows are those recorded
-        # when all n_samples points were still drawn
-        cfg = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5)
+        # the ellipse rows come from closed forms: no point is sampled or
+        # projected, at q = INFINITY or finite q, and the seed changes
+        # nothing.  At q = INFINITY the rows are those recorded when all
+        # n_samples points were still drawn
         seq = [ProblemParams(n=2, p=2.0, eps=e) for e in (0.05, 0.025)]
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return boundary_distances(*args)
+        def counted(name):
+            real = getattr(geometry, name)
 
-        monkeypatch.setattr(qmeans, "boundary_distances", counted)
-        rows = qmean_limit_experiment(seq, cfg, INFINITY, n_samples=1000,
-                                      seed=9)
-        assert calls == []
-        assert [r["path"] for r in rows] == ["barrier-U", "barrier-V"] * 2
-        assert [r["mu"] for r in rows] == [
-            0.5000000000001511, 0.5000000000034528, 0.5, 0.5]
-        assert [r["residual"] for r in rows] == [0.0] * 4
-        with pytest.raises(ValueError, match="n_samples"):
-            qmean_limit_experiment(seq, cfg, INFINITY, n_samples=0)
+            def counting(*args):
+                calls.append(name)
+                return real(*args)
+            return counting
+
+        for name in ("boundary_distances", "_project_implicit",
+                     "_ball_blocks"):
+            monkeypatch.setattr(geometry, name, counted(name))
+        monkeypatch.setattr(qmeans, "_ball_blocks", counted("_ball_blocks"))
+        for q in (INFINITY, 2.0, 3.0):
+            rows = qmean_limit_experiment(seq, ELLIPSE_CFG, q,
+                                          n_samples=1000, seed=9)
+            assert calls == []
+            assert rows == qmean_limit_experiment(seq, ELLIPSE_CFG, q,
+                                                  n_samples=1000, seed=10)
+            assert [r["path"] for r in rows] == ["barrier-U",
+                                                 "barrier-V"] * 2
+            if q == INFINITY:
+                assert [r["mu"] for r in rows] == [
+                    0.5000000000001511, 0.5000000000034528, 0.5, 0.5]
+                assert [r["residual"] for r in rows] == [0.0] * 4
+            with pytest.raises(ValueError, match="n_samples"):
+                qmean_limit_experiment(seq, ELLIPSE_CFG, q, n_samples=0)
+            with pytest.raises(ValueError, match="seed"):
+                qmean_limit_experiment(seq, ELLIPSE_CFG, q, seed=-1)
 
     def test_ill_conditioned_flag(self):
         seq = [ProblemParams(n=2, p=2.0, eps=0.02)]
@@ -731,14 +814,45 @@ class TestLimitExperiment:
             assert 0.2 < lo["ratio"] and hi["ratio"] < 5.0
 
     def test_implicit_recorded(self):
-        # recorded before the column and block rewrite of the projection
-        cfg = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5)
-        seq = [ProblemParams(n=2, p=INFINITY, eps=e) for e in (0.05, 0.025)]
-        rows = qmean_limit_experiment(seq, cfg, 2.0, n_samples=100_000,
-                                      seed=9)
-        assert [r["mu"] for r in rows] == [
+        # the Monte Carlo barrier rows, recorded before the column and block
+        # rewrite of the projection, now drawn by the Monte Carlo oracle
+        mus = [barrier_bruteforce(ELLIPSE_CFG,
+                                  ProblemParams(n=2, p=INFINITY, eps=e),
+                                  barrier, 2.0, 100_000, 9)[0]
+               for e in (0.05, 0.025) for barrier in (enhanced_U, enhanced_V)]
+        assert mus == [
             0.025826428316150615, 0.025832154545288595,
             0.009361254883457916, 0.009361255014499827]
+
+    def test_implicit_rows_match_bruteforce(self):
+        # the deterministic co-area rows against the Monte Carlo oracle on
+        # the same barriers, 2e5 points
+        seq = [ProblemParams(n=2, p=INFINITY, eps=e) for e in (0.05, 0.025)]
+        rows = qmean_limit_experiment(seq, ELLIPSE_CFG, 2.0)
+        for row, (pp, barrier) in zip(rows, [(pp, barrier) for pp in seq
+                                             for barrier in (enhanced_U,
+                                                             enhanced_V)]):
+            mu, se = barrier_bruteforce(ELLIPSE_CFG, pp, barrier, 2.0,
+                                        200_000, 11)
+            assert abs(row["mu"] - mu) <= 3.0 * se
+
+    def test_implicit_barrier_order_over_the_benchmark_range(self):
+        # mu_U <= mu_V wherever the barriers' q-means differ by as little as
+        # 1e-9 relative: eps0 in 0.05 e^[-0.1, 0.1] and eps0 / 2, at p = inf
+        for eps0 in 0.05 * np.exp(np.linspace(-0.1, 0.1, 9)):
+            seq = [ProblemParams(n=2, p=INFINITY, eps=e)
+                   for e in (eps0, 0.5 * eps0)]
+            rows = qmean_limit_experiment(seq, ELLIPSE_CFG, 2.0)
+            for lo, hi in zip(rows[0::2], rows[1::2]):
+                assert lo["mu"] <= hi["mu"]
+
+    def test_other_implicit_domains_rejected(self):
+        ell = make_ellipse_domain(2.0, 1.0)
+        dom = ImplicitDomain(phi=ell.phi, grad=ell.grad, hess=ell.hess, dim=2)
+        cfg = touching_ball(dom, [0.0, 0.5], 0.5)
+        seq = [ProblemParams(n=2, p=INFINITY, eps=0.05)]
+        with pytest.raises(ValueError, match="q_mean_bruteforce"):
+            qmean_limit_experiment(seq, cfg, 2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
