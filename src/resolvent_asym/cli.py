@@ -41,20 +41,13 @@ def _exponent(text: str) -> float:
     return float(text)
 
 
-def _print_table(rows) -> None:
-    keys = list(rows[0].keys())
-    print(",".join(keys))
-    for row in rows:
-        print(",".join(_format_cell(row[k]) for k in keys))
-
-
 def _write_or_print(rows, cfg: SweepConfig) -> None:
     if cfg.output:
         fmt = "JSON" if cfg.output.lower().endswith(".json") else "CSV"
         emit(rows, fmt, cfg.output, config=cfg)
         print(f"wrote {len(rows)} rows to {cfg.output}")
     else:
-        _print_table(rows)
+        emit(rows, "CSV", None)
 
 
 def _load_config(path: str) -> SweepConfig:
@@ -76,7 +69,7 @@ def _cmd_eval_radial(args) -> int:
     res = np.atleast_1d(varadhan_residual(sol, r))
     rows = [{"r": float(ri), "log_u": float(lu), "varadhan_residual": float(vr)}
             for ri, lu, vr in zip(r, log_u, res)]
-    _print_table(rows)
+    emit(rows, "CSV", None)
     return 0
 
 
@@ -87,7 +80,7 @@ def _cmd_special_f(args) -> int:
     if args.check_bessel:
         row["bessel_residual"] = bessel_k_identity_residual(
             args.sigma, args.alpha)
-    _print_table([row])
+    emit([row], "CSV", None)
     return 0
 
 
@@ -99,7 +92,7 @@ def _cmd_barriers(args) -> int:
     log_v = np.atleast_1d(enhanced_V(b, tau))
     rows = [{"tau": float(t), "log_U": float(lu), "log_V": float(lv)}
             for t, lu, lv in zip(tau, log_u, log_v)]
-    _print_table(rows)
+    emit(rows, "CSV", None)
     return 0
 
 
@@ -113,7 +106,7 @@ def _cmd_geom(args) -> int:
              "ratio": area / s ** (0.5 * (args.N - 1)),
              "predicted_limit": limit}
             for s, area in zip(args.s, areas)]
-    _print_table(rows)
+    emit(rows, "CSV", None)
     return 0
 
 
@@ -137,7 +130,7 @@ def _cmd_rates(args) -> int:
     if cfg.modulus is not None:
         psi_rows, converges = run_psi_rate_table(make_modulus(cfg.modulus),
                                                  cfg.eps_sequence)
-        _print_table(psi_rows)
+        emit(psi_rows, "CSV", None)
         print(f"eps_log_psi_converges {_format_cell(converges)}")
     return 0
 

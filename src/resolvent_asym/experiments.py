@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,7 +26,7 @@ from .geometry import (
     psi_of_eps,
     touching_ball,
 )
-from .params import INFINITY, ProblemParams, is_infinity
+from .params import INFINITY, ProblemParams, _require_count, is_infinity
 from .qmeans import qmean_limit_experiment
 from .radial import Geometry, RadialSolution, varadhan_residual
 
@@ -216,10 +217,7 @@ class SweepConfig:
             raise ValueError(
                 f"eps_factor must lie in (0, 1) so the sequence is strictly "
                 f"decreasing, got {self.eps_factor}")
-        if isinstance(self.eps_count, bool) or \
-                not isinstance(self.eps_count, int) or self.eps_count < 1:
-            raise ValueError(
-                f"eps_count must be an integer >= 1, got {self.eps_count!r}")
+        _require_count("eps_count", self.eps_count)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not (self.output is None or isinstance(self.output, str)):
@@ -429,9 +427,10 @@ def _json_safe(v):
     return v
 
 
-def emit(table: List[dict], fmt: str, path: str,
+def emit(table: List[dict], fmt: str, path: Optional[str],
          config: Optional[SweepConfig] = None) -> None:
-    """Write a table as CSV (12 significant digits) or JSON with metadata.
+    """Write a table as CSV (12 significant digits) or JSON with metadata,
+    to the file at path, or to stdout when path is None.
 
     Values that are not finite become "nan"/"inf" cells in CSV and
     null/"inf" in JSON.  Output is byte-identical for identical inputs.
@@ -465,6 +464,9 @@ def emit(table: List[dict], fmt: str, path: str,
                "rows": [_json_safe(dict(row)) for row in table]}
         content = json.dumps(doc, indent=2, sort_keys=True,
                              allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(content)
+        return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)

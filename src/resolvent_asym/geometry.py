@@ -6,8 +6,8 @@ gradient and Hessian in dimensions 2 and 3.  Curvatures follow the
 inward-normal convention throughout (ball: +1/rho, ball complement: -1/r_e).
 
 Level-set areas are closed forms: sphere caps on the balls, and on the
-ellipse (EllipseDomain, an implicit domain that records its semi-axes) the
-tube formula, arc lengths by elliptic integrals between arc ends found by
+ellipse (EllipseDomain(a, b), an implicit domain built from its semi-axes)
+the tube formula, arc lengths by elliptic integrals between arc ends found by
 safeguarded Newton.  Other implicit domains have the seeded Monte Carlo
 oracle level_set_area_mc only.
 
@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import betainc, ellipeinc, gamma
 
-from .params import pi_gamma as _pi_gamma_product
+from .params import _require_count, pi_gamma as _pi_gamma_product
 
 _PROJECT_TOL = 1e-12
 _PROJECT_MAX_ITER = 80
@@ -49,15 +49,13 @@ _ARC_MAX_ITER = 100
 
 def unit_sphere_area(n: int) -> float:
     """Surface measure of the unit sphere S^{n-1} in R^n: 2 pi^{n/2}/Gamma(n/2)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"ambient dimension must be an integer >= 1, got {n!r}")
+    _require_count("ambient dimension", n)
     return 2.0 * math.pi ** (0.5 * n) / gamma(0.5 * n)
 
 
 def ball_volume(n: int, radius: float) -> float:
     """Volume of the n-ball: pi^{n/2} R^n / Gamma(n/2 + 1)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"ambient dimension must be an integer >= 1, got {n!r}")
+    _require_count("ambient dimension", n)
     if not radius >= 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     return math.pi ** (0.5 * n) * radius ** n / gamma(0.5 * n + 1.0)
@@ -101,32 +99,44 @@ class ImplicitDomain:
             raise ValueError(f"implicit domains support N in {{2, 3}}, got {self.dim}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class EllipseDomain(ImplicitDomain):
-    """The ellipse x^2/a^2 + y^2/b^2 < 1: an implicit domain that also
-    records its semi-axes, so that level_set_area has a closed form (the
-    tube formula) while projection, curvatures and the Monte Carlo oracles
-    use phi, grad and hess as on any implicit domain."""
-    a: float = field(kw_only=True)
-    b: float = field(kw_only=True)
+    """The ellipse x^2/a^2 + y^2/b^2 < 1 from its semi-axes: projection,
+    curvatures and the Monte Carlo oracles use its phi, grad and hess as on
+    any implicit domain, and level_set_area its a and b (the tube formula)."""
+    a: float
+    b: float
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (self.a > 0.0 and self.b > 0.0):
+    def __init__(self, a: float, b: float) -> None:
+        if not (a > 0.0 and b > 0.0):
             raise ValueError("semi-axes must be positive")
-        if self.dim != 2:
-            raise ValueError(f"an ellipse has N = 2, got {self.dim}")
+        inv_a2, inv_b2 = 1.0 / (a * a), 1.0 / (b * b)
+
+        def phi(p):
+            p = np.asarray(p, dtype=float)
+            return p[..., 0] ** 2 * inv_a2 + p[..., 1] ** 2 * inv_b2 - 1.0
+
+        def grad(p):
+            p = np.asarray(p, dtype=float)
+            out = np.empty_like(p)
+            out[..., 0] = 2.0 * p[..., 0] * inv_a2
+            out[..., 1] = 2.0 * p[..., 1] * inv_b2
+            return out
+
+        def hess(p):
+            p = np.asarray(p, dtype=float)
+            shape = p.shape[:-1] + (2, 2)
+            out = np.zeros(shape)
+            out[..., 0, 0] = 2.0 * inv_a2
+            out[..., 1, 1] = 2.0 * inv_b2
+            return out
+
+        super().__init__(phi, grad, hess, 2, f"ellipse({a},{b})")
+        object.__setattr__(self, "a", float(a))
+        object.__setattr__(self, "b", float(b))
 
 
 DomainOracle = Union[BallDomain, ExteriorBallDomain, ImplicitDomain]
-
-
-def _require_count(name: str, value, least: int = 1) -> None:
-    """Raise ValueError unless value is an integer >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
-        raise ValueError(
-            f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -519,6 +529,7 @@ class _EllipseTube:
     b: float
     R: float
     t0: float
+    w0: float
     center: Tuple[float, float]
     crit: np.ndarray  # offsets of the other normals through the center
 
@@ -538,12 +549,8 @@ class _EllipseTube:
         z = np.roots([b * b - a * a, 2.0 * (a * cx - 1j * b * cy), 0.0,
                       -2.0 * (a * cx + 1j * b * cy), a * a - b * b])
         u = _wrap(np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-6]) - t0)
-        return cls(a, b, R, t0, (cx, cy), np.delete(u, np.argmin(np.abs(u))))
-
-    @property
-    def w0(self) -> float:
-        return math.hypot(self.a * math.sin(self.t0),
-                          self.b * math.cos(self.t0))
+        return cls(a, b, R, t0, w0, (cx, cy),
+                   np.delete(u, np.argmin(np.abs(u))))
 
     def terms(self, u: np.ndarray) -> Tuple[np.ndarray, ...]:
         """(v, c0, c1, e0, e1) at offsets u, v = sin^2(u/2): the point at
@@ -887,30 +894,5 @@ def psi_of_eps(modulus: ModulusOfContinuity, eps: float) -> float:
 
 
 def make_ellipse_domain(a: float = 2.0, b: float = 1.0) -> EllipseDomain:
-    """The ellipse x^2/a^2 + y^2/b^2 < 1 as an implicit domain that records
-    its semi-axes."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("semi-axes must be positive")
-    inv_a2, inv_b2 = 1.0 / (a * a), 1.0 / (b * b)
-
-    def phi(p):
-        p = np.asarray(p, dtype=float)
-        return p[..., 0] ** 2 * inv_a2 + p[..., 1] ** 2 * inv_b2 - 1.0
-
-    def grad(p):
-        p = np.asarray(p, dtype=float)
-        out = np.empty_like(p)
-        out[..., 0] = 2.0 * p[..., 0] * inv_a2
-        out[..., 1] = 2.0 * p[..., 1] * inv_b2
-        return out
-
-    def hess(p):
-        p = np.asarray(p, dtype=float)
-        shape = p.shape[:-1] + (2, 2)
-        out = np.zeros(shape)
-        out[..., 0, 0] = 2.0 * inv_a2
-        out[..., 1, 1] = 2.0 * inv_b2
-        return out
-
-    return EllipseDomain(phi=phi, grad=grad, hess=hess, dim=2,
-                         name=f"ellipse({a},{b})", a=float(a), b=float(b))
+    """The ellipse x^2/a^2 + y^2/b^2 < 1: EllipseDomain(a, b)."""
+    return EllipseDomain(a, b)

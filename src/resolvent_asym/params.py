@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
 from scipy.special import gammaln
 
 INFINITY = math.inf
@@ -30,11 +31,16 @@ def _validate_p(p: float) -> float:
     return p
 
 
+def _require_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless value is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _validate_dimension(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"dimension N must be an integer >= 2, got {n!r}")
-    if n < 2:
-        raise ValueError(f"dimension N must be >= 2, got {n}")
+    _require_count("dimension N", n, 2)
     return n
 
 

@@ -10,14 +10,17 @@ which is closed-form on balls, ball complements and ellipses
 (geometry.level_set_area); they are evaluated by the fixed-level rule
 quadrature.tanh_sinh_fixed, which hands all of its nodes to the integrand at
 once, so each integral makes one profile call and one array area call.
-q_mean covers those domains only; on other implicit domains the seeded
-Monte Carlo oracle q_mean_bruteforce takes a raw function of the points.  It
-draws its sample in blocks (geometry._ball_blocks), bit for bit the one-shot
-draw, and keeps about 3 floats per sample: the values and one scratch array
-for the empirical root.  Every root (the q-mean itself and the distance
-where a profile crosses mu) is found by one helper, _root: scipy's brentq
-ported line for line, fed with the end values its caller already holds, so
-that no G is evaluated twice at one point.
+q_mean covers those domains only, and _s_max, the largest boundary distance
+in the ball, is the one gate that says so; on other implicit domains the
+seeded Monte Carlo oracle q_mean_bruteforce takes a raw function of the
+points.  It draws its sample in blocks (geometry._ball_blocks), bit for bit
+the one-shot draw, and keeps about 3 floats per sample: the values and one
+scratch array for the empirical root.  Every root (the q-mean itself and the
+distance where a profile crosses mu) is found by one helper, _root: scipy's
+brentq ported line for line, fed with the end values its caller already
+holds, so that no G is evaluated twice at one point.  Both q-means go to it
+through _qmean_root, which decides what is constant and what is too small
+to resolve.
 
 Solution profiles evaluate the exact radial solution through
 radial.eval_log_u, whose kernels are closed-form; on an ellipse the limit
@@ -42,13 +45,12 @@ from .geometry import (
     BallDomain,
     EllipseDomain,
     ExteriorBallDomain,
-    ImplicitDomain,
     TouchingBallConfig,
     _ball_blocks,
-    _require_count,
+    _EllipseTube,
     level_set_area,
 )
-from .params import ProblemParams, is_infinity, limit_constants
+from .params import ProblemParams, _require_count, is_infinity, limit_constants
 from .quadrature import tanh_sinh_fixed
 from .radial import Geometry, RadialSolution, eval_log_u
 
@@ -130,16 +132,30 @@ def _root(G: Callable, lo: float, hi: float, g_lo: float,
 
 
 def _s_max(cfg: TouchingBallConfig) -> float:
-    """Largest boundary distance inside B_R(x): min(2R, inradius) on a ball
-    and on an ellipse.  On an ellipse that is an upper bound, attained
-    unless the ball misses the center and the point 2R along the contact
-    normal lies past its cut."""
-    dom = cfg.domain
+    """Largest boundary distance d in the closed ball B_R(x), and the
+    co-area route's one domain gate: implicit domains other than the
+    ellipse raise ValueError.
+
+    On an ellipse, in its tube's frame (_EllipseTube: major axis a first),
+    it is min(2R, b) when the ball holds the center or 2R stays before the
+    cut b w0/a of the contact normal.  Otherwise the concave d peaks where
+    it is not smooth: on the medial axis |z1| < (a^2 - b^2)/a, z2 = 0,
+    nearest the center, where d = b sqrt(1 - z1^2/(a^2 - b^2))."""
+    dom, R = cfg.domain, cfg.R
     if isinstance(dom, BallDomain):
-        return min(2.0 * cfg.R, dom.rho)
-    if isinstance(dom, EllipseDomain):
-        return min(2.0 * cfg.R, dom.a, dom.b)
-    return 2.0 * cfg.R
+        return min(2.0 * R, dom.rho)
+    if isinstance(dom, ExteriorBallDomain):
+        return 2.0 * R
+    if not isinstance(dom, EllipseDomain):
+        raise ValueError("the co-area q-mean has closed-form level-set areas "
+                         "on balls, ball complements and ellipses only; on "
+                         "other implicit domains use q_mean_bruteforce")
+    tube = _EllipseTube.at(dom, cfg)
+    a, b, (x1, x2) = tube.a, tube.b, tube.center
+    if math.hypot(x1, x2) <= R or 2.0 * R <= b * tube.w0 / a:
+        return min(2.0 * R, b)
+    z1 = abs(x1) - math.sqrt(max(R * R - x2 * x2, 0.0))
+    return b * math.sqrt(1.0 - z1 * z1 / (a * a - b * b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,11 +179,6 @@ class QMeanQuery:
             raise ValueError(f"xi must be positive, got {self.xi}")
         if self.profile is None:
             raise ValueError("a profile must be given")
-        if isinstance(self.cfg.domain, ImplicitDomain) and \
-                not isinstance(self.cfg.domain, EllipseDomain):
-            raise ValueError("q_mean has closed-form level-set areas on "
-                             "balls, ball complements and ellipses only; "
-                             "use q_mean_bruteforce")
         tau = np.linspace(0.0, _s_max(self.cfg) / self.xi, 129)
         vals = np.asarray(self.profile(tau), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -208,26 +219,30 @@ def _sample_G(mu: float, v: np.ndarray, qm1: float, buf: np.ndarray) -> float:
     return float(upper - buf.mean())
 
 
-def _empirical_qmean(values: np.ndarray, q: float) -> Tuple[float, float]:
-    """Root of the sample version of G by Brent's method: (mu, residual/scale).
+def _qmean_root(G: Callable, lo: float, hi: float,
+                what: str) -> Tuple[float, float]:
+    """(mu, residual/scale) by _root for the G of values spanning [lo, hi].
 
-    A sample whose spread is within 1e-14 of its magnitude is constant and
-    gives its midrange.  Otherwise G changes sign between the sample's min
-    and max, and a root within the root's absolute tolerance of the min is
-    not resolved: it raises RuntimeError."""
-    v = np.asarray(values, dtype=float)
-    lo, hi = float(v.min()), float(v.max())
+    Values spread within 1e-14 of their magnitude are constant: their
+    midrange, residual 0.  A root within the absolute tolerance
+    2^-60 (hi - lo) of lo is not resolved: RuntimeError, naming lo `what`."""
     if hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
         return 0.5 * (lo + hi), 0.0
-    qm1, buf = q - 1.0, np.empty_like(v)
-    mu, residual = _root(lambda m: _sample_G(m, v, qm1, buf), lo, hi,
-                         _sample_G(lo, v, qm1, buf), _sample_G(hi, v, qm1, buf))
+    mu, residual = _root(G, lo, hi, G(lo), G(hi))
     xtol = 2.0 ** -60 * (hi - lo)
     if mu - lo <= xtol:
         raise RuntimeError(
             f"the q-mean lies within the root's absolute tolerance "
-            f"{xtol:.3g} of the sample minimum {lo:.3g}; it is not resolved")
+            f"{xtol:.3g} of {what} {lo:.3g}; it is not resolved")
     return mu, residual
+
+
+def _empirical_qmean(values: np.ndarray, q: float) -> Tuple[float, float]:
+    """The sample's q-mean by _qmean_root: (mu, residual/scale)."""
+    v = np.asarray(values, dtype=float)
+    qm1, buf = q - 1.0, np.empty_like(v)
+    return _qmean_root(lambda m: _sample_G(m, v, qm1, buf), float(v.min()),
+                       float(v.max()), "the sample minimum")
 
 
 def _prof_at(profile: Callable, tau: float) -> float:
@@ -291,9 +306,7 @@ def q_mean(query: QMeanQuery) -> QMeanResult:
     smax = _s_max(cfg)
     f0 = _prof_at(prof, 0.0)
     fend = _prof_at(prof, smax / xi)
-    # constant to rounding relative to f0 (an absolute test took small
-    # profiles for constants)
-    if is_infinity(q) or f0 - fend <= 1e-14 * abs(f0):
+    if is_infinity(q):
         mu, residual = 0.5 * (f0 + fend), 0.0
     else:
         beta = min(1.0, q - 1.0, 0.5 * (cfg.n - 1))
@@ -301,12 +314,7 @@ def q_mean(query: QMeanQuery) -> QMeanResult:
         def G(m: float) -> float:
             return _coarea_G(m, prof, xi, q, cfg, smax, beta, f0, fend)
 
-        mu, residual = _root(G, fend, f0, G(fend), G(f0))
-        if mu <= fend:
-            raise RuntimeError(
-                f"the q-mean lies within the root's absolute tolerance "
-                f"{2.0 ** -60 * (f0 - fend):.3g} of the profile's end value "
-                f"{fend:.3g}; it is not resolved")
+        mu, residual = _qmean_root(G, fend, f0, "the profile's end value")
     scaled = (cfg.R / xi) ** _scaled_exponent(cfg.n, q) * mu
     return QMeanResult(mu=mu, scaled=scaled, residual=residual)
 
@@ -459,11 +467,8 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
             f"params dimension {params_seq[0].n} does not match the "
             f"touching-ball dimension {n}")
     dom = cfg.domain
-    if isinstance(dom, ImplicitDomain):
-        if not isinstance(dom, EllipseDomain):
-            raise ValueError("the limit experiment needs closed-form "
-                             "level-set areas; on this implicit domain use "
-                             "q_mean_bruteforce")
+    _s_max(cfg)  # the domain gate, ahead of solution_profile's own error
+    if isinstance(dom, EllipseDomain):
         _require_count("n_samples", n_samples)
         _require_count("seed", seed, 0)
     p = params_seq[0].p

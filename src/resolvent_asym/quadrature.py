@@ -12,15 +12,16 @@ against any nonnegative g, is the kernels' fallback where the scaled Bessel
 values leave the float range, and is the oracle the closed forms are tested
 against.  One helper, _evaluate, places the nodes of a set of abscissae
 (endpoint offsets kept as logarithms) and evaluates the integrand there in
-one call; the generator _levels feeds it one refinement level at a time.
-tanh_sinh_log sums the levels in the log domain, so endpoint singularities
-(sin theta)^alpha with alpha near -1 neither underflow nor overflow; its
-logsumexp is a local copy of scipy's algorithm, bit for bit, without scipy's
-array-API dispatch.  The linear-domain level sums back signed integrands
-(mollifier numerators) in tanh_sinh_sum.  Stopped at a fixed level they
-are the smooth rule of the co-area q-mean, tanh_sinh_fixed, which evaluates
-the nodes of all its levels in one integrand call and then adds the level
-sums in order, bit for bit the adaptive rule's running sum.  The adaptive
+one call; the adaptive rules call it once per refinement level, on that
+level's new abscissae.  tanh_sinh_log sums the levels in the log domain,
+so endpoint singularities (sin theta)^alpha with alpha near -1 neither
+underflow nor overflow; its logsumexp is a local copy of scipy's
+algorithm, bit for bit, without scipy's array-API dispatch.  The
+linear-domain level sums back signed integrands (mollifier numerators) in
+tanh_sinh_sum.  Stopped at a fixed level they are the smooth rule of the
+co-area q-mean, tanh_sinh_fixed, which evaluates the nodes of all its
+levels in one integrand call and then adds the level sums in order, bit
+for bit the adaptive rule's running sum.  The adaptive
 rules stop once two levels differ by _REL_TOL (relative; in the log for
 tanh_sinh_log), or fail after _MAX_REFINEMENTS level doublings past the
 coarse pass; both module constants are read at call time.
@@ -28,10 +29,9 @@ coarse pass; both module constants are read at call time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.special import gammaln, ive, kve
@@ -125,15 +125,6 @@ def _evaluate(f: Callable, t: np.ndarray, a: float, b: float) -> tuple:
     return log_w, vals
 
 
-def _levels(f: Callable, a: float, b: float, beta: float
-            ) -> Iterator[tuple]:
-    """(h, h-free log node weights, f at the new nodes), level after level."""
-    t_max = _t_max_for(beta)
-    for level in itertools.count():
-        log_w, vals = _evaluate(f, _level_abscissae(level, t_max), a, b)
-        yield _BASE_STEP * 2.0 ** (-level), log_w, vals
-
-
 def _logsumexp(a: np.ndarray) -> np.float64:
     """log(sum(exp(a))) of a 1-D float array, bit for bit scipy's logsumexp.
 
@@ -164,12 +155,14 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
     log_f takes the node arguments of _evaluate and returns log integrand
     values; beta is the strength of the worst endpoint singularity.
     """
+    t_max = _t_max_for(beta)
     blocks: list[np.ndarray] = []
     prev = current = math.nan
-    for level, (h, log_w, vals) in zip(range(_MAX_REFINEMENTS + 1),
-                                       _levels(log_f, a, b, beta)):
+    for level in range(_MAX_REFINEMENTS + 1):
+        log_w, vals = _evaluate(log_f, _level_abscissae(level, t_max), a, b)
         terms = log_w + vals
         blocks.append(terms[~np.isnan(terms)])
+        h = _BASE_STEP * 2.0 ** (-level)
         prev, current = current, (math.log(0.5 * (b - a)) + math.log(h)
                                   + _logsumexp(np.concatenate(blocks)))
         if level >= 3 and ((current < _LOG_ABS_TOL and prev < _LOG_ABS_TOL)
@@ -185,22 +178,17 @@ def _level_sum(log_w: np.ndarray, vals: np.ndarray) -> float:
     return float(np.sum(terms[np.isfinite(terms)]))
 
 
-def _linear_level_sums(f: Callable, a: float, b: float,
-                       beta: float) -> Iterator[float]:
-    """Running tanh-sinh estimates of int_a^b f, one per refinement level."""
-    total = 0.0
-    for h, log_w, vals in _levels(f, a, b, beta):
-        total += _level_sum(log_w, vals)
-        yield 0.5 * (b - a) * h * total
-
-
 def tanh_sinh_sum(f: Callable, a: float, b: float,
                   beta: float = 1.0) -> float:
     """Linear-domain twin of tanh_sinh_log for signed integrands."""
+    t_max = _t_max_for(beta)
+    total = 0.0
     prev = current = math.nan
-    for level, estimate in zip(range(_MAX_REFINEMENTS + 1),
-                               _linear_level_sums(f, a, b, beta)):
-        prev, current = current, estimate
+    for level in range(_MAX_REFINEMENTS + 1):
+        log_w, vals = _evaluate(f, _level_abscissae(level, t_max), a, b)
+        total += _level_sum(log_w, vals)
+        h = _BASE_STEP * 2.0 ** (-level)
+        prev, current = current, 0.5 * (b - a) * h * total
         if level >= 3 and (abs(current - prev)
                            <= _REL_TOL * abs(current) + _ABS_TOL):
             return current

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resolvent_asym import cli, qmeans
+from resolvent_asym import cli, experiments, qmeans
 from resolvent_asym.cli import main
 from resolvent_asym.params import ProblemParams
 from resolvent_asym.radial import Geometry, RadialSolution, eval_log_u
@@ -309,6 +309,23 @@ class TestQmeanCommand:
                               "the root's absolute tolerance 8.67e-19")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("n,eps", [(4, 2.1544e-5), (5, 6.8129e-5)])
+    def test_root_within_the_tolerance_exits_3(self, capsys, tmp_path, n,
+                                               eps):
+        # Brent stops at mu = 5.45e-19 (N = 4) and 4.34e-19 (N = 5): above
+        # the profile's end value 0, but within the root's absolute
+        # tolerance, so the q-mean and its ratio are not resolved
+        cfg_path = qmean_config(
+            tmp_path, params_grid={"N": [n], "p": [3.0], "q": [1.5]},
+            eps_sequence={"start": eps, "factor": 0.5, "count": 1})
+        code, out, err = run_cli(capsys, "qmean", "--config", str(cfg_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: the q-mean lies within "
+                              "the root's absolute tolerance 8.67e-19 of "
+                              "the profile's end value 0;")
+        assert err.count("\n") == 1
+
     def test_nan_in_the_root_exits_3(self, capsys, tmp_path, monkeypatch):
         real = qmeans._coarea_G
         calls = []
@@ -353,6 +370,23 @@ class TestRatesCommand:
         assert "model=eps_log" in out
         assert "matched=true" in out
         assert "eps_log_psi_converges" not in out
+
+    def test_growing_ratio_exits_3(self, capsys, tmp_path, monkeypatch):
+        # |residual| = sqrt(eps) outgrows eps log(1/eps): the ratios along
+        # eps = 0.1 .. 1e-4 are 1.37, 2.17, 4.58 and 10.9, and the last is
+        # more than twice their median 3.37
+        monkeypatch.setattr(experiments, "varadhan_residual",
+                            lambda sol, r: np.full(np.shape(r), math.sqrt(
+                                sol.params.eps)))
+        cfg_path = qmean_config(
+            tmp_path, params_grid={"N": [2], "p": [2.0], "q": [2.0]},
+            eps_sequence={"start": 0.1, "factor": 0.1, "count": 4})
+        code, out, err = run_cli(capsys, "rates", "--config", str(cfg_path))
+        assert code == 3
+        assert out == ""
+        assert err == ("numerical failure: residual/model ratio grows along "
+                       "the sweep for N=2, p=2.0: last 1.086e+01 exceeds "
+                       "twice the median 3.375e+00\n")
 
     def test_numerical_failure_exits_3(self, capsys, tmp_path, monkeypatch):
         def growing_ratio(cfg):

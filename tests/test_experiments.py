@@ -204,6 +204,14 @@ class TestFitRate:
         assert fit.coefficient == 0.0
         assert not fit.matched
 
+    def test_constant_residuals_do_not_match(self):
+        # log|residual| has no spread, so r^2 has no denominator: a fit
+        # that misses the slope-1 model scores 0, not NaN
+        fit = fit_rate(RateModel.EPS, [0.1, 0.01, 0.001, 1e-4], [0.5] * 4)
+        assert not fit.degenerate
+        assert fit.r_squared == 0.0
+        assert not fit.matched
+
     def test_noisy_fit_keeps_coefficient(self):
         eps = np.geomspace(0.1, 1e-3, 8)
         bump = 1.0 + 0.05 * np.cos(np.arange(8.0))

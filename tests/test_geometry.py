@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from resolvent_asym import geometry
+from resolvent_asym import geometry, qmeans
+from resolvent_asym.qmeans import QMeanQuery, q_mean
 from resolvent_asym.quadrature import tanh_sinh_fixed
 from resolvent_asym.geometry import (
     BallDomain,
@@ -607,8 +608,7 @@ class TestEllipseTube:
         with pytest.raises(ValueError):
             make_ellipse_domain(0.0, 1.0)
         with pytest.raises(ValueError):
-            EllipseDomain(phi=dom.phi, grad=dom.grad, hess=dom.hess, dim=2,
-                          a=-1.0, b=1.0)
+            EllipseDomain(-1.0, 1.0)
 
     def test_circle_matches_ball(self):
         ball = touching_ball(BallDomain(1.0), [0.5, 0.0], 0.5)
@@ -718,6 +718,96 @@ class TestEllipseTube:
         small = (s > 1e-12) & (s < 1e-8)
         assert np.allclose(area[small] / np.sqrt(s[small]),
                            area_ratio_limit(cfg), rtol=1e-3)
+
+
+def circle_distances(axes, x, R: float, theta: np.ndarray) -> np.ndarray:
+    """secular_distance at the points x + R (cos theta, sin theta)."""
+    return secular_distance(axes, np.asarray(x, dtype=float) + R * np.stack(
+        [np.cos(theta), np.sin(theta)], axis=1))
+
+
+def circle_corner_peak(axes, x, R: float) -> float:
+    """Largest boundary distance of an ellipse on the circle |z - x| = R,
+    where it peaks at a corner (on the medial axis, whose points have two
+    nearest boundary points), from secular_distance alone.  A grid of
+    20,000 angles brackets the peak to one step; the distance is smooth on
+    either side of it, but secular_distance loses digits next to the axis
+    (4e-9 at 1e-9 from it), so the quadratics through the values 2, 3 and 4
+    steps to either side are continued to where they meet."""
+    h = 2.0 * math.pi / 20_000
+    grid = h * (np.arange(20_000) + 0.5)
+    peak = grid[np.argmax(circle_distances(axes, x, R, grid))]
+    steps = np.array([2.0, 3.0, 4.0])
+    left = np.polyfit(-steps, circle_distances(axes, x, R, peak - h * steps),
+                      2)
+    right = np.polyfit(steps, circle_distances(axes, x, R, peak + h * steps),
+                       2)
+    roots = np.roots(left - right)
+    meet = roots[np.argmin(np.abs(roots))]
+    assert abs(meet) <= 1.0 and meet.imag == 0.0
+    return float(np.polyval(left, meet.real))
+
+
+def contact_config(axes, t0: float, R: float) -> TouchingBallConfig:
+    """The touching ball of radius R at the boundary point (a cos t0,
+    b sin t0) of the ellipse with semi-axes axes = (a, b)."""
+    a, b = axes
+    w = math.hypot(a * math.sin(t0), b * math.cos(t0))
+    x = [a * math.cos(t0) * (1.0 - R * b / (a * w)),
+         b * math.sin(t0) * (1.0 - R * a / (b * w))]
+    return touching_ball(make_ellipse_domain(a, b), x, R)
+
+
+class TestLargestDistance:
+    """qmeans._s_max on ellipses: the largest boundary distance in B_R(x)."""
+
+    # contacts whose normal is cut before 2R, by balls that miss the
+    # center: at the major vertex, off it, and with the major axis second
+    CORNERS = [((2.0, 1.0), 0.0, 0.3), ((1.0, 2.0), 0.5 * math.pi, 0.3),
+               ((2.0, 1.0), 0.3, 0.35), ((2.0, 1.0), 0.3 + math.pi, 0.35),
+               ((1.0, 2.0), 1.2, 0.35)]
+
+    @pytest.mark.parametrize("axes,t0,R", CORNERS)
+    def test_corner_peak_matches_the_secular_oracle(self, axes, t0, R):
+        cfg = contact_config(axes, t0, R)
+        s = qmeans._s_max(cfg)
+        assert s == pytest.approx(circle_corner_peak(axes, cfg.x, R),
+                                  abs=1e-9)
+        assert s < min(2.0 * R, *axes) - 0.01
+        # the largest level whose set still meets the ball
+        below, above = level_set_area(cfg.domain, cfg,
+                                      s * np.array([1.0 - 1e-9, 1.0 + 1e-9]))
+        assert below > 0.0
+        assert above == 0.0
+
+    # 2R before the cut b w/a = 1 gives 2R, a ball that holds the center b;
+    # the last normal is cut at 0.967, before 2R = 1.4
+    @pytest.mark.parametrize("t0,R,expected", [
+        (0.5 * math.pi, 0.2, 0.4), (-0.5 * math.pi, 0.3, 0.6),
+        (0.5 * math.pi, 0.5, 1.0), (0.5 * math.pi - 0.3, 0.7, 1.0)])
+    def test_center_or_uncut_normal_gives_the_bound(self, t0, R, expected):
+        cfg = contact_config((2.0, 1.0), t0, R)
+        s = qmeans._s_max(cfg)
+        assert s == expected
+        theta = 2.0 * math.pi / 20_000 * (np.arange(20_000) + 0.5)
+        assert np.max(circle_distances((2.0, 1.0), cfg.x, R, theta)) \
+            <= s + 1e-12
+
+    def test_midrange_at_q_infinity(self):
+        # exp(-tau) at xi = 0.1: the midrange with exp(-5.88), where the
+        # bound 2R = 0.6 gave exp(-6) and 0.501239
+        cfg = contact_config((2.0, 1.0), 0.0, 0.3)
+        res = q_mean(QMeanQuery(cfg=cfg, q=math.inf, xi=0.1,
+                                profile=lambda t: np.exp(-np.asarray(t))))
+        assert res.mu == pytest.approx(
+            0.5 * (1.0 + math.exp(-10.0 * qmeans._s_max(cfg))), rel=1e-14)
+        assert res.mu == pytest.approx(0.501386, abs=5e-7)
+
+    def test_other_implicit_domains_are_refused(self):
+        ell = make_ellipse_domain(2.0, 1.0)
+        dom = ImplicitDomain(phi=ell.phi, grad=ell.grad, hess=ell.hess, dim=2)
+        with pytest.raises(ValueError, match="use q_mean_bruteforce"):
+            qmeans._s_max(touching_ball(dom, [0.0, 0.5], 0.5))
 
 
 B = geometry._BLOCK

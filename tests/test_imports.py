@@ -1,0 +1,53 @@
+"""Every name a module of the package imports is used in that module.
+
+No linter runs on this repository, and deleted code tends to leave its
+imports behind.  The package's __init__ is exempt: its imports are the
+public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted(
+    path for path in (Path(__file__).resolve().parents[1] / "src"
+                      / "resolvent_asym").glob("*.py")
+    if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """The names bound by import statements of `source` that no other
+    expression reads; `from __future__` imports bind nothing."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in used)
+
+
+def test_the_package_has_modules_to_check():
+    assert {path.stem for path in SOURCES} >= {"geometry", "qmeans",
+                                               "quadrature"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_reported():
+    source = ("from __future__ import annotations\n"
+              "import itertools\nimport math as m\n"
+              "from typing import Iterator, List\n"
+              "def f(x: List[int]) -> float:\n    return m.pi\n")
+    assert unused_imports(source) == ["Iterator (line 4)",
+                                      "itertools (line 2)"]

@@ -121,6 +121,11 @@ class TestQueryValidation:
             QMeanQuery(cfg=BALL_CFG, q=2.0, xi=0.1,
                        profile=lambda t: -1.0 - np.asarray(t, dtype=float))
 
+    def test_nan_profile_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            QMeanQuery(cfg=BALL_CFG, q=2.0, xi=0.1, profile=lambda t: np.where(
+                np.asarray(t) > 1.0, math.nan, 1.0))
+
     def test_implicit_domain_rejected(self):
         # the same ellipse without its semi-axes has no closed-form areas
         ell = make_ellipse_domain(2.0, 1.0)
@@ -273,10 +278,13 @@ class TestCoareaRoute:
             assert 0.0 < res.mu < 1.0
 
     @pytest.mark.parametrize("n,eps", [(4, 1e-5), (5, 1e-5), (6, 1e-4),
-                                       (6, 1e-5)])
+                                       (6, 1e-5), (4, 2.1544e-5),
+                                       (5, 6.8129e-5)])
     def test_unresolved_small_mean_raises(self, n, eps):
         # mu ~ (eps/R)^((N+1)/(2(q-1))) falls below the root's absolute
-        # tolerance 2^-60 (f0 - fend): the root would stop at fend = 0
+        # tolerance 2^-60 (f0 - fend): the root would stop at fend = 0, or,
+        # in the last two cases, within that tolerance above it (at
+        # 5.45e-19 and 4.34e-19)
         cfg = touching_ball(BallDomain(1.0), [0.5] + [0.0] * (n - 1), 0.5)
         pp = ProblemParams(n=n, p=3.0, eps=eps)
         query = QMeanQuery(cfg=cfg, q=1.5, xi=pp.xi,
@@ -475,6 +483,11 @@ class TestProfileLimit:
             BALL_CFG, INFINITY,
             lambda t: 0.6 * np.ones_like(np.asarray(t, dtype=float))) == \
             pytest.approx(0.3)
+
+    def test_zero_profile_rejected(self):
+        with pytest.raises(ValueError, match="integrates to zero"):
+            qmean_profile_limit(BALL_CFG, 2.0, lambda t: np.zeros_like(
+                np.asarray(t, dtype=float)))
 
     def test_divergent_profile_rejected(self):
         slow = lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float))
