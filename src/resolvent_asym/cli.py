@@ -4,7 +4,8 @@ Exit codes: 0 on success, 2 on validation errors (bad flags, bad config
 files, I/O failures), 3 on numerical failures: adaptive quadrature that does
 not converge ("numerical non-convergence: ...") and any other failed
 numerical check, such as a growing residual/model ratio in a rate sweep or a
-nearest-point projection that does not converge ("numerical failure: ...").
+nearest-point projection that does not converge, stops on a local maximum of
+the distance or has no direction to start in ("numerical failure: ...").
 """
 
 from __future__ import annotations

@@ -5,11 +5,11 @@ of a closed ball of radius r_e, and implicit domains {phi < 0} with analytic
 gradient and Hessian in dimensions 2 and 3.  Curvatures follow the
 inward-normal convention throughout (ball: +1/rho, ball complement: -1/r_e).
 
-Level-set areas are closed forms: sphere caps on the balls, and on the
-ellipse (EllipseDomain(a, b), an implicit domain built from its semi-axes)
-the tube formula, arc lengths by elliptic integrals between arc ends found by
-safeguarded Newton.  Other implicit domains have the seeded Monte Carlo
-oracle level_set_area_mc only.
+Level-set areas are closed forms, decided in one place (_level_sets):
+sphere caps on the balls, and on the ellipse (EllipseDomain(a, b), an
+implicit domain built from its semi-axes) the tube formula, arc lengths by
+elliptic integrals between arc ends found by safeguarded Newton.  Other
+implicit domains have the seeded Monte Carlo oracles only.
 
 Points go in blocks of _BLOCK = 2^13: the Newton projection works on one
 block at a time, and the Monte Carlo oracles draw their samples block by
@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -226,10 +227,10 @@ def _tangent_frame(nrm):
 def _top_eigenvectors(h: np.ndarray) -> np.ndarray:
     """Unit eigenvectors (f, N) of the largest eigenvalue of each symmetric
     h (f, N, N), the component of largest magnitude made positive; raises
-    ValueError unless that eigenvalue is positive."""
+    RuntimeError unless that eigenvalue is positive."""
     w, v = np.linalg.eigh(h)
     if not np.all(w[:, -1] > 0.0):
-        raise ValueError(
+        raise RuntimeError(
             "grad phi vanishes and the Hessian of phi has no positive "
             "eigenvalue at a point to project: no direction to the boundary")
     top = v[:, :, -1]
@@ -266,17 +267,18 @@ def _ray_start(domain: ImplicitDomain,
 
 
 def _newton_step(domain: ImplicitDomain, x: np.ndarray, y: np.ndarray,
-                 lam: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
-    """One safeguarded Newton step (dy, dlam) for y - x = lam grad(phi)(y),
-    phi(y) = 0, on per-component (k,) arrays; dy is the list of its N
-    components.
+                 lam: np.ndarray
+                 ) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+    """One safeguarded Newton step (dy, dlam, low) for y - x = lam
+    grad(phi)(y), phi(y) = 0, on per-component (k,) arrays; dy is the list
+    of its N components.
 
     dy = a nrm + T b: the normal row gives a = -phi/|g|; the tangent rows
     give T^T (I - lam H) T b = T^T r + a lam T^T H nrm, with r the residual
     x - y + lam g; the remaining row gives dlam.  The smallest eigenvalue of
-    T^T (I - lam H) T is raised to _CURVATURE_FLOOR (modified Newton), so
-    each step heads for a local minimum of the distance; a zero step still
-    means a zero residual.
+    T^T (I - lam H) T, low, is raised to _CURVATURE_FLOOR (modified
+    Newton), so each step heads for a local minimum of the distance; a zero
+    step still means a zero residual.
     """
     n = x.shape[1]
     g = np.asarray(domain.grad(y), dtype=float)
@@ -289,8 +291,8 @@ def _newton_step(domain: ImplicitDomain, x: np.ndarray, y: np.ndarray,
     frame = _tangent_frame(nrm)
     c = [_dot(tp, res) + a * lam * _hform(h, tp, nrm) for tp in frame]
     if n == 2:
-        mtt = 1.0 - lam * _hform(h, frame[0], frame[0])
-        b = [c[0] / np.maximum(mtt, _CURVATURE_FLOOR)]
+        low = 1.0 - lam * _hform(h, frame[0], frame[0])
+        b = [c[0] / np.maximum(low, _CURVATURE_FLOOR)]
     else:
         m11 = 1.0 - lam * _hform(h, frame[0], frame[0])
         m22 = 1.0 - lam * _hform(h, frame[1], frame[1])
@@ -304,7 +306,7 @@ def _newton_step(domain: ImplicitDomain, x: np.ndarray, y: np.ndarray,
              (m11 * c[1] - m12 * c[0]) / det]
     dy = [a * nrm[i] + _dot(b, [tp[i] for tp in frame]) for i in range(n)]
     dlam = (a - lam * _hform(h, nrm, dy) - _dot(nrm, res)) / gn
-    return dy, dlam
+    return dy, dlam, low
 
 
 def _project_implicit(domain: ImplicitDomain, points: np.ndarray) -> np.ndarray:
@@ -315,38 +317,45 @@ def _project_implicit(domain: ImplicitDomain, points: np.ndarray) -> np.ndarray:
     (_ray_start): a single linearization step overshoots where |grad phi|
     is small and can end on a far critical point.  The steps are solved in
     closed form with the tangential curvature floored (_newton_step).
-    Stops when a step moves y and lam by at most _PROJECT_TOL (1 + |y|).
-    The points go in blocks of _BLOCK = 2^13 (_project_block), the size the
-    Monte Carlo oracles draw in (_ball_blocks, about 3 floats of memory per
-    sample), whose Newton temporaries (about 2.3 MiB) stay cache-sized; each
-    point's iterates do not depend on the others, so blocking changes no bit.
+    Stops when a step moves y and lam by at most _PROJECT_TOL (1 + |y|); a
+    stop at low < -_CURVATURE_FLOOR (_newton_step) is a local maximum of the
+    distance, where Newton from a symmetry axis stays, and raises
+    RuntimeError.  The points go in blocks of _BLOCK (_project_block), the
+    size the Monte Carlo oracles draw in; each point's iterates do not
+    depend on the others, so blocking changes no bit.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     m = x.shape[0]
     y = np.empty_like(x)
-    failed = sum(_project_block(domain, x[lo:lo + _BLOCK], y[lo:lo + _BLOCK])
-                 for lo in range(0, m, _BLOCK))
+    failed, far = sum(
+        (_project_block(domain, x[lo:lo + _BLOCK], y[lo:lo + _BLOCK])
+         for lo in range(0, m, _BLOCK)), np.zeros(2, dtype=int))
     if failed:
         raise RuntimeError(
             f"nearest-point projection did not converge for "
             f"{failed} of {m} points")
+    if far:
+        raise RuntimeError(
+            f"nearest-point projection stopped on a local maximum of the "
+            f"distance for {far} of {m} points")
     return y
 
 
 def _project_block(domain: ImplicitDomain, x: np.ndarray,
-                   out: np.ndarray) -> int:
+                   out: np.ndarray) -> Tuple[int, int]:
     """Newton sweeps of _project_implicit for the rows of x: writes each
-    converged nearest point into its row of out and returns the number of
-    points that did not converge.  The iterates of the active points are
-    updated in place; when points converge they are written out and the
-    active set is compacted with take."""
+    converged point into its row of out and returns the numbers of points
+    that did not converge and that stopped at low < -_CURVATURE_FLOOR.  The
+    iterates of the active points are updated in place; converged points
+    are written out and the active set is compacted with take."""
     n = x.shape[1]
     y, lam = _ray_start(domain, x)
     idx = np.arange(x.shape[0])
+    far = 0
     for _ in range(_PROJECT_MAX_ITER):
         if idx.size == 0:
             break
-        dy, dlam = _newton_step(domain, x, y, lam)
+        dy, dlam, low = _newton_step(domain, x, y, lam)
         moved = _max_abs(dy + [dlam])
         scale = 1.0 + _max_abs([y[:, i] for i in range(n)])
         for i in range(n):
@@ -359,9 +368,10 @@ def _project_block(domain: ImplicitDomain, x: np.ndarray,
             continue
         fin = np.flatnonzero(done)
         out[idx.take(fin)] = y.take(fin, axis=0)
+        far += np.count_nonzero(low.take(fin) < -_CURVATURE_FLOOR)
         idx, x, y, lam = (idx.take(keep), x.take(keep, axis=0),
                           y.take(keep, axis=0), lam.take(keep))
-    return idx.size
+    return idx.size, far
 
 
 def distance_and_nearest(domain: DomainOracle,
@@ -552,6 +562,18 @@ class _EllipseTube:
         return cls(a, b, R, t0, w0, (cx, cy),
                    np.delete(u, np.argmin(np.abs(u))))
 
+    def s_max(self) -> float:
+        """Largest boundary distance in the closed ball: min(2R, b) when the
+        ball holds the center or 2R stays before the cut b w0/a of the
+        contact normal; otherwise the concave distance peaks where it is not
+        smooth, on the medial axis |z1| < (a^2 - b^2)/a, z2 = 0, nearest the
+        center, where it is b sqrt(1 - z1^2/(a^2 - b^2))."""
+        a, b, R, (x1, x2) = self.a, self.b, self.R, self.center
+        if math.hypot(x1, x2) <= R or 2.0 * R <= b * self.w0 / a:
+            return min(2.0 * R, b)
+        z1 = abs(x1) - math.sqrt(max(R * R - x2 * x2, 0.0))
+        return b * math.sqrt(1.0 - z1 * z1 / (a * a - b * b))
+
     def terms(self, u: np.ndarray) -> Tuple[np.ndarray, ...]:
         """(v, c0, c1, e0, e1) at offsets u, v = sin^2(u/2): the point at
         distance s along the normal lies in the open ball iff
@@ -660,11 +682,9 @@ def _arc_ends(tube: _EllipseTube, s: np.ndarray, lo: np.ndarray,
                        f"converge in {_ARC_MAX_ITER} iterations")
 
 
-def _ellipse_level_area(domain: EllipseDomain, cfg: TouchingBallConfig,
-                        s: np.ndarray) -> np.ndarray:
-    """Length of {d_Gamma = s} inside B_R(x) on an ellipse, for a 1-d array
-    of levels s > 0, by the tube formula (H. Weyl, "On the volume of
-    tubes", 1939).
+def _ellipse_level_area(tube: _EllipseTube, s: np.ndarray) -> np.ndarray:
+    """Length of {d_Gamma = s} in the tube's ball for a 1-d array of levels
+    s > 0, by the tube formula (H. Weyl, "On the volume of tubes", 1939).
 
     The level set is the parallel curve y(t) + s nu(t) over the parameters
     before its cut, s <= s_cut(t) = b w(t)/a, where the normal meets the
@@ -677,7 +697,6 @@ def _ellipse_level_area(domain: EllipseDomain, cfg: TouchingBallConfig,
     [L(t2) - L(t1)] - s [theta(t2) - theta(t1)] (tube.primitive); an end
     shared by consecutive pieces cancels and is not evaluated.
     """
-    tube = _EllipseTube.at(domain, cfg)
     a, b, R, n = tube.a, tube.b, tube.R, s.size
     m = 1.0 - (b / a) ** 2
     c = ((s / b) ** 2 - (b / a) ** 2) / m if m > 0.0 \
@@ -728,35 +747,50 @@ def _ellipse_level_area(domain: EllipseDomain, cfg: TouchingBallConfig,
                           minlength=n))
 
 
+def _level_sets(domain: DomainOracle, cfg: TouchingBallConfig
+                ) -> Tuple[float, Callable[[np.ndarray], np.ndarray]]:
+    """(s_max, area) at the touching ball B_R(x): the largest boundary
+    distance in the closed ball, and the measure area(s) of {d_Gamma = s} in
+    B_R(x) for an array s, 0 at s <= 0 and s >= 2R.  The one gate of the
+    closed forms: sphere caps on balls and ball complements, one
+    _EllipseTube on ellipses; other implicit domains raise ValueError."""
+    R = cfg.R
+    if isinstance(domain, EllipseDomain):
+        tube = _EllipseTube.at(domain, cfg)
+        s_max, closed = tube.s_max(), partial(_ellipse_level_area, tube)
+    elif isinstance(domain, ImplicitDomain):
+        raise ValueError(
+            "closed-form level-set areas exist on balls, ball complements "
+            "and ellipses only; on other implicit domains use "
+            "q_mean_bruteforce for q-means and level_set_area_mc for areas")
+    else:
+        c = float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
+        ball = isinstance(domain, BallDomain)
+        s_max = min(2.0 * R, domain.rho) if ball else 2.0 * R
+
+        def closed(s):
+            return _sphere_cap_area(
+                cfg.n, domain.rho - s if ball else domain.r_e + s, c, R)
+
+    def area(s: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(s)
+        on = (s > 0.0) & (s < 2.0 * R)
+        out[on] = closed(s[on])
+        return out
+
+    return s_max, area
+
+
 def level_set_area(domain: DomainOracle, cfg: TouchingBallConfig,
                    s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """Surface measure of {d_Gamma = s} inside B_R(x), scalar or array s.
-
-    Closed forms, one array evaluation for all of s: sphere caps on balls
-    and ball complements, the tube formula on ellipses
-    (_ellipse_level_area: arc lengths by elliptic integrals, between arc
-    ends found by safeguarded Newton).  Other implicit domains have no
-    closed form and are rejected (level_set_area_mc is their seeded Monte
-    Carlo oracle).  s >= 2R gives 0 (the level set has left the ball); any
-    s <= 0 is rejected.  A scalar s returns a float.
-    """
-    if isinstance(domain, ImplicitDomain) and \
-            not isinstance(domain, EllipseDomain):
-        raise ValueError("level_set_area has closed forms on balls, ball "
-                         "complements and ellipses only; use "
-                         "level_set_area_mc")
+    """Surface measure of {d_Gamma = s} inside B_R(x) by _level_sets, for
+    scalar (a float back) or array s > 0; on other implicit domains the
+    seeded Monte Carlo oracle level_set_area_mc stands in."""
+    _, area = _level_sets(domain, cfg)
     s_arr = np.asarray(s, dtype=float)
     if not np.all(s_arr > 0.0):
         raise ValueError(f"level distance s must be > 0, got {s}")
-    if isinstance(domain, EllipseDomain):
-        flat = s_arr.ravel()
-        area = _ellipse_level_area(domain, cfg, flat).reshape(s_arr.shape)
-    else:
-        c = float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
-        r1 = (domain.rho - s_arr if isinstance(domain, BallDomain)
-              else domain.r_e + s_arr)
-        area = _sphere_cap_area(cfg.n, r1, c, cfg.R)
-    out = np.where(s_arr < 2.0 * cfg.R, area, 0.0)
+    out = area(s_arr)
     return float(out) if s_arr.ndim == 0 else out
 
 

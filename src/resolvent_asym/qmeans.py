@@ -5,22 +5,22 @@ The q-mean of a function on B_R(x) is the unique root mu of
     G(mu) = int [f - mu]_+^{q-1} - int [mu - f]_+^{q-1}.
 
 For functions of the boundary distance the integrals collapse, by the
-co-area formula, to one-dimensional integrals against the level-set area,
-which is closed-form on balls, ball complements and ellipses
-(geometry.level_set_area); they are evaluated by the fixed-level rule
-quadrature.tanh_sinh_fixed, which hands all of its nodes to the integrand at
-once, so each integral makes one profile call and one array area call.
-q_mean covers those domains only, and _s_max, the largest boundary distance
-in the ball, is the one gate that says so; on other implicit domains the
-seeded Monte Carlo oracle q_mean_bruteforce takes a raw function of the
-points.  It draws its sample in blocks (geometry._ball_blocks), bit for bit
-the one-shot draw, and keeps about 3 floats per sample: the values and one
-scratch array for the empirical root.  Every root (the q-mean itself and the
-distance where a profile crosses mu) is found by one helper, _root: scipy's
-brentq ported line for line, fed with the end values its caller already
-holds, so that no G is evaluated twice at one point.  Both q-means go to it
-through _qmean_root, which decides what is constant and what is too small
-to resolve.
+co-area formula, to one-dimensional integrals against the level-set areas,
+closed forms on balls, ball complements and ellipses that a QMeanQuery takes
+once, with the largest boundary distance s_max in the ball, from
+geometry._level_sets, which rejects every other domain.  They are evaluated
+by the fixed-level rule quadrature.tanh_sinh_fixed, which hands all of its
+nodes to the integrand at once, so each integral makes one profile call and
+one array area call.  On other implicit domains the seeded Monte Carlo
+oracle q_mean_bruteforce takes a raw function of the points.  It draws its
+sample in blocks (geometry._ball_blocks), bit for bit the one-shot draw, and
+keeps about 3 floats per sample: the values and one scratch array for the
+empirical root.  Every root (the q-mean itself and the distance where a
+profile crosses mu) is found by one helper, _root: scipy's brentq ported
+line for line, fed with the end values its caller already holds, so that no
+G is evaluated twice at one point.  Both q-means go to it through
+_qmean_root, which decides what is constant and what is too small to
+resolve.
 
 Solution profiles evaluate the exact radial solution through
 radial.eval_log_u, whose kernels are closed-form; on an ellipse the limit
@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -47,8 +47,7 @@ from .geometry import (
     ExteriorBallDomain,
     TouchingBallConfig,
     _ball_blocks,
-    _EllipseTube,
-    level_set_area,
+    _level_sets,
 )
 from .params import ProblemParams, _require_count, is_infinity, limit_constants
 from .quadrature import tanh_sinh_fixed
@@ -131,33 +130,6 @@ def _root(G: Callable, lo: float, hi: float, g_lo: float,
                        f"iterations, value is {xcur!r}")
 
 
-def _s_max(cfg: TouchingBallConfig) -> float:
-    """Largest boundary distance d in the closed ball B_R(x), and the
-    co-area route's one domain gate: implicit domains other than the
-    ellipse raise ValueError.
-
-    On an ellipse, in its tube's frame (_EllipseTube: major axis a first),
-    it is min(2R, b) when the ball holds the center or 2R stays before the
-    cut b w0/a of the contact normal.  Otherwise the concave d peaks where
-    it is not smooth: on the medial axis |z1| < (a^2 - b^2)/a, z2 = 0,
-    nearest the center, where d = b sqrt(1 - z1^2/(a^2 - b^2))."""
-    dom, R = cfg.domain, cfg.R
-    if isinstance(dom, BallDomain):
-        return min(2.0 * R, dom.rho)
-    if isinstance(dom, ExteriorBallDomain):
-        return 2.0 * R
-    if not isinstance(dom, EllipseDomain):
-        raise ValueError("the co-area q-mean has closed-form level-set areas "
-                         "on balls, ball complements and ellipses only; on "
-                         "other implicit domains use q_mean_bruteforce")
-    tube = _EllipseTube.at(dom, cfg)
-    a, b, (x1, x2) = tube.a, tube.b, tube.center
-    if math.hypot(x1, x2) <= R or 2.0 * R <= b * tube.w0 / a:
-        return min(2.0 * R, b)
-    z1 = abs(x1) - math.sqrt(max(R * R - x2 * x2, 0.0))
-    return b * math.sqrt(1.0 - z1 * z1 / (a * a - b * b))
-
-
 @dataclass(frozen=True, eq=False)
 class QMeanQuery:
     """Input bundle for a q-mean over the touching ball B_R(x).
@@ -165,21 +137,25 @@ class QMeanQuery:
     `profile` is a nonnegative nonincreasing function of the scaled distance
     tau = d_Gamma/xi, vectorized, on a ball, ball-complement or ellipse
     domain; q_mean_bruteforce takes functions of the points, on any domain.
+    s_max and area are the ball's geometry._level_sets, built once here.
     """
 
     cfg: TouchingBallConfig
     q: float
     xi: float
-    profile: Optional[Callable] = None
+    profile: Callable
+    s_max: float = field(init=False, repr=False)
+    area: Callable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (is_infinity(self.q) or self.q > 1.0):
             raise ValueError(f"q must be > 1 or INFINITY, got {self.q}")
         if not self.xi > 0.0:
             raise ValueError(f"xi must be positive, got {self.xi}")
-        if self.profile is None:
-            raise ValueError("a profile must be given")
-        tau = np.linspace(0.0, _s_max(self.cfg) / self.xi, 129)
+        s_max, area = _level_sets(self.cfg.domain, self.cfg)
+        object.__setattr__(self, "s_max", s_max)
+        object.__setattr__(self, "area", area)
+        tau = np.linspace(0.0, s_max / self.xi, 129)
         vals = np.asarray(self.profile(tau), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("profile must be finite on the ball")
@@ -264,28 +240,20 @@ def _crossing(profile: Callable, mu: float, xi: float, smax: float,
 
 
 def _coarea_G(mu: float, profile: Callable, xi: float, q: float,
-              cfg: TouchingBallConfig, smax: float, beta: float, f0: float,
+              area: Callable, smax: float, beta: float, f0: float,
               fend: float) -> float:
     sc = _crossing(profile, mu, xi, smax, f0, fend)
-
-    def areas(s: np.ndarray) -> np.ndarray:
-        # tanh-sinh nodes next to s = 0 round to 0, where the area vanishes
-        out = np.zeros_like(s)
-        pos = s > 0.0
-        out[pos] = level_set_area(cfg.domain, cfg, s[pos])
-        return out
-
     qm1 = q - 1.0
     total = 0.0
     if sc > 0.0:
         total += tanh_sinh_fixed(
             lambda x, *rest: np.maximum(profile(x / xi) - mu, 0.0) ** qm1
-            * areas(x),
+            * area(x),
             0.0, sc, _LEVEL, beta)
     if smax - sc > 1e-15 * smax:
         total -= tanh_sinh_fixed(
             lambda x, *rest: np.maximum(mu - profile(x / xi), 0.0) ** qm1
-            * areas(x),
+            * area(x),
             sc, smax, _LEVEL, beta)
     return total
 
@@ -299,22 +267,20 @@ def q_mean(query: QMeanQuery) -> QMeanResult:
     the ellipse's tube formula; one profile call and one array area call per
     integral), and mu and the profile's crossing of mu are Brent roots.
     q = INFINITY gives the midrange (f(0) + f(s_max/xi))/2 of the monotone
-    profile, s_max the largest boundary distance in B_R(x) (_s_max), with
-    residual 0 and scaled == mu.
+    profile, s_max the largest boundary distance in B_R(x), with residual 0
+    and scaled == mu.
     """
     cfg, xi, prof, q = query.cfg, query.xi, query.profile, query.q
-    smax = _s_max(cfg)
+    smax = query.s_max
     f0 = _prof_at(prof, 0.0)
     fend = _prof_at(prof, smax / xi)
     if is_infinity(q):
         mu, residual = 0.5 * (f0 + fend), 0.0
     else:
         beta = min(1.0, q - 1.0, 0.5 * (cfg.n - 1))
-
-        def G(m: float) -> float:
-            return _coarea_G(m, prof, xi, q, cfg, smax, beta, f0, fend)
-
-        mu, residual = _qmean_root(G, fend, f0, "the profile's end value")
+        mu, residual = _qmean_root(
+            lambda m: _coarea_G(m, prof, xi, q, query.area, smax, beta, f0,
+                                fend), fend, f0, "the profile's end value")
     scaled = (cfg.R / xi) ** _scaled_exponent(cfg.n, q) * mu
     return QMeanResult(mu=mu, scaled=scaled, residual=residual)
 
@@ -393,15 +359,13 @@ def qmean_profile_limit(cfg: TouchingBallConfig, q: float,
 
     total = seg(0.0, 8.0)
     t_hi = 8.0
-    converged = False
     for _ in range(15):
         inc = seg(t_hi, 2.0 * t_hi)
         total += inc
         t_hi *= 2.0
         if abs(inc) <= 1e-13 * max(abs(total), 1e-300):
-            converged = True
             break
-    if not converged:
+    else:
         raise ValueError(
             f"profile integral does not converge (tail at T={t_hi:g} still "
             f"contributes)")
@@ -467,7 +431,7 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
             f"params dimension {params_seq[0].n} does not match the "
             f"touching-ball dimension {n}")
     dom = cfg.domain
-    _s_max(cfg)  # the domain gate, ahead of solution_profile's own error
+    _level_sets(dom, cfg)  # the domain gate, before solution_profile's error
     if isinstance(dom, EllipseDomain):
         _require_count("n_samples", n_samples)
         _require_count("seed", seed, 0)

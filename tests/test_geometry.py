@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from resolvent_asym import geometry, qmeans
+from resolvent_asym import geometry
 from resolvent_asym.qmeans import QMeanQuery, q_mean
 from resolvent_asym.quadrature import tanh_sinh_fixed
 from resolvent_asym.geometry import (
@@ -280,9 +280,29 @@ class TestDistanceAndNearest:
             return out
 
         dom = ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=2)
-        with pytest.raises(ValueError, match="no positive eigenvalue"):
+        with pytest.raises(RuntimeError, match="no positive eigenvalue"):
             distance_and_nearest(dom, [0.0, 0.0])
         assert distance_and_nearest(dom, [0.5, 0.0])[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("x", [[0.8, 0.0], [-2.0, 0.0]])
+    def test_stop_on_a_local_maximum_raises(self, x):
+        # Newton from a point on the major axis stays on it and stops at a
+        # vertex, a local maximum of the distance along the boundary
+        # (T^T (I - lam H) T = -11.8 at (4, 0) from (0.8, 0))
+        dom = make_ellipse_domain(4.0, 1.0)
+        with pytest.raises(RuntimeError,
+                           match="local maximum of the distance for 1 of 1"):
+            distance_and_nearest(dom, x)
+        pts = np.array([[0.8, 0.3], x, x, [0.0, 0.0]])
+        with pytest.raises(RuntimeError, match="for 2 of 4 points"):
+            boundary_distances(dom, pts)
+
+    def test_off_the_axis_finds_the_nearest_point(self):
+        # the medial-axis distance b sqrt(1 - x1^2/(a^2 - b^2)), moved by
+        # less than 1e-9 at 1e-9 off the axis
+        d, _ = distance_and_nearest(make_ellipse_domain(4.0, 1.0),
+                                    [0.8, 1e-9])
+        assert d == pytest.approx(math.sqrt(1.0 - 0.8 ** 2 / 15.0), abs=2e-9)
 
     def test_blocks_change_no_bit(self, monkeypatch):
         dom = make_ellipse_domain(2.0, 1.0)
@@ -758,8 +778,13 @@ def contact_config(axes, t0: float, R: float) -> TouchingBallConfig:
     return touching_ball(make_ellipse_domain(a, b), x, R)
 
 
+def s_max(cfg: TouchingBallConfig) -> float:
+    return geometry._level_sets(cfg.domain, cfg)[0]
+
+
 class TestLargestDistance:
-    """qmeans._s_max on ellipses: the largest boundary distance in B_R(x)."""
+    """The s_max of geometry._level_sets on ellipses: the largest boundary
+    distance in B_R(x)."""
 
     # contacts whose normal is cut before 2R, by balls that miss the
     # center: at the major vertex, off it, and with the major axis second
@@ -770,7 +795,7 @@ class TestLargestDistance:
     @pytest.mark.parametrize("axes,t0,R", CORNERS)
     def test_corner_peak_matches_the_secular_oracle(self, axes, t0, R):
         cfg = contact_config(axes, t0, R)
-        s = qmeans._s_max(cfg)
+        s = s_max(cfg)
         assert s == pytest.approx(circle_corner_peak(axes, cfg.x, R),
                                   abs=1e-9)
         assert s < min(2.0 * R, *axes) - 0.01
@@ -787,7 +812,7 @@ class TestLargestDistance:
         (0.5 * math.pi, 0.5, 1.0), (0.5 * math.pi - 0.3, 0.7, 1.0)])
     def test_center_or_uncut_normal_gives_the_bound(self, t0, R, expected):
         cfg = contact_config((2.0, 1.0), t0, R)
-        s = qmeans._s_max(cfg)
+        s = s_max(cfg)
         assert s == expected
         theta = 2.0 * math.pi / 20_000 * (np.arange(20_000) + 0.5)
         assert np.max(circle_distances((2.0, 1.0), cfg.x, R, theta)) \
@@ -800,14 +825,14 @@ class TestLargestDistance:
         res = q_mean(QMeanQuery(cfg=cfg, q=math.inf, xi=0.1,
                                 profile=lambda t: np.exp(-np.asarray(t))))
         assert res.mu == pytest.approx(
-            0.5 * (1.0 + math.exp(-10.0 * qmeans._s_max(cfg))), rel=1e-14)
+            0.5 * (1.0 + math.exp(-10.0 * s_max(cfg))), rel=1e-14)
         assert res.mu == pytest.approx(0.501386, abs=5e-7)
 
     def test_other_implicit_domains_are_refused(self):
         ell = make_ellipse_domain(2.0, 1.0)
         dom = ImplicitDomain(phi=ell.phi, grad=ell.grad, hess=ell.hess, dim=2)
         with pytest.raises(ValueError, match="use q_mean_bruteforce"):
-            qmeans._s_max(touching_ball(dom, [0.0, 0.5], 0.5))
+            s_max(touching_ball(dom, [0.0, 0.5], 0.5))
 
 
 B = geometry._BLOCK

@@ -108,7 +108,8 @@ class TestQueryValidation:
             QMeanQuery(cfg=BALL_CFG, q=2.0, xi=0.0, profile=exp_profile)
 
     def test_exactly_one_function(self):
-        with pytest.raises(ValueError, match="profile must be given"):
+        # the profile is a required argument
+        with pytest.raises(TypeError, match="profile"):
             QMeanQuery(cfg=BALL_CFG, q=2.0, xi=0.1)
 
     def test_increasing_profile_rejected(self):
@@ -531,21 +532,21 @@ class TestRecordedCoarea:
         assert digest == (
             "60d29a24d0e9f4b9ba21e227990991abbd9782f66bc60f0a562cae302f90d9c0")
 
-    def test_one_area_call_per_integral(self, monkeypatch):
+    def test_one_area_call_per_integral(self):
         calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return level_set_area(*args)
-
-        monkeypatch.setattr(qmeans, "level_set_area", counted)
         cfg = self.CONFIGS[2]
+        _, area = geometry._level_sets(cfg.domain, cfg)
+
+        def counted(s):
+            calls.append(s)
+            return area(s)
+
         pp = ProblemParams(n=3, p=2.0, eps=0.05)
         prof = solution_profile(pp, cfg.domain)
         smax = 2.0 * cfg.R
         # mu between the profile's end values: both integrals are taken
         mu = 0.5 * (prof(0.0) + prof(smax / pp.xi))
-        qmeans._coarea_G(mu, prof, pp.xi, 2.0, cfg, smax, 1.0,
+        qmeans._coarea_G(mu, prof, pp.xi, 2.0, counted, smax, 1.0,
                          qmeans._prof_at(prof, 0.0),
                          qmeans._prof_at(prof, smax / pp.xi))
         assert len(calls) == 2
@@ -732,9 +733,8 @@ class TestBrentPort:
         for query in coarea_queries():
             del calls[:]
             q_mean(query)
-            smax = qmeans._s_max(query.cfg)
             assert calls
-            assert not {s for s, *_ in calls} & {0.0, smax}
+            assert not {s for s, *_ in calls} & {0.0, query.s_max}
 
     @pytest.mark.parametrize("q", [1.5, 3.0])
     def test_one_sample_G_per_distinct_mu(self, monkeypatch, q):
@@ -745,6 +745,40 @@ class TestBrentPort:
         assert len(empirical) == 7
         mus = [args[0] for args in calls]
         assert len(mus) == len(set(mus))
+
+
+class TestOneTubePerQuery:
+    """geometry._level_sets builds one _EllipseTube per configuration."""
+
+    @pytest.fixture
+    def tubes(self, monkeypatch):
+        calls = []
+        real = geometry._EllipseTube.at.__func__
+
+        def counting(cls, *args):
+            calls.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(geometry._EllipseTube, "at",
+                            classmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
+    def test_one_per_q_mean(self, tubes, q):
+        q_mean(QMeanQuery(cfg=ELLIPSE_CFG, q=q, xi=0.1, profile=exp_profile))
+        assert len(tubes) == 1
+
+    def test_one_per_level_set_area(self, tubes):
+        level_set_area(ELLIPSE_CFG.domain, ELLIPSE_CFG,
+                       np.linspace(0.1, 1.5, 15))
+        level_set_area(ELLIPSE_CFG.domain, ELLIPSE_CFG, 0.5)
+        assert len(tubes) == 2
+
+    def test_four_row_experiment(self, tubes):
+        # the gate, then one tube per row
+        seq = [ProblemParams(n=2, p=INFINITY, eps=e) for e in (0.02, 0.01)]
+        assert len(qmean_limit_experiment(seq, ELLIPSE_CFG, 2.0)) == 4
+        assert len(tubes) <= 5
 
 
 class TestLimitExperiment:

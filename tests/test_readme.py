@@ -1,11 +1,15 @@
-"""Every command of the README's "Command line" block runs with its config."""
+"""Every command of the README's "Command line" block runs with its config,
+and every package name its prose puts in backticks still exists."""
 
+import importlib
 import pathlib
+import pkgutil
 import re
 import shlex
 
 import pytest
 
+import resolvent_asym
 from resolvent_asym import cli
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -27,3 +31,30 @@ def test_command_exits_0(line, tmp_path, monkeypatch):
     (tmp_path / "sweep.json").write_text(CONFIG, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert cli.main(shlex.split(line)[1:]) == 0
+
+
+PROSE = re.sub(r"```.*?```", "", README, flags=re.S)
+MODULES = {info.name: importlib.import_module(f"resolvent_asym.{info.name}")
+           for info in pkgutil.iter_modules(resolvent_asym.__path__)}
+# backticked `module.name` of a package module, and bare `_private` names
+DOTTED = sorted({m for m in re.findall(r"`(\w+(?:\.\w+)+)`", PROSE)
+                 if m.split(".")[0] in MODULES})
+PRIVATE = sorted(set(re.findall(r"`(_\w+)`", PROSE)))
+
+
+def test_names_found():
+    assert "params._require_count" in DOTTED
+    assert "_root" in PRIVATE
+
+
+@pytest.mark.parametrize("name", DOTTED)
+def test_module_name_resolves(name):
+    obj = MODULES[name.split(".")[0]]
+    for part in name.split(".")[1:]:
+        assert hasattr(obj, part), f"{name}: no {part}"
+        obj = getattr(obj, part)
+
+
+@pytest.mark.parametrize("name", PRIVATE)
+def test_private_name_resolves(name):
+    assert any(hasattr(module, name) for module in MODULES.values())
