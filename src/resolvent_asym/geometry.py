@@ -14,7 +14,7 @@ implicit domains have the seeded Monte Carlo oracles only.
 Points go in blocks of _BLOCK = 2^13: the Newton projection works on one
 block at a time, and the Monte Carlo oracles draw their samples block by
 block (_ball_blocks), bit for bit the one-shot draw, so their memory is
-about 3 floats per sample.
+about 2 floats per sample.
 """
 
 from __future__ import annotations

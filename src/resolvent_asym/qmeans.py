@@ -6,21 +6,21 @@ The q-mean of a function on B_R(x) is the unique root mu of
 
 For functions of the boundary distance the integrals collapse, by the
 co-area formula, to one-dimensional integrals against the level-set areas,
-closed forms on balls, ball complements and ellipses that a QMeanQuery takes
-once, with the largest boundary distance s_max in the ball, from
-geometry._level_sets, which rejects every other domain.  They are evaluated
-by the fixed-level rule quadrature.tanh_sinh_fixed, which hands all of its
-nodes to the integrand at once, so each integral makes one profile call and
-one array area call.  On other implicit domains the seeded Monte Carlo
-oracle q_mean_bruteforce takes a raw function of the points.  It draws its
-sample in blocks (geometry._ball_blocks), bit for bit the one-shot draw, and
-keeps about 3 floats per sample: the values and one scratch array for the
-empirical root.  Every root (the q-mean itself and the distance where a
-profile crosses mu) is found by one helper, _root: scipy's brentq ported
-line for line, fed with the end values its caller already holds, so that no
-G is evaluated twice at one point.  Both q-means go to it through
-_qmean_root, which decides what is constant and what is too small to
-resolve.
+closed forms on balls, ball complements and ellipses.  A QMeanQuery sets
+the route up once: the areas and the largest boundary distance s_max in
+the ball from geometry._level_sets, which rejects every other domain, and
+the fixed-level rule quadrature.FixedRule.  Each integral hands all of its
+nodes to one profile call and one array area call; G at the two ends of
+the bracket shares one of each, both being integrals over [0, s_max].  On
+other implicit domains the seeded Monte Carlo oracle q_mean_bruteforce
+takes a raw function of the points.  It draws its sample in blocks
+(geometry._ball_blocks), bit for bit the one-shot draw, and keeps about 2
+floats per sample: the values and one scratch array.  Every root (the
+q-mean itself and the distance where a profile crosses mu) is found by one
+helper, _root: scipy's brentq ported line for line, fed with the end values
+its caller already holds, so that no G is evaluated twice at one point.
+Both q-means go to it through _qmean_root, which decides what is constant
+and what is too small to resolve.
 
 Solution profiles evaluate the exact radial solution through
 radial.eval_log_u, whose kernels are closed-form; on an ellipse the limit
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -50,7 +50,7 @@ from .geometry import (
     _level_sets,
 )
 from .params import ProblemParams, _require_count, is_infinity, limit_constants
-from .quadrature import tanh_sinh_fixed
+from .quadrature import FixedRule
 from .radial import Geometry, RadialSolution, eval_log_u
 
 # Fixed tanh-sinh level of the co-area integrals: adaptive stopping would make
@@ -137,7 +137,8 @@ class QMeanQuery:
     `profile` is a nonnegative nonincreasing function of the scaled distance
     tau = d_Gamma/xi, vectorized, on a ball, ball-complement or ellipse
     domain; q_mean_bruteforce takes functions of the points, on any domain.
-    s_max and area are the ball's geometry._level_sets, built once here.
+    s_max, area (geometry._level_sets) and the co-area integrals' rule
+    (None at q = INFINITY) are built once here.
     """
 
     cfg: TouchingBallConfig
@@ -146,6 +147,7 @@ class QMeanQuery:
     profile: Callable
     s_max: float = field(init=False, repr=False)
     area: Callable = field(init=False, repr=False)
+    rule: Optional[FixedRule] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (is_infinity(self.q) or self.q > 1.0):
@@ -155,6 +157,9 @@ class QMeanQuery:
         s_max, area = _level_sets(self.cfg.domain, self.cfg)
         object.__setattr__(self, "s_max", s_max)
         object.__setattr__(self, "area", area)
+        object.__setattr__(self, "rule", None if is_infinity(self.q) else
+                           FixedRule(_LEVEL, min(1.0, self.q - 1.0,
+                                                 0.5 * (self.cfg.n - 1))))
         tau = np.linspace(0.0, s_max / self.xi, 129)
         vals = np.asarray(self.profile(tau), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -177,9 +182,7 @@ class QMeanResult:
 
 
 def _scaled_exponent(n: int, q: float) -> float:
-    if is_infinity(q):
-        return 0.0
-    return (n + 1.0) / (2.0 * (q - 1.0))
+    return 0.0 if is_infinity(q) else (n + 1.0) / (2.0 * (q - 1.0))
 
 
 def _sample_G(mu: float, v: np.ndarray, qm1: float, buf: np.ndarray) -> float:
@@ -195,16 +198,18 @@ def _sample_G(mu: float, v: np.ndarray, qm1: float, buf: np.ndarray) -> float:
     return float(upper - buf.mean())
 
 
-def _qmean_root(G: Callable, lo: float, hi: float,
-                what: str) -> Tuple[float, float]:
-    """(mu, residual/scale) by _root for the G of values spanning [lo, hi].
+def _qmean_root(G: Callable, lo: float, hi: float, what: str,
+                ends: Optional[Callable] = None) -> Tuple[float, float]:
+    """(mu, residual/scale) by _root for the G of values spanning [lo, hi];
+    ends(), when given, returns (G(lo), G(hi)) in one evaluation.
 
     Values spread within 1e-14 of their magnitude are constant: their
     midrange, residual 0.  A root within the absolute tolerance
     2^-60 (hi - lo) of lo is not resolved: RuntimeError, naming lo `what`."""
     if hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
         return 0.5 * (lo + hi), 0.0
-    mu, residual = _root(G, lo, hi, G(lo), G(hi))
+    g_lo, g_hi = ends() if ends else (G(lo), G(hi))
+    mu, residual = _root(G, lo, hi, g_lo, g_hi)
     xtol = 2.0 ** -60 * (hi - lo)
     if mu - lo <= xtol:
         raise RuntimeError(
@@ -230,32 +235,40 @@ def _profile_excess(s: float, profile: Callable, mu: float,
     return _prof_at(profile, s / xi) - mu
 
 
-def _crossing(profile: Callable, mu: float, xi: float, smax: float,
-              f0: float, fend: float) -> float:
-    """The distance s_c where the nonincreasing profile crosses mu: 0 when
-    the profile starts at or below mu, smax when it stays at or above it.
-    f0 and fend are the profile's values at s = 0 and s = smax."""
-    return _root(lambda s: _profile_excess(s, profile, mu, xi), 0.0, smax,
-                 f0 - mu, fend - mu)[0]
-
-
-def _coarea_G(mu: float, profile: Callable, xi: float, q: float,
-              area: Callable, smax: float, beta: float, f0: float,
-              fend: float) -> float:
-    sc = _crossing(profile, mu, xi, smax, f0, fend)
-    qm1 = q - 1.0
+def _coarea_G(mu: float, query: QMeanQuery, f0: float, fend: float) -> float:
+    profile, xi, area, rule = query.profile, query.xi, query.area, query.rule
+    smax, qm1 = query.s_max, query.q - 1.0
+    # where the profile crosses mu: 0 if it starts at or below, smax if above
+    sc = _root(lambda s: _profile_excess(s, profile, mu, xi), 0.0, smax,
+               f0 - mu, fend - mu)[0]
     total = 0.0
     if sc > 0.0:
-        total += tanh_sinh_fixed(
+        total += rule(
             lambda x, *rest: np.maximum(profile(x / xi) - mu, 0.0) ** qm1
             * area(x),
-            0.0, sc, _LEVEL, beta)
+            0.0, sc)
     if smax - sc > 1e-15 * smax:
-        total -= tanh_sinh_fixed(
+        total -= rule(
             lambda x, *rest: np.maximum(mu - profile(x / xi), 0.0) ** qm1
             * area(x),
-            sc, smax, _LEVEL, beta)
+            sc, smax)
     return total
+
+
+def _coarea_ends(query: QMeanQuery, f0: float,
+                 fend: float) -> Tuple[float, float]:
+    """(_coarea_G(fend), _coarea_G(f0)): the profile crosses fend at s_max
+    and f0 at 0, so both are integrals over [0, s_max] on the same nodes."""
+    rule, smax, qm1 = query.rule, query.s_max, query.q - 1.0
+
+    def both(x, *rest):
+        prof, area = query.profile(x / query.xi), query.area(x)
+        return (np.maximum(prof - fend, 0.0) ** qm1 * area,
+                np.maximum(f0 - prof, 0.0) ** qm1 * area)
+
+    upper, lower = (rule.total(v, 0.0, smax)
+                    for v in rule.values(both, 0.0, smax))
+    return 0.0 + upper, 0.0 - lower  # from 0.0, as _coarea_G adds them
 
 
 def q_mean(query: QMeanQuery) -> QMeanResult:
@@ -265,22 +278,20 @@ def q_mean(query: QMeanQuery) -> QMeanResult:
     Finite q goes through the co-area route: G(mu) is a fixed-level
     tanh-sinh integral against closed-form level-set areas (sphere caps, or
     the ellipse's tube formula; one profile call and one array area call per
-    integral), and mu and the profile's crossing of mu are Brent roots.
+    integral, and per pair of end values), and mu and the profile's crossing
+    of mu are Brent roots.
     q = INFINITY gives the midrange (f(0) + f(s_max/xi))/2 of the monotone
     profile, s_max the largest boundary distance in B_R(x), with residual 0
     and scaled == mu.
     """
     cfg, xi, prof, q = query.cfg, query.xi, query.profile, query.q
-    smax = query.s_max
-    f0 = _prof_at(prof, 0.0)
-    fend = _prof_at(prof, smax / xi)
+    f0, fend = _prof_at(prof, 0.0), _prof_at(prof, query.s_max / xi)
     if is_infinity(q):
         mu, residual = 0.5 * (f0 + fend), 0.0
     else:
-        beta = min(1.0, q - 1.0, 0.5 * (cfg.n - 1))
         mu, residual = _qmean_root(
-            lambda m: _coarea_G(m, prof, xi, q, query.area, smax, beta, f0,
-                                fend), fend, f0, "the profile's end value")
+            lambda m: _coarea_G(m, query, f0, fend), fend, f0,
+            "the profile's end value", lambda: _coarea_ends(query, f0, fend))
     scaled = (cfg.R / xi) ** _scaled_exponent(cfg.n, q) * mu
     return QMeanResult(mu=mu, scaled=scaled, residual=residual)
 
@@ -294,7 +305,7 @@ def q_mean_bruteforce(cfg: TouchingBallConfig, q: float, raw: Callable,
     co-area route's oracle.  raw must be pointwise (a point's value may not
     depend on the other points): the sample is drawn in blocks, bit for bit
     the one-shot draw, and raw sees one block at a time, so memory stays at
-    about 3 floats per sample.  A q-mean within the root's absolute
+    about 2 floats per sample.  A q-mean within the root's absolute
     tolerance of the sample's minimum raises RuntimeError
     (_empirical_qmean).  The error is the delta-method estimate
     sd(g)/(sqrt(n) |E dG/dmu|) for the estimating function
@@ -321,7 +332,9 @@ def q_mean_bruteforce(cfg: TouchingBallConfig, q: float, raw: Callable,
     np.abs(g, out=g)
     g **= qm1
     np.subtract(0.0, g, out=g, where=below)
-    var = float(np.var(g))
+    # np.var(g), step for step, in g itself
+    g -= np.add.reduce(g, keepdims=True) / g.size
+    var = float(np.add.reduce(np.square(g, out=g)) / g.size)
     del g, below
     # the slope terms q-1 |v - mu|^{q-2}, finite and at v != mu, in v itself
     v -= mu
@@ -350,17 +363,15 @@ def qmean_profile_limit(cfg: TouchingBallConfig, q: float,
         raise ValueError(f"q must be > 1 or INFINITY, got {q}")
     qm1 = q - 1.0
     m = 0.5 * (n - 1)
-    beta = min(1.0, m)
+    rule = FixedRule(7, min(1.0, m))
 
-    def seg(a: float, b: float) -> float:
-        return tanh_sinh_fixed(
-            lambda x, *rest: np.asarray(f(x), dtype=float) ** qm1 * x ** m,
-            a, b, 7, beta)
+    def integrand(x, *rest):
+        return np.asarray(f(x), dtype=float) ** qm1 * x ** m
 
-    total = seg(0.0, 8.0)
+    total = rule(integrand, 0.0, 8.0)
     t_hi = 8.0
     for _ in range(15):
-        inc = seg(t_hi, 2.0 * t_hi)
+        inc = rule(integrand, t_hi, 2.0 * t_hi)
         total += inc
         t_hi *= 2.0
         if abs(inc) <= 1e-13 * max(abs(total), 1e-300):

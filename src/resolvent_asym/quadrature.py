@@ -10,21 +10,21 @@ weight once: its log, its interval and the strength of its endpoint
 singularity.  The tanh-sinh engine (Takahasi & Mori 1974) integrates them
 against any nonnegative g, is the kernels' fallback where the scaled Bessel
 values leave the float range, and is the oracle the closed forms are tested
-against.  One helper, _evaluate, places the nodes of a set of abscissae
-(endpoint offsets kept as logarithms) and evaluates the integrand there in
-one call; the adaptive rules call it once per refinement level, on that
-level's new abscissae.  tanh_sinh_log sums the levels in the log domain,
-so endpoint singularities (sin theta)^alpha with alpha near -1 neither
-underflow nor overflow; its logsumexp is a local copy of scipy's
-algorithm, bit for bit, without scipy's array-API dispatch.  The
-linear-domain level sums back signed integrands (mollifier numerators) in
-tanh_sinh_sum.  Stopped at a fixed level they are the smooth rule of the
-co-area q-mean, tanh_sinh_fixed, which evaluates the nodes of all its
-levels in one integrand call and then adds the level sums in order, bit
-for bit the adaptive rule's running sum.  The adaptive
-rules stop once two levels differ by _REL_TOL (relative; in the log for
-tanh_sinh_log), or fail after _MAX_REFINEMENTS level doublings past the
-coarse pass; both module constants are read at call time.
+against.  _nodes builds the arrays of a set of abscissae that do not
+depend on the interval, and _values places them on [a, b] (endpoint offsets
+kept as logarithms) and evaluates the integrand there in one call; the
+adaptive rules do both once per refinement level, on its new abscissae.
+tanh_sinh_log sums the levels in the log domain, so endpoint singularities
+(sin theta)^alpha with alpha near -1 neither underflow nor overflow; its
+logsumexp is scipy's algorithm, bit for bit, without the array-API
+dispatch.  tanh_sinh_sum backs signed integrands (mollifier numerators).
+Stopped at a fixed level it is FixedRule, the smooth rule of the co-area
+q-mean: built once per (level, beta), it evaluates the nodes of all its
+levels in one integrand call and adds the level sums in order, bit for bit
+the adaptive rule's running sum.  The adaptive rules stop once two levels
+differ by _REL_TOL (relative; in the log for tanh_sinh_log), or fail after
+_MAX_REFINEMENTS level doublings past the coarse pass; both module
+constants are read at call time.
 """
 
 from __future__ import annotations
@@ -103,26 +103,27 @@ def _level_abscissae(level: int, t_max: float) -> np.ndarray:
     return np.concatenate([-odd[::-1], odd])
 
 
-def _evaluate(f: Callable, t: np.ndarray, a: float, b: float) -> tuple:
-    """(h-free log node weights, f at the nodes) for abscissae t on [a, b].
+def _nodes(t: np.ndarray) -> tuple:
+    """The t-only arrays of abscissae t: the log node weights (h-free), both
+    endpoints' softplus offsets and the left-half mask."""
+    z = 0.5 * math.pi * np.sinh(t)
+    return (_LOG_PI_HALF + _log_cosh(t) - 2.0 * _log_cosh(z),
+            _softplus(-2.0 * z), _softplus(2.0 * z), z <= 0.0)
 
-    f(x, da, db, log_da, log_db) gets the nodes x and their exact distances
-    da, db to the endpoints; log_da/log_db never underflow.
-    """
+
+def _values(f: Callable, nodes: tuple, a: float, b: float) -> np.ndarray:
+    """f(x, da, db, log_da, log_db) at the nodes x on [a, b]; da, db are the
+    exact distances to the ends, and log_da/log_db never underflow."""
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
-    z = 0.5 * math.pi * np.sinh(t)
-    log_w = _LOG_PI_HALF + _log_cosh(t) - 2.0 * _log_cosh(z)
+    _, soft_a, soft_b, left = nodes
     log_span = math.log(b - a)
-    log_da = log_span - _softplus(-2.0 * z)
-    log_db = log_span - _softplus(2.0 * z)
-    da = np.exp(log_da)
-    db = np.exp(log_db)
-    x = np.where(z <= 0.0, a + da, b - db)
+    log_da, log_db = log_span - soft_a, log_span - soft_b
+    da, db = np.exp(log_da), np.exp(log_db)
+    x = np.where(left, a + da, b - db)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        vals = np.asarray(f(x, da, db, log_da, log_db), dtype=float)
-    return log_w, vals
+        return np.asarray(f(x, da, db, log_da, log_db), dtype=float)
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
@@ -152,15 +153,15 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
                   beta: float = 1.0) -> float:
     """Log of int_a^b exp(log_f) dx by level-doubled tanh-sinh.
 
-    log_f takes the node arguments of _evaluate and returns log integrand
+    log_f takes the node arguments of _values and returns log integrand
     values; beta is the strength of the worst endpoint singularity.
     """
     t_max = _t_max_for(beta)
     blocks: list[np.ndarray] = []
     prev = current = math.nan
     for level in range(_MAX_REFINEMENTS + 1):
-        log_w, vals = _evaluate(log_f, _level_abscissae(level, t_max), a, b)
-        terms = log_w + vals
+        nodes = _nodes(_level_abscissae(level, t_max))
+        terms = nodes[0] + _values(log_f, nodes, a, b)
         blocks.append(terms[~np.isnan(terms)])
         h = _BASE_STEP * 2.0 ** (-level)
         prev, current = current, (math.log(0.5 * (b - a)) + math.log(h)
@@ -172,9 +173,9 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
         "tanh-sinh refinement did not reach rel_tol", current, prev)
 
 
-def _level_sum(log_w: np.ndarray, vals: np.ndarray) -> float:
-    """Sum of the finite weighted terms of one level (h-free)."""
-    terms = np.exp(log_w) * vals
+def _level_sum(w: np.ndarray, vals: np.ndarray) -> float:
+    """Sum of the finite weighted terms of one level (h-free weights w)."""
+    terms = w * vals
     return float(np.sum(terms[np.isfinite(terms)]))
 
 
@@ -185,8 +186,8 @@ def tanh_sinh_sum(f: Callable, a: float, b: float,
     total = 0.0
     prev = current = math.nan
     for level in range(_MAX_REFINEMENTS + 1):
-        log_w, vals = _evaluate(f, _level_abscissae(level, t_max), a, b)
-        total += _level_sum(log_w, vals)
+        nodes = _nodes(_level_abscissae(level, t_max))
+        total += _level_sum(np.exp(nodes[0]), _values(f, nodes, a, b))
         h = _BASE_STEP * 2.0 ** (-level)
         prev, current = current, 0.5 * (b - a) * h * total
         if level >= 3 and (abs(current - prev)
@@ -196,26 +197,39 @@ def tanh_sinh_sum(f: Callable, a: float, b: float,
         "tanh-sinh refinement did not reach rel_tol", current, prev)
 
 
+class FixedRule:
+    """tanh_sinh_sum stopped at a fixed level, smooth in the endpoints for a
+    root search over them.  Only log(b - a) depends on the interval; the
+    rest is built here, once.  values() calls f once on all nodes; total()
+    adds the level sums in order, bit for bit the adaptive running sum."""
+
+    def __init__(self, level: int, beta: float = 1.0) -> None:
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
+        blocks = [_level_abscissae(k, _t_max_for(beta))
+                  for k in range(level + 1)]
+        self._nodes = _nodes(np.concatenate(blocks))
+        edges = np.cumsum([0] + [block.size for block in blocks])
+        self._levels = [(lo, hi, np.exp(self._nodes[0][lo:hi]))
+                        for lo, hi in zip(edges[:-1], edges[1:])]
+        self._h = _BASE_STEP * 2.0 ** (-level)
+
+    def values(self, f: Callable, a: float, b: float) -> np.ndarray:
+        return _values(f, self._nodes, a, b)
+
+    def total(self, vals: np.ndarray, a: float, b: float) -> float:
+        total = 0.0
+        for lo, hi, w in self._levels:
+            total += _level_sum(w, vals[lo:hi])
+        return 0.5 * (b - a) * self._h * total
+
+    def __call__(self, f: Callable, a: float, b: float) -> float:
+        return self.total(self.values(f, a, b), a, b)
+
+
 def tanh_sinh_fixed(f: Callable, a: float, b: float, level: int,
                     beta: float = 1.0) -> float:
-    """tanh_sinh_sum stopped at a fixed refinement level.
-
-    Unlike the adaptive rule the result is a smooth deterministic function
-    of the endpoints, which keeps a root search over them monotone.  The
-    nodes of levels 0..level go to f in one call; the level sums are then
-    added in level order, as the adaptive rule adds them.
-    """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    t_max = _t_max_for(beta)
-    blocks = [_level_abscissae(k, t_max) for k in range(level + 1)]
-    log_w, vals = _evaluate(f, np.concatenate(blocks), a, b)
-    edges = np.cumsum([block.size for block in blocks[:-1]])
-    total = 0.0
-    for w, v in zip(np.split(log_w, edges), np.split(vals, edges)):
-        total += _level_sum(w, v)
-    h = _BASE_STEP * 2.0 ** (-level)
-    return 0.5 * (b - a) * h * total
+    return FixedRule(level, beta)(f, a, b)
 
 
 def sin_family(sigma: float, alpha: float) -> tuple:
@@ -355,26 +369,25 @@ def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,
     if not alpha > -1.0:
         raise ValueError(f"alpha must be > -1, got {alpha}")
     s = np.asarray(sigma, dtype=float)
-    valid = s > 0.0 if positive else s >= 0.0
-    if not valid.all():
-        raise ValueError(f"sigma must be {'>' if positive else '>='} 0, "
-                         f"got {sigma}")
     flat = s.reshape(-1)
     nu = 0.5 * alpha
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
         b = scaled_bessel(nu, flat)
-        far = np.isnan(b)
-        if far.any():
+        usable = (b >= _TINY) & (b < math.inf) & (flat > 0.0)
+        slow = not usable.all()
+        if slow:
+            if not np.all(flat > 0.0 if positive else flat >= 0.0):
+                raise ValueError(f"sigma must be {'>' if positive else '>='}"
+                                 f" 0, got {sigma}")
+            far = np.isnan(b)
             b[far] = _large_argument(nu, flat[far], positive)
+            usable = (b >= _TINY) & (b < math.inf) & (flat > 0.0)
         out = log_const - nu * np.log(0.5 * flat) + np.log(b)
-    usable = (b >= _TINY) & (b < math.inf)
-    if not (usable.all() and flat.all()):
-        zero = flat == 0.0
+    for i in np.flatnonzero(~usable) if slow else ():
         # I(0) = sqrt(pi) Gamma((alpha+1)/2) / Gamma(nu+1), the Beta integral
-        out[zero] = log_const - gammaln(nu + 1.0)
-        for i in np.flatnonzero(~zero & ~usable):
-            out[i] = integrate(float(flat[i]), alpha).log_magnitude
+        out[i] = (log_const - gammaln(nu + 1.0) if flat[i] == 0.0
+                  else integrate(float(flat[i]), alpha).log_magnitude)
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 

@@ -1,16 +1,16 @@
 """Exact radial solutions of eps^2 Lap_p u = u with boundary value 1.
 
 On a ball of radius R the solution is a ratio of sin-weighted kernels with a
-peak factor exp(sqrt(p') (r - R)/eps); on the complement of a ball it is the
-sinh-weighted analogue with the opposite peak.  At p = infinity the kernels
-collapse to cosh and exp.  Everything is evaluated in the log domain so the
-deep interior (u below 1e-300) stays meaningful.
+peak factor exp(sqrt(p') (r - R)/eps), on a ball's complement the sinh ratio
+with the opposite peak; at p = infinity they collapse to cosh and exp.  The
+denominator, the kernel at R, is evaluated once per RadialSolution.  All of
+it is in the log domain, so the deep interior (u below 1e-300) stays usable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
@@ -49,26 +49,42 @@ class Geometry:
 
 @dataclass(frozen=True)
 class RadialSolution:
+    """log_k_R, the log kernel at the boundary, is evaluated once, here."""
+
     params: ProblemParams
     geometry: Geometry
+    log_k_R: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        p, R = self.params, self.geometry.R
+        ball = self.geometry.kind is GeometryKind.BALL
+        if p.is_infinity:
+            log_k = _log_cosh(R / p.eps) if ball else 0.0
+        else:
+            kernel = log_sin_kernel if ball else log_sinh_kernel
+            log_k = kernel(math.sqrt(p.p_conjugate) * R / p.eps, p.alpha)
+        object.__setattr__(self, "log_k_R", log_k)
 
 
 def _check_radius(sol: RadialSolution, r: np.ndarray) -> None:
+    """One min and one max: a NaN or infinite radius leaves one non-finite."""
     R = sol.geometry.R
+    lo, hi = r.min(initial=math.inf), r.max(initial=-math.inf)
+    if r.size and not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"radius must be finite, got {r[~np.isfinite(r)][0]}")
     if sol.geometry.kind is GeometryKind.BALL:
-        if (r < 0.0).any() or (r > R * (1.0 + 1e-12)).any():
+        if lo < 0.0 or hi > R * (1.0 + 1e-12):
             raise ValueError(f"radius outside the closed ball [0, {R}]")
-    else:
-        if (r < R * (1.0 - 1e-12)).any():
-            raise ValueError(f"radius inside the excluded ball (< {R})")
+    elif lo < R * (1.0 - 1e-12):
+        raise ValueError(f"radius inside the excluded ball (< {R})")
 
 
 def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray]
                ) -> Union[float, np.ndarray]:
     """log u at radius r (scalar or array).
 
-    The kernel ratio is evaluated in closed form, one array call per
-    geometry (sin-weighted for the ball, sinh-weighted for the exterior).
+    The kernel ratio is closed-form: one array call over the radii, over the
+    solution's log_k_R (sin-weighted for the ball, sinh for the exterior).
 
     Examples
     --------
@@ -80,22 +96,17 @@ def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray]
     if scalar:
         r_arr = r_arr.reshape(1)
     _check_radius(sol, r_arr)
-    p = sol.params
-    R = sol.geometry.R
-    eps = p.eps
+    p, R, eps = sol.params, sol.geometry.R, sol.params.eps
     ball = sol.geometry.kind is GeometryKind.BALL
     if p.is_infinity:
-        if ball:
-            out = _log_cosh(r_arr / eps) - _log_cosh(R / eps)
-        else:
-            out = -(r_arr - R) / eps
+        out = (_log_cosh(r_arr / eps) - sol.log_k_R if ball
+               else -(r_arr - R) / eps)
     else:
         root = math.sqrt(p.p_conjugate)
         kernel = log_sin_kernel if ball else log_sinh_kernel
-        log_k = kernel(root * np.concatenate((r_arr.reshape(-1), [R])) / eps,
-                       p.alpha)
         sign = 1.0 if ball else -1.0
-        out = sign * root * (r_arr - R) / eps + log_k[:-1] - log_k[-1]
+        out = (sign * root * (r_arr - R) / eps
+               + kernel(root * r_arr / eps, p.alpha) - sol.log_k_R)
     return float(out[0]) if scalar else out
 
 
@@ -134,9 +145,8 @@ def ode_residual(sol: RadialSolution, r: float) -> float:
     if sol.geometry.kind is GeometryKind.BALL:
         if not (h < r and r + h < R):
             raise ValueError(f"need [r-h, r+h] inside (0, {R}), got r={r}, h={h}")
-    else:
-        if not r - h > R:
-            raise ValueError(f"need r - h > {R}, got r={r}, h={h}")
+    elif not r - h > R:
+        raise ValueError(f"need r - h > {R}, got r={r}, h={h}")
     log_u = eval_log_u(sol, np.array([r - h, r, r + h]))
     rho_minus = math.exp(log_u[0] - log_u[1])
     rho_plus = math.exp(log_u[2] - log_u[1])
@@ -160,12 +170,8 @@ def varadhan_residual(sol: RadialSolution, r: Union[float, np.ndarray]
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     R = sol.geometry.R
-    if sol.geometry.kind is GeometryKind.BALL:
-        d_gamma = R - r_arr
-    else:
-        d_gamma = r_arr - R
+    ball = sol.geometry.kind is GeometryKind.BALL
+    d_gamma = R - r_arr if ball else r_arr - R
     root = math.sqrt(sol.params.p_conjugate)
     out = sol.params.eps * eval_log_u(sol, r_arr) + root * d_gamma
-    if np.isscalar(r) or np.asarray(r).ndim == 0:
-        return float(out[0])
-    return out
+    return float(out[0]) if np.ndim(r) == 0 else out

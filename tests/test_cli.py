@@ -65,6 +65,19 @@ class TestEvalRadial:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    @pytest.mark.parametrize("geometry,r", [("ball", "0.5"),
+                                            ("exterior", "1.5")])
+    def test_nan_radius_exits_2_naming_the_radius(self, capsys, p, geometry,
+                                                  r):
+        # no nan rows with exit 0, and an error about the radius, not sigma
+        code, out, err = run_cli(capsys, "eval-radial", "--N", "2", "--p", p,
+                                 "--eps", "0.1", "--geometry", geometry,
+                                 "--R", "1.0", "--r", r, "nan")
+        assert code == 2
+        assert out == ""
+        assert "radius must be finite, got nan" in err
+
     def test_bad_choice_exits_2(self):
         with pytest.raises(SystemExit) as ei:
             main(["eval-radial", "--N", "2", "--p", "2", "--eps", "0.1",

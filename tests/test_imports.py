@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+no module imports a memo cache or a thread.
 
 No linter runs on this repository, and deleted code tends to leave its
 imports behind.  The package's __init__ is exempt: its imports are the
@@ -51,3 +52,48 @@ def test_an_unused_import_is_reported():
               "def f(x: List[int]) -> float:\n    return m.pi\n")
     assert unused_imports(source) == ["Iterator (line 4)",
                                       "itertools (line 2)"]
+
+
+# Per-query and per-solution work lives in fields of the objects that own it
+# (QMeanQuery.rule, RadialSolution.log_k_R), not in memo caches or a pool.
+BANNED_MODULES = {"threading", "concurrent"}
+BANNED_FUNCTOOLS = {"lru_cache", "cache"}
+
+
+def banned_uses(source: str) -> list:
+    """The memo caches and threads `source` imports or reads: the modules
+    threading and concurrent, and functools.lru_cache/cache."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{alias.name} (line {node.lineno})"
+                      for alias in node.names
+                      if alias.name.split(".")[0] in BANNED_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            root = node.module.split(".")[0]
+            for alias in node.names:
+                cache = root == "functools" and alias.name in BANNED_FUNCTOOLS
+                if root in BANNED_MODULES or cache:
+                    found.append(f"{node.module}.{alias.name} "
+                                 f"(line {node.lineno})")
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"
+              and node.attr in BANNED_FUNCTOOLS):
+            found.append(f"functools.{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_no_memo_cache_or_thread(path):
+    assert banned_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_memo_cache_or_thread_is_reported():
+    source = ("import functools\nimport concurrent.futures as cf\n"
+              "from threading import Lock\nfrom functools import cache, "
+              "partial\n@functools.lru_cache(maxsize=None)\ndef f(x):\n"
+              "    return x\n")
+    assert banned_uses(source) == [
+        "concurrent.futures (line 2)", "functools.cache (line 4)",
+        "functools.lru_cache (line 5)", "threading.Lock (line 3)"]

@@ -32,7 +32,8 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_bruteforce_within_four_floats_per_sample():
+def bruteforce_peak(n: int) -> int:
+    """Peak bytes of one q_mean_bruteforce call at n samples."""
     cfg = touching_ball(ExteriorBallDomain(1.0), [2.0, 0.0, 0.0], 1.0)
     pp = ProblemParams(n=3, p=INFINITY, eps=0.1)
     prof = solution_profile(pp, cfg.domain)
@@ -41,10 +42,21 @@ def test_bruteforce_within_four_floats_per_sample():
         return prof(np.maximum(boundary_distances(cfg.domain, pts), 0.0)
                     / pp.xi)
 
-    n = 400_000
-    peak = traced_peak(lambda: q_mean_bruteforce(cfg, 2.0, raw, n_samples=n,
+    return traced_peak(lambda: q_mean_bruteforce(cfg, 2.0, raw, n_samples=n,
                                                  seed=11))
-    assert peak <= 4 * 8 * n
+
+
+def test_bruteforce_within_four_floats_per_sample():
+    n = 400_000
+    assert bruteforce_peak(n) <= 4 * 8 * n
+
+
+def test_bruteforce_variance_takes_no_full_length_temporary():
+    # the values, the estimating function g (its variance taken in place)
+    # and a mask: about 2.2 floats per sample, where a full-length
+    # temporary such as np.var(g)'s would add a third
+    n = 400_000
+    assert bruteforce_peak(n) <= 2.5 * 8 * n
 
 
 def test_level_set_area_mc_does_not_grow_with_samples():

@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import math
@@ -31,7 +32,7 @@ from resolvent_asym.quadrature import (
     log_sin_kernel,
     log_sinh_kernel,
 )
-from resolvent_asym import geometry, qmeans
+from resolvent_asym import geometry, qmeans, quadrature
 from resolvent_asym.qmeans import (
     QMeanQuery,
     QMeanResult,
@@ -543,11 +544,13 @@ class TestRecordedCoarea:
 
         pp = ProblemParams(n=3, p=2.0, eps=0.05)
         prof = solution_profile(pp, cfg.domain)
+        query = QMeanQuery(cfg=cfg, q=2.0, xi=pp.xi, profile=prof)
+        object.__setattr__(query, "area", counted)
         smax = 2.0 * cfg.R
+        assert query.s_max == smax
         # mu between the profile's end values: both integrals are taken
         mu = 0.5 * (prof(0.0) + prof(smax / pp.xi))
-        qmeans._coarea_G(mu, prof, pp.xi, 2.0, counted, smax, 1.0,
-                         qmeans._prof_at(prof, 0.0),
+        qmeans._coarea_G(mu, query, qmeans._prof_at(prof, 0.0),
                          qmeans._prof_at(prof, smax / pp.xi))
         assert len(calls) == 2
 
@@ -722,10 +725,14 @@ class TestBrentPort:
 
     def test_no_coarea_G_argument_repeats(self, monkeypatch):
         calls = record(monkeypatch, "_coarea_G")
+        ends = record(monkeypatch, "_coarea_ends")
         for query in coarea_queries():
-            del calls[:]
+            del calls[:], ends[:]
             q_mean(query)
-            mus = [args[0] for args in calls]
+            # G at both ends (fend, f0) from one call, then Brent's iterates
+            assert len(ends) == 1
+            _, f0, fend = ends[0]
+            mus = [fend, f0] + [args[0] for args in calls]
             assert len(mus) == len(set(mus)) >= 2
 
     def test_no_crossing_evaluates_the_profile_at_an_end(self, monkeypatch):
@@ -745,6 +752,66 @@ class TestBrentPort:
         assert len(empirical) == 7
         mus = [args[0] for args in calls]
         assert len(mus) == len(set(mus))
+
+
+class TestSetUpOnce:
+    """A QMeanQuery builds its fixed-level rule once, and one profile call
+    and one area call give both end values of G; counted on sweeps shaped
+    like the benchmark's co-area and ellipse q-mean passes."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = collections.Counter()
+        for module, name in ((quadrature, "_level_abscissae"),
+                             (geometry, "_sphere_cap_area"),
+                             (geometry, "_ellipse_level_area")):
+            def counting(*args, name=name, real=getattr(module, name)):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        return counts
+
+    def test_ball_sweep(self, counts):
+        # 4 queries, one rule of 7 levels each; one cap-area call per
+        # integral and one for both end values of each query
+        for p in (2.0, INFINITY):
+            seq = [ProblemParams(n=2, p=p, eps=e) for e in (0.02, 0.01)]
+            qmean_limit_experiment(seq, BALL_CFG, 2.0)
+        assert counts == {"_level_abscissae": 28, "_sphere_cap_area": 28}
+
+    def test_four_row_ellipse_experiment(self, counts):
+        # one rule per row; one tube-area call per integral and one for
+        # both end values of each row
+        seq = [ProblemParams(n=2, p=INFINITY, eps=e) for e in (0.05, 0.025)]
+        assert len(qmean_limit_experiment(seq, ELLIPSE_CFG, 2.0)) == 4
+        assert counts == {"_level_abscissae": 28, "_ellipse_level_area": 22}
+
+    def test_no_rule_at_q_infinity(self, counts):
+        query = QMeanQuery(cfg=BALL_CFG, q=INFINITY, xi=0.1,
+                           profile=exp_profile)
+        assert query.rule is None
+        q_mean(query)
+        assert counts == {}
+
+    def test_one_rule_per_profile_limit(self, counts):
+        # level 7 over up to 16 segments: the abscissae of levels 0..7 once
+        qmean_profile_limit(BALL_CFG, 1.5, exp_profile)
+        assert counts == {"_level_abscissae": 8}
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_end_values_match_two_integrals(self, q):
+        # _coarea_ends is _coarea_G at fend and f0, bit for bit
+        for query in coarea_queries():
+            if query.q != q:
+                continue
+            prof, smax = query.profile, query.s_max
+            f0 = qmeans._prof_at(prof, 0.0)
+            fend = qmeans._prof_at(prof, smax / query.xi)
+            ends = qmeans._coarea_ends(query, f0, fend)
+            pair = (qmeans._coarea_G(fend, query, f0, fend),
+                    qmeans._coarea_G(f0, query, f0, fend))
+            assert repr(ends) == repr(pair)
 
 
 class TestOneTubePerQuery:

@@ -16,7 +16,8 @@ from resolvent_asym.quadrature import (
     tanh_sinh_fixed,
     tanh_sinh_log,
     tanh_sinh_sum,
-    _evaluate,
+    _nodes,
+    _values,
     _level_abscissae,
     _logsumexp,
 )
@@ -238,7 +239,7 @@ class TestFixedLevelRule:
 
         t_max = quadrature._t_max_for(0.5)
         for k in range(level + 1):
-            _evaluate(g, _level_abscissae(k, t_max), -1.0, 2.5)
+            _values(g, _nodes(_level_abscissae(k, t_max)), -1.0, 2.5)
         levels = [np.concatenate(v) for v in zip(*seen)]
         assert np.array_equal(self._rows(calls[0]), self._rows(levels))
 

@@ -121,6 +121,19 @@ class TestStructuralProperties:
         with pytest.raises(ValueError):
             eval_log_u(make(2, 2.0, 0.1, "exterior"), 0.8)
 
+    @pytest.mark.parametrize("p", [2.0, INFINITY])
+    @pytest.mark.parametrize("kind", ["ball", "exterior"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_radius_naming_it(self, p, kind, bad):
+        # the error names the radius: not a NaN result, not a sigma error
+        sol = make(2, p, 0.1, kind)
+        good = 0.5 if kind == "ball" else 1.5
+        with pytest.raises(ValueError, match=f"radius must be finite, got "
+                                             f"{bad}"):
+            eval_log_u(sol, np.array([good, bad, good]))
+        with pytest.raises(ValueError, match="radius must be finite"):
+            eval_log_u(sol, bad)
+
     def test_eval_u_matches_log(self):
         sol = make(2, 3.0, 0.2, "ball")
         assert eval_u(sol, 0.5) == pytest.approx(
@@ -203,3 +216,87 @@ class TestGeometryType:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             Geometry.ball(bad)
+
+
+class TestBatchIndependence:
+    """eval_log_u on an array equals its scalar calls element by element:
+    the boundary kernel is the solution's own, and no radius changes the
+    digits of another."""
+
+    @staticmethod
+    def assert_elementwise(sol, radii):
+        batch = eval_log_u(sol, radii)
+        scalars = np.array([eval_log_u(sol, float(r)) for r in radii])
+        assert np.array_equal(batch, scalars)
+
+    @staticmethod
+    def radii(kind):
+        if kind == "ball":
+            return np.concatenate(([0.0, 1e-9], np.linspace(0.01, 1.0, 40)))
+        return np.concatenate((np.linspace(1.0, 3.0, 40), [7.5, 40.0]))
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 10.0, INFINITY])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["ball", "exterior"])
+    def test_p_and_n_grid(self, n, p, kind):
+        self.assert_elementwise(make(n, p, 0.05, kind), self.radii(kind))
+
+    @pytest.mark.parametrize("n,kind", [(2, "ball"), (2, "exterior"),
+                                        (3, "exterior")])
+    @pytest.mark.parametrize("p", [1.5, 2.0, INFINITY])
+    @pytest.mark.parametrize("eps", [0.05, 0.02])
+    def test_recorded_coarea_grid(self, n, kind, p, eps):
+        # the solutions of test_qmeans.TestRecordedCoarea
+        self.assert_elementwise(make(n, p, eps, kind), self.radii(kind))
+
+    @pytest.mark.parametrize("p", [1.05, 2.0, 10.0])
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("kind", ["ball", "exterior"])
+    def test_large_argument_branch(self, monkeypatch, n, p, kind):
+        # sigma = sqrt(p') r / eps > 1e9: scipy's scaled Bessel values are
+        # nan there and the large-argument expansion sums terms until the
+        # whole array has converged (2 terms at r = 1, 3 at r = 0.2 for
+        # N = 2, p = 1.05)
+        from resolvent_asym import quadrature
+
+        sizes = []
+
+        def spy(nu, z, k, real=quadrature._large_argument):
+            sizes.append(z.size)
+            return real(nu, z, k)
+
+        monkeypatch.setattr(quadrature, "_large_argument", spy)
+        sol = make(n, p, 1e-10, kind)
+        radii = (np.linspace(0.2, 1.0, 17) if kind == "ball"
+                 else np.linspace(1.0, 3.0, 17))
+        self.assert_elementwise(sol, radii)
+        # the boundary, the batch, then each radius alone
+        assert sizes == [1, 17] + [1] * 17
+
+
+class TestBoundaryKernelOnce:
+    """The boundary kernel is evaluated when the solution is built, never
+    again by eval_log_u."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, INFINITY])
+    @pytest.mark.parametrize("kind", ["ball", "exterior"])
+    def test_one_per_solution(self, monkeypatch, p, kind):
+        from resolvent_asym import radial
+
+        calls = []
+        for name in ("log_sin_kernel", "log_sinh_kernel", "_log_cosh"):
+            def counting(sigma, *args, real=getattr(radial, name)):
+                calls.append(np.shape(sigma))
+                return real(sigma, *args)
+
+            monkeypatch.setattr(radial, name, counting)
+        sol = make(3, p, 0.05, kind)
+        expected = [] if (p == INFINITY and kind == "exterior") else [()]
+        assert calls == expected
+        radii = (np.linspace(0.1, 1.0, 5) if kind == "ball"
+                 else np.linspace(1.0, 2.0, 5))
+        for _ in range(3):
+            eval_log_u(sol, radii)
+        # one array call per evaluation, over the radii alone
+        per_call = [] if (p == INFINITY and kind == "exterior") else [(5,)]
+        assert calls == expected + 3 * per_call
