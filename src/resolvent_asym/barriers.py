@@ -138,7 +138,7 @@ def _sandwich(params: ProblemParams, geometry: Geometry, r_grid: np.ndarray):
     sol = RadialSolution(params, geometry)
     b = EnhancedBarriers(params, r_i=geometry.R, r_e=geometry.R)
     r = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    d = geometry.R - r if geometry.kind is GeometryKind.BALL else r - geometry.R
+    d = geometry.distance(r)
     tau = math.sqrt(params.p_conjugate) * d / params.eps
     return r, d, enhanced_U(b, tau), eval_log_u(sol, r), enhanced_V(b, tau)
 
@@ -181,8 +181,8 @@ def comparison_chain(params: ProblemParams, geometry: Geometry,
         raise ValueError(f"evaluation radius must be >= {R}, got {r_x}")
     root = math.sqrt(params.p_conjugate)
     eps = params.eps
-    d_x = r_x - R
-    d_z = R - r_z
+    d_x = geometry.distance(r_x)
+    d_z = -geometry.distance(r_z)
     dist_xz = r_x - r_z
     sol = RadialSolution(params, geometry)
     middle = eps * eval_log_u(sol, r_x) + root * d_x

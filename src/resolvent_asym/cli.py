@@ -62,9 +62,8 @@ def _load_config(path: str) -> SweepConfig:
 
 def _cmd_eval_radial(args) -> int:
     params = ProblemParams(n=args.N, p=args.p, eps=args.eps)
-    geometry = (Geometry.ball(args.R) if args.geometry == "ball"
-                else Geometry.exterior(args.R))
-    sol = RadialSolution(params, geometry)
+    build = Geometry.ball if args.geometry == "ball" else Geometry.exterior
+    sol = RadialSolution(params, build(args.R))
     r = np.asarray(args.r, dtype=float)
     log_u = np.atleast_1d(eval_log_u(sol, r))
     res = np.atleast_1d(varadhan_residual(sol, r))

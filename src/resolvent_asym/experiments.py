@@ -19,8 +19,7 @@ import numpy as np
 from . import __version__
 from .geometry import (
     _DEFAULT_SEED,
-    BallDomain,
-    ExteriorBallDomain,
+    Geometry,
     ModulusOfContinuity,
     TouchingBallConfig,
     psi_of_eps,
@@ -28,7 +27,7 @@ from .geometry import (
 )
 from .params import INFINITY, ProblemParams, _require_count, is_infinity
 from .qmeans import qmean_limit_experiment
-from .radial import Geometry, RadialSolution, varadhan_residual
+from .radial import RadialSolution, varadhan_residual
 
 
 class RateModel(Enum):
@@ -271,9 +270,8 @@ class SweepConfig:
 
 
 def _radial_geometry(geom: GeometrySpec) -> Geometry:
-    if geom.kind == "ball":
-        return Geometry.ball(geom.domain_radius)
-    return Geometry.exterior(geom.domain_radius)
+    build = Geometry.ball if geom.kind == "ball" else Geometry.exterior
+    return build(geom.domain_radius)
 
 
 def _eval_radii(geom: GeometrySpec) -> Tuple[float, ...]:
@@ -284,13 +282,9 @@ def _eval_radii(geom: GeometrySpec) -> Tuple[float, ...]:
 
 def touching_config(geom: GeometrySpec, n: int) -> TouchingBallConfig:
     """The axis-aligned touching-ball configuration for a radial geometry."""
+    domain = _radial_geometry(geom)
     x = np.zeros(n)
-    if geom.kind == "ball":
-        domain = BallDomain(geom.domain_radius)
-        x[0] = geom.domain_radius - geom.R
-    else:
-        domain = ExteriorBallDomain(geom.domain_radius)
-        x[0] = geom.domain_radius + geom.R
+    x[0] = domain.radius(geom.R)
     return touching_ball(domain, x, geom.R)
 
 

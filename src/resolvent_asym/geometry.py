@@ -1,9 +1,10 @@
 """Domain oracles: distances, curvatures, touching balls and level-set areas.
 
-Three domain kinds are supported: the open ball of radius rho, the complement
-of a closed ball of radius r_e, and implicit domains {phi < 0} with analytic
-gradient and Hessian in dimensions 2 and 3.  Curvatures follow the
-inward-normal convention throughout (ball: +1/rho, ball complement: -1/r_e).
+Three domain kinds are supported: the radial Geometry of radius R about the
+origin, a BallDomain or an ExteriorBallDomain (the closed ball's complement)
+that maps radius and boundary distance both ways, and implicit domains
+{phi < 0} with analytic gradient and Hessian in dimensions 2 and 3.
+Curvatures follow the inward-normal convention (ball: +1/R, complement: -1/R).
 
 Level-set areas are closed forms, decided in one place (_level_sets):
 sphere caps on the balls, and on the ellipse (EllipseDomain(a, b), an
@@ -22,8 +23,10 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import partial
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, ClassVar, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 from scipy.special import betainc, ellipeinc, gamma
@@ -62,24 +65,58 @@ def ball_volume(n: int, radius: float) -> float:
     return math.pi ** (0.5 * n) * radius ** n / gamma(0.5 * n + 1.0)
 
 
-@dataclass(frozen=True)
-class BallDomain:
-    """Open ball of radius rho centered at the origin."""
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+class GeometryKind(Enum):
+    BALL = "BALL"
+    EXTERIOR = "EXTERIOR"
 
 
 @dataclass(frozen=True)
-class ExteriorBallDomain:
-    """Complement of the closed ball of radius r_e centered at the origin."""
-    r_e: float
+class Geometry:
+    """A radial domain of radius R about the origin, one of two subclasses:
+    distance(r) is d_Gamma at radius r, positive inside, and radius(d) its
+    inverse, 0 for d past a ball's center."""
+    kind: ClassVar[GeometryKind]
+    R: float
 
     def __post_init__(self) -> None:
-        if not self.r_e > 0.0:
-            raise ValueError(f"r_e must be positive, got {self.r_e}")
+        if type(self) is Geometry:
+            raise TypeError("a Geometry is a BallDomain or ExteriorBallDomain")
+        r = float(self.R)
+        if not (r > 0.0 and math.isfinite(r)):
+            raise ValueError(f"R must be positive and finite, got {self.R}")
+        object.__setattr__(self, "R", r)
+
+    @staticmethod
+    def ball(R: float) -> "BallDomain":
+        return BallDomain(R)
+
+    @staticmethod
+    def exterior(R: float) -> "ExteriorBallDomain":
+        return ExteriorBallDomain(R)
+
+
+@dataclass(frozen=True)
+class BallDomain(Geometry):
+    """Open ball of radius R centered at the origin."""
+    kind = GeometryKind.BALL
+
+    def distance(self, r):
+        return self.R - r
+
+    def radius(self, d):
+        return np.maximum(self.R - d, 0.0)
+
+
+@dataclass(frozen=True)
+class ExteriorBallDomain(Geometry):
+    """Complement of the closed ball of radius R centered at the origin."""
+    kind = GeometryKind.EXTERIOR
+
+    def distance(self, r):
+        return r - self.R
+
+    def radius(self, d):
+        return self.R + d
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +174,7 @@ class EllipseDomain(ImplicitDomain):
         object.__setattr__(self, "b", float(b))
 
 
-DomainOracle = Union[BallDomain, ExteriorBallDomain, ImplicitDomain]
+DomainOracle = Union[Geometry, ImplicitDomain]
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -376,26 +413,21 @@ def _project_block(domain: ImplicitDomain, x: np.ndarray,
 
 def distance_and_nearest(domain: DomainOracle,
                          x: Sequence[float]) -> Tuple[float, np.ndarray]:
-    """(d_Gamma(x), nearest boundary point) for x in the closed domain.
+    """(d_Gamma(x), nearest boundary point) for finite x in the closed domain.
 
     At the center of a ball every boundary point is nearest; a fixed
-    representative (rho, 0, ...) is returned so the map stays deterministic.
+    representative (R, 0, ...) is returned so the map stays deterministic.
     """
     x = np.asarray(x, dtype=float)
-    if isinstance(domain, BallDomain):
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"point {x} is not finite")
+    if isinstance(domain, Geometry):
         r = float(np.linalg.norm(x))
-        if r > domain.rho * (1.0 + 1e-12):
-            raise ValueError(f"point at radius {r} outside the closed ball")
-        if r < 1e-300:
-            y = np.zeros_like(x)
-            y[0] = domain.rho
-            return domain.rho, y
-        return domain.rho - r, x * (domain.rho / r)
-    if isinstance(domain, ExteriorBallDomain):
-        r = float(np.linalg.norm(x))
-        if r < domain.r_e * (1.0 - 1e-12):
-            raise ValueError(f"point at radius {r} inside the excluded ball")
-        return r - domain.r_e, x * (domain.r_e / r)
+        if domain.distance(r) < -1e-12 * domain.R:
+            raise ValueError(f"point at radius {r} outside the closed {domain}")
+        y = (x * (domain.R / r) if r >= 1e-300
+             else domain.R * np.eye(x.size)[0])
+        return domain.distance(r), y
     phi = float(domain.phi(x[None, :])[0])
     gn = float(np.linalg.norm(domain.grad(x[None, :])[0]))
     if phi > 1e-12 * max(1.0, gn):
@@ -407,10 +439,8 @@ def distance_and_nearest(domain: DomainOracle,
 def boundary_distances(domain: DomainOracle, points: np.ndarray) -> np.ndarray:
     """Signed boundary distances for a batch; negative means outside."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if isinstance(domain, BallDomain):
-        return domain.rho - _row_norms(pts)
-    if isinstance(domain, ExteriorBallDomain):
-        return _row_norms(pts) - domain.r_e
+    if isinstance(domain, Geometry):
+        return domain.distance(_row_norms(pts))
     y = _project_implicit(domain, pts)
     y -= pts
     sign = np.where(np.asarray(domain.phi(pts)) <= 0.0, 1.0, -1.0)
@@ -421,16 +451,15 @@ def principal_curvatures(domain: DomainOracle,
                          y: Sequence[float]) -> np.ndarray:
     """The N-1 principal curvatures at boundary point y, inward convention.
 
-    For implicit domains: eigenvalues of the Hessian restricted to the
-    tangent plane, divided by |grad phi| (phi < 0 inside makes the signs come
-    out in the inward convention without extra flips).
+    On a Geometry: 1 over the signed distance of its center.  For implicit
+    domains: eigenvalues of the Hessian restricted to the tangent plane,
+    divided by |grad phi| (phi < 0 inside makes the signs come out in the
+    inward convention without extra flips).
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    if isinstance(domain, BallDomain):
-        return np.full(n - 1, 1.0 / domain.rho)
-    if isinstance(domain, ExteriorBallDomain):
-        return np.full(n - 1, -1.0 / domain.r_e)
+    if isinstance(domain, Geometry):
+        return np.full(n - 1, 1.0 / domain.distance(0.0))
     g = np.asarray(domain.grad(y[None, :])[0], dtype=float)
     h = np.asarray(domain.hess(y[None, :])[0], dtype=float)
     gn = np.linalg.norm(g)
@@ -544,9 +573,8 @@ class _EllipseTube:
     crit: np.ndarray  # offsets of the other normals through the center
 
     @classmethod
-    def at(cls, domain: EllipseDomain, cfg: TouchingBallConfig
-           ) -> "_EllipseTube":
-        a, b, y = domain.a, domain.b, np.asarray(cfg.y_x, dtype=float)
+    def at(cls, cfg: TouchingBallConfig) -> "_EllipseTube":
+        a, b, y = cfg.domain.a, cfg.domain.b, np.asarray(cfg.y_x, dtype=float)
         if a < b:
             a, b, y = b, a, y[::-1]
         R, t0 = float(cfg.R), math.atan2(y[1] / b, y[0] / a)
@@ -747,16 +775,16 @@ def _ellipse_level_area(tube: _EllipseTube, s: np.ndarray) -> np.ndarray:
                           minlength=n))
 
 
-def _level_sets(domain: DomainOracle, cfg: TouchingBallConfig
+def _level_sets(cfg: TouchingBallConfig
                 ) -> Tuple[float, Callable[[np.ndarray], np.ndarray]]:
     """(s_max, area) at the touching ball B_R(x): the largest boundary
     distance in the closed ball, and the measure area(s) of {d_Gamma = s} in
     B_R(x) for an array s, 0 at s <= 0 and s >= 2R.  The one gate of the
     closed forms: sphere caps on balls and ball complements, one
     _EllipseTube on ellipses; other implicit domains raise ValueError."""
-    R = cfg.R
+    R, domain = cfg.R, cfg.domain
     if isinstance(domain, EllipseDomain):
-        tube = _EllipseTube.at(domain, cfg)
+        tube = _EllipseTube.at(cfg)
         s_max, closed = tube.s_max(), partial(_ellipse_level_area, tube)
     elif isinstance(domain, ImplicitDomain):
         raise ValueError(
@@ -765,12 +793,11 @@ def _level_sets(domain: DomainOracle, cfg: TouchingBallConfig
             "q_mean_bruteforce for q-means and level_set_area_mc for areas")
     else:
         c = float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
-        ball = isinstance(domain, BallDomain)
-        s_max = min(2.0 * R, domain.rho) if ball else 2.0 * R
+        s_max = (min(2.0 * R, domain.R) if isinstance(domain, BallDomain)
+                 else 2.0 * R)
 
         def closed(s):
-            return _sphere_cap_area(
-                cfg.n, domain.rho - s if ball else domain.r_e + s, c, R)
+            return _sphere_cap_area(cfg.n, domain.radius(s), c, R)
 
     def area(s: np.ndarray) -> np.ndarray:
         out = np.zeros_like(s)
@@ -785,8 +812,11 @@ def level_set_area(domain: DomainOracle, cfg: TouchingBallConfig,
                    s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Surface measure of {d_Gamma = s} inside B_R(x) by _level_sets, for
     scalar (a float back) or array s > 0; on other implicit domains the
-    seeded Monte Carlo oracle level_set_area_mc stands in."""
-    _, area = _level_sets(domain, cfg)
+    seeded Monte Carlo oracle level_set_area_mc stands in.  domain must be
+    cfg.domain."""
+    if domain != cfg.domain:
+        raise ValueError("the domain is not cfg.domain, the configuration's")
+    _, area = _level_sets(cfg)
     s_arr = np.asarray(s, dtype=float)
     if not np.all(s_arr > 0.0):
         raise ValueError(f"level distance s must be > 0, got {s}")
@@ -816,7 +846,10 @@ def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
     its m samples to the total and nothing to the hits or the variance.
     Each stratum draws from its own generator, so the estimate is the one
     a full draw gives (a computed distance is never below the true one).
+    domain must be cfg.domain.
     """
+    if domain != cfg.domain:
+        raise ValueError("the domain is not cfg.domain, the configuration's")
     if not s > 0.0:
         raise ValueError(f"level distance s must be > 0, got {s}")
     hw = half_width if half_width is not None else 0.1 * s

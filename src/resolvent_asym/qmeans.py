@@ -42,16 +42,15 @@ from scipy.special import gammaln
 from .barriers import EnhancedBarriers, enhanced_U, enhanced_V
 from .geometry import (
     _DEFAULT_SEED,
-    BallDomain,
     EllipseDomain,
-    ExteriorBallDomain,
+    Geometry,
     TouchingBallConfig,
     _ball_blocks,
     _level_sets,
 )
 from .params import ProblemParams, _require_count, is_infinity, limit_constants
 from .quadrature import FixedRule
-from .radial import Geometry, RadialSolution, eval_log_u
+from .radial import RadialSolution, eval_log_u
 
 # Fixed tanh-sinh level of the co-area integrals: adaptive stopping would make
 # G jump between levels as mu moves, a fixed level keeps it smooth and monotone.
@@ -154,7 +153,7 @@ class QMeanQuery:
             raise ValueError(f"q must be > 1 or INFINITY, got {self.q}")
         if not self.xi > 0.0:
             raise ValueError(f"xi must be positive, got {self.xi}")
-        s_max, area = _level_sets(self.cfg.domain, self.cfg)
+        s_max, area = _level_sets(self.cfg)
         object.__setattr__(self, "s_max", s_max)
         object.__setattr__(self, "area", area)
         object.__setattr__(self, "rule", None if is_infinity(self.q) else
@@ -388,26 +387,14 @@ def qmean_profile_limit(cfg: TouchingBallConfig, q: float,
     return value * cfg.pi_gamma ** (-1.0 / (2.0 * qm1))
 
 
-def solution_profile(params: ProblemParams,
-                     domain: Union[BallDomain, ExteriorBallDomain]
-                     ) -> Callable:
+def solution_profile(params: ProblemParams, domain: Geometry) -> Callable:
     """The exact radial solution as a profile of tau = d_Gamma/xi."""
-    if isinstance(domain, BallDomain):
-        sol = RadialSolution(params, Geometry.ball(domain.rho))
-
-        def rmap(dist: np.ndarray) -> np.ndarray:
-            return np.minimum(np.maximum(domain.rho - dist, 0.0), domain.rho)
-    elif isinstance(domain, ExteriorBallDomain):
-        sol = RadialSolution(params, Geometry.exterior(domain.r_e))
-
-        def rmap(dist: np.ndarray) -> np.ndarray:
-            return domain.r_e + np.maximum(dist, 0.0)
-    else:
+    if not isinstance(domain, Geometry):
         raise ValueError("exact solution profiles exist on radial domains only")
-    xi = params.xi
+    sol, xi = RadialSolution(params, domain), params.xi
 
     def prof(tau: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        r = rmap(xi * np.asarray(tau, dtype=float))
+        r = domain.radius(np.maximum(xi * np.asarray(tau, dtype=float), 0.0))
         out = np.exp(np.asarray(eval_log_u(sol, r), dtype=float))
         return float(out) if np.ndim(tau) == 0 else out
 
@@ -442,7 +429,7 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
             f"params dimension {params_seq[0].n} does not match the "
             f"touching-ball dimension {n}")
     dom = cfg.domain
-    _level_sets(dom, cfg)  # the domain gate, before solution_profile's error
+    _level_sets(cfg)  # the domain gate, before solution_profile's error
     if isinstance(dom, EllipseDomain):
         _require_count("n_samples", n_samples)
         _require_count("seed", seed, 0)

@@ -11,40 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Union
 
 import numpy as np
 
+from .geometry import Geometry, GeometryKind
 from .params import ProblemParams
 from .quadrature import _log_cosh, log_sin_kernel, log_sinh_kernel
-
-
-class GeometryKind(Enum):
-    BALL = "BALL"
-    EXTERIOR = "EXTERIOR"
-
-
-@dataclass(frozen=True)
-class Geometry:
-    kind: GeometryKind
-    R: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.kind, GeometryKind)):
-            raise ValueError(f"kind must be a GeometryKind, got {self.kind!r}")
-        r = float(self.R)
-        if not (r > 0.0 and math.isfinite(r)):
-            raise ValueError(f"R must be positive and finite, got {self.R}")
-        object.__setattr__(self, "R", r)
-
-    @staticmethod
-    def ball(R: float) -> "Geometry":
-        return Geometry(GeometryKind.BALL, R)
-
-    @staticmethod
-    def exterior(R: float) -> "Geometry":
-        return Geometry(GeometryKind.EXTERIOR, R)
 
 
 @dataclass(frozen=True)
@@ -67,16 +40,16 @@ class RadialSolution:
 
 
 def _check_radius(sol: RadialSolution, r: np.ndarray) -> None:
-    """One min and one max: a NaN or infinite radius leaves one non-finite."""
-    R = sol.geometry.R
-    lo, hi = r.min(initial=math.inf), r.max(initial=-math.inf)
-    if r.size and not (math.isfinite(lo) and math.isfinite(hi)):
+    """One min and one max: a NaN or infinite radius leaves one non-finite,
+    and the boundary distance is smallest at one of them."""
+    if not r.size:
+        return
+    g = sol.geometry
+    lo, hi = r.min(), r.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"radius must be finite, got {r[~np.isfinite(r)][0]}")
-    if sol.geometry.kind is GeometryKind.BALL:
-        if lo < 0.0 or hi > R * (1.0 + 1e-12):
-            raise ValueError(f"radius outside the closed ball [0, {R}]")
-    elif lo < R * (1.0 - 1e-12):
-        raise ValueError(f"radius inside the excluded ball (< {R})")
+    if lo < 0.0 or min(g.distance(lo), g.distance(hi)) < -1e-12 * g.R:
+        raise ValueError(f"radius outside the closed {g}")
 
 
 def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray]
@@ -92,20 +65,17 @@ def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray]
     Exterior, p=inf, R=1, eps=0.1 at r=1.2: exactly -2.
     """
     scalar = np.ndim(r) == 0
-    r_arr = np.asarray(r, dtype=float)
-    if scalar:
-        r_arr = r_arr.reshape(1)
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     _check_radius(sol, r_arr)
-    p, R, eps = sol.params, sol.geometry.R, sol.params.eps
-    ball = sol.geometry.kind is GeometryKind.BALL
+    p, g, eps = sol.params, sol.geometry, sol.params.eps
+    ball = g.kind is GeometryKind.BALL
     if p.is_infinity:
         out = (_log_cosh(r_arr / eps) - sol.log_k_R if ball
-               else -(r_arr - R) / eps)
+               else -g.distance(r_arr) / eps)
     else:
         root = math.sqrt(p.p_conjugate)
         kernel = log_sin_kernel if ball else log_sinh_kernel
-        sign = 1.0 if ball else -1.0
-        out = (sign * root * (r_arr - R) / eps
+        out = (-root * g.distance(r_arr) / eps
                + kernel(root * r_arr / eps, p.alpha) - sol.log_k_R)
     return float(out[0]) if scalar else out
 
@@ -124,7 +94,7 @@ def scaling_check(sol: RadialSolution, r_grid: np.ndarray) -> float:
     s = math.pi / 3.0
     scaled = RadialSolution(
         ProblemParams(sol.params.n, sol.params.p, sol.params.eps * s),
-        Geometry(sol.geometry.kind, sol.geometry.R * s))
+        type(sol.geometry)(sol.geometry.R * s))
     a = eval_log_u(sol, np.asarray(r_grid))
     b = eval_log_u(scaled, np.asarray(r_grid) * s)
     return float(np.max(np.abs(a - b)))
@@ -141,12 +111,10 @@ def ode_residual(sol: RadialSolution, r: float) -> float:
     """
     eps = sol.params.eps
     h = eps / 100.0
-    R = sol.geometry.R
-    if sol.geometry.kind is GeometryKind.BALL:
-        if not (h < r and r + h < R):
-            raise ValueError(f"need [r-h, r+h] inside (0, {R}), got r={r}, h={h}")
-    elif not r - h > R:
-        raise ValueError(f"need r - h > {R}, got r={r}, h={h}")
+    g = sol.geometry
+    if not (h < r and min(g.distance(r - h), g.distance(r + h)) > 0.0):
+        raise ValueError(f"need 0 < r-h and [r-h, r+h] inside the open {g},"
+                         f" got r={r}, h={h}")
     log_u = eval_log_u(sol, np.array([r - h, r, r + h]))
     rho_minus = math.exp(log_u[0] - log_u[1])
     rho_plus = math.exp(log_u[2] - log_u[1])
@@ -169,9 +137,7 @@ def varadhan_residual(sol: RadialSolution, r: Union[float, np.ndarray]
     the exterior at p = infinity.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    R = sol.geometry.R
-    ball = sol.geometry.kind is GeometryKind.BALL
-    d_gamma = R - r_arr if ball else r_arr - R
     root = math.sqrt(sol.params.p_conjugate)
-    out = sol.params.eps * eval_log_u(sol, r_arr) + root * d_gamma
+    out = (sol.params.eps * eval_log_u(sol, r_arr)
+           + root * sol.geometry.distance(r_arr))
     return float(out[0]) if np.ndim(r) == 0 else out

@@ -153,6 +153,21 @@ class TestDistanceAndNearest:
         with pytest.raises(ValueError):
             distance_and_nearest(make_ellipse_domain(), [3.0, 0.0])
 
+    @pytest.mark.parametrize("domain,x", [
+        (BallDomain(1.0), [math.nan, 0.0]),
+        (ExteriorBallDomain(1.0), [math.nan, 0.0]),
+        (make_ellipse_domain(2.0, 1.0), [math.nan, 0.5]),
+        (make_ellipse_domain(2.0, 1.0), [0.0, math.inf]),
+    ])
+    def test_non_finite_point_rejected_naming_it(self, domain, x):
+        # every comparison with NaN is false, so no distance check can
+        # catch a NaN center; the projection would not converge on one
+        with pytest.raises(ValueError, match=r"point \[.*(nan|inf).*\] is "
+                                             "not finite"):
+            distance_and_nearest(domain, x)
+        with pytest.raises(ValueError, match="not finite"):
+            touching_ball(domain, x, 0.5)
+
     def test_implicit_matches_closed_form(self):
         dom = implicit_ball(1.5)
         for pt in ([0.3, 0.4], [-1.0, 0.2], [0.0, 1.2]):
@@ -454,6 +469,16 @@ class TestLevelSetArea:
         assert np.array_equal(areas, scalar)
         assert np.all(areas[s >= 2.0 * R] == 0.0)
         assert level_set_area(domain, cfg, np.array([])).shape == (0,)
+
+    def test_rejects_a_domain_other_than_the_configurations(self):
+        # an area on BallDomain(3.0) at a configuration of BallDomain(1.0)
+        # would mix two domains; an equal domain is the same domain
+        cfg = self.ball_cfg()
+        for oracle in (level_set_area, level_set_area_mc):
+            with pytest.raises(ValueError, match="is not cfg.domain"):
+                oracle(BallDomain(3.0), cfg, 0.1)
+        assert level_set_area(BallDomain(1.0), cfg, 0.1) == pytest.approx(
+            0.8118482612332721, rel=1e-14)
 
     def test_rejects_implicit_domain(self):
         dom = implicit_ball(1.0, dim=2)
@@ -779,7 +804,7 @@ def contact_config(axes, t0: float, R: float) -> TouchingBallConfig:
 
 
 def s_max(cfg: TouchingBallConfig) -> float:
-    return geometry._level_sets(cfg.domain, cfg)[0]
+    return geometry._level_sets(cfg)[0]
 
 
 class TestLargestDistance:

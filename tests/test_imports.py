@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-no module imports a memo cache or a thread.
+"""Every name a module of the package imports is used in that module, no
+module imports a memo cache or a thread, and every name the benchmark
+imports from the package exists.
 
 No linter runs on this repository, and deleted code tends to leave its
 imports behind.  The package's __init__ is exempt: its imports are the
@@ -7,6 +8,8 @@ public re-exports.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,55 @@ def test_a_memo_cache_or_thread_is_reported():
     assert banned_uses(source) == [
         "concurrent.futures (line 2)", "functools.cache (line 4)",
         "functools.lru_cache (line 5)", "threading.Lock (line 3)"]
+
+
+# The benchmark imports the package by name, inside its workload functions;
+# a renamed name breaks it only when a workload runs.  Its files are read
+# here, never imported or changed.
+PACKAGE = "resolvent_asym"
+BENCHMARK_SOURCES = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+
+
+def unresolved_package_imports(source: str) -> list:
+    """The names of `from resolvent_asym[.module] import name` statements in
+    `source` that are neither an attribute nor a submodule of that module."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == PACKAGE):
+            continue
+        try:
+            module = importlib.import_module(node.module)
+        except ImportError:
+            missing.append(f"{node.module} (line {node.lineno})")
+            continue
+        for alias in node.names:
+            submodule = (hasattr(module, "__path__")
+                         and importlib.util.find_spec(
+                             f"{node.module}.{alias.name}") is not None)
+            if hasattr(module, alias.name) or submodule:
+                continue
+            missing.append(f"{node.module}.{alias.name} (line {node.lineno})")
+    return missing
+
+
+def test_the_benchmark_has_files_to_check():
+    assert {path.stem for path in BENCHMARK_SOURCES} >= {"workloads"}
+
+
+@pytest.mark.parametrize("path", BENCHMARK_SOURCES, ids=lambda path: path.stem)
+def test_benchmark_imports_resolve(path):
+    assert unresolved_package_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unresolved_benchmark_import_is_reported():
+    source = ("def run():\n"
+              "    from resolvent_asym import cli, no_such_module\n"
+              "    from resolvent_asym.radial import Geometry, Gone\n"
+              "    from resolvent_asym.gone import x\n"
+              "    from numpy import not_checked\n")
+    assert unresolved_package_imports(source) == [
+        "resolvent_asym.no_such_module (line 2)",
+        "resolvent_asym.radial.Gone (line 3)",
+        "resolvent_asym.gone (line 4)"]

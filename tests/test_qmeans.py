@@ -26,6 +26,7 @@ from resolvent_asym.params import (
     conjugate,
     limit_constants,
 )
+from resolvent_asym.radial import Geometry, RadialSolution, eval_log_u
 from resolvent_asym.quadrature import (
     integrate_sin_weighted,
     integrate_sinh_weighted,
@@ -536,7 +537,7 @@ class TestRecordedCoarea:
     def test_one_area_call_per_integral(self):
         calls = []
         cfg = self.CONFIGS[2]
-        _, area = geometry._level_sets(cfg.domain, cfg)
+        _, area = geometry._level_sets(cfg)
 
         def counted(s):
             calls.append(s)
@@ -989,8 +990,21 @@ class TestSolutionProfile:
 
     def test_implicit_rejected(self):
         params = ProblemParams(n=2, p=2.0, eps=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="radial domains only"):
             solution_profile(params, make_ellipse_domain())
+
+    @pytest.mark.parametrize("cfg,geometry", [
+        (BALL_CFG, Geometry.ball(1.0)), (EXT_CFG, Geometry.exterior(1.0))])
+    def test_configuration_domain_is_the_radial_geometry(self, cfg, geometry):
+        # the touching configuration's domain is the solution's geometry:
+        # no conversion between two radial types
+        params = ProblemParams(n=2, p=3.0, eps=0.1)
+        sol = RadialSolution(params, cfg.domain)
+        assert sol == RadialSolution(params, geometry)
+        tau = np.linspace(0.0, 4.0, 9)
+        r = geometry.radius(params.xi * tau)
+        assert np.array_equal(solution_profile(params, cfg.domain)(tau),
+                              np.exp(eval_log_u(sol, r)))
 
     def test_scalar_call(self):
         params = ProblemParams(n=2, p=INFINITY, eps=0.1)

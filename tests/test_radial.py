@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import i0e, k0e
 
+from resolvent_asym.geometry import BallDomain, ExteriorBallDomain
 from resolvent_asym.params import INFINITY, ProblemParams
 from resolvent_asym.radial import (
     Geometry,
@@ -216,6 +217,33 @@ class TestGeometryType:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             Geometry.ball(bad)
+
+    def test_one_type_with_the_domains(self):
+        assert Geometry.ball(1.0) == BallDomain(1.0)
+        assert Geometry.exterior(1.0) == ExteriorBallDomain(1.0)
+        assert Geometry.ball(1.0) != Geometry.exterior(1.0)
+        # the benchmark labels its operations by these values
+        assert Geometry.ball(1.0).kind.value == "BALL"
+        assert Geometry.exterior(1.0).kind.value == "EXTERIOR"
+        with pytest.raises(TypeError, match="BallDomain or ExteriorBallDomain"):
+            Geometry(1.0)
+
+    @pytest.mark.parametrize("domain", [BallDomain, ExteriorBallDomain])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_domain_validation(self, domain, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            domain(bad)
+
+    def test_distance_and_radius_are_inverse(self):
+        ball, ext = Geometry.ball(2.0), Geometry.exterior(2.0)
+        r = np.array([0.0, 0.5, 1.25, 2.0])
+        assert np.array_equal(ball.distance(r), [2.0, 1.5, 0.75, 0.0])
+        assert np.array_equal(ball.radius(ball.distance(r)), r)
+        r = np.array([2.0, 2.5, 3.25, 10.0])
+        assert np.array_equal(ext.distance(r), [0.0, 0.5, 1.25, 8.0])
+        assert np.array_equal(ext.radius(ext.distance(r)), r)
+        # past the center a ball's radius stays at 0
+        assert np.array_equal(ball.radius(np.array([2.0, 7.0])), [0.0, 0.0])
 
 
 class TestBatchIndependence:
