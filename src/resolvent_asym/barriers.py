@@ -84,6 +84,13 @@ class EnhancedBarriers:
         return math.sqrt(self.params.p_conjugate) * self.r_e / self.params.eps
 
 
+def _check_tau(tau: np.ndarray) -> None:
+    """One min and one max: a NaN, infinite or negative tau shows in one."""
+    if tau.size and not (tau.min() >= 0.0 and math.isfinite(tau.max())):
+        bad = tau[~(np.isfinite(tau) & (tau >= 0.0))][0]
+        raise ValueError(f"tau must be finite and >= 0, got {bad}")
+
+
 def enhanced_U(b: EnhancedBarriers, tau: Union[float, np.ndarray]
                ) -> Union[float, np.ndarray]:
     """log U(tau) = -tau + log f(sigma_e + tau) - log f(sigma_e); p=inf: -tau.
@@ -91,17 +98,14 @@ def enhanced_U(b: EnhancedBarriers, tau: Union[float, np.ndarray]
     U(0) = 1 and e^tau U(tau) decreases from 1: the lower barrier.
     """
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(tau_arr < 0.0):
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau_arr)
     if b.params.is_infinity:
         out = -tau_arr
     else:
         log_f = log_sinh_kernel(b.sigma_e + np.append(tau_arr, 0.0),
                                 b.params.alpha)
         out = -tau_arr + log_f[:-1] - log_f[-1]
-    if np.isscalar(tau) or np.asarray(tau).ndim == 0:
-        return float(out[0])
-    return out
+    return float(out[0]) if np.ndim(tau) == 0 else out
 
 
 def enhanced_V(b: EnhancedBarriers, tau: Union[float, np.ndarray]
@@ -114,8 +118,7 @@ def enhanced_V(b: EnhancedBarriers, tau: Union[float, np.ndarray]
     Continuity at the split is a numerical observation, not asserted here.
     """
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(tau_arr < 0.0):
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau_arr)
     si = b.sigma_i
     first = tau_arr < si
     if b.params.is_infinity:
@@ -128,9 +131,7 @@ def enhanced_V(b: EnhancedBarriers, tau: Union[float, np.ndarray]
                             [si, 0.0]]), b.params.alpha)
         log_k, base, zero = log_i[:-2], log_i[-2], log_i[-1]
         out = -tau_arr + np.where(first, log_k - base, zero - log_k)
-    if np.isscalar(tau) or np.asarray(tau).ndim == 0:
-        return float(out[0])
-    return out
+    return float(out[0]) if np.ndim(tau) == 0 else out
 
 
 def _sandwich(params: ProblemParams, geometry: Geometry, r_grid: np.ndarray):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .barriers import EnhancedBarriers, enhanced_U, enhanced_V
 from .experiments import (
+    RADIAL_KINDS,
     GeometrySpec,
     SweepConfig,
     _format_cell,
@@ -30,25 +31,16 @@ from .experiments import (
     touching_config,
 )
 from .geometry import area_ratio_limit, level_set_area
-from .params import INFINITY, ProblemParams
+from .params import ProblemParams
 from .quadrature import NonConvergenceError
-from .radial import Geometry, RadialSolution, eval_log_u, varadhan_residual
+from .radial import RadialSolution, eval_log_u, varadhan_residual
 from .special import bessel_k_identity_residual, f_exact
 
 
-def _exponent(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return INFINITY
-    return float(text)
-
-
 def _write_or_print(rows, cfg: SweepConfig) -> None:
+    emit(rows, cfg.output or None, config=cfg)
     if cfg.output:
-        fmt = "JSON" if cfg.output.lower().endswith(".json") else "CSV"
-        emit(rows, fmt, cfg.output, config=cfg)
         print(f"wrote {len(rows)} rows to {cfg.output}")
-    else:
-        emit(rows, "CSV", None)
 
 
 def _load_config(path: str) -> SweepConfig:
@@ -62,14 +54,12 @@ def _load_config(path: str) -> SweepConfig:
 
 def _cmd_eval_radial(args) -> int:
     params = ProblemParams(n=args.N, p=args.p, eps=args.eps)
-    build = Geometry.ball if args.geometry == "ball" else Geometry.exterior
-    sol = RadialSolution(params, build(args.R))
+    sol = RadialSolution(params, RADIAL_KINDS[args.geometry](args.R))
     r = np.asarray(args.r, dtype=float)
-    log_u = np.atleast_1d(eval_log_u(sol, r))
-    res = np.atleast_1d(varadhan_residual(sol, r))
     rows = [{"r": float(ri), "log_u": float(lu), "varadhan_residual": float(vr)}
-            for ri, lu, vr in zip(r, log_u, res)]
-    emit(rows, "CSV", None)
+            for ri, lu, vr in zip(r, eval_log_u(sol, r),
+                                  varadhan_residual(sol, r))]
+    emit(rows)
     return 0
 
 
@@ -80,7 +70,7 @@ def _cmd_special_f(args) -> int:
     if args.check_bessel:
         row["bessel_residual"] = bessel_k_identity_residual(
             args.sigma, args.alpha)
-    emit([row], "CSV", None)
+    emit([row])
     return 0
 
 
@@ -88,11 +78,9 @@ def _cmd_barriers(args) -> int:
     params = ProblemParams(n=args.N, p=args.p, eps=args.eps)
     b = EnhancedBarriers(params, r_i=args.r_inner, r_e=args.r_outer)
     tau = np.asarray(args.tau, dtype=float)
-    log_u = np.atleast_1d(enhanced_U(b, tau))
-    log_v = np.atleast_1d(enhanced_V(b, tau))
     rows = [{"tau": float(t), "log_U": float(lu), "log_V": float(lv)}
-            for t, lu, lv in zip(tau, log_u, log_v)]
-    emit(rows, "CSV", None)
+            for t, lu, lv in zip(tau, enhanced_U(b, tau), enhanced_V(b, tau))]
+    emit(rows)
     return 0
 
 
@@ -106,7 +94,7 @@ def _cmd_geom(args) -> int:
              "ratio": area / s ** (0.5 * (args.N - 1)),
              "predicted_limit": limit}
             for s, area in zip(args.s, areas)]
-    emit(rows, "CSV", None)
+    emit(rows)
     return 0
 
 
@@ -130,7 +118,7 @@ def _cmd_rates(args) -> int:
     if cfg.modulus is not None:
         psi_rows, converges = run_psi_rate_table(make_modulus(cfg.modulus),
                                                  cfg.eps_sequence)
-        emit(psi_rows, "CSV", None)
+        emit(psi_rows)
         print(f"eps_log_psi_converges {_format_cell(converges)}")
     return 0
 
@@ -146,10 +134,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="log of the radial solution and its distance "
                              "residual")
     sp.add_argument("--N", type=int, required=True, help="dimension")
-    sp.add_argument("--p", type=_exponent, required=True,
+    sp.add_argument("--p", type=float, required=True,
                     help="exponent > 1, or inf")
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--geometry", choices=("ball", "exterior"), required=True)
+    sp.add_argument("--geometry", choices=RADIAL_KINDS, required=True)
     sp.add_argument("--R", type=float, required=True, help="boundary radius")
     sp.add_argument("--r", type=float, nargs="+", required=True,
                     help="radii to evaluate at")
@@ -166,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("barriers",
                         help="log of the enhanced barrier pair (U, V)")
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--p", type=_exponent, required=True)
+    sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--r-inner", type=float, required=True,
                     help="interior touching ball radius")
@@ -178,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("geom",
                         help="level-set areas against the curvature limit")
-    sp.add_argument("--kind", choices=("ball", "exterior"), required=True)
+    sp.add_argument("--kind", choices=RADIAL_KINDS, required=True)
     sp.add_argument("--domain-radius", type=float, required=True)
     sp.add_argument("--R", type=float, required=True,
                     help="touching ball radius")
@@ -208,10 +196,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

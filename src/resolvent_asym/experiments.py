@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .geometry import (
     _DEFAULT_SEED,
-    Geometry,
+    BallDomain,
+    ExteriorBallDomain,
     ModulusOfContinuity,
     TouchingBallConfig,
     psi_of_eps,
@@ -107,6 +108,9 @@ def fit_rate(model: RateModel, eps: Sequence[float],
                    max_ratio=float(np.max(res / vals)))
 
 
+RADIAL_KINDS = {"ball": BallDomain, "exterior": ExteriorBallDomain}
+
+
 @dataclass(frozen=True)
 class GeometrySpec:
     """Radial geometry for sweeps: the domain radius and the touching radius R."""
@@ -116,9 +120,9 @@ class GeometrySpec:
     R: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ball", "exterior"):
-            raise ValueError(f"geometry kind must be ball or exterior, "
-                             f"got {self.kind!r}")
+        if not (isinstance(self.kind, str) and self.kind in RADIAL_KINDS):
+            raise ValueError(f"geometry kind must be "
+                             f"{' or '.join(RADIAL_KINDS)}, got {self.kind!r}")
         if not (self.domain_radius > 0.0 and self.R > 0.0):
             raise ValueError("geometry radii must be positive")
         if self.kind == "ball" and not self.R < self.domain_radius:
@@ -170,10 +174,17 @@ def _number(v, name: str) -> float:
     return float(v)
 
 
-def _section(d: dict, key: str) -> dict:
+def _only_keys(d: dict, known: set, where: str = "") -> None:
+    extra = set(d) - known
+    if extra:
+        raise ValueError(f"unknown config keys{where}: {sorted(extra)}")
+
+
+def _section(d: dict, key: str, known: set) -> dict:
     v = d[key]
     if not isinstance(v, dict):
         raise ValueError(f"{key} must be an object, got {v!r}")
+    _only_keys(v, known, f" in {key}")
     return v
 
 
@@ -232,15 +243,12 @@ class SweepConfig:
     def from_dict(d: dict) -> "SweepConfig":
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {d!r}")
-        known = {"params_grid", "eps_sequence", "geometry", "modulus",
-                 "output", "seed"}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
+        _only_keys(d, {"params_grid", "eps_sequence", "geometry", "modulus",
+                       "output", "seed"})
         try:
-            grid = _section(d, "params_grid")
-            eps = _section(d, "eps_sequence")
-            geo = _section(d, "geometry")
+            grid = _section(d, "params_grid", {"N", "p", "q"})
+            eps = _section(d, "eps_sequence", {"start", "factor", "count"})
+            geo = _section(d, "geometry", {"kind", "domain_radius", "R"})
         except KeyError as e:
             raise ValueError(f"config is missing required key {e.args[0]!r}")
         geometry = GeometrySpec(kind=geo.get("kind", ""),
@@ -250,7 +258,7 @@ class SweepConfig:
                                 R=_number(geo.get("R", 0.0), "geometry.R"))
         modulus = None
         if d.get("modulus") is not None:
-            m = _section(d, "modulus")
+            m = _section(d, "modulus", {"kind", "r", "slope"})
             modulus = ModulusSpec(kind=m.get("kind", ""),
                                   r=_number(m.get("r", 0.0), "modulus.r"),
                                   slope=(_number(m["slope"], "modulus.slope")
@@ -269,11 +277,6 @@ class SweepConfig:
         )
 
 
-def _radial_geometry(geom: GeometrySpec) -> Geometry:
-    build = Geometry.ball if geom.kind == "ball" else Geometry.exterior
-    return build(geom.domain_radius)
-
-
 def _eval_radii(geom: GeometrySpec) -> Tuple[float, ...]:
     if geom.kind == "ball":
         return (0.0, 0.5 * geom.domain_radius)
@@ -282,7 +285,7 @@ def _eval_radii(geom: GeometrySpec) -> Tuple[float, ...]:
 
 def touching_config(geom: GeometrySpec, n: int) -> TouchingBallConfig:
     """The axis-aligned touching-ball configuration for a radial geometry."""
-    domain = _radial_geometry(geom)
+    domain = RADIAL_KINDS[geom.kind](geom.domain_radius)
     x = np.zeros(n)
     x[0] = domain.radius(geom.R)
     return touching_ball(domain, x, geom.R)
@@ -301,7 +304,7 @@ def run_varadhan_sweep(cfg: SweepConfig
     if cfg.eps_count < 4:
         raise ValueError("rate fitting needs an eps sequence of count >= 4")
     eps_seq = cfg.eps_sequence
-    geometry = _radial_geometry(cfg.geometry)
+    geometry = RADIAL_KINDS[cfg.geometry.kind](cfg.geometry.domain_radius)
     r_eval = _eval_radii(cfg.geometry)
     rows: List[dict] = []
     fits: Dict[Tuple[int, float], RateFit] = {}
@@ -421,24 +424,22 @@ def _json_safe(v):
     return v
 
 
-def emit(table: List[dict], fmt: str, path: Optional[str],
+def emit(table: List[dict], path: Optional[str] = None,
          config: Optional[SweepConfig] = None) -> None:
-    """Write a table as CSV (12 significant digits) or JSON with metadata,
-    to the file at path, or to stdout when path is None.
+    """Write a table to the file at path, as JSON with metadata when path
+    ends in .json (any case) and as CSV (12 significant digits) otherwise,
+    or as CSV to stdout when path is None.
 
     Values that are not finite become "nan"/"inf" cells in CSV and
     null/"inf" in JSON.  Output is byte-identical for identical inputs.
     """
-    fmt_u = fmt.upper()
-    if fmt_u not in ("CSV", "JSON"):
-        raise ValueError(f"format must be CSV or JSON, got {fmt!r}")
     if not table:
         raise ValueError("empty table")
     keys = list(table[0].keys())
     for row in table:
         if list(row.keys()) != keys:
             raise ValueError("rows have inconsistent columns")
-    if fmt_u == "CSV":
+    if path is None or not path.lower().endswith(".json"):
         lines = [",".join(keys)]
         for row in table:
             lines.append(",".join(_format_cell(row[k]) for k in keys))

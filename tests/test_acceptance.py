@@ -277,16 +277,16 @@ def test_criterion_10_determinism(tmp_path):
                                 geometry=GeometrySpec("ball", 1.0, 0.5),
                                 seed=13)
             rows = run_qmean_sweep(cfg_q)
-            emit(rows, "csv", str(outdir / "qmean.csv"), config=cfg_q)
-            emit(rows, "json", str(outdir / "qmean.json"), config=cfg_q)
+            emit(rows, str(outdir / "qmean.csv"), config=cfg_q)
+            emit(rows, str(outdir / "qmean.json"), config=cfg_q)
             cfg_v = SweepConfig(n_values=(2,), p_values=(2.0, INFINITY),
                                 q_values=(2.0,), eps_start=0.1,
                                 eps_factor=0.1, eps_count=4,
                                 geometry=GeometrySpec("exterior", 1.0, 1.0),
                                 seed=13)
             vrows, _ = run_varadhan_sweep(cfg_v)
-            emit(vrows, "csv", str(outdir / "rates.csv"), config=cfg_v)
-            emit(vrows, "json", str(outdir / "rates.json"), config=cfg_v)
+            emit(vrows, str(outdir / "rates.csv"), config=cfg_v)
+            emit(vrows, str(outdir / "rates.json"), config=cfg_v)
 
         pipeline(tmp_path / "run_a")
         pipeline(tmp_path / "run_b")

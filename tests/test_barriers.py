@@ -113,6 +113,23 @@ class TestEnhancedPair:
         with pytest.raises(ValueError):
             enhanced_V(b, -0.5)
 
+    @pytest.mark.parametrize("p", [3.0, INFINITY])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [enhanced_U, enhanced_V])
+    def test_non_finite_tau_rejected(self, p, bad, fn):
+        b = EnhancedBarriers(pp(p=p), r_i=1.0, r_e=1.0)
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            fn(b, np.array([0.5, bad, 1.0]))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            fn(b, bad)
+
+    @pytest.mark.parametrize("fn", [enhanced_U, enhanced_V])
+    def test_scalar_and_empty_tau(self, fn):
+        b = EnhancedBarriers(pp(p=3.0), r_i=1.0, r_e=1.0)
+        assert isinstance(fn(b, np.float64(0.5)), float)
+        assert fn(b, np.array([0.5]))[0] == fn(b, 0.5)
+        assert fn(b, np.array([])).shape == (0,)
+
     def test_radii_validation(self):
         with pytest.raises(ValueError):
             EnhancedBarriers(pp(), r_i=0.0, r_e=1.0)

@@ -78,6 +78,14 @@ class TestEvalRadial:
         assert out == ""
         assert "radius must be finite, got nan" in err
 
+    @pytest.mark.parametrize("text", ["inf", "Infinity", " INF "])
+    def test_infinite_exponent_spellings(self, capsys, text):
+        code, out, _ = run_cli(capsys, "eval-radial", "--N", "2", "--p",
+                               text, "--eps", "0.1", "--geometry",
+                               "exterior", "--R", "1.0", "--r", "1.5")
+        assert code == 0
+        assert parse_csv(out)[0]["log_u"] == "-5"
+
     def test_bad_choice_exits_2(self):
         with pytest.raises(SystemExit) as ei:
             main(["eval-radial", "--N", "2", "--p", "2", "--eps", "0.1",
@@ -195,6 +203,17 @@ class TestBarriers:
         assert code == 2
         assert "tau" in err
 
+    @pytest.mark.parametrize("p", ["3", "inf"])
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_exits_2_naming_tau(self, capsys, p, tau):
+        # no nan/inf rows with exit 0, and an error about tau, not sigma
+        code, out, err = run_cli(capsys, "barriers", "--N", "2", "--p", p,
+                                 "--eps", "0.1", "--r-inner", "1",
+                                 "--r-outer", "1", "--tau", tau, "0.5")
+        assert code == 2
+        assert out == ""
+        assert f"tau must be finite and >= 0, got {tau}" in err
+
 
 class TestGeom:
     def test_ball_benchmark_ratio(self, capsys):
@@ -309,6 +328,54 @@ class TestQmeanCommand:
         code, _, err = run_cli(capsys, "qmean", "--config", str(cfg_path))
         assert code == 2
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize("section,doc,extra", [
+        ("params_grid", {"N": [2], "p": ["inf"], "q": [2.0], "eps": [0.1]},
+         "eps"),
+        ("eps_sequence", {"start": 0.05, "factor": 0.5, "count": 2,
+                          "cnt": 9}, "cnt"),
+        ("geometry", {"kind": "ball", "domain_radius": 1.0, "R": 0.5,
+                      "N": 3}, "N"),
+        ("modulus", {"kind": "sqrt", "r": 1.0, "Slope": 2.0}, "Slope"),
+    ])
+    def test_unknown_section_key_exits_2(self, capsys, tmp_path, section,
+                                         doc, extra):
+        cfg_path = qmean_config(tmp_path, **{section: doc})
+        code, out, err = run_cli(capsys, "qmean", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert f"unknown config keys in {section}: [{extra!r}]" in err
+
+    @pytest.mark.parametrize("override", [{"output": ""}, {"output": None}])
+    def test_empty_output_prints_as_absent_output(self, capsys, tmp_path,
+                                                  override):
+        code, out, _ = run_cli(capsys, "qmean", "--config",
+                               str(qmean_config(tmp_path, **override)))
+        assert code == 0
+        _, absent, _ = run_cli(capsys, "qmean", "--config",
+                               str(qmean_config(tmp_path)))
+        assert out == absent
+        assert out.startswith("n,p,q,eps,")
+
+    @pytest.mark.parametrize("name,is_json", [
+        ("rows.json", True), ("rows.JSON", True), ("rows.Json", True),
+        ("rows.csv", False), ("rows.txt", False), ("rows", False),
+        ("rows.json.bak", False)])
+    def test_output_suffix_decides_the_format(self, capsys, tmp_path, name,
+                                              is_json):
+        out_path = tmp_path / name
+        code, out, _ = run_cli(
+            capsys, "qmean", "--config",
+            str(qmean_config(tmp_path, output=str(out_path))))
+        assert code == 0
+        assert out == f"wrote 2 rows to {out_path}\n"
+        text = out_path.read_text()
+        if is_json:
+            doc = json.loads(text)
+            assert doc["metadata"]["seed"] == 3
+            assert len(doc["rows"]) == 2
+        else:
+            assert text.startswith("n,p,q,eps,")
 
     def test_unresolved_small_mean_exits_3(self, capsys, tmp_path):
         # at eps = 1e-4 mu is about 5e-21, below the root's absolute tolerance

@@ -136,6 +136,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive"):
             GeometrySpec("exterior", -1.0, 0.5)
 
+    @pytest.mark.parametrize("kind", [["ball"], {"ball": 1}, None, 1.0])
+    def test_geometry_kind_not_a_name(self, kind):
+        # an unhashable kind is a config error, not a TypeError from the table
+        with pytest.raises(ValueError, match="ball or exterior"):
+            GeometrySpec(kind, 1.0, 0.5)
+
     def test_modulus_validation(self):
         with pytest.raises(ValueError, match="unknown modulus kind"):
             ModulusSpec("cubic", 1.0)
@@ -367,7 +373,7 @@ class TestEmit:
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit(self.TABLE, "csv", str(path))
+        emit(self.TABLE, str(path))
         text = path.read_text()
         assert text == ("a,b,name,flag,hole,p\n"
                         "0.333333333333,7,coarea,true,nan,inf\n")
@@ -375,7 +381,7 @@ class TestEmit:
     def test_json_format(self, tmp_path):
         path = tmp_path / "out.json"
         cfg = make_cfg(seed=11)
-        emit(self.TABLE, "JSON", str(path), config=cfg)
+        emit(self.TABLE, str(path), config=cfg)
         doc = json.loads(path.read_text())
         assert doc["metadata"]["seed"] == 11
         assert doc["metadata"]["config"]["geometry"]["kind"] == "ball"
@@ -389,26 +395,28 @@ class TestEmit:
     def test_byte_identical_reruns(self, tmp_path):
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         cfg = make_cfg()
-        emit(self.TABLE, "json", str(pa), config=cfg)
-        emit(self.TABLE, "json", str(pb), config=cfg)
+        emit(self.TABLE, str(pa), config=cfg)
+        emit(self.TABLE, str(pb), config=cfg)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_no_path_prints_csv(self, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        emit(self.TABLE, str(path))
+        emit(self.TABLE, config=make_cfg())
+        assert capsys.readouterr().out == path.read_text()
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty table"):
-            emit([], "csv", str(tmp_path / "x.csv"))
-
-    def test_bad_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            emit(self.TABLE, "xml", str(tmp_path / "x.xml"))
+            emit([], str(tmp_path / "x.csv"))
 
     def test_inconsistent_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="inconsistent"):
-            emit([{"a": 1.0}, {"b": 2.0}], "csv", str(tmp_path / "x.csv"))
+            emit([{"a": 1.0}, {"b": 2.0}], str(tmp_path / "x.csv"))
 
     def test_io_error_carries_path(self, tmp_path):
         bad = tmp_path / "no_such_dir" / "out.csv"
         with pytest.raises(OSError, match="no_such_dir"):
-            emit(self.TABLE, "csv", str(bad))
+            emit(self.TABLE, str(bad))
 
 
 class TestDeterminism:
@@ -418,6 +426,6 @@ class TestDeterminism:
         rows_a = run_qmean_sweep(cfg)
         rows_b = run_qmean_sweep(cfg)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit(rows_a, "csv", str(pa), config=cfg)
-        emit(rows_b, "csv", str(pb), config=cfg)
+        emit(rows_a, str(pa), config=cfg)
+        emit(rows_b, str(pb), config=cfg)
         assert pa.read_bytes() == pb.read_bytes()

@@ -2,6 +2,7 @@
 and every package name its prose puts in backticks still exists."""
 
 import importlib
+import json
 import pathlib
 import pkgutil
 import re
@@ -31,6 +32,17 @@ def test_command_exits_0(line, tmp_path, monkeypatch):
     (tmp_path / "sweep.json").write_text(CONFIG, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert cli.main(shlex.split(line)[1:]) == 0
+
+
+@pytest.mark.parametrize("line", [c for c in COMMANDS if "--config" in c])
+def test_config_output_written_as_csv(line, tmp_path, monkeypatch, capsys):
+    # the example's "output" has no .json suffix, so the table is CSV
+    (tmp_path / "sweep.json").write_text(CONFIG, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    output = json.loads(CONFIG)["output"]
+    assert cli.main(shlex.split(line)[1:]) == 0
+    assert f"rows to {output}\n" in capsys.readouterr().out
+    assert (tmp_path / output).read_text().startswith("n,p,")
 
 
 PROSE = re.sub(r"```.*?```", "", README, flags=re.S)
