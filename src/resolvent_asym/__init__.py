@@ -7,7 +7,7 @@ asymptotics, and scaled q-means encoding boundary curvature.
 
 __version__ = "0.1.0"
 
-from .params import INFINITY, ProblemParams, conjugate, limit_constants  # noqa: F401
+from .params import INFINITY, ProblemParams, conjugate, limit_prediction  # noqa: F401
 from .radial import Geometry, RadialSolution, eval_log_u, ode_residual, \
     varadhan_residual  # noqa: F401
 from .barriers import EnhancedBarriers, enhanced_U, enhanced_V, \

@@ -71,9 +71,9 @@ class EnhancedBarriers:
     r_e: float
 
     def __post_init__(self) -> None:
-        if not (self.r_i > 0.0 and self.r_e > 0.0):
-            raise ValueError(
-                f"ball radii must be positive, got r_i={self.r_i}, r_e={self.r_e}")
+        if not (0.0 < self.r_i < math.inf and 0.0 < self.r_e < math.inf):
+            raise ValueError(f"ball radii must be finite and positive, got "
+                             f"r_i={self.r_i}, r_e={self.r_e}")
 
     @property
     def sigma_i(self) -> float:

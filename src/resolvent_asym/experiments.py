@@ -36,8 +36,6 @@ class RateModel(Enum):
 
     EPS = "eps"
     EPS_LOG = "eps_log"
-    EPS_LOGLOG_PSI = "eps_loglog_psi"
-    EPS_LOG_PSI = "eps_log_psi"
 
 
 @dataclass(frozen=True)
@@ -55,22 +53,8 @@ class RateFit:
         return (not self.degenerate) and self.r_squared >= 0.98
 
 
-def _model_values(model: RateModel, eps: np.ndarray,
-                  psi: Optional[np.ndarray]) -> np.ndarray:
-    if model in (RateModel.EPS_LOGLOG_PSI, RateModel.EPS_LOG_PSI):
-        if psi is None:
-            raise ValueError(f"model {model.value} needs psi values")
-        psi = np.asarray(psi, dtype=float)
-        if psi.shape != eps.shape:
-            raise ValueError("psi and eps lengths differ")
-    if model is RateModel.EPS:
-        vals = eps.copy()
-    elif model is RateModel.EPS_LOG:
-        vals = eps * np.log(1.0 / eps)
-    elif model is RateModel.EPS_LOG_PSI:
-        vals = eps * np.abs(np.log(psi))
-    else:
-        vals = eps * np.log(np.abs(np.log(psi)))
+def _model_values(model: RateModel, eps: np.ndarray) -> np.ndarray:
+    vals = eps.copy() if model is RateModel.EPS else eps * np.log(1.0 / eps)
     if np.any(vals <= 0.0):
         raise ValueError(
             f"model {model.value} is nonpositive on this eps grid; "
@@ -79,8 +63,7 @@ def _model_values(model: RateModel, eps: np.ndarray,
 
 
 def fit_rate(model: RateModel, eps: Sequence[float],
-             residuals: Sequence[float],
-             psi: Optional[Sequence[float]] = None) -> RateFit:
+             residuals: Sequence[float]) -> RateFit:
     """Fit log|residual| = log coefficient + log model(eps), slope fixed at 1.
 
     Residuals at or below the underflow floor make the fit degenerate:
@@ -90,7 +73,7 @@ def fit_rate(model: RateModel, eps: Sequence[float],
     res = np.abs(np.asarray(residuals, dtype=float))
     if eps_arr.size < 2:
         raise ValueError("rate fitting needs at least two points")
-    vals = _model_values(model, eps_arr, psi)
+    vals = _model_values(model, eps_arr)
     if np.any(res < 1e-250):
         return RateFit(model=model, coefficient=0.0, r_squared=0.0,
                        max_ratio=float(np.max(res / vals)), degenerate=True)
@@ -326,8 +309,8 @@ def run_varadhan_sweep(cfg: SweepConfig
                 sup.append(float(res[int(np.argmax(np.abs(res)))]))
             fit = fit_rate(model, eps_seq, sup)
             if not fit.degenerate:
-                ratios = np.abs(sup) / _model_values(
-                    model, np.asarray(eps_seq), None)
+                ratios = np.abs(sup) / _model_values(model,
+                                                     np.asarray(eps_seq))
                 if ratios[-1] > 2.0 * float(np.median(ratios)):
                     raise RuntimeError(
                         f"residual/model ratio grows along the sweep for "

@@ -130,7 +130,6 @@ class ImplicitDomain:
     grad: Callable
     hess: Callable
     dim: int
-    name: str = "implicit"
 
     def __post_init__(self) -> None:
         if self.dim not in (2, 3):
@@ -169,7 +168,7 @@ class EllipseDomain(ImplicitDomain):
             out[..., 1, 1] = 2.0 * inv_b2
             return out
 
-        super().__init__(phi, grad, hess, 2, f"ellipse({a},{b})")
+        super().__init__(phi, grad, hess, 2)
         object.__setattr__(self, "a", float(a))
         object.__setattr__(self, "b", float(b))
 

@@ -148,27 +148,15 @@ class ProblemParams:
         return self.eps / math.sqrt(self.p_conjugate)
 
 
-@dataclass(frozen=True)
-class LimitConstants:
-    """Constants entering the scaled q-mean limit at one touching point.
-
-    prediction is the limit of (R/eps)^{(N+1)/(2(q-1))} mu_q; for q = INFINITY
-    the scaling power vanishes and prediction is the raw midrange limit 1/2.
-    """
-
-    c_nq: float
-    pi_gamma: float
-    prediction: float
-
-
-def limit_constants(n: int, p: float, q: float,
-                    curvatures: Sequence[float], radius: float) -> LimitConstants:
-    """Assemble the q-mean limit constants for exponents (p, q) at a touching point."""
+def limit_prediction(n: int, p: float, q: float,
+                     curvatures: Sequence[float], radius: float) -> float:
+    """The limit of (R/eps)^{(N+1)/(2(q-1))} mu_q at a touching point:
+    c_{N,q} / {(p')^{(N+1)/2} Pi_Gamma}^{1/(2(q-1))}.  For q = INFINITY the
+    scaling power vanishes and the limit is the raw midrange 1/2."""
     pi = pi_gamma(curvatures, radius)
     q = float(q)
     if math.isinf(q) and q > 0:
-        return LimitConstants(c_nq=0.5, pi_gamma=pi, prediction=0.5)
+        return 0.5
     c = c_nq(n, q)
-    pprime = conjugate(p)
-    denom = (pprime ** (0.5 * (n + 1)) * pi) ** (1.0 / (2.0 * (q - 1.0)))
-    return LimitConstants(c_nq=c, pi_gamma=pi, prediction=c / denom)
+    denom = (conjugate(p) ** (0.5 * (n + 1)) * pi) ** (1.0 / (2.0 * (q - 1.0)))
+    return c / denom

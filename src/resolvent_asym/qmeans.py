@@ -48,7 +48,8 @@ from .geometry import (
     _ball_blocks,
     _level_sets,
 )
-from .params import ProblemParams, _require_count, is_infinity, limit_constants
+from .params import (ProblemParams, _require_count, is_infinity,
+                     limit_prediction)
 from .quadrature import FixedRule
 from .radial import RadialSolution, eval_log_u
 
@@ -137,7 +138,8 @@ class QMeanQuery:
     tau = d_Gamma/xi, vectorized, on a ball, ball-complement or ellipse
     domain; q_mean_bruteforce takes functions of the points, on any domain.
     s_max, area (geometry._level_sets) and the co-area integrals' rule
-    (None at q = INFINITY) are built once here.
+    (None at q = INFINITY) are built once here, and the profile's end values
+    ends = (f(0), f(s_max/xi)) are kept from its check on 129 points.
     """
 
     cfg: TouchingBallConfig
@@ -147,6 +149,7 @@ class QMeanQuery:
     s_max: float = field(init=False, repr=False)
     area: Callable = field(init=False, repr=False)
     rule: Optional[FixedRule] = field(init=False, repr=False)
+    ends: Tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (is_infinity(self.q) or self.q > 1.0):
@@ -169,14 +172,15 @@ class QMeanQuery:
             raise ValueError("profile must be nonincreasing in tau")
         if np.min(vals) < -1e-12 * max(1.0, float(vals[0])):
             raise ValueError("profile must be nonnegative")
+        # linspace puts its first and last points at 0 and s_max/xi exactly
+        object.__setattr__(self, "ends", (float(vals[0]), float(vals[-1])))
 
 
 @dataclass(frozen=True)
 class QMeanResult:
-    """mu, its (R/xi)^{(N+1)/(2(q-1))} scaling, and the root residual."""
+    """mu and the root residual."""
 
     mu: float
-    scaled: float
     residual: float
 
 
@@ -280,19 +284,16 @@ def q_mean(query: QMeanQuery) -> QMeanResult:
     integral, and per pair of end values), and mu and the profile's crossing
     of mu are Brent roots.
     q = INFINITY gives the midrange (f(0) + f(s_max/xi))/2 of the monotone
-    profile, s_max the largest boundary distance in B_R(x), with residual 0
-    and scaled == mu.
+    profile, s_max the largest boundary distance in B_R(x), with residual 0.
     """
-    cfg, xi, prof, q = query.cfg, query.xi, query.profile, query.q
-    f0, fend = _prof_at(prof, 0.0), _prof_at(prof, query.s_max / xi)
+    q, (f0, fend) = query.q, query.ends
     if is_infinity(q):
         mu, residual = 0.5 * (f0 + fend), 0.0
     else:
         mu, residual = _qmean_root(
             lambda m: _coarea_G(m, query, f0, fend), fend, f0,
             "the profile's end value", lambda: _coarea_ends(query, f0, fend))
-    scaled = (cfg.R / xi) ** _scaled_exponent(cfg.n, q) * mu
-    return QMeanResult(mu=mu, scaled=scaled, residual=residual)
+    return QMeanResult(mu=mu, residual=residual)
 
 
 def q_mean_bruteforce(cfg: TouchingBallConfig, q: float, raw: Callable,
@@ -390,7 +391,9 @@ def qmean_profile_limit(cfg: TouchingBallConfig, q: float,
 def solution_profile(params: ProblemParams, domain: Geometry) -> Callable:
     """The exact radial solution as a profile of tau = d_Gamma/xi."""
     if not isinstance(domain, Geometry):
-        raise ValueError("exact solution profiles exist on radial domains only")
+        raise ValueError("exact solution profiles exist on radial domains "
+                         "only; on other implicit domains use "
+                         "q_mean_bruteforce")
     sol, xi = RadialSolution(params, domain), params.xi
 
     def prof(tau: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -429,12 +432,11 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
             f"params dimension {params_seq[0].n} does not match the "
             f"touching-ball dimension {n}")
     dom = cfg.domain
-    _level_sets(cfg)  # the domain gate, before solution_profile's error
     if isinstance(dom, EllipseDomain):
         _require_count("n_samples", n_samples)
         _require_count("seed", seed, 0)
     p = params_seq[0].p
-    lim = limit_constants(n, p, q, cfg.curvatures, cfg.R)
+    prediction = limit_prediction(n, p, q, cfg.curvatures, cfg.R)
     expo = _scaled_exponent(n, q)
     ill = bool((not is_infinity(q)) and q < 1.2)
     rows: List[dict] = []
@@ -443,8 +445,8 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
         res = q_mean(QMeanQuery(cfg=cfg, q=q, xi=pp.xi, profile=profile))
         scaled = (cfg.R / pp.eps) ** expo * res.mu
         rows.append({"eps": pp.eps, "xi": pp.xi, "mu": res.mu,
-                     "scaled": scaled, "prediction": lim.prediction,
-                     "ratio": scaled / lim.prediction,
+                     "scaled": scaled, "prediction": prediction,
+                     "ratio": scaled / prediction,
                      "residual": res.residual, "path": path,
                      "ill_conditioned": ill})
 

@@ -227,9 +227,9 @@ class FixedRule:
         return self.total(self.values(f, a, b), a, b)
 
 
-def tanh_sinh_fixed(f: Callable, a: float, b: float, level: int,
-                    beta: float = 1.0) -> float:
-    return FixedRule(level, beta)(f, a, b)
+def _check_alpha(alpha: float) -> None:
+    if not -1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > -1, got {alpha}")
 
 
 def sin_family(sigma: float, alpha: float) -> tuple:
@@ -241,8 +241,7 @@ def sin_family(sigma: float, alpha: float) -> tuple:
     """
     if not sigma >= 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
+    _check_alpha(alpha)
 
     def log_w(x, da, db, log_da, log_db):
         out = -sigma * 2.0 * np.sin(0.5 * da) ** 2
@@ -285,8 +284,7 @@ def sinh_family(sigma: float, alpha: float, theta_min: float = 0.0) -> tuple:
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
+    _check_alpha(alpha)
     if theta_min < 0.0:
         raise ValueError(f"theta_min must be >= 0, got {theta_min}")
     singular_left = theta_min == 0.0
@@ -366,8 +364,7 @@ def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,
     infinite or nan carry no usable digits (large nu at small sigma) although
     the kernel is finite; they go to the quadrature `integrate`.
     """
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
+    _check_alpha(alpha)
     s = np.asarray(sigma, dtype=float)
     flat = s.reshape(-1)
     nu = 0.5 * alpha
@@ -377,9 +374,11 @@ def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,
         usable = (b >= _TINY) & (b < math.inf) & (flat > 0.0)
         slow = not usable.all()
         if slow:
-            if not np.all(flat > 0.0 if positive else flat >= 0.0):
-                raise ValueError(f"sigma must be {'>' if positive else '>='}"
-                                 f" 0, got {sigma}")
+            # an infinite sigma gives nan, so it always lands here
+            if not np.all((flat > 0.0 if positive else flat >= 0.0)
+                          & (flat < math.inf)):
+                raise ValueError(f"sigma must be finite and "
+                                 f"{'>' if positive else '>='} 0, got {sigma}")
             far = np.isnan(b)
             b[far] = _large_argument(nu, flat[far], positive)
             usable = (b >= _TINY) & (b < math.inf) & (flat > 0.0)

@@ -3,15 +3,16 @@
 On a ball of radius R the solution is a ratio of sin-weighted kernels with a
 peak factor exp(sqrt(p') (r - R)/eps), on a ball's complement the sinh ratio
 with the opposite peak; at p = infinity they collapse to cosh and exp.  The
-denominator, the kernel at R, is evaluated once per RadialSolution.  All of
-it is in the log domain, so the deep interior (u below 1e-300) stays usable.
+log numerator (kernel and peak factor) is chosen, and the denominator, the
+kernel at R, evaluated, once per RadialSolution.  All of it is in the log
+domain, so the deep interior (u below 1e-300) stays usable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -22,21 +23,35 @@ from .quadrature import _log_cosh, log_sin_kernel, log_sinh_kernel
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """log_k_R, the log kernel at the boundary, is evaluated once, here."""
+    """log u = log_num(r) - log_k_R: the log numerator (kernel and peak
+    factor) for the geometry and p is chosen once, here, and log_k_R, the
+    log kernel at the boundary, evaluated once."""
 
     params: ProblemParams
     geometry: Geometry
+    log_num: Callable = field(init=False, repr=False, compare=False)
     log_k_R: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p, R = self.params, self.geometry.R
-        ball = self.geometry.kind is GeometryKind.BALL
-        if p.is_infinity:
-            log_k = _log_cosh(R / p.eps) if ball else 0.0
+        p, g, eps = self.params, self.geometry, self.params.eps
+        ball = g.kind is GeometryKind.BALL
+        if p.is_infinity and ball:
+            def log_num(r):
+                return _log_cosh(r / eps)
+        elif p.is_infinity:
+            def log_num(r):
+                return -g.distance(r) / eps
         else:
+            root, alpha = math.sqrt(p.p_conjugate), p.alpha
             kernel = log_sin_kernel if ball else log_sinh_kernel
-            log_k = kernel(math.sqrt(p.p_conjugate) * R / p.eps, p.alpha)
-        object.__setattr__(self, "log_k_R", log_k)
+
+            def log_num(r):
+                return -root * g.distance(r) / eps + kernel(root * r / eps,
+                                                            alpha)
+        object.__setattr__(self, "log_num", log_num)
+        # 0.0 on the exterior at p = INFINITY: log_num(R) is -0.0 there
+        object.__setattr__(self, "log_k_R", 0.0 if p.is_infinity and not ball
+                           else log_num(g.R))
 
 
 def _check_radius(sol: RadialSolution, r: np.ndarray) -> None:
@@ -54,10 +69,8 @@ def _check_radius(sol: RadialSolution, r: np.ndarray) -> None:
 
 def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray]
                ) -> Union[float, np.ndarray]:
-    """log u at radius r (scalar or array).
-
-    The kernel ratio is closed-form: one array call over the radii, over the
-    solution's log_k_R (sin-weighted for the ball, sinh for the exterior).
+    """log u at radius r (scalar or array): the solution's log_num over
+    its log_k_R, one array call over the radii.
 
     Examples
     --------
@@ -67,22 +80,8 @@ def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray]
     scalar = np.ndim(r) == 0
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     _check_radius(sol, r_arr)
-    p, g, eps = sol.params, sol.geometry, sol.params.eps
-    ball = g.kind is GeometryKind.BALL
-    if p.is_infinity:
-        out = (_log_cosh(r_arr / eps) - sol.log_k_R if ball
-               else -g.distance(r_arr) / eps)
-    else:
-        root = math.sqrt(p.p_conjugate)
-        kernel = log_sin_kernel if ball else log_sinh_kernel
-        out = (-root * g.distance(r_arr) / eps
-               + kernel(root * r_arr / eps, p.alpha) - sol.log_k_R)
+    out = sol.log_num(r_arr) - sol.log_k_R
     return float(out[0]) if scalar else out
-
-
-def eval_u(sol: RadialSolution, r: Union[float, np.ndarray]
-           ) -> Union[float, np.ndarray]:
-    return np.exp(eval_log_u(sol, r))
 
 
 def scaling_check(sol: RadialSolution, r_grid: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from resolvent_asym.geometry import BallDomain, ExteriorBallDomain, \
     area_ratio_limit, boundary_distances, level_set_area, level_set_area_mc, \
     make_ellipse_domain, touching_ball
 from resolvent_asym.params import INFINITY, ProblemParams, conjugate, \
-    limit_constants
+    limit_prediction
 from resolvent_asym.qmeans import QMeanQuery, q_mean, \
     q_mean_bruteforce, qmean_limit_experiment, qmean_profile_limit, \
     solution_profile
@@ -188,8 +188,8 @@ def test_criterion_08_qmean_limit():
             assert abs(last["richardson"] / last["prediction"] - 1.0) < 0.05, \
                 f"extrapolated limit off for p={last['p']}, q={last['q']}"
         for p, q in itertools.product((2.0, INFINITY), (2.0, 3.0)):
-            closed = limit_constants(2, p, q, BALL_CFG.curvatures,
-                                     BALL_CFG.R).prediction
+            closed = limit_prediction(2, p, q, BALL_CFG.curvatures,
+                                      BALL_CFG.R)
             bridge = conjugate(p) ** (-(2 + 1) / (4.0 * (q - 1.0)))
             integral = qmean_profile_limit(
                 BALL_CFG, q, lambda tau: np.exp(-tau)) * bridge

@@ -169,6 +169,22 @@ class TestSpecialF:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--sigma", "1", "--alpha", "inf"),
+         "alpha must be finite and > -1, got inf"),
+        (("--sigma", "inf", "--alpha", "1"),
+         "sigma must be finite and > 0, got inf"),
+        (("--sigma", "inf", "--alpha", "1", "--check-bessel"),
+         "sigma must be finite and > 0, got inf"),
+    ])
+    def test_non_finite_input_exits_2(self, capsys, recwarn, argv, message):
+        # bad input, not a non-convergence (exit 3) or a nan row (exit 0)
+        code, out, err = run_cli(capsys, "special-f", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
 
 class TestBarriers:
     def test_infinity_closed_forms(self, capsys):
@@ -213,6 +229,20 @@ class TestBarriers:
         assert code == 2
         assert out == ""
         assert f"tau must be finite and >= 0, got {tau}" in err
+
+    @pytest.mark.parametrize("p", ["3", "inf"])
+    @pytest.mark.parametrize("r_inner,r_outer", [("inf", "1"), ("1", "inf")])
+    def test_infinite_radius_exits_2(self, capsys, recwarn, p, r_inner,
+                                     r_outer):
+        # no nan log_U/log_V rows with exit 0 and a RuntimeWarning
+        code, out, err = run_cli(capsys, "barriers", "--N", "2", "--p", p,
+                                 "--eps", "0.1", "--r-inner", r_inner,
+                                 "--r-outer", r_outer, "--tau", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: ball radii must be finite and positive, got "
+                       f"r_i={float(r_inner)}, r_e={float(r_outer)}\n")
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
 class TestGeom:

@@ -184,22 +184,7 @@ class TestFitRate:
         assert fit.coefficient == pytest.approx(2.2, rel=1e-12)
         assert fit.matched
 
-    def test_psi_model(self):
-        eps = np.geomspace(1e-2, 1e-5, 4)
-        psi = eps ** 2
-        res = 5.0 * eps * np.abs(np.log(psi))
-        fit = fit_rate(RateModel.EPS_LOG_PSI, eps, res, psi=psi)
-        assert fit.coefficient == pytest.approx(5.0, rel=1e-12)
-
-    def test_psi_required(self):
-        with pytest.raises(ValueError, match="needs psi"):
-            fit_rate(RateModel.EPS_LOGLOG_PSI, [0.1, 0.01], [0.1, 0.01])
-
     def test_nonpositive_model_rejected(self):
-        psi = [math.exp(-1.0)] * 2
-        with pytest.raises(ValueError, match="nonpositive"):
-            fit_rate(RateModel.EPS_LOGLOG_PSI, [0.1, 0.05], [0.1, 0.05],
-                     psi=psi)
         with pytest.raises(ValueError, match="nonpositive"):
             fit_rate(RateModel.EPS_LOG, [2.0, 0.5], [0.1, 0.05])
 

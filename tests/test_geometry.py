@@ -7,7 +7,7 @@ import pytest
 
 from resolvent_asym import geometry
 from resolvent_asym.qmeans import QMeanQuery, q_mean
-from resolvent_asym.quadrature import tanh_sinh_fixed
+from resolvent_asym.quadrature import FixedRule
 from resolvent_asym.geometry import (
     BallDomain,
     EllipseDomain,
@@ -51,7 +51,7 @@ def implicit_ball(rho: float, dim: int = 2) -> ImplicitDomain:
         out[..., idx, idx] = 2.0
         return out
 
-    return ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=dim, name="ball")
+    return ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=dim)
 
 
 def implicit_ellipsoid(axes) -> ImplicitDomain:
@@ -71,8 +71,7 @@ def implicit_ellipsoid(axes) -> ImplicitDomain:
         out[..., np.arange(n), np.arange(n)] = 2.0 * inv
         return out
 
-    return ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=n,
-                          name="ellipsoid")
+    return ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=n)
 
 
 def secular_distance(axes, pts) -> np.ndarray:
@@ -632,10 +631,10 @@ def parallel_length(s: float, a: float, b: float, center, R: float,
 
 def tanh_sinh_nodes(a: float, b: float, level: int, beta: float
                     ) -> np.ndarray:
-    """The abscissae tanh_sinh_fixed evaluates on [a, b]."""
+    """The abscissae FixedRule(level, beta) evaluates on [a, b]."""
     seen = []
-    tanh_sinh_fixed(lambda x, *rest: seen.append(x) or np.zeros_like(x),
-                    a, b, level, beta)
+    FixedRule(level, beta)(lambda x, *rest: seen.append(x) or np.zeros_like(x),
+                           a, b)
     return seen[0]
 
 

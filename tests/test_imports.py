@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, no
-module imports a memo cache or a thread, and every name the benchmark
-imports from the package exists.
+module imports a memo cache or a thread, every name the benchmark imports
+from the package exists, and every function and class the package defines
+is read by code other than the tests.
 
 No linter runs on this repository, and deleted code tends to leave its
 imports behind.  The package's __init__ is exempt: its imports are the
@@ -152,3 +153,75 @@ def test_an_unresolved_benchmark_import_is_reported():
         "resolvent_asym.no_such_module (line 2)",
         "resolvent_asym.radial.Gone (line 3)",
         "resolvent_asym.gone (line 4)"]
+
+
+# A definition that only the tests read is code kept alive by its own
+# tests.  Its readers are the package's other modules (not __init__, whose
+# imports are re-exports), the rest of its own module, the benchmark and the
+# demos.  A read is a name, an attribute or a string equal to the name (the
+# benchmark's tracer names some functions by string).  The paper's checks
+# and the independent limit oracle are read by the tests alone, on purpose.
+READ_BY_TESTS_ALONE = {"comparison_chain", "scaling_check",
+                       "qmean_profile_limit"}
+READER_SOURCES = BENCHMARK_SOURCES + sorted(
+    (Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def _reads(nodes) -> set:
+    """The names, attributes and string constants read in the trees of
+    `nodes`."""
+    found = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                found.add(node.value)
+    return found
+
+
+def unread_definitions(modules: dict, readers: list) -> list:
+    """`module.name` of each top-level function and class of `modules`
+    (module name -> source) that is read neither by another module, nor by
+    the rest of its own module, nor by a source of `readers`."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    outside = _reads(ast.parse(source) for source in readers)
+    unread = []
+    for name, tree in trees.items():
+        read = outside | _reads(t for other, t in trees.items()
+                                if other != name)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            if node.name not in read | _reads(n for n in tree.body
+                                              if n is not node):
+                unread.append(f"{name}.{node.name}")
+    return sorted(unread)
+
+
+def test_every_definition_is_read_outside_the_tests():
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in SOURCES}
+    readers = [path.read_text(encoding="utf-8") for path in READER_SOURCES]
+    unread = {entry.split(".")[1]
+              for entry in unread_definitions(modules, readers)}
+    assert unread <= READ_BY_TESTS_ALONE, sorted(unread - READ_BY_TESTS_ALONE)
+
+
+def test_an_unread_definition_is_reported():
+    modules = {
+        "a": ("def helper():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Used:\n    pass\n"
+              "def caller():\n    return helper()\n"),
+        "b": ("from .a import Used\n"
+              "def traced():\n    pass\n"
+              "def orphan():\n    return Used\n"),
+    }
+    readers = ["SPANS = {'traced': 1}\n", "import a\na.caller()\n"]
+    assert unread_definitions(modules, readers) == ["a.recursive",
+                                                    "b.orphan"]

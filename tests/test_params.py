@@ -5,13 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from resolvent_asym.params import (
     INFINITY,
-    LimitConstants,
     ProblemParams,
     alpha,
     c_nq,
     conjugate,
     is_infinity,
-    limit_constants,
+    limit_prediction,
     pi_gamma,
 )
 
@@ -149,21 +148,20 @@ class TestProblemParams:
 class TestLimitConstants:
     def test_benchmark_prediction(self):
         # ball of radius 1 touched with R=0.5 in the plane, p=inf, q=2
-        lc = limit_constants(2, INFINITY, 2.0, [1.0], 0.5)
-        assert lc.pi_gamma == pytest.approx(0.5)
+        assert pi_gamma([1.0], 0.5) == pytest.approx(0.5)
         expected = math.sqrt(2.0 / math.pi) / math.sqrt(0.5)
-        assert lc.prediction == pytest.approx(expected, rel=1e-13)
+        assert limit_prediction(2, INFINITY, 2.0, [1.0], 0.5) == \
+            pytest.approx(expected, rel=1e-13)
 
     def test_finite_p_scaling_factor(self):
         # p=2 vs p=inf differ by (p')^{(N+1)/(4(q-1))}
         n, q = 2, 2.0
-        inf_case = limit_constants(n, INFINITY, q, [1.0], 0.5)
-        p2_case = limit_constants(n, 2.0, q, [1.0], 0.5)
+        inf_case = limit_prediction(n, INFINITY, q, [1.0], 0.5)
+        p2_case = limit_prediction(n, 2.0, q, [1.0], 0.5)
         factor = 2.0 ** ((n + 1) / (4.0 * (q - 1.0)))
-        assert inf_case.prediction / p2_case.prediction == pytest.approx(
-            factor, rel=1e-13)
+        assert inf_case / p2_case == pytest.approx(factor, rel=1e-13)
 
     def test_q_infinity_is_midrange(self):
-        lc = limit_constants(3, 2.0, INFINITY, [1.0, 1.0], 0.25)
-        assert lc.prediction == 0.5
-        assert isinstance(lc, LimitConstants)
+        prediction = limit_prediction(3, 2.0, INFINITY, [1.0, 1.0], 0.25)
+        assert prediction == 0.5
+        assert isinstance(prediction, float)

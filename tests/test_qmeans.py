@@ -24,7 +24,7 @@ from resolvent_asym.params import (
     ProblemParams,
     c_nq,
     conjugate,
-    limit_constants,
+    limit_prediction,
 )
 from resolvent_asym.radial import Geometry, RadialSolution, eval_log_u
 from resolvent_asym.quadrature import (
@@ -36,7 +36,6 @@ from resolvent_asym.quadrature import (
 from resolvent_asym import geometry, qmeans, quadrature
 from resolvent_asym.qmeans import (
     QMeanQuery,
-    QMeanResult,
     _empirical_qmean,
     q_mean,
     q_mean_bruteforce,
@@ -264,15 +263,6 @@ class TestCoareaRoute:
         vol = math.pi * r1 * r1
         assert res.mu == pytest.approx((vol - lens) / vol, abs=1e-9)
 
-    def test_scaled_field(self):
-        params = ProblemParams(n=2, p=INFINITY, eps=0.05)
-        prof = solution_profile(params, BALL_CFG.domain)
-        query = QMeanQuery(cfg=BALL_CFG, q=3.0, xi=params.xi, profile=prof)
-        res = q_mean(query)
-        expo = 3.0 / 4.0
-        assert res.scaled == pytest.approx(
-            (BALL_CFG.R / params.xi) ** expo * res.mu, rel=1e-14)
-
     def test_residual_below_tolerance(self):
         for q in (1.5, 2.5, 4.0):
             query = QMeanQuery(cfg=EXT_CFG, q=q, xi=0.08, profile=exp_profile)
@@ -336,7 +326,7 @@ class TestInfinityMidrange:
     def test_result_fields(self):
         res = q_mean(QMeanQuery(cfg=BALL_CFG, q=INFINITY, xi=0.25,
                                 profile=exp_profile))
-        assert (res.scaled, res.residual) == (res.mu, 0.0)
+        assert res.residual == 0.0
 
 
 class TestInvariants:
@@ -502,8 +492,7 @@ class TestProfileLimit:
     def test_two_constant_routes_agree(self, p, q):
         # profile-integral route vs the gamma-function closed form
         n = 2
-        route_a = limit_constants(n, p, q, BALL_CFG.curvatures,
-                                  BALL_CFG.R).prediction
+        route_a = limit_prediction(n, p, q, BALL_CFG.curvatures, BALL_CFG.R)
         pp = conjugate(p)
         route_b = qmean_profile_limit(BALL_CFG, q, exp_profile) \
             * pp ** (-(n + 1.0) / (4.0 * (q - 1.0)))
@@ -527,8 +516,9 @@ class TestRecordedCoarea:
                     for q in (1.5, 2.0, 3.0):
                         res = q_mean(QMeanQuery(cfg=cfg, q=q, xi=pp.xi,
                                                 profile=prof))
-                        records.append(repr((res.mu, res.scaled,
-                                             res.residual)))
+                        scaled = (cfg.R / pp.xi) ** qmeans._scaled_exponent(
+                            cfg.n, q) * res.mu
+                        records.append(repr((res.mu, scaled, res.residual)))
         assert len(records) == 54
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
         assert digest == (
@@ -814,6 +804,28 @@ class TestSetUpOnce:
                     qmeans._coarea_G(f0, query, f0, fend))
             assert repr(ends) == repr(pair)
 
+    def test_query_ends_are_the_scalar_profile_values(self):
+        # the ends kept from the 129-point check are, bit for bit, the
+        # profile called at 0 and at s_max/xi on its own
+        def scalar_ends(query):
+            prof = query.profile
+            return (qmeans._prof_at(prof, 0.0),
+                    qmeans._prof_at(prof, query.s_max / query.xi))
+
+        queries = list(coarea_queries())
+        for p in (2.0, INFINITY):
+            for eps in (0.05, 0.025):
+                pp = ProblemParams(n=2, p=p, eps=eps)
+                b = EnhancedBarriers(pp, r_i=ELLIPSE_CFG.R, r_e=ELLIPSE_CFG.R)
+                for barrier in (enhanced_U, enhanced_V):
+                    queries.append(QMeanQuery(
+                        cfg=ELLIPSE_CFG, q=2.0, xi=pp.xi,
+                        profile=lambda tau, barrier=barrier, b=b:
+                        np.exp(barrier(b, tau))))
+        assert len(queries) == 62
+        for query in queries:
+            assert repr(query.ends) == repr(scalar_ends(query))
+
 
 class TestOneTubePerQuery:
     """geometry._level_sets builds one _EllipseTube per configuration."""
@@ -843,10 +855,10 @@ class TestOneTubePerQuery:
         assert len(tubes) == 2
 
     def test_four_row_experiment(self, tubes):
-        # the gate, then one tube per row
+        # one tube per row
         seq = [ProblemParams(n=2, p=INFINITY, eps=e) for e in (0.02, 0.01)]
         assert len(qmean_limit_experiment(seq, ELLIPSE_CFG, 2.0)) == 4
-        assert len(tubes) <= 5
+        assert len(tubes) == 4
 
 
 class TestLimitExperiment:

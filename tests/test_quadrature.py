@@ -7,13 +7,13 @@ from scipy.special import gamma, i0e, k0e, k1e, kve, logsumexp
 
 from resolvent_asym import quadrature
 from resolvent_asym.quadrature import (
+    FixedRule,
     LogValue,
     NonConvergenceError,
     integrate_sin_weighted,
     integrate_sinh_weighted,
     log_sin_kernel,
     log_sinh_kernel,
-    tanh_sinh_fixed,
     tanh_sinh_log,
     tanh_sinh_sum,
     _nodes,
@@ -181,6 +181,19 @@ class TestClosedFormKernels:
         with pytest.raises(ValueError):
             log_sinh_kernel(0.0, 0.5)
 
+    def test_rejects_non_finite_arguments(self):
+        # an infinite sigma or alpha is bad input, not a nan kernel
+        for kernel in (log_sin_kernel, log_sinh_kernel):
+            with pytest.raises(ValueError,
+                               match=r"sigma must be finite and >=? 0"):
+                kernel(np.array([1.0, np.inf]), 1.0)
+            with pytest.raises(ValueError, match=r"alpha must be finite and "
+                                                 r"> -1, got inf"):
+                kernel(1.0, math.inf)
+        for family in (quadrature.sin_family, quadrature.sinh_family):
+            with pytest.raises(ValueError, match=r"alpha must be finite"):
+                family(1.0, math.inf)
+
     @pytest.mark.parametrize("sigma", [1e10, 1e20, 1e40])
     def test_alpha_one_past_scipy_range(self, sigma):
         # scipy's ive/kve are nan here; f = 1/sigma and
@@ -229,7 +242,7 @@ class TestFixedLevelRule:
             calls.append([np.array(v) for v in args])
             return np.exp(args[0])
 
-        tanh_sinh_fixed(f, -1.0, 2.5, level, 0.5)
+        FixedRule(level, 0.5)(f, -1.0, 2.5)
         assert len(calls) == 1
         seen = []
 
@@ -245,9 +258,9 @@ class TestFixedLevelRule:
 
     def test_rejects_negative_level_and_empty_interval(self):
         with pytest.raises(ValueError, match="level"):
-            tanh_sinh_fixed(lambda x, *rest: x, 0.0, 1.0, -1)
+            FixedRule(-1)
         with pytest.raises(ValueError, match="empty integration interval"):
-            tanh_sinh_fixed(lambda x, *rest: x, 1.0, 1.0, 3)
+            FixedRule(3)(lambda x, *rest: x, 1.0, 1.0)
 
 
 def _record(fn, *args):
@@ -305,8 +318,8 @@ def _recorded_grid(family: str, engine_constants) -> list:
                         out.append(_record(tanh_sinh_sum, f, a, b, beta))
                         out.append(_record(tanh_sinh_log, log_f, a, b, beta))
                         if cfg is configs[0]:
-                            out += [_record(tanh_sinh_fixed, f, a, b, level,
-                                            beta) for level in range(8)]
+                            out += [_record(FixedRule(level, beta), f, a, b)
+                                    for level in range(8)]
     elif family == "kernels":
         # nu >= 30 at sigma <= 1e-4: the quadrature fallback of the kernels
         sigma = np.array([[1e-8, 1.0], [1e3, 1e-6]])

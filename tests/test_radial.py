@@ -11,7 +11,6 @@ from resolvent_asym.radial import (
     GeometryKind,
     RadialSolution,
     eval_log_u,
-    eval_u,
     ode_residual,
     scaling_check,
     varadhan_residual,
@@ -134,11 +133,6 @@ class TestStructuralProperties:
             eval_log_u(sol, np.array([good, bad, good]))
         with pytest.raises(ValueError, match="radius must be finite"):
             eval_log_u(sol, bad)
-
-    def test_eval_u_matches_log(self):
-        sol = make(2, 3.0, 0.2, "ball")
-        assert eval_u(sol, 0.5) == pytest.approx(
-            math.exp(eval_log_u(sol, 0.5)), rel=1e-14)
 
 
 class TestOdeResidual:
