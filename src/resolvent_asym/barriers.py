@@ -1,10 +1,11 @@
-"""Comparison barriers sandwiching the resolvent between kernel ratios.
+"""Comparison barriers sandwiching the resolvent, all as logarithms.
 
-Two layers: the coarse envelope pair (E from above through the sin kernel,
-e from below through the sinh kernel at an exterior witness point), and the
-enhanced pair (U, V) available under uniform interior/exterior ball
-conditions, which is tight enough to drive the q-mean limits.  All values are
-logarithms of the corresponding barrier.
+The enhanced pair (U, V) holds under uniform interior/exterior ball
+conditions and is tight enough to drive the q-mean limits; the sandwich
+checks log U <= log u <= log V on the radial benchmarks.  The comparison
+chain bounds eps log u + sqrt(p') d_Gamma on the exterior of a ball by the
+radial solutions of two more balls: the one inscribed at x from above, and
+the complement of a ball about a witness z from below.
 """
 
 from __future__ import annotations
@@ -15,46 +16,10 @@ from typing import Union
 
 import numpy as np
 
+from .geometry import BallDomain, ExteriorBallDomain, Geometry
 from .params import ProblemParams
 from .quadrature import _log_cosh, log_sin_kernel, log_sinh_kernel
-from .radial import Geometry, GeometryKind, RadialSolution, eval_log_u
-
-
-def upper_E(params: ProblemParams, dist: float) -> float:
-    """log of the upper envelope at boundary distance dist.
-
-    Finite p: E = I(0) / I(sqrt(p') dist / eps); at p = infinity
-    E = 2 / (1 + exp(-2 dist/eps)).  Always in (0... 1]-reciprocal sense:
-    E >= 1 with E(0) = 1, and eps log u + sqrt(p') d <= eps log E.
-    """
-    if dist < 0.0:
-        raise ValueError(f"boundary distance must be >= 0, got {dist}")
-    if params.is_infinity:
-        return math.log(2.0) - math.log1p(math.exp(-2.0 * dist / params.eps))
-    root = math.sqrt(params.p_conjugate)
-    a = params.alpha
-    return log_sin_kernel(0.0, a) - log_sin_kernel(root * dist / params.eps, a)
-
-
-def lower_e(params: ProblemParams, dist_x_z: float,
-            dist_gamma_z: float) -> float:
-    """log of the lower envelope seen from a witness z outside the domain.
-
-    e = f(sqrt(p') |x-z|/eps) / f(sqrt(p') d_Gamma(z)/eps) for finite p
-    (requires |x-z| >= d_Gamma(z) > 0), identically 1 at p = infinity.
-    """
-    if not dist_gamma_z > 0.0:
-        raise ValueError(f"d_Gamma(z) must be > 0, got {dist_gamma_z}")
-    if dist_x_z < dist_gamma_z:
-        raise ValueError(
-            f"|x - z| = {dist_x_z} < d_Gamma(z) = {dist_gamma_z}; the witness "
-            "must be no closer to x than to the boundary")
-    if params.is_infinity:
-        return 0.0
-    root = math.sqrt(params.p_conjugate)
-    a = params.alpha
-    return (log_sinh_kernel(root * dist_x_z / params.eps, a)
-            - log_sinh_kernel(root * dist_gamma_z / params.eps, a))
+from .radial import RadialSolution, eval_log_u, varadhan_residual
 
 
 @dataclass(frozen=True)
@@ -74,14 +39,15 @@ class EnhancedBarriers:
         if not (0.0 < self.r_i < math.inf and 0.0 < self.r_e < math.inf):
             raise ValueError(f"ball radii must be finite and positive, got "
                              f"r_i={self.r_i}, r_e={self.r_e}")
+        self.params.sigma(max(self.r_i, self.r_e))
 
     @property
     def sigma_i(self) -> float:
-        return math.sqrt(self.params.p_conjugate) * self.r_i / self.params.eps
+        return self.params.sigma(self.r_i)
 
     @property
     def sigma_e(self) -> float:
-        return math.sqrt(self.params.p_conjugate) * self.r_e / self.params.eps
+        return self.params.sigma(self.r_e)
 
 
 def _check_tau(tau: np.ndarray) -> None:
@@ -169,25 +135,25 @@ def comparison_chain(params: ProblemParams, geometry: Geometry,
                      r_x: float, r_z: float) -> tuple:
     """(lower, middle, upper) of the eps-scaled comparison chain on the exterior.
 
-    With x, z on the same ray through the origin, z inside the excluded ball:
-      sqrt(p') (d_Gamma(x) + d_Gamma(z) - |x-z|) + eps log e
-        <= eps log u(x) + sqrt(p') d_Gamma(x) <= eps log E(d_Gamma(x)).
+    x and z lie on one ray through the origin, z inside the excluded ball,
+    with d_x = r_x - R and d_z = R - r_z.  B_{d_x}(x) lies in the domain and
+    the domain outside B_{d_z}(z), so comparison gives
+      varadhan_residual of the exterior of B_{d_z}(z) at x
+        <= eps log u(x) + sqrt(p') d_x
+        <= varadhan_residual of B_{d_x}(x) at x,
+    the upper end 0 (u = 1) when x lies on the boundary.
     """
-    if geometry.kind is not GeometryKind.EXTERIOR:
+    if not isinstance(geometry, ExteriorBallDomain):
         raise ValueError("the witness chain is set on the exterior geometry")
     R = geometry.R
     if not (0.0 < r_z < R):
         raise ValueError(f"witness radius must lie in (0, {R}), got {r_z}")
     if not r_x >= R:
         raise ValueError(f"evaluation radius must be >= {R}, got {r_x}")
-    root = math.sqrt(params.p_conjugate)
-    eps = params.eps
     d_x = geometry.distance(r_x)
-    d_z = -geometry.distance(r_z)
-    dist_xz = r_x - r_z
-    sol = RadialSolution(params, geometry)
-    middle = eps * eval_log_u(sol, r_x) + root * d_x
-    lower = (root * (d_x + d_z - dist_xz)
-             + eps * lower_e(params, dist_xz, d_z))
-    upper = eps * upper_E(params, d_x)
+    lower = varadhan_residual(
+        RadialSolution(params, ExteriorBallDomain(R - r_z)), r_x - r_z)
+    middle = varadhan_residual(RadialSolution(params, geometry), r_x)
+    upper = 0.0 if d_x == 0.0 else varadhan_residual(
+        RadialSolution(params, BallDomain(d_x)), 0.0)
     return lower, middle, upper

@@ -62,15 +62,20 @@ def conjugate(p: float) -> float:
 def alpha(n: int, p: float) -> float:
     """Weight exponent (N - p)/(p - 1) of the radial kernels.
 
-    Equals -1 + (N-1)/(p-1), hence always > -1 for finite p > 1 and N >= 2.
-    Undefined at p = INFINITY (the kernels degenerate to cosh/exp there);
-    that call is rejected rather than given a conventional value.
+    Equals -1 + (N-1)/(p-1), hence > -1 for finite p > 1 and N >= 2, but
+    the quotient rounds to -1 from about p = 4e16 at N = 3; such a p and
+    p = INFINITY (the kernels degenerate to cosh/exp there) are rejected
+    rather than given a conventional value.
     """
     n = _validate_dimension(n)
     p = _validate_p(p)
     if math.isinf(p):
         raise ValueError("alpha is undefined at p = INFINITY")
-    return (n - p) / (p - 1.0)
+    a = (n - p) / (p - 1.0)
+    if a <= -1.0:
+        raise ValueError(f"p = {p} is too large at N = {n}: alpha = "
+                         f"(N - p)/(p - 1) rounds to {a}; use p = inf")
+    return a
 
 
 def c_nq(n: int, q: float) -> float:
@@ -141,6 +146,15 @@ class ProblemParams:
     @property
     def is_infinity(self) -> bool:
         return is_infinity(self.p)
+
+    def sigma(self, r: float) -> float:
+        """Scaled radius sqrt(p') r / eps; rejects an eps so small that it
+        overflows."""
+        s = math.sqrt(self.p_conjugate) * r / self.eps
+        if not math.isfinite(s):
+            raise ValueError(f"eps = {self.eps} is too small: sqrt(p') r / eps "
+                             f"overflows at r = {r}")
+        return s
 
     @property
     def xi(self) -> float:

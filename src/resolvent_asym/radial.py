@@ -25,7 +25,8 @@ from .quadrature import _log_cosh, log_sin_kernel, log_sinh_kernel
 class RadialSolution:
     """log u = log_num(r) - log_k_R: the log numerator (kernel and peak
     factor) for the geometry and p is chosen once, here, and log_k_R, the
-    log kernel at the boundary, evaluated once."""
+    log kernel at the boundary, evaluated once.  An eps so small that
+    sqrt(p') R / eps overflows is rejected here."""
 
     params: ProblemParams
     geometry: Geometry
@@ -34,6 +35,7 @@ class RadialSolution:
 
     def __post_init__(self) -> None:
         p, g, eps = self.params, self.geometry, self.params.eps
+        p.sigma(g.R)
         ball = g.kind is GeometryKind.BALL
         if p.is_infinity and ball:
             def log_num(r):

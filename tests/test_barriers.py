@@ -8,55 +8,16 @@ from resolvent_asym.barriers import (
     comparison_chain,
     enhanced_U,
     enhanced_V,
-    lower_e,
     sandwich_check,
     sandwich_table,
-    upper_E,
 )
 from resolvent_asym.params import INFINITY, ProblemParams
+from resolvent_asym.quadrature import log_sin_kernel, log_sinh_kernel
 from resolvent_asym.radial import Geometry
 
 
 def pp(n=3, p=2.0, eps=0.1):
     return ProblemParams(n=n, p=p, eps=eps)
-
-
-class TestEnvelopes:
-    def test_upper_E_at_zero_distance(self):
-        assert upper_E(pp(), 0.0) == 0.0
-        assert upper_E(pp(p=INFINITY), 0.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_upper_E_infinity_closed_form(self):
-        params = pp(p=INFINITY, eps=0.2)
-        for d in (0.1, 0.5, 2.0):
-            expected = math.log(2.0 / (1.0 + math.exp(-2.0 * d / 0.2)))
-            assert upper_E(params, d) == pytest.approx(expected, abs=1e-14)
-
-    def test_upper_E_increasing_and_bounded(self):
-        params = pp(p=3.0)
-        vals = [upper_E(params, d) for d in (0.0, 0.2, 0.5, 1.0, 3.0)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-        # cap: log(I(0)/I(sigma)) grows only logarithmically in 1/eps
-        assert vals[-1] < 100.0
-
-    def test_lower_e_infinity_is_one(self):
-        assert lower_e(pp(p=INFINITY), 2.0, 1.0) == 0.0
-
-    def test_lower_e_nonpositive_and_decreasing(self):
-        params = pp(p=2.0)
-        vals = [lower_e(params, d, 0.5) for d in (0.5, 1.0, 2.0, 4.0)]
-        assert vals[0] == 0.0  # same kernel argument cancels exactly
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_lower_e_validation(self):
-        with pytest.raises(ValueError):
-            lower_e(pp(), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            lower_e(pp(), 0.5, 1.0)
-
-    def test_upper_E_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            upper_E(pp(), -0.1)
 
 
 class TestEnhancedPair:
@@ -159,7 +120,43 @@ class TestSandwich:
             assert row["violation"] <= 1e-9
 
 
+def log_envelopes(params, d_x, d_z, dist_xz):
+    """(log e, log E) written out: E = I(0)/I(sqrt(p') d_x/eps) from the
+    sin kernel, e = f(sqrt(p') |x-z|/eps)/f(sqrt(p') d_z/eps) from the sinh
+    kernel; at p = infinity E = 2/(1 + exp(-2 d_x/eps)) and e = 1."""
+    if params.is_infinity:
+        return 0.0, math.log(2.0 / (1.0 + math.exp(-2.0 * d_x / params.eps)))
+    root, a = math.sqrt(params.p_conjugate), params.alpha
+    log_e = (log_sinh_kernel(root * dist_xz / params.eps, a)
+             - log_sinh_kernel(root * d_z / params.eps, a))
+    log_E = (log_sin_kernel(0.0, a)
+             - log_sin_kernel(root * d_x / params.eps, a))
+    return log_e, log_E
+
+
 class TestComparisonChain:
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 5.0, 10.0, 100.0,
+                                   INFINITY])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_ends_are_the_kernel_envelopes(self, p, n):
+        # the radial solutions of the inscribed and the witness ball give
+        # the envelopes E and e of the kernel ratios
+        geom = Geometry.exterior(1.0)
+        for eps in (0.15, 1e-2, 1e-3, 1e-4):
+            params = pp(n=n, p=p, eps=eps)
+            root = math.sqrt(params.p_conjugate)
+            for r_x in (1.0, 1.0 + 1e-9, 1.2, 1.8, 3.0, 30.0):
+                for r_z in (1e-3, 0.3, 0.6, 0.9, 0.999999):
+                    d_x, d_z, dist_xz = r_x - 1.0, 1.0 - r_z, r_x - r_z
+                    log_e, log_E = log_envelopes(params, d_x, d_z, dist_xz)
+                    lower, _, upper = comparison_chain(params, geom, r_x, r_z)
+                    expected = (root * (d_x + d_z - dist_xz) + eps * log_e,
+                                eps * log_E)
+                    for got, want in zip((lower, upper), expected):
+                        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+                    if r_x == 1.0:
+                        assert upper == 0.0
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 5.0, INFINITY])
     def test_chain_holds_with_explicit_witness(self, p):
         params = pp(n=3, p=p, eps=0.15)

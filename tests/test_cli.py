@@ -78,6 +78,32 @@ class TestEvalRadial:
         assert out == ""
         assert "radius must be finite, got nan" in err
 
+    @pytest.mark.parametrize("p", ["3", "inf"])
+    @pytest.mark.parametrize("geometry,r", [("ball", "0.5"),
+                                            ("exterior", "1.5")])
+    @pytest.mark.parametrize("eps", ["1e-310", "1e-320"])
+    def test_overflowing_eps_exits_2_naming_eps(self, capsys, p, geometry,
+                                                 r, eps):
+        # sqrt(p') R / eps overflows: no nan/inf rows with exit 0, and an
+        # error about eps, not sigma
+        code, out, err = run_cli(capsys, "eval-radial", "--N", "3", "--p", p,
+                                 "--eps", eps, "--geometry", geometry,
+                                 "--R", "1", "--r", "1", r)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"eps = {float(eps)} is too small" in err
+
+    @pytest.mark.parametrize("p", ["1e17", "1e300"])
+    def test_exponent_too_large_for_alpha_exits_2_naming_p(self, capsys, p):
+        code, out, err = run_cli(capsys, "eval-radial", "--N", "3", "--p", p,
+                                 "--eps", "0.1", "--geometry", "ball",
+                                 "--R", "1", "--r", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: p = {float(p)} is too large")
+        assert "use p = inf" in err
+
     @pytest.mark.parametrize("text", ["inf", "Infinity", " INF "])
     def test_infinite_exponent_spellings(self, capsys, text):
         code, out, _ = run_cli(capsys, "eval-radial", "--N", "2", "--p",
@@ -245,6 +271,26 @@ class TestBarriers:
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
+    @pytest.mark.parametrize("p", ["3", "inf"])
+    @pytest.mark.parametrize("eps", ["1e-310", "1e-320"])
+    def test_overflowing_eps_exits_2_naming_eps(self, capsys, p, eps):
+        code, out, err = run_cli(capsys, "barriers", "--N", "2", "--p", p,
+                                 "--eps", eps, "--r-inner", "1",
+                                 "--r-outer", "1", "--tau", "0", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: eps = {float(eps)} is too small: sqrt(p') r "
+                       f"/ eps overflows at r = 1.0\n")
+
+    def test_exponent_too_large_for_alpha_exits_2_naming_p(self, capsys):
+        code, out, err = run_cli(capsys, "barriers", "--N", "3", "--p",
+                                 "1e17", "--eps", "0.1", "--r-inner", "1",
+                                 "--r-outer", "1", "--tau", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: p = 1e+17 is too large")
+
+
 class TestGeom:
     def test_ball_benchmark_ratio(self, capsys):
         code, out, _ = run_cli(capsys, "geom", "--kind", "ball",
@@ -406,6 +452,20 @@ class TestQmeanCommand:
             assert len(doc["rows"]) == 2
         else:
             assert text.startswith("n,p,q,eps,")
+
+    @pytest.mark.parametrize("p", [2.0, "inf"])
+    @pytest.mark.parametrize("kind", ["ball", "exterior"])
+    def test_overflowing_eps_exits_2_naming_eps(self, capsys, tmp_path, p,
+                                                kind):
+        cfg_path = qmean_config(
+            tmp_path, params_grid={"N": [2], "p": [p], "q": [2.0]},
+            eps_sequence={"start": 1e-310, "factor": 0.5, "count": 2},
+            geometry={"kind": kind, "domain_radius": 1.0, "R": 0.5})
+        code, out, err = run_cli(capsys, "qmean", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: eps = 1e-310 is too small: sqrt(p') r / eps "
+                       "overflows at r = 1.0\n")
 
     def test_unresolved_small_mean_exits_3(self, capsys, tmp_path):
         # at eps = 1e-4 mu is about 5e-21, below the root's absolute tolerance

@@ -65,6 +65,14 @@ class TestAlpha:
         with pytest.raises(ValueError):
             alpha(3, INFINITY)
 
+    def test_rejects_a_p_whose_alpha_rounds_to_minus_one(self):
+        # -1 + 2/(p - 1) is -0.9999999999999998 at p = 2e16, -1.0 at 4e16
+        assert alpha(3, 2e16) > -1.0
+        with pytest.raises(ValueError, match="p = 4e[+]16 .* use p = inf"):
+            alpha(3, 4e16)
+        with pytest.raises(ValueError, match="p = "):
+            ProblemParams(3, 1e17, 0.1).alpha
+
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             alpha(1, 2.0)
@@ -132,6 +140,18 @@ class TestProblemParams:
         assert pp.p_conjugate == 1.0
         assert pp.xi == pytest.approx(0.05)
         assert is_infinity(pp.p)
+
+    @pytest.mark.parametrize("p", [3.0, INFINITY])
+    def test_sigma(self, p):
+        pp = ProblemParams(n=3, p=p, eps=0.1)
+        assert pp.sigma(0.5) == math.sqrt(pp.p_conjugate) * 0.5 / 0.1
+
+    @pytest.mark.parametrize("p", [3.0, INFINITY])
+    @pytest.mark.parametrize("eps", [1e-310, 1e-320])
+    def test_sigma_overflow_names_eps(self, p, eps):
+        pp = ProblemParams(n=3, p=p, eps=eps)
+        with pytest.raises(ValueError, match=f"eps = {eps} is too small"):
+            pp.sigma(1.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=1, p=2.0, eps=0.1),
