@@ -43,8 +43,10 @@ _BLOCK = 1 << 13
 _DEFAULT_SEED = 20260815
 _UNIQUENESS_DIRECTIONS = 10_000
 _N_STRATA = 64  # radius strata of level_set_area_mc
-_PSI_GRID = 4000  # log-grid points of psi_of_eps's coarse localization
+_PSI_GRID = 128  # points of each array psi_of_eps narrows
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_UNIT = np.linspace(0.0, 1.0, _PSI_GRID)
 # Newton on the ends of a level-set arc stops once a step is below this
 # fraction of the end's offset from the contact
 _ARC_STEP_TOL = 1e-9
@@ -916,47 +918,43 @@ class ModulusOfContinuity:
             raise ValueError("omega must be positive on (0, r]")
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _narrow(f: Callable, lo: float, hi: float) -> Tuple[float, float]:
+    """(s, f(s)) at the argmin of f on arrays s of _PSI_GRID points evenly
+    spaced in log s, the first over [lo, hi] and each next over the two
+    cells beside the argmin in the one before, until those stop shrinking."""
+    a, b, width = math.log(lo), math.log(hi), math.inf
+    while b - a < width:
+        width = b - a
+        x = a + width * _UNIT
+        v = f(np.exp(x))
+        i = int(np.argmin(v))
+        a, b = x[max(i - 1, 0)], x[min(i + 1, _PSI_GRID - 1)]
+    return math.exp(x[i]), float(v[i])
 
 
 def psi_of_eps(modulus: ModulusOfContinuity, eps: float) -> float:
     """Distance from (0, eps) to the graph {(s, omega(s)): 0 < s <= r}.
 
-    Requires 0 < eps <= omega(r).  Localization on a log grid of _PSI_GRID
-    points, then golden-section refinement in log s; the s -> 0 closure
-    point contributes the candidate value eps.
+    Requires omega(tiny) <= eps <= omega(r), tiny the least normal float;
+    below omega(tiny), psi is under the float range.  The crossing s_eps of
+    height eps, where omega is nearest eps, is found however steep the
+    graph: (s_eps, eps) is at distance s_eps, and past it both legs of the
+    distance grow, so the nearest point is searched on [tiny, s_eps].  The
+    s -> 0 closure point adds the candidate eps.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    omega_r = float(np.asarray(modulus.omega(np.array([modulus.r])))[0])
-    if eps > omega_r:
-        raise ValueError(f"eps = {eps} exceeds omega(r) = {omega_r}")
-
-    def dist(s_arr: np.ndarray) -> np.ndarray:
-        w = np.asarray(modulus.omega(s_arr), dtype=float)
-        return np.hypot(s_arr, w - eps)
-
-    s = np.geomspace(1e-280, modulus.r, _PSI_GRID)
-    d = dist(s)
-    best = int(np.argmin(d))
-    lo = s[max(best - 1, 0)]
-    hi = s[min(best + 1, _PSI_GRID - 1)]
-    a, b = math.log(lo), math.log(hi)
-    c = b - _GOLDEN * (b - a)
-    dd = a + _GOLDEN * (b - a)
-    fc = float(dist(np.array([math.exp(c)]))[0])
-    fd = float(dist(np.array([math.exp(dd)]))[0])
-    for _ in range(120):
-        if fc < fd:
-            b, dd, fd = dd, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = float(dist(np.array([math.exp(c)]))[0])
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + _GOLDEN * (b - a)
-            fd = float(dist(np.array([math.exp(dd)]))[0])
-    refined = min(fc, fd, float(d[best]))
-    return min(refined, eps)
+    w_tiny, w_r = modulus.omega(np.array([_TINY, modulus.r]))
+    if eps > w_r:
+        raise ValueError(f"eps = {eps} exceeds omega(r) = {w_r}")
+    if w_tiny > eps:
+        raise ValueError(f"eps = {eps} is below omega({_TINY}) = {w_tiny}: "
+                         "psi(eps) underflows")
+    s_eps, _ = _narrow(lambda s: np.abs(modulus.omega(s) - eps), _TINY,
+                       modulus.r)
+    _, dist = _narrow(lambda s: np.hypot(s, modulus.omega(s) - eps), _TINY,
+                      s_eps)
+    return min(dist, s_eps, eps)
 
 
 def make_ellipse_domain(a: float = 2.0, b: float = 1.0) -> EllipseDomain:

@@ -58,7 +58,7 @@ class RadialSolution:
 
 def _check_radius(sol: RadialSolution, r: np.ndarray) -> None:
     """One min and one max: a NaN or infinite radius leaves one non-finite,
-    and the boundary distance is smallest at one of them."""
+    d_Gamma is least at one of them, and sqrt(p') r / eps most at the max."""
     if not r.size:
         return
     g = sol.geometry
@@ -67,6 +67,7 @@ def _check_radius(sol: RadialSolution, r: np.ndarray) -> None:
         raise ValueError(f"radius must be finite, got {r[~np.isfinite(r)][0]}")
     if lo < 0.0 or min(g.distance(lo), g.distance(hi)) < -1e-12 * g.R:
         raise ValueError(f"radius outside the closed {g}")
+    sol.params.sigma(float(hi))
 
 
 def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray]

@@ -94,6 +94,19 @@ class TestEvalRadial:
         assert err.count("\n") == 1
         assert f"eps = {float(eps)} is too small" in err
 
+    @pytest.mark.parametrize("p", ["3", "inf"])
+    def test_overflow_at_an_exterior_radius_exits_2_naming_eps(self, capsys,
+                                                                p):
+        # sqrt(p') R / eps is finite, but not at r = 1e10: no -inf row with
+        # exit 0 (p = inf), and an error about eps, not sigma (p = 3)
+        code, out, err = run_cli(capsys, "eval-radial", "--N", "3", "--p", p,
+                                 "--eps", "1e-306", "--geometry", "exterior",
+                                 "--R", "1", "--r", "1", "1e10")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: eps = 1e-306 is too small: sqrt(p') r / eps "
+                       "overflows at r = 10000000000.0\n")
+
     @pytest.mark.parametrize("p", ["1e17", "1e300"])
     def test_exponent_too_large_for_alpha_exits_2_naming_p(self, capsys, p):
         code, out, err = run_cli(capsys, "eval-radial", "--N", "3", "--p", p,
@@ -529,6 +542,19 @@ class TestRatesCommand:
         assert "eps,psi,eps_log_psi,eps_loglog_psi" in out
         assert "eps_log_psi_converges true" in out
         assert out_path.exists()
+
+    def test_psi_below_the_float_range_exits_2_naming_eps(self, capsys,
+                                                          tmp_path):
+        # omega(tiny) = 1/log(1/tiny) = 1.41e-3: at eps = 1e-3 the crossing
+        # e^{-1/eps} = e^{-1000}, and psi with it, underflows
+        cfg_path = qmean_config(
+            tmp_path, eps_sequence={"start": 0.1, "factor": 0.1, "count": 4},
+            modulus={"kind": "log_reciprocal", "r": 0.5})
+        code, out, err = run_cli(capsys, "rates", "--config", str(cfg_path))
+        assert code == 2
+        assert "eps_log_psi" not in out
+        assert err.startswith("error: eps = 0.00100000000000000")
+        assert err.endswith("psi(eps) underflows\n")
 
     def test_ball_finite_p_matched(self, capsys, tmp_path):
         cfg_path = qmean_config(

@@ -690,13 +690,13 @@ class TestEllipseTube:
         assert level_set_area(dom, cfg, s) == pytest.approx(
             parallel_length(s, *axes, cfg.x, cfg.R), rel=1e-9, abs=0.0)
 
-    def test_near_2R_against_mpmath(self):
+    def test_near_2R_against_mpmath(self, monkeypatch):
         # at s = 2R - 1e-10 every term of the interior test is O(1e-10):
         # 30-digit roots of |y + s nu - x| = R and the arc's length between.
         # The area, 1.9e-5, is a difference of primitives of size 1 with
         # their rounding (4e-16), hence 1e-10 relative
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
+        monkeypatch.setattr(mp.mp, "dps", 30)
         a, b, x1, R = mp.mpf(2), mp.mpf(1), mp.mpf("0.5"), mp.mpf("0.5")
         s = mp.mpf(1.0 - 1e-10)  # the float level itself
 
@@ -937,6 +937,15 @@ class TestRecordedOutputs:
                                  seed=31) == expected
 
 
+def sqrt_modulus_root(eps: float) -> float:
+    """The real root of 2x^3 + x = eps by Newton from x = eps: on the graph
+    of sqrt, the point nearest (0, eps) is (x^2, x)."""
+    x = eps
+    for _ in range(8):
+        x -= (2.0 * x ** 3 + x - eps) / (6.0 * x * x + 1.0)
+    return x
+
+
 class TestModulusAndPsi:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -984,3 +993,65 @@ class TestModulusAndPsi:
         mod = ModulusOfContinuity(lambda s: np.sqrt(s), 1.0)
         for eps in (0.3, 0.1):
             assert psi_of_eps(mod, eps) <= eps + 1e-15
+
+    def test_r_over_tiny_past_the_float_range(self):
+        # r / tiny overflows once r > 4
+        mod = ModulusOfContinuity(lambda s: s, 10.0)
+        assert psi_of_eps(mod, 5.0) == pytest.approx(5.0 / math.sqrt(2.0),
+                                                     rel=1e-12)
+
+    def test_sqrt_modulus_cubic_oracle(self):
+        # d^2 = x^4 + (x - eps)^2 at s = x^2 is least where 2x^3 + x = eps
+        mod = ModulusOfContinuity(lambda s: np.sqrt(s), 1.0)
+        for eps in np.geomspace(1e-6, 0.3, 40):
+            x = sqrt_modulus_root(eps)
+            assert psi_of_eps(mod, eps) == pytest.approx(
+                math.hypot(x * x, x - eps), rel=1e-12), eps
+
+    def test_dini_modulus_crossing_oracle(self):
+        # the graph of 1/log(1/s) crosses eps at s = e^{-1/eps} with slope
+        # eps^2 e^{1/eps}, at least 1.2e6 here, so psi is e^{-1/eps} to
+        # 1e-12; at eps = 0.0132 the slope is about 1e29
+        mod = ModulusOfContinuity(lambda s: 1.0 / np.log(1.0 / s), 0.5)
+        for eps in np.geomspace(1.0 / 700.0, 0.05, 200):
+            assert psi_of_eps(mod, eps) == pytest.approx(
+                math.exp(-1.0 / eps), rel=1e-12), eps
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_psi_below_the_float_range_rejected(self, eps):
+        # omega(tiny) = 1/log(1/tiny) = 1.41e-3 > eps: psi = e^{-1/eps}
+        # underflows
+        mod = ModulusOfContinuity(lambda s: 1.0 / np.log(1.0 / s), 0.5)
+        with pytest.raises(ValueError, match=rf"^eps = {eps} is below omega"
+                           r".*psi\(eps\) underflows$"):
+            psi_of_eps(mod, eps)
+
+    @pytest.mark.parametrize("omega,nearest", [
+        (lambda s: 2.0 * s, lambda eps: 0.4 * eps),
+        (np.sqrt, lambda eps: sqrt_modulus_root(eps) ** 2),
+        (lambda s: 1.0 / np.log(1.0 / s), lambda eps: math.exp(-1.0 / eps)),
+    ], ids=["linear", "sqrt", "dini"])
+    @pytest.mark.parametrize("eps", [0.05, 0.0132, 0.002])
+    def test_no_point_of_a_fine_local_grid_is_nearer(self, omega, nearest,
+                                                     eps):
+        psi = psi_of_eps(ModulusOfContinuity(omega, 0.5), eps)
+        s = nearest(eps) * np.exp(np.linspace(-1e-3, 1e-3, 400_001))
+        assert psi <= np.hypot(s, omega(s) - eps).min() * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("omega", [lambda s: 2.0 * s, np.sqrt,
+                                       lambda s: 1.0 / np.log(1.0 / s)],
+                             ids=["linear", "sqrt", "dini"])
+    def test_search_shape(self, omega):
+        # each search narrows whole arrays: no one-point calls, and few
+        sizes = []
+
+        def recorded(s):
+            sizes.append(np.size(s))
+            return omega(s)
+
+        mod = ModulusOfContinuity(recorded, 0.5)
+        for eps in (0.3, 0.0132, 0.002):
+            sizes.clear()
+            psi_of_eps(mod, eps)
+            assert min(sizes) >= 2
+            assert len(sizes) <= 40

@@ -1,15 +1,21 @@
 """The kernels and the radial solutions against 40- and 60-digit mpmath
-Bessel functions.
+Bessel functions, and psi(eps) of the Dini-type modulus against a 40-digit
+minimisation.
 
 mpmath is a test-only dependency: it shares no code with scipy's Bessel
 routines or with the package's tanh-sinh engine, so it pins both the closed
 forms and the quadrature that backs them.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from resolvent_asym import quadrature
+from resolvent_asym.cli import main
+from resolvent_asym.geometry import ModulusOfContinuity, psi_of_eps
 from resolvent_asym.params import ProblemParams
 from resolvent_asym.quadrature import (
     integrate_sinh_weighted,
@@ -134,3 +140,48 @@ def test_eval_log_u(kind, n, p, eps):
     for r, value in zip(radii, got):
         ref = log_u_oracle(kind, params.alpha, params.p_conjugate, eps, r)
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (r, value, ref)
+
+
+def dini_psi_oracle(eps):
+    # on the graph of 1/log(1/s), s = e^{-u}: d^2 = e^{-2u} + (eps - 1/u)^2
+    # falls in u past the crossing u = 1/eps and rises as u -> inf, so
+    # psi is d at the one root of its u-derivative there.  The root is
+    # 1/eps + O(e^{-2/eps}/eps^4), resolved at 40 digits for eps >= 0.05;
+    # below, psi is e^{-1/eps} to 1e-12
+    if eps < 0.05:
+        return math.exp(-1.0 / eps)
+    e = mp.mpf(eps)
+    u = mp.findroot(lambda u: (e - 1 / u) / u ** 2 - mp.exp(-2 * u),
+                    (1 / e, 1 / e + 100), solver="anderson")
+    return float(min(mp.sqrt(mp.exp(-2 * u) + (e - 1 / u) ** 2), e))
+
+
+def test_dini_psi_minimisation():
+    # above eps = 0.05 the nearest point leaves the crossing e^{-1/eps};
+    # eps = 1/log 2 crosses at s = r
+    mod = ModulusOfContinuity(lambda s: 1.0 / np.log(1.0 / s), 0.5)
+    for eps in np.geomspace(0.05, 1.0 / math.log(2.0), 40):
+        assert psi_of_eps(mod, eps) == pytest.approx(
+            dini_psi_oracle(eps), rel=1e-10), eps
+
+
+def test_rates_dini_rows(capsys, tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "params_grid": {"N": [2], "p": ["inf"], "q": [2.0]},
+        "eps_sequence": {"start": 0.1056, "factor": 0.5, "count": 4},
+        "geometry": {"kind": "ball", "domain_radius": 1.0, "R": 0.5},
+        "modulus": {"kind": "log_reciprocal", "r": 0.5},
+        "seed": 3}))
+    assert main(["rates", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    head = out.index("eps,psi,eps_log_psi,eps_loglog_psi")
+    rows = [dict(zip(out[head].split(","), line.split(",")))
+            for line in out[head + 1:-1]]
+    assert [float(row["eps"]) for row in rows] == pytest.approx(
+        [0.1056, 0.0528, 0.0264, 0.0132], rel=1e-12)
+    for row in rows:
+        eps = float(row["eps"])
+        assert abs(float(row["eps_log_psi"])
+                   - eps * math.log(dini_psi_oracle(eps))) <= 1e-9, eps
+    assert out[-1] == "eps_log_psi_converges false"
