@@ -12,8 +12,8 @@ import itertools
 import numpy as np
 
 from resolvent_asym.barriers import sandwich_check, sandwich_table
+from resolvent_asym.geometry import BallDomain, ExteriorBallDomain
 from resolvent_asym.params import INFINITY, ProblemParams
-from resolvent_asym.radial import Geometry
 
 
 def p_label(p):
@@ -29,7 +29,7 @@ def main():
     print(f"ball benchmark, N=2, p=3, eps={args.eps}")
     print("r".rjust(7) + "log_U".rjust(13) + "log_u".rjust(13)
           + "log_V".rjust(13) + "violation".rjust(13))
-    for row in sandwich_table(params, Geometry.ball(1.0),
+    for row in sandwich_table(params, BallDomain(1.0),
                               np.linspace(0.0, 1.0, 9)):
         print(f"{row['r']:7.3f}{row['log_U']:13.6f}{row['log_u']:13.6f}"
               f"{row['log_V']:13.6f}{row['violation']:13.2e}")
@@ -37,8 +37,8 @@ def main():
     print("\nworst violation across the benchmark grid "
           "(positive would break the sandwich):")
     for geometry, label, grid in (
-            (Geometry.ball(1.0), "ball", np.linspace(0.0, 1.0, 50)),
-            (Geometry.exterior(1.0), "exterior", np.linspace(1.0, 3.0, 50))):
+            (BallDomain(1.0), "ball", np.linspace(0.0, 1.0, 50)),
+            (ExteriorBallDomain(1.0), "exterior", np.linspace(1.0, 3.0, 50))):
         worst = -np.inf
         worst_at = None
         for p, n in itertools.product((1.5, 2.0, 3.0, 5.0, INFINITY), (2, 3)):

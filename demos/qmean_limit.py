@@ -14,7 +14,7 @@ import numpy as np
 
 from resolvent_asym.experiments import GeometrySpec, SweepConfig, \
     run_qmean_sweep
-from resolvent_asym.geometry import make_ellipse_domain, touching_ball
+from resolvent_asym.geometry import EllipseDomain, touching_ball
 from resolvent_asym.params import INFINITY, ProblemParams
 from resolvent_asym.qmeans import qmean_limit_experiment
 
@@ -49,7 +49,7 @@ def main():
         print("\nellipse x^2/4 + y^2 = 1, touching point (0, 1), R=0.5, "
               "p=inf, q=2; the q-mean is bracketed by the barrier pair, "
               "whose rows are deterministic:")
-        dom = make_ellipse_domain(2.0, 1.0)
+        dom = EllipseDomain(2.0, 1.0)
         cfg_t = touching_ball(dom, np.array([0.0, 0.5]), 0.5)
         seq = [ProblemParams(n=2, p=INFINITY, eps=e)
                for e in (0.05, 0.02, 0.01, 0.005)]

@@ -9,8 +9,9 @@ import argparse
 
 import numpy as np
 
+from resolvent_asym.geometry import BallDomain, ExteriorBallDomain
 from resolvent_asym.params import INFINITY, ProblemParams, conjugate
-from resolvent_asym.radial import Geometry, RadialSolution, eval_log_u, \
+from resolvent_asym.radial import RadialSolution, eval_log_u, \
     varadhan_residual
 
 P_VALUES = (1.5, 2.0, 4.0, INFINITY)
@@ -38,18 +39,18 @@ def main():
     args = ap.parse_args()
 
     print(f"unit ball, N={args.n}, eps={args.eps}")
-    profile_table(args.n, args.eps, Geometry.ball(1.0),
+    profile_table(args.n, args.eps, BallDomain(1.0),
                   np.linspace(0.0, 1.0, 11))
 
     print(f"\nexterior of the unit ball, N={args.n}, eps={args.eps}")
-    profile_table(args.n, args.eps, Geometry.exterior(1.0),
+    profile_table(args.n, args.eps, ExteriorBallDomain(1.0),
                   np.linspace(1.0, 2.0, 11))
 
     print("\ncenter value against the distance rate "
           "(eps log u(0) vs -sqrt(p') R):")
     for p in P_VALUES:
         params = ProblemParams(n=args.n, p=p, eps=args.eps)
-        sol = RadialSolution(params, Geometry.ball(1.0))
+        sol = RadialSolution(params, BallDomain(1.0))
         res = varadhan_residual(sol, 0.0)
         rate = np.sqrt(conjugate(p))
         print(f"  p={p_label(p):>4}: eps log u(0) = "

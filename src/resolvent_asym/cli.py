@@ -108,6 +108,9 @@ def _cmd_qmean(args) -> int:
 def _cmd_rates(args) -> int:
     cfg = _load_config(args.config)
     rows, fits = run_varadhan_sweep(cfg)
+    # the psi table, like the sweep, fails before anything is written
+    psi = (run_psi_rate_table(make_modulus(cfg.modulus), cfg.eps_sequence)
+           if cfg.modulus is not None else None)
     _write_or_print(rows, cfg)
     for (n, p), fit in fits.items():
         print(f"fit N={n} p={_format_cell(p)} model={fit.model.value} "
@@ -115,9 +118,8 @@ def _cmd_rates(args) -> int:
               f"r_squared={fit.r_squared:.6g} max_ratio={fit.max_ratio:.6g} "
               f"degenerate={_format_cell(fit.degenerate)} "
               f"matched={_format_cell(fit.matched)}")
-    if cfg.modulus is not None:
-        psi_rows, converges = run_psi_rate_table(make_modulus(cfg.modulus),
-                                                 cfg.eps_sequence)
+    if psi is not None:
+        psi_rows, converges = psi
         emit(psi_rows)
         print(f"eps_log_psi_converges {_format_cell(converges)}")
     return 0

@@ -229,21 +229,12 @@ def _empirical_qmean(values: np.ndarray, q: float) -> Tuple[float, float]:
                        float(v.max()), "the sample minimum")
 
 
-def _prof_at(profile: Callable, tau: float) -> float:
-    return float(np.asarray(profile(np.array([tau])), dtype=float)[0])
-
-
-def _profile_excess(s: float, profile: Callable, mu: float,
-                    xi: float) -> float:
-    return _prof_at(profile, s / xi) - mu
-
-
-def _coarea_G(mu: float, query: QMeanQuery, f0: float, fend: float) -> float:
+def _coarea_G(mu: float, query: QMeanQuery) -> float:
     profile, xi, area, rule = query.profile, query.xi, query.area, query.rule
-    smax, qm1 = query.s_max, query.q - 1.0
+    smax, qm1, (f0, fend) = query.s_max, query.q - 1.0, query.ends
     # where the profile crosses mu: 0 if it starts at or below, smax if above
-    sc = _root(lambda s: _profile_excess(s, profile, mu, xi), 0.0, smax,
-               f0 - mu, fend - mu)[0]
+    sc = _root(lambda s: float(profile(np.array([s / xi]))[0]) - mu, 0.0,
+               smax, f0 - mu, fend - mu)[0]
     total = 0.0
     if sc > 0.0:
         total += rule(
@@ -258,11 +249,11 @@ def _coarea_G(mu: float, query: QMeanQuery, f0: float, fend: float) -> float:
     return total
 
 
-def _coarea_ends(query: QMeanQuery, f0: float,
-                 fend: float) -> Tuple[float, float]:
+def _coarea_ends(query: QMeanQuery) -> Tuple[float, float]:
     """(_coarea_G(fend), _coarea_G(f0)): the profile crosses fend at s_max
     and f0 at 0, so both are integrals over [0, s_max] on the same nodes."""
-    rule, smax, qm1 = query.rule, query.s_max, query.q - 1.0
+    rule, smax, qm1, (f0, fend) = (query.rule, query.s_max, query.q - 1.0,
+                                   query.ends)
 
     def both(x, *rest):
         prof, area = query.profile(x / query.xi), query.area(x)
@@ -291,8 +282,8 @@ def q_mean(query: QMeanQuery) -> QMeanResult:
         mu, residual = 0.5 * (f0 + fend), 0.0
     else:
         mu, residual = _qmean_root(
-            lambda m: _coarea_G(m, query, f0, fend), fend, f0,
-            "the profile's end value", lambda: _coarea_ends(query, f0, fend))
+            lambda m: _coarea_G(m, query), fend, f0,
+            "the profile's end value", lambda: _coarea_ends(query))
     return QMeanResult(mu=mu, residual=residual)
 
 
@@ -431,10 +422,9 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
         raise ValueError(
             f"params dimension {params_seq[0].n} does not match the "
             f"touching-ball dimension {n}")
+    _require_count("n_samples", n_samples)
+    _require_count("seed", seed, 0)
     dom = cfg.domain
-    if isinstance(dom, EllipseDomain):
-        _require_count("n_samples", n_samples)
-        _require_count("seed", seed, 0)
     p = params_seq[0].p
     prediction = limit_prediction(n, p, q, cfg.curvatures, cfg.R)
     expo = _scaled_exponent(n, q)

@@ -546,15 +546,22 @@ class TestRatesCommand:
     def test_psi_below_the_float_range_exits_2_naming_eps(self, capsys,
                                                           tmp_path):
         # omega(tiny) = 1/log(1/tiny) = 1.41e-3: at eps = 1e-3 the crossing
-        # e^{-1/eps} = e^{-1000}, and psi with it, underflows
-        cfg_path = qmean_config(
-            tmp_path, eps_sequence={"start": 0.1, "factor": 0.1, "count": 4},
-            modulus={"kind": "log_reciprocal", "r": 0.5})
-        code, out, err = run_cli(capsys, "rates", "--config", str(cfg_path))
-        assert code == 2
-        assert "eps_log_psi" not in out
-        assert err.startswith("error: eps = 0.00100000000000000")
-        assert err.endswith("psi(eps) underflows\n")
+        # e^{-1/eps} = e^{-1000}, and psi with it, underflows.  The psi
+        # table is checked before the sweep's rows are printed or written
+        out_path = tmp_path / "rates.csv"
+        for output in ({}, {"output": str(out_path)}):
+            cfg_path = qmean_config(
+                tmp_path,
+                eps_sequence={"start": 0.1, "factor": 0.1, "count": 4},
+                modulus={"kind": "log_reciprocal", "r": 0.5}, **output)
+            code, out, err = run_cli(capsys, "rates", "--config",
+                                     str(cfg_path))
+            assert code == 2
+            assert out == ""
+            assert not out_path.exists()
+            assert err.startswith("error: eps = 0.00100000000000000")
+            assert err.endswith("psi(eps) underflows\n")
+            assert err.count("\n") == 1
 
     def test_ball_finite_p_matched(self, capsys, tmp_path):
         cfg_path = qmean_config(

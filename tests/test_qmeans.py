@@ -541,8 +541,7 @@ class TestRecordedCoarea:
         assert query.s_max == smax
         # mu between the profile's end values: both integrals are taken
         mu = 0.5 * (prof(0.0) + prof(smax / pp.xi))
-        qmeans._coarea_G(mu, query, qmeans._prof_at(prof, 0.0),
-                         qmeans._prof_at(prof, smax / pp.xi))
+        qmeans._coarea_G(mu, query)
         assert len(calls) == 2
 
     def test_profile_limit_digest(self):
@@ -721,18 +720,26 @@ class TestBrentPort:
             del calls[:], ends[:]
             q_mean(query)
             # G at both ends (fend, f0) from one call, then Brent's iterates
-            assert len(ends) == 1
-            _, f0, fend = ends[0]
-            mus = [fend, f0] + [args[0] for args in calls]
+            assert ends == [(query,)]
+            f0, fend = query.ends
+            mus = [fend, f0] + [mu for mu, _ in calls]
             assert len(mus) == len(set(mus)) >= 2
 
-    def test_no_crossing_evaluates_the_profile_at_an_end(self, monkeypatch):
-        calls = record(monkeypatch, "_profile_excess")
+    def test_no_crossing_evaluates_the_profile_at_an_end(self):
         for query in coarea_queries():
-            del calls[:]
+            taus = []
+
+            def recording(tau, real=query.profile):
+                if np.size(tau) == 1:
+                    taus.append(float(tau[0]))
+                return real(tau)
+
+            object.__setattr__(query, "profile", recording)
             q_mean(query)
-            assert calls
-            assert not {s for s, *_ in calls} & {0.0, query.s_max}
+            # the crossing's one-element calls, all strictly inside
+            tau_max = query.s_max / query.xi
+            assert taus
+            assert all(0.0 < t < tau_max for t in taus)
 
     @pytest.mark.parametrize("q", [1.5, 3.0])
     def test_one_sample_G_per_distinct_mu(self, monkeypatch, q):
@@ -796,12 +803,10 @@ class TestSetUpOnce:
         for query in coarea_queries():
             if query.q != q:
                 continue
-            prof, smax = query.profile, query.s_max
-            f0 = qmeans._prof_at(prof, 0.0)
-            fend = qmeans._prof_at(prof, smax / query.xi)
-            ends = qmeans._coarea_ends(query, f0, fend)
-            pair = (qmeans._coarea_G(fend, query, f0, fend),
-                    qmeans._coarea_G(f0, query, f0, fend))
+            f0, fend = query.ends
+            ends = qmeans._coarea_ends(query)
+            pair = (qmeans._coarea_G(fend, query),
+                    qmeans._coarea_G(f0, query))
             assert repr(ends) == repr(pair)
 
     def test_query_ends_are_the_scalar_profile_values(self):
@@ -809,8 +814,8 @@ class TestSetUpOnce:
         # profile called at 0 and at s_max/xi on its own
         def scalar_ends(query):
             prof = query.profile
-            return (qmeans._prof_at(prof, 0.0),
-                    qmeans._prof_at(prof, query.s_max / query.xi))
+            return tuple(float(prof(np.array([t]))[0])
+                         for t in (0.0, query.s_max / query.xi))
 
         queries = list(coarea_queries())
         for p in (2.0, INFINITY):
@@ -923,6 +928,14 @@ class TestLimitExperiment:
                 qmean_limit_experiment(seq, ELLIPSE_CFG, q, n_samples=0)
             with pytest.raises(ValueError, match="seed"):
                 qmean_limit_experiment(seq, ELLIPSE_CFG, q, seed=-1)
+
+    @pytest.mark.parametrize("cfg", [BALL_CFG, EXT_CFG], ids=["ball", "ext"])
+    @pytest.mark.parametrize("name, bad", [("n_samples", 0), ("seed", -1)])
+    def test_sampling_arguments_checked_on_radial_domains(self, cfg, name,
+                                                          bad):
+        seq = [ProblemParams(n=2, p=2.0, eps=0.05)]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            qmean_limit_experiment(seq, cfg, 2.0, **{name: bad})
 
     def test_ill_conditioned_flag(self):
         seq = [ProblemParams(n=2, p=2.0, eps=0.02)]
