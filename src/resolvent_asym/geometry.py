@@ -1,16 +1,22 @@
 """Domain oracles: distances, curvatures, touching balls and level-set areas.
 
-Three domain kinds are supported: the radial Geometry of radius R about the
-origin, a BallDomain or an ExteriorBallDomain (the closed ball's complement)
-that maps radius and boundary distance both ways, and implicit domains
-{phi < 0} with analytic gradient and Hessian in dimensions 2 and 3.
+Each domain class answers its own geometry through four methods: nearest(x)
+(the boundary distance and nearest point), distances(points) (signed
+distances of a batch), curvatures(y) and level_sets(cfg) (the largest
+boundary distance s_max in a touching ball and the level-set area
+function).  The module functions distance_and_nearest, boundary_distances,
+principal_curvatures and level_set_area check their input and call them.
+The classes are the radial Geometry of radius R about the origin, a
+BallDomain or an ExteriorBallDomain (the closed ball's complement) that
+maps radius and boundary distance both ways; implicit domains {phi < 0}
+with analytic gradient and Hessian in dimensions 2 and 3; and the ellipse
+EllipseDomain(a, b), an implicit domain built from its semi-axes.
 Curvatures follow the inward-normal convention (ball: +1/R, complement: -1/R).
 
-Level-set areas are closed forms, decided in one place (_level_sets):
-sphere caps on the balls, and on the ellipse (EllipseDomain(a, b), an
-implicit domain built from its semi-axes) the tube formula, arc lengths by
-elliptic integrals between arc ends found by safeguarded Newton.  Other
-implicit domains have the seeded Monte Carlo oracles only.
+Level-set areas are closed forms: sphere caps on the balls, and on the
+ellipse the tube formula, arc lengths by elliptic integrals between arc
+ends found by safeguarded Newton.  Other implicit domains have the seeded
+Monte Carlo oracles only.
 
 Points go in blocks of _BLOCK = 2^13: the Newton projection works on one
 block at a time, and the Monte Carlo oracles draw their samples block by
@@ -96,6 +102,35 @@ class Geometry:
     def exterior(R: float) -> "ExteriorBallDomain":
         return ExteriorBallDomain(R)
 
+    def nearest(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+        """(d_Gamma(x), nearest boundary point) for x in the closed domain.
+        At the center every boundary point is nearest, and a fixed
+        representative (R, 0, ...) keeps the map deterministic."""
+        if x.shape[-1:] == (0,):
+            raise ValueError("a point of dimension 0 has no boundary distance")
+        r = float(np.linalg.norm(x))
+        if self.distance(r) < -1e-12 * self.R:
+            raise ValueError(f"point at radius {r} outside the closed {self}")
+        y = x * (self.R / r) if r >= 1e-300 else self.R * np.eye(x.size)[0]
+        return self.distance(r), y
+
+    def distances(self, points: np.ndarray) -> np.ndarray:
+        """Signed boundary distances of the rows of an (m, N) array."""
+        return self.distance(_row_norms(points))
+
+    def curvatures(self, y: np.ndarray) -> np.ndarray:
+        """The N-1 principal curvatures at boundary point y: 1 over the
+        signed distance of the center."""
+        return np.full(y.size - 1, 1.0 / self.distance(0.0))
+
+    def level_sets(self, cfg: TouchingBallConfig) -> Tuple[float, Callable]:
+        """(s_max, area) at the touching ball (_zero_outside): the areas are
+        sphere caps about the center."""
+        R, c = cfg.R, float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
+        return self.s_max(R), partial(
+            _zero_outside, R,
+            lambda s: _sphere_cap_area(cfg.n, self.radius(s), c, R))
+
 
 @dataclass(frozen=True)
 class BallDomain(Geometry):
@@ -108,6 +143,10 @@ class BallDomain(Geometry):
     def radius(self, d):
         return np.maximum(self.R - d, 0.0)
 
+    def s_max(self, R: float) -> float:
+        """Largest boundary distance in a touching ball of radius R."""
+        return min(2.0 * R, self.R)
+
 
 @dataclass(frozen=True)
 class ExteriorBallDomain(Geometry):
@@ -119,6 +158,10 @@ class ExteriorBallDomain(Geometry):
 
     def radius(self, d):
         return self.R + d
+
+    def s_max(self, R: float) -> float:
+        """Largest boundary distance in a touching ball of radius R."""
+        return 2.0 * R
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +180,56 @@ class ImplicitDomain:
         if self.dim not in (2, 3):
             raise ValueError(f"implicit domains support N in {{2, 3}}, got {self.dim}")
 
+    def _check(self, x: np.ndarray) -> None:
+        """Raise ValueError unless the last axis of x has dim entries."""
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"point of shape {x.shape} for N = {self.dim}")
+
+    def nearest(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+        """(d_Gamma(x), nearest boundary point) for x in the closed domain,
+        by _project_implicit."""
+        self._check(x)
+        phi = float(self.phi(x[None, :])[0])
+        gn = float(np.linalg.norm(self.grad(x[None, :])[0]))
+        if phi > 1e-12 * max(1.0, gn):
+            raise ValueError(
+                f"point {x} lies outside the closed domain (phi={phi})")
+        y = _project_implicit(self, x[None, :])[0]
+        return float(np.linalg.norm(y - x)), y
+
+    def distances(self, points: np.ndarray) -> np.ndarray:
+        """Signed boundary distances of the rows of an (m, N) array, by
+        _project_implicit."""
+        self._check(points)
+        y = _project_implicit(self, points)
+        y -= points
+        sign = np.where(np.asarray(self.phi(points)) <= 0.0, 1.0, -1.0)
+        return sign * _row_norms(y)
+
+    def curvatures(self, y: np.ndarray) -> np.ndarray:
+        """The N-1 principal curvatures at boundary point y: eigenvalues of
+        the Hessian restricted to the tangent plane, divided by |grad phi|
+        (phi < 0 inside makes the signs come out in the inward convention
+        without extra flips)."""
+        self._check(y)
+        g = np.asarray(self.grad(y[None, :])[0], dtype=float)
+        h = np.asarray(self.hess(y[None, :])[0], dtype=float)
+        gn = np.linalg.norm(g)
+        if gn == 0.0:
+            raise ValueError("gradient vanishes at the boundary point")
+        q, _ = np.linalg.qr(np.column_stack([g / gn, np.eye(self.dim)]))
+        tangent = q[:, 1:]
+        shape_op = tangent.T @ h @ tangent / gn
+        return np.linalg.eigvalsh(shape_op)
+
+    def level_sets(self, cfg: TouchingBallConfig) -> Tuple[float, Callable]:
+        """No closed form: raises ValueError naming the Monte Carlo
+        oracles."""
+        raise ValueError(
+            "closed-form level-set areas exist on balls, ball complements "
+            "and ellipses only; on other implicit domains use "
+            "q_mean_bruteforce for q-means and level_set_area_mc for areas")
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class EllipseDomain(ImplicitDomain):
@@ -147,8 +240,11 @@ class EllipseDomain(ImplicitDomain):
     b: float
 
     def __init__(self, a: float, b: float) -> None:
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError("semi-axes must be positive")
+        a, b = float(a), float(b)
+        for name, v in (("a", a), ("b", b)):
+            if not (v > 0.0 and _TINY <= v * v < math.inf):
+                raise ValueError(f"semi-axis {name} must be positive with a "
+                                 f"square in the normal float range, got {v}")
         inv_a2, inv_b2 = 1.0 / (a * a), 1.0 / (b * b)
 
         def phi(p):
@@ -163,19 +259,21 @@ class EllipseDomain(ImplicitDomain):
             return out
 
         def hess(p):
-            p = np.asarray(p, dtype=float)
-            shape = p.shape[:-1] + (2, 2)
-            out = np.zeros(shape)
+            out = np.zeros(np.shape(p)[:-1] + (2, 2))
             out[..., 0, 0] = 2.0 * inv_a2
             out[..., 1, 1] = 2.0 * inv_b2
             return out
 
         super().__init__(phi, grad, hess, 2)
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
-
-DomainOracle = Union[Geometry, ImplicitDomain]
+    def level_sets(self, cfg: TouchingBallConfig) -> Tuple[float, Callable]:
+        """(s_max, area) at the touching ball (_zero_outside), both from
+        one _EllipseTube: the tube formula."""
+        tube = _EllipseTube.at(cfg)
+        return tube.s_max(), partial(_zero_outside, cfg.R,
+                                     partial(_ellipse_level_area, tube))
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -412,64 +510,28 @@ def _project_block(domain: ImplicitDomain, x: np.ndarray,
     return idx.size, far
 
 
-def distance_and_nearest(domain: DomainOracle,
+def distance_and_nearest(domain: Geometry | ImplicitDomain,
                          x: Sequence[float]) -> Tuple[float, np.ndarray]:
-    """(d_Gamma(x), nearest boundary point) for finite x in the closed domain.
-
-    At the center of a ball every boundary point is nearest; a fixed
-    representative (R, 0, ...) is returned so the map stays deterministic.
-    """
+    """(d_Gamma(x), nearest boundary point) for finite x in the closed
+    domain, by domain.nearest."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"point {x} is not finite")
-    if isinstance(domain, Geometry):
-        r = float(np.linalg.norm(x))
-        if domain.distance(r) < -1e-12 * domain.R:
-            raise ValueError(f"point at radius {r} outside the closed {domain}")
-        y = (x * (domain.R / r) if r >= 1e-300
-             else domain.R * np.eye(x.size)[0])
-        return domain.distance(r), y
-    phi = float(domain.phi(x[None, :])[0])
-    gn = float(np.linalg.norm(domain.grad(x[None, :])[0]))
-    if phi > 1e-12 * max(1.0, gn):
-        raise ValueError(f"point {x} lies outside the closed domain (phi={phi})")
-    y = _project_implicit(domain, x[None, :])[0]
-    return float(np.linalg.norm(y - x)), y
+    return domain.nearest(x)
 
 
-def boundary_distances(domain: DomainOracle, points: np.ndarray) -> np.ndarray:
-    """Signed boundary distances for a batch; negative means outside."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if isinstance(domain, Geometry):
-        return domain.distance(_row_norms(pts))
-    y = _project_implicit(domain, pts)
-    y -= pts
-    sign = np.where(np.asarray(domain.phi(pts)) <= 0.0, 1.0, -1.0)
-    return sign * _row_norms(y)
+def boundary_distances(domain: Geometry | ImplicitDomain,
+                       points: np.ndarray) -> np.ndarray:
+    """Signed boundary distances for a batch, by domain.distances; negative
+    means outside."""
+    return domain.distances(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
-def principal_curvatures(domain: DomainOracle,
+def principal_curvatures(domain: Geometry | ImplicitDomain,
                          y: Sequence[float]) -> np.ndarray:
-    """The N-1 principal curvatures at boundary point y, inward convention.
-
-    On a Geometry: 1 over the signed distance of its center.  For implicit
-    domains: eigenvalues of the Hessian restricted to the tangent plane,
-    divided by |grad phi| (phi < 0 inside makes the signs come out in the
-    inward convention without extra flips).
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    if isinstance(domain, Geometry):
-        return np.full(n - 1, 1.0 / domain.distance(0.0))
-    g = np.asarray(domain.grad(y[None, :])[0], dtype=float)
-    h = np.asarray(domain.hess(y[None, :])[0], dtype=float)
-    gn = np.linalg.norm(g)
-    if gn == 0.0:
-        raise ValueError("gradient vanishes at the boundary point")
-    q, _ = np.linalg.qr(np.column_stack([g / gn, np.eye(n)]))
-    tangent = q[:, 1:n]
-    shape_op = tangent.T @ h @ tangent / gn
-    return np.linalg.eigvalsh(shape_op)
+    """The N-1 principal curvatures at boundary point y, inward convention,
+    by domain.curvatures."""
+    return domain.curvatures(np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,7 +542,7 @@ class TouchingBallConfig:
     R: float
     y_x: np.ndarray
     curvatures: np.ndarray
-    domain: DomainOracle
+    domain: Geometry | ImplicitDomain
 
     @property
     def n(self) -> int:
@@ -491,8 +553,8 @@ class TouchingBallConfig:
         return _pi_gamma_product(np.asarray(self.curvatures), self.R)
 
 
-def touching_ball(domain: DomainOracle, x: Sequence[float], R: float,
-                  seed: int = _DEFAULT_SEED) -> TouchingBallConfig:
+def touching_ball(domain: Geometry | ImplicitDomain, x: Sequence[float],
+                  R: float, seed: int = _DEFAULT_SEED) -> TouchingBallConfig:
     """Validate and assemble a touching-ball configuration at x.
 
     Checks: d_Gamma(x) = R to within 1e-9 max(1, R), so absolute below R = 1
@@ -776,48 +838,26 @@ def _ellipse_level_area(tube: _EllipseTube, s: np.ndarray) -> np.ndarray:
                           minlength=n))
 
 
-def _level_sets(cfg: TouchingBallConfig
-                ) -> Tuple[float, Callable[[np.ndarray], np.ndarray]]:
-    """(s_max, area) at the touching ball B_R(x): the largest boundary
-    distance in the closed ball, and the measure area(s) of {d_Gamma = s} in
-    B_R(x) for an array s, 0 at s <= 0 and s >= 2R.  The one gate of the
-    closed forms: sphere caps on balls and ball complements, one
-    _EllipseTube on ellipses; other implicit domains raise ValueError."""
-    R, domain = cfg.R, cfg.domain
-    if isinstance(domain, EllipseDomain):
-        tube = _EllipseTube.at(cfg)
-        s_max, closed = tube.s_max(), partial(_ellipse_level_area, tube)
-    elif isinstance(domain, ImplicitDomain):
-        raise ValueError(
-            "closed-form level-set areas exist on balls, ball complements "
-            "and ellipses only; on other implicit domains use "
-            "q_mean_bruteforce for q-means and level_set_area_mc for areas")
-    else:
-        c = float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
-        s_max = (min(2.0 * R, domain.R) if isinstance(domain, BallDomain)
-                 else 2.0 * R)
-
-        def closed(s):
-            return _sphere_cap_area(cfg.n, domain.radius(s), c, R)
-
-    def area(s: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(s)
-        on = (s > 0.0) & (s < 2.0 * R)
-        out[on] = closed(s[on])
-        return out
-
-    return s_max, area
+def _zero_outside(R: float, closed: Callable, s: np.ndarray) -> np.ndarray:
+    """The level-set areas of a touching ball B_R(x) at an array s, the
+    area function of every level_sets method bound to R and closed:
+    closed(s) on 0 < s < 2R, and 0 elsewhere."""
+    out = np.zeros_like(s)
+    on = (s > 0.0) & (s < 2.0 * R)
+    out[on] = closed(s[on])
+    return out
 
 
-def level_set_area(domain: DomainOracle, cfg: TouchingBallConfig,
+def level_set_area(domain: Geometry | ImplicitDomain, cfg: TouchingBallConfig,
                    s: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """Surface measure of {d_Gamma = s} inside B_R(x) by _level_sets, for
-    scalar (a float back) or array s > 0; on other implicit domains the
-    seeded Monte Carlo oracle level_set_area_mc stands in.  domain must be
+    """Surface measure of {d_Gamma = s} inside B_R(x) by domain.level_sets,
+    for scalar (a float back) or array s > 0, on balls, ball complements and
+    ellipses.  Other implicit domains raise ValueError: their areas are the
+    seeded Monte Carlo oracle level_set_area_mc's.  domain must be
     cfg.domain."""
     if domain != cfg.domain:
         raise ValueError("the domain is not cfg.domain, the configuration's")
-    _, area = _level_sets(cfg)
+    _, area = domain.level_sets(cfg)
     s_arr = np.asarray(s, dtype=float)
     if not np.all(s_arr > 0.0):
         raise ValueError(f"level distance s must be > 0, got {s}")
@@ -825,9 +865,9 @@ def level_set_area(domain: DomainOracle, cfg: TouchingBallConfig,
     return float(out) if s_arr.ndim == 0 else out
 
 
-def level_set_area_mc(domain: DomainOracle, cfg: TouchingBallConfig, s: float,
-                      n_samples: int = 10_000_000,
-                      seed: int = _DEFAULT_SEED,
+def level_set_area_mc(domain: Geometry | ImplicitDomain,
+                      cfg: TouchingBallConfig, s: float,
+                      n_samples: int = 10_000_000, seed: int = _DEFAULT_SEED,
                       half_width: Optional[float] = None
                       ) -> Tuple[float, float]:
     """Monte Carlo oracle (area, stderr) by binning boundary distances.

@@ -8,17 +8,18 @@ For functions of the boundary distance the integrals collapse, by the
 co-area formula, to one-dimensional integrals against the level-set areas,
 closed forms on balls, ball complements and ellipses.  A QMeanQuery sets
 the route up once: the areas and the largest boundary distance s_max in
-the ball from geometry._level_sets, which rejects every other domain, and
-the fixed-level rule quadrature.FixedRule.  Each integral hands all of its
-nodes to one profile call and one array area call; G at the two ends of
-the bracket shares one of each, both being integrals over [0, s_max].  On
-other implicit domains the seeded Monte Carlo oracle q_mean_bruteforce
-takes a raw function of the points.  It draws its sample in blocks
-(geometry._ball_blocks), bit for bit the one-shot draw, and keeps about 2
-floats per sample: the values and one scratch array.  Every root (the
-q-mean itself and the distance where a profile crosses mu) is found by one
-helper, _root: scipy's brentq ported line for line, fed with the end values
-its caller already holds, so that no G is evaluated twice at one point.
+the ball from the domain's level_sets method, which every other domain
+rejects, and the fixed-level rule quadrature.FixedRule.  Each integral
+hands all of its nodes to one profile call and one array area call; G at
+the two ends of the bracket shares one of each, both being integrals over
+[0, s_max].  On other implicit domains the seeded Monte Carlo oracle
+q_mean_bruteforce takes a raw function of the points.  It draws its sample
+in blocks (geometry._ball_blocks), bit for bit the one-shot draw, and
+keeps about 2 floats per sample: the values and one scratch array.  Every
+root (the q-mean itself and the distance where a profile crosses mu) is
+found by one helper, _root: scipy's brentq ported line for line, fed with
+the end values its caller already holds, so that no G is evaluated twice
+at one point.
 Both q-means go to it through _qmean_root, which decides what is constant
 and what is too small to resolve.
 
@@ -46,7 +47,6 @@ from .geometry import (
     Geometry,
     TouchingBallConfig,
     _ball_blocks,
-    _level_sets,
 )
 from .params import (ProblemParams, _require_count, is_infinity,
                      limit_prediction)
@@ -137,7 +137,7 @@ class QMeanQuery:
     `profile` is a nonnegative nonincreasing function of the scaled distance
     tau = d_Gamma/xi, vectorized, on a ball, ball-complement or ellipse
     domain; q_mean_bruteforce takes functions of the points, on any domain.
-    s_max, area (geometry._level_sets) and the co-area integrals' rule
+    s_max, area (the domain's level_sets) and the co-area integrals' rule
     (None at q = INFINITY) are built once here, and the profile's end values
     ends = (f(0), f(s_max/xi)) are kept from its check on 129 points.
     """
@@ -156,7 +156,7 @@ class QMeanQuery:
             raise ValueError(f"q must be > 1 or INFINITY, got {self.q}")
         if not self.xi > 0.0:
             raise ValueError(f"xi must be positive, got {self.xi}")
-        s_max, area = _level_sets(self.cfg)
+        s_max, area = self.cfg.domain.level_sets(self.cfg)
         object.__setattr__(self, "s_max", s_max)
         object.__setattr__(self, "area", area)
         object.__setattr__(self, "rule", None if is_infinity(self.q) else

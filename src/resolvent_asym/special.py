@@ -35,13 +35,6 @@ LARGE_SIGMA_THRESHOLD = 10.0
 SMALL_SIGMA_THRESHOLD = 0.1
 
 
-class Regime(Enum):
-    LARGE_SIGMA = "LARGE_SIGMA"
-    SMALL_SIGMA_ALPHA_POS = "SMALL_SIGMA_ALPHA_POS"
-    SMALL_SIGMA_ALPHA_ZERO = "SMALL_SIGMA_ALPHA_ZERO"
-    SMALL_SIGMA_ALPHA_NEG = "SMALL_SIGMA_ALPHA_NEG"
-
-
 @dataclass(frozen=True)
 class AsymptoticBranch:
     """Leading asymptotic term of f in one regime.
@@ -54,9 +47,7 @@ class AsymptoticBranch:
     flag records that a sign was dropped.
     """
 
-    regime: Regime
     leading_value: float
-    claimed_error_order: str
     sign_discrepancy: bool = False
 
 
@@ -77,23 +68,17 @@ def f_asymptotic(sigma: float, alpha: float) -> AsymptoticBranch:
     if not alpha > -1.0:
         raise ValueError(f"alpha must be > -1, got {alpha}")
     if sigma >= LARGE_SIGMA_THRESHOLD:
-        log_lead = (0.5 * (alpha - 1.0) * math.log(2.0)
-                    + gammaln(0.5 * (alpha + 1.0))
-                    - 0.5 * (alpha + 1.0) * math.log(sigma))
-        return AsymptoticBranch(Regime.LARGE_SIGMA, log_lead, "O(1/sigma)")
+        return AsymptoticBranch(0.5 * (alpha - 1.0) * math.log(2.0)
+                                + gammaln(0.5 * (alpha + 1.0))
+                                - 0.5 * (alpha + 1.0) * math.log(sigma))
     if sigma <= SMALL_SIGMA_THRESHOLD:
         if alpha > 0.0:
-            log_lead = -alpha * math.log(sigma) + gammaln(alpha)
-            return AsymptoticBranch(Regime.SMALL_SIGMA_ALPHA_POS, log_lead,
-                                    "o(1) relative")
+            return AsymptoticBranch(-alpha * math.log(sigma) + gammaln(alpha))
         if alpha == 0.0:
-            log_lead = math.log(math.log(1.0 / sigma))
-            return AsymptoticBranch(Regime.SMALL_SIGMA_ALPHA_ZERO, log_lead,
-                                    "O(1) additive in the log")
+            return AsymptoticBranch(math.log(math.log(1.0 / sigma)))
         log_lead = (gammaln(0.5 * (alpha + 1.0)) + gammaln(-0.5 * alpha)
                     - math.log(2.0) - 0.5 * math.log(math.pi))
-        return AsymptoticBranch(Regime.SMALL_SIGMA_ALPHA_NEG, log_lead,
-                                "o(1) relative", sign_discrepancy=True)
+        return AsymptoticBranch(log_lead, sign_discrepancy=True)
     raise ValueError(
         f"sigma = {sigma} lies in the gap ({SMALL_SIGMA_THRESHOLD}, "
         f"{LARGE_SIGMA_THRESHOLD}) where only f_exact applies")

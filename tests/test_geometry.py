@@ -167,6 +167,22 @@ class TestDistanceAndNearest:
         with pytest.raises(ValueError, match="not finite"):
             touching_ball(domain, x, 0.5)
 
+    def test_point_of_the_wrong_dimension_rejected_naming_both(self):
+        ell = EllipseDomain(2.0, 1.0)
+        with pytest.raises(ValueError, match=r"shape \(3,\) for N = 2"):
+            distance_and_nearest(ell, [0.0, 0.5, 0.0])
+        with pytest.raises(ValueError, match=r"shape \(4, 3\) for N = 2"):
+            boundary_distances(ell, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match=r"shape \(3,\) for N = 2"):
+            touching_ball(ell, [0.0, 0.5, 0.0], 0.5)
+        with pytest.raises(ValueError, match=r"shape \(3,\) for N = 2"):
+            principal_curvatures(ell, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match=r"shape \(1,\) for N = 3"):
+            distance_and_nearest(implicit_ball(1.0, dim=3), [0.5])
+        for dom in (BallDomain(1.0), ExteriorBallDomain(1.0)):
+            with pytest.raises(ValueError, match="dimension 0"):
+                distance_and_nearest(dom, [])
+
     def test_implicit_matches_closed_form(self):
         dom = implicit_ball(1.5)
         for pt in ([0.3, 0.4], [-1.0, 0.2], [0.0, 1.2]):
@@ -654,6 +670,15 @@ class TestEllipseTube:
         with pytest.raises(ValueError):
             EllipseDomain(-1.0, 1.0)
 
+    @pytest.mark.parametrize("a,b,name", [
+        (math.inf, 1.0, "a"), (1e300, 1.0, "a"), (2.0, math.nan, "b"),
+        (2.0, 1e-200, "b")])
+    def test_axis_out_of_the_float_range_rejected_naming_it(self, a, b, name):
+        # an infinite axis gave curvature 0 at touching_ball, and its limit
+        # experiment stopped inside np.roots; the square of 1e-200 is 0
+        with pytest.raises(ValueError, match=f"semi-axis {name} must be"):
+            EllipseDomain(a, b)
+
     def test_circle_matches_ball(self):
         ball = touching_ball(BallDomain(1.0), [0.5, 0.0], 0.5)
         circle = touching_ball(make_ellipse_domain(1.0, 1.0), [0.5, 0.0], 0.5)
@@ -803,11 +828,11 @@ def contact_config(axes, t0: float, R: float) -> TouchingBallConfig:
 
 
 def s_max(cfg: TouchingBallConfig) -> float:
-    return geometry._level_sets(cfg)[0]
+    return cfg.domain.level_sets(cfg)[0]
 
 
 class TestLargestDistance:
-    """The s_max of geometry._level_sets on ellipses: the largest boundary
+    """The s_max of EllipseDomain.level_sets: the largest boundary
     distance in B_R(x)."""
 
     # contacts whose normal is cut before 2R, by balls that miss the

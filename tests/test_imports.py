@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, no
 module imports a memo cache or a thread, every name the benchmark imports
-from the package exists, and every function and class the package defines
-is read by code other than the tests.
+from the package exists, every function, class, method and dataclass field
+the package defines is read by code other than the tests, and no function
+outside input validation picks its work by testing a domain's class.
 
 No linter runs on this repository, and deleted code tends to leave its
 imports behind.  The package's __init__ is exempt: its imports are the
@@ -11,6 +12,7 @@ public re-exports.
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -167,25 +169,49 @@ READER_SOURCES = BENCHMARK_SOURCES + sorted(
     (Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
-def _reads(nodes) -> set:
+def _reads(nodes) -> Counter:
     """The names, attributes and string constants read in the trees of
-    `nodes`."""
-    found = set()
+    `nodes`, each with the number of times it is read."""
+    found = Counter()
     for top in nodes:
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
-                found.add(node.id)
+                found[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
+                found[node.attr] += 1
             elif isinstance(node, ast.Constant) and isinstance(node.value,
                                                                str):
-                found.add(node.value)
+                found[node.value] += 1
     return found
 
 
+def _definitions(tree: ast.Module):
+    """(qualified name, name, node) of each top-level function and class of
+    `tree`, and of each function (not a dunder) and annotated field in the
+    body of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        yield node.name, node.name, node
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+            elif (isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)):
+                name = item.target.id
+            else:
+                continue
+            yield f"{node.name}.{name}", name, item
+
+
 def unread_definitions(modules: dict, readers: list) -> list:
-    """`module.name` of each top-level function and class of `modules`
-    (module name -> source) that is read neither by another module, nor by
+    """`module.name` of each definition of `modules` (module name ->
+    source; _definitions) that is read neither by another module, nor by
     the rest of its own module, nor by a source of `readers`."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     outside = _reads(ast.parse(source) for source in readers)
@@ -193,13 +219,10 @@ def unread_definitions(modules: dict, readers: list) -> list:
     for name, tree in trees.items():
         read = outside | _reads(t for other, t in trees.items()
                                 if other != name)
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            if node.name not in read | _reads(n for n in tree.body
-                                              if n is not node):
-                unread.append(f"{name}.{node.name}")
+        total = _reads([tree])
+        for qualified, short, node in _definitions(tree):
+            if short not in read | (total - _reads([node])):
+                unread.append(f"{name}.{qualified}")
     return sorted(unread)
 
 
@@ -207,7 +230,7 @@ def test_every_definition_is_read_outside_the_tests():
     modules = {path.stem: path.read_text(encoding="utf-8")
                for path in SOURCES}
     readers = [path.read_text(encoding="utf-8") for path in READER_SOURCES]
-    unread = {entry.split(".")[1]
+    unread = {entry.split(".", 1)[1]
               for entry in unread_definitions(modules, readers)}
     assert unread <= READ_BY_TESTS_ALONE, sorted(unread - READ_BY_TESTS_ALONE)
 
@@ -216,12 +239,67 @@ def test_an_unread_definition_is_reported():
     modules = {
         "a": ("def helper():\n    return 1\n"
               "def recursive(n):\n    return recursive(n - 1)\n"
-              "class Used:\n    pass\n"
+              "class Used:\n    size: int\n    count: int = 0\n"
+              "    def shown(self):\n        return self.size\n"
+              "    def hidden(self):\n        return self.hidden()\n"
+              "    def __repr__(self):\n        return 'Used'\n"
               "def caller():\n    return helper()\n"),
         "b": ("from .a import Used\n"
               "def traced():\n    pass\n"
               "def orphan():\n    return Used\n"),
     }
-    readers = ["SPANS = {'traced': 1}\n", "import a\na.caller()\n"]
-    assert unread_definitions(modules, readers) == ["a.recursive",
-                                                    "b.orphan"]
+    readers = ["SPANS = {'traced': 1}\n",
+               "import a\na.caller()\na.Used().shown()\n"]
+    assert unread_definitions(modules, readers) == [
+        "a.Used.count", "a.Used.hidden", "a.recursive", "b.orphan"]
+
+
+# Each domain class answers its own geometry through its methods, so a new
+# domain is one class.  A class test on a domain is left only where input
+# is validated (solution_profile, comparison_chain) and where the limit
+# experiment picks exact or barrier rows (qmean_limit_experiment).
+DOMAIN_CLASSES = {"Geometry", "BallDomain", "ExteriorBallDomain",
+                  "ImplicitDomain", "EllipseDomain"}
+DISPATCH_ALLOWED = {"solution_profile", "comparison_chain",
+                    "qmean_limit_experiment"}
+
+
+def domain_dispatches(source: str) -> list:
+    """`isinstance(..., C) (line n)` for each isinstance call of `source`
+    whose class argument names a domain class C, outside the functions of
+    DISPATCH_ALLOWED."""
+    tree = ast.parse(source)
+    allowed = {id(node) for func in ast.walk(tree)
+               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and func.name in DISPATCH_ALLOWED
+               for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and id(node) not in allowed):
+            found += [f"isinstance(..., {cls}) (line {node.lineno})"
+                      for cls in sorted(DOMAIN_CLASSES
+                                        & set(_reads([node.args[1]])))]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_no_dispatch_on_a_domain_class(path):
+    assert domain_dispatches(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_dispatch_on_a_domain_class_is_reported():
+    source = ("def solution_profile(domain):\n"
+              "    if not isinstance(domain, Geometry):\n"
+              "        raise ValueError\n"
+              "def area(domain, x):\n"
+              "    if isinstance(x, float):\n"
+              "        return 0.0\n"
+              "    if isinstance(domain, (BallDomain, geo.EllipseDomain)):\n"
+              "        return 1.0\n"
+              "    return 2 if isinstance(domain, ImplicitDomain) else 3\n")
+    assert domain_dispatches(source) == [
+        "isinstance(..., BallDomain) (line 7)",
+        "isinstance(..., EllipseDomain) (line 7)",
+        "isinstance(..., ImplicitDomain) (line 9)"]

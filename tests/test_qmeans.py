@@ -527,7 +527,7 @@ class TestRecordedCoarea:
     def test_one_area_call_per_integral(self):
         calls = []
         cfg = self.CONFIGS[2]
-        _, area = geometry._level_sets(cfg)
+        _, area = cfg.domain.level_sets(cfg)
 
         def counted(s):
             calls.append(s)
@@ -833,7 +833,7 @@ class TestSetUpOnce:
 
 
 class TestOneTubePerQuery:
-    """geometry._level_sets builds one _EllipseTube per configuration."""
+    """EllipseDomain.level_sets builds one _EllipseTube per configuration."""
 
     @pytest.fixture
     def tubes(self, monkeypatch):
