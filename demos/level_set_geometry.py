@@ -11,14 +11,14 @@ import numpy as np
 
 from resolvent_asym.geometry import BallDomain, EllipseDomain, \
     ExteriorBallDomain, area_ratio_limit, level_set_area, \
-    level_set_area_mc, principal_curvatures, touching_ball
+    level_set_area_mc, touching_ball
 
 
 def main():
     ellipse = EllipseDomain(2.0, 1.0)
     print("ellipse x^2/4 + y^2 = 1, inward-normal principal curvatures:")
     for point in ((0.0, 1.0), (2.0, 0.0)):
-        kappa = principal_curvatures(ellipse, np.array(point))
+        kappa = ellipse.curvatures(point)
         print(f"  at {point}: {kappa[0]:.6f}")
 
     configs = (

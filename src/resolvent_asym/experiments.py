@@ -268,6 +268,7 @@ def _eval_radii(geom: GeometrySpec) -> Tuple[float, ...]:
 
 def touching_config(geom: GeometrySpec, n: int) -> TouchingBallConfig:
     """The axis-aligned touching-ball configuration for a radial geometry."""
+    _require_count("dimension N", n, 2)
     domain = RADIAL_KINDS[geom.kind](geom.domain_radius)
     x = np.zeros(n)
     x[0] = domain.radius(geom.R)

@@ -4,8 +4,7 @@ Each domain class answers its own geometry through four methods: nearest(x)
 (the boundary distance and nearest point), distances(points) (signed
 distances of a batch), curvatures(y) and level_sets(cfg) (the largest
 boundary distance s_max in a touching ball and the level-set area
-function).  The module functions distance_and_nearest, boundary_distances,
-principal_curvatures and level_set_area check their input and call them.
+function); the first three check their input with one helper, _points.
 The classes are the radial Geometry of radius R about the origin, a
 BallDomain or an ExteriorBallDomain (the closed ball's complement) that
 maps radius and boundary distance both ways; implicit domains {phi < 0}
@@ -102,12 +101,11 @@ class Geometry:
     def exterior(R: float) -> "ExteriorBallDomain":
         return ExteriorBallDomain(R)
 
-    def nearest(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+    def nearest(self, x: Sequence[float]) -> Tuple[float, np.ndarray]:
         """(d_Gamma(x), nearest boundary point) for x in the closed domain.
         At the center every boundary point is nearest, and a fixed
         representative (R, 0, ...) keeps the map deterministic."""
-        if x.shape[-1:] == (0,):
-            raise ValueError("a point of dimension 0 has no boundary distance")
+        x = _points(x)
         r = float(np.linalg.norm(x))
         if self.distance(r) < -1e-12 * self.R:
             raise ValueError(f"point at radius {r} outside the closed {self}")
@@ -116,12 +114,12 @@ class Geometry:
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         """Signed boundary distances of the rows of an (m, N) array."""
-        return self.distance(_row_norms(points))
+        return self.distance(_row_norms(_points(points, batch=True)))
 
-    def curvatures(self, y: np.ndarray) -> np.ndarray:
+    def curvatures(self, y: Sequence[float]) -> np.ndarray:
         """The N-1 principal curvatures at boundary point y: 1 over the
         signed distance of the center."""
-        return np.full(y.size - 1, 1.0 / self.distance(0.0))
+        return np.full(_points(y).size - 1, 1.0 / self.distance(0.0))
 
     def level_sets(self, cfg: TouchingBallConfig) -> Tuple[float, Callable]:
         """(s_max, area) at the touching ball (_zero_outside): the areas are
@@ -180,15 +178,10 @@ class ImplicitDomain:
         if self.dim not in (2, 3):
             raise ValueError(f"implicit domains support N in {{2, 3}}, got {self.dim}")
 
-    def _check(self, x: np.ndarray) -> None:
-        """Raise ValueError unless the last axis of x has dim entries."""
-        if x.shape[-1:] != (self.dim,):
-            raise ValueError(f"point of shape {x.shape} for N = {self.dim}")
-
-    def nearest(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+    def nearest(self, x: Sequence[float]) -> Tuple[float, np.ndarray]:
         """(d_Gamma(x), nearest boundary point) for x in the closed domain,
         by _project_implicit."""
-        self._check(x)
+        x = _points(x, dim=self.dim)
         phi = float(self.phi(x[None, :])[0])
         gn = float(np.linalg.norm(self.grad(x[None, :])[0]))
         if phi > 1e-12 * max(1.0, gn):
@@ -200,18 +193,18 @@ class ImplicitDomain:
     def distances(self, points: np.ndarray) -> np.ndarray:
         """Signed boundary distances of the rows of an (m, N) array, by
         _project_implicit."""
-        self._check(points)
+        points = _points(points, batch=True, dim=self.dim)
         y = _project_implicit(self, points)
         y -= points
         sign = np.where(np.asarray(self.phi(points)) <= 0.0, 1.0, -1.0)
         return sign * _row_norms(y)
 
-    def curvatures(self, y: np.ndarray) -> np.ndarray:
+    def curvatures(self, y: Sequence[float]) -> np.ndarray:
         """The N-1 principal curvatures at boundary point y: eigenvalues of
         the Hessian restricted to the tangent plane, divided by |grad phi|
         (phi < 0 inside makes the signs come out in the inward convention
         without extra flips)."""
-        self._check(y)
+        y = _points(y, dim=self.dim)
         g = np.asarray(self.grad(y[None, :])[0], dtype=float)
         h = np.asarray(self.hess(y[None, :])[0], dtype=float)
         gn = np.linalg.norm(g)
@@ -274,6 +267,21 @@ class EllipseDomain(ImplicitDomain):
         tube = _EllipseTube.at(cfg)
         return tube.s_max(), partial(_zero_outside, cfg.R,
                                      partial(_ellipse_level_area, tube))
+
+
+def _points(x, batch: bool = False, dim: Optional[int] = None) -> np.ndarray:
+    """x as a float point (N,), or with batch as (m, N) rows (a point is one
+    row).  Raises ValueError naming x unless N >= 1 (N = dim when given) and
+    a single point is finite; a batch gets no pass over its entries."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1 and not np.all(np.isfinite(x)):
+        raise ValueError(f"point {x} is not finite")
+    n = x.shape[-1] if 1 <= x.ndim <= 1 + batch else -1
+    if n <= 0 or (dim and n != dim):
+        raise ValueError(f"point of shape {x.shape} for N = {dim}" if dim
+                         else f"point of shape {x.shape} for N >= 1"
+                         + ": dimension 0 has no boundary" * (n == 0))
+    return np.atleast_2d(x) if batch else x
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -510,28 +518,10 @@ def _project_block(domain: ImplicitDomain, x: np.ndarray,
     return idx.size, far
 
 
-def distance_and_nearest(domain: Geometry | ImplicitDomain,
-                         x: Sequence[float]) -> Tuple[float, np.ndarray]:
-    """(d_Gamma(x), nearest boundary point) for finite x in the closed
-    domain, by domain.nearest."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"point {x} is not finite")
-    return domain.nearest(x)
-
-
 def boundary_distances(domain: Geometry | ImplicitDomain,
                        points: np.ndarray) -> np.ndarray:
-    """Signed boundary distances for a batch, by domain.distances; negative
-    means outside."""
-    return domain.distances(np.atleast_2d(np.asarray(points, dtype=float)))
-
-
-def principal_curvatures(domain: Geometry | ImplicitDomain,
-                         y: Sequence[float]) -> np.ndarray:
-    """The N-1 principal curvatures at boundary point y, inward convention,
-    by domain.curvatures."""
-    return domain.curvatures(np.asarray(y, dtype=float))
+    """Signed boundary distances of a batch (negative outside)."""
+    return domain.distances(points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,10 +556,10 @@ def touching_ball(domain: Geometry | ImplicitDomain, x: Sequence[float],
     x = np.asarray(x, dtype=float)
     if not R > 0.0:
         raise ValueError(f"R must be positive, got {R}")
-    d, y = distance_and_nearest(domain, x)
+    d, y = domain.nearest(x)
     if abs(d - R) > _TOUCH_TOL * max(1.0, R):
         raise ValueError(f"x is at boundary distance {d}, not R = {R}")
-    kappas = principal_curvatures(domain, y)
+    kappas = domain.curvatures(y)
     _pi_gamma_product(kappas, R)  # raises when any kappa >= 1/R
     dirs = _unit_directions(np.random.default_rng(seed),
                             _UNIQUENESS_DIRECTIONS, x.size)

@@ -39,11 +39,6 @@ def _require_count(name: str, value, least: int = 1) -> None:
             f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _validate_dimension(n: int) -> int:
-    _require_count("dimension N", n, 2)
-    return n
-
-
 def conjugate(p: float) -> float:
     """Conjugate exponent p' = p/(p-1); equals 1.0 at p = INFINITY.
 
@@ -67,7 +62,7 @@ def alpha(n: int, p: float) -> float:
     p = INFINITY (the kernels degenerate to cosh/exp there) are rejected
     rather than given a conventional value.
     """
-    n = _validate_dimension(n)
+    _require_count("dimension N", n, 2)
     p = _validate_p(p)
     if math.isinf(p):
         raise ValueError("alpha is undefined at p = INFINITY")
@@ -86,7 +81,7 @@ def c_nq(n: int, q: float) -> float:
     Requires finite q > 1 (the q = INFINITY limit is the plain midrange 1/2
     and carries no scaling power, so it is handled by the callers).
     """
-    n = _validate_dimension(n)
+    _require_count("dimension N", n, 2)
     q = float(q)
     if math.isinf(q) or math.isnan(q) or q <= 1.0:
         raise ValueError(f"c_nq requires finite q > 1, got {q}")
@@ -128,7 +123,7 @@ class ProblemParams:
     eps: float
 
     def __post_init__(self) -> None:
-        _validate_dimension(self.n)
+        _require_count("dimension N", self.n, 2)
         object.__setattr__(self, "p", _validate_p(self.p))
         eps = float(self.eps)
         if not (eps > 0.0 and math.isfinite(eps)):

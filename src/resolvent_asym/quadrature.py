@@ -45,6 +45,8 @@ _ABS_TOL = 1e-300
 _LOG_ABS_TOL = math.log(_ABS_TOL)
 _REL_TOL = 1e-10
 _MAX_REFINEMENTS = 10
+# the largest alpha at which each kernel's quadrature fallback is checked
+_SIN_EDGE, _SINH_EDGE = 2200.0, 4000.0
 
 
 @dataclass(frozen=True)
@@ -265,13 +267,17 @@ def sinh_theta_cutoff(sigma: float, alpha: float) -> float:
     whose log grows no faster than k log tau, k = alpha - 1.  Past tau = k it
     falls by at least k(x - 1 - log x) at tau = k x, and
     x = 1 + T/k + log(2(1 + T/k)) makes that at least T = 50 - log(_REL_TOL).
-    For alpha <= 1 the factor does not grow and tau_max = T.
+    For alpha <= 1 the factor does not grow and tau_max = T.  A sigma so
+    small that tau_max/sigma overflows raises ValueError naming it.
     """
     target = 50.0 - math.log(_REL_TOL)
     k = alpha - 1.0
     tau_max = target
     if k > 0.0:
         tau_max += k * (1.0 + math.log(2.0 * (1.0 + target / k)))
+    if not tau_max / sigma < math.inf:
+        raise ValueError(f"sigma = {sigma} is too small for the quadrature "
+                         f"at alpha = {alpha}: its cutoff overflows")
     return max(5.0, math.acosh(1.0 + tau_max / sigma))
 
 
@@ -356,13 +362,17 @@ def _large_argument(nu: float, z: np.ndarray, k: bool) -> np.ndarray:
 
 
 def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,
-                       scaled_bessel: Callable, integrate: Callable):
+                       scaled_bessel: Callable, integrate: Callable,
+                       edge: float):
     """log_const - nu log(sigma/2) + log scaled_bessel(nu, sigma), nu = alpha/2.
 
     positive marks the K kernel.  Past scipy's range (nan, sigma > ~1e9) the
     large-argument expansion stands in.  Entries still zero, subnormal,
     infinite or nan carry no usable digits (large nu at small sigma) although
-    the kernel is finite; they go to the quadrature `integrate`.
+    the kernel is finite; they go to the quadrature `integrate`.  Past
+    alpha = `edge` its sigma range reaches kernels below _ABS_TOL, where it
+    takes two coarse levels under that floor as converged, so there they
+    raise ValueError naming alpha and sigma.
     """
     _check_alpha(alpha)
     s = np.asarray(sigma, dtype=float)
@@ -384,6 +394,9 @@ def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,
             usable = (b >= _TINY) & (b < math.inf) & (flat > 0.0)
         out = log_const - nu * np.log(0.5 * flat) + np.log(b)
     for i in np.flatnonzero(~usable) if slow else ():
+        if flat[i] != 0.0 and alpha > edge:
+            raise ValueError(f"alpha = {alpha} is past {edge:g}, the largest "
+                             f"checked order, at sigma = {flat[i]}")
         # I(0) = sqrt(pi) Gamma((alpha+1)/2) / Gamma(nu+1), the Beta integral
         out[i] = (log_const - gammaln(nu + 1.0) if flat[i] == 0.0
                   else integrate(float(flat[i]), alpha).log_magnitude)
@@ -399,7 +412,7 @@ def log_sin_kernel(sigma: Union[float, np.ndarray], alpha: float
     """
     return _log_bessel_kernel(sigma, alpha, False,
                               _HALF_LOG_PI + gammaln(0.5 * (alpha + 1.0)),
-                              ive, integrate_sin_weighted)
+                              ive, integrate_sin_weighted, _SIN_EDGE)
 
 
 def log_sinh_kernel(sigma: Union[float, np.ndarray], alpha: float
@@ -411,4 +424,4 @@ def log_sinh_kernel(sigma: Union[float, np.ndarray], alpha: float
     """
     return _log_bessel_kernel(sigma, alpha, True,
                               -_HALF_LOG_PI + gammaln(0.5 * (alpha + 1.0)),
-                              kve, integrate_sinh_weighted)
+                              kve, integrate_sinh_weighted, _SINH_EDGE)

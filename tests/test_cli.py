@@ -117,6 +117,28 @@ class TestEvalRadial:
         assert err.startswith(f"error: p = {float(p)} is too large")
         assert "use p = inf" in err
 
+    @pytest.mark.parametrize("geometry,r", [("ball", "0.5"),
+                                            ("exterior", "1.5")])
+    def test_order_past_the_fallback_edge_exits_2(self, capsys, geometry, r):
+        # alpha = 19,999 at p = 1.0001: the kernels' quadrature fallback
+        # is not checked there, and printed log_u = 4.08 on the ball
+        code, out, err = run_cli(capsys, "eval-radial", "--N", "3", "--p",
+                                 "1.0001", "--eps", "0.1", "--geometry",
+                                 geometry, "--R", "1", "--r", r)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: alpha = 19999.0000000022 is past ")
+        assert "sigma = " in err
+
+    def test_order_below_the_fallback_edge_answers(self, capsys):
+        # alpha = 1,999 at p = 1.001
+        code, out, _ = run_cli(capsys, "eval-radial", "--N", "3", "--p",
+                               "1.001", "--eps", "0.1", "--geometry", "ball",
+                               "--R", "1", "--r", "0.5", "0.7", "0.9")
+        assert code == 0
+        log_u = [float(row["log_u"]) for row in parse_csv(out)]
+        assert len(log_u) == 3 and all(v < 0.0 for v in log_u)
+
     @pytest.mark.parametrize("text", ["inf", "Infinity", " INF "])
     def test_infinite_exponent_spellings(self, capsys, text):
         code, out, _ = run_cli(capsys, "eval-radial", "--N", "2", "--p",
@@ -201,6 +223,16 @@ class TestSpecialF:
             main(["special-f", "--sigma", "2", "--alpha", "1",
                   "--rel-tol", "1e-8"])
         assert ei.value.code == 2
+
+    @pytest.mark.parametrize("extra", [(), ("--check-bessel",)])
+    def test_sigma_past_the_quadrature_cutoff_exits_2(self, capsys, extra):
+        # acosh(1 + tau_max/sigma) overflows: no nan estimate with exit 3
+        code, out, err = run_cli(capsys, "special-f", "--sigma", "1e-307",
+                                 "--alpha", "1", *extra)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: sigma = 1e-307 is too small for the "
+                       "quadrature at alpha = 1.0: its cutoff overflows\n")
 
     def test_negative_sigma_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "special-f", "--sigma", "-1.0",
@@ -332,6 +364,17 @@ class TestGeom:
                                "--N", "2", "--s", "-0.1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("n", ["0", "-1", "1"])
+    def test_dimension_below_two_exits_2_naming_n(self, capsys, n):
+        # N = 0 raised IndexError, and N = -1 numpy's "negative dimensions"
+        code, out, err = run_cli(capsys, "geom", "--kind", "ball",
+                                 "--domain-radius", "1", "--R", "0.5",
+                                 "--N", n, "--s", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: dimension N must be an integer >= 2, "
+                       f"got {n}\n")
 
 
 def qmean_config(tmp_path, **overrides):

@@ -18,11 +18,9 @@ from resolvent_asym.geometry import (
     area_ratio_limit,
     ball_volume,
     boundary_distances,
-    distance_and_nearest,
     level_set_area,
     level_set_area_mc,
     make_ellipse_domain,
-    principal_curvatures,
     psi_of_eps,
     touching_ball,
     unit_sphere_area,
@@ -128,29 +126,51 @@ class TestSphereFormulas:
             ball_volume(2, -1.0)
 
 
+def malformed_points():
+    """(domain, method, input, message) for each point method of the four
+    domain kinds: an empty point, an (m, 0) batch, a point with a NaN and,
+    where the domain fixes N, a point one entry too long."""
+    for name, dom in (("ball", BallDomain(1.0)),
+                      ("exterior", ExteriorBallDomain(1.0)),
+                      ("ellipse", EllipseDomain(2.0, 1.0)),
+                      ("ellipsoid", implicit_ellipsoid([2.0, 1.0, 1.5]))):
+        n = getattr(dom, "dim", 2)
+        cases = [("empty", [], r"shape \(0,\)"),
+                 ("empty_rows", np.zeros((4, 0)), r"shape \(4, 0\)"),
+                 ("not_finite", [math.nan] + [0.0] * (n - 1),
+                  r"point \[nan( +0\.)+\] is not finite")]
+        if isinstance(dom, ImplicitDomain):
+            cases.append(("wrong_length", np.zeros(n + 1),
+                          rf"shape \({n + 1},\) for N = {n}"))
+        for method in ("nearest", "distances", "curvatures"):
+            for label, x, match in cases:
+                yield pytest.param(dom, method, x, match,
+                                   id=f"{name}-{method}-{label}")
+
+
 class TestDistanceAndNearest:
     def test_ball_generic_and_center(self):
         dom = BallDomain(2.0)
-        d, y = distance_and_nearest(dom, [1.0, 0.0])
+        d, y = dom.nearest([1.0, 0.0])
         assert d == pytest.approx(1.0)
         assert y == pytest.approx([2.0, 0.0])
-        d, y = distance_and_nearest(dom, [0.0, 0.0])
+        d, y = dom.nearest([0.0, 0.0])
         assert d == pytest.approx(2.0)
         assert y == pytest.approx([2.0, 0.0])  # deterministic representative
 
     def test_exterior(self):
         dom = ExteriorBallDomain(1.0)
-        d, y = distance_and_nearest(dom, [0.0, -3.0])
+        d, y = dom.nearest([0.0, -3.0])
         assert d == pytest.approx(2.0)
         assert y == pytest.approx([0.0, -1.0])
 
     def test_outside_closed_domain_rejected(self):
         with pytest.raises(ValueError):
-            distance_and_nearest(BallDomain(1.0), [1.5, 0.0])
+            BallDomain(1.0).nearest([1.5, 0.0])
         with pytest.raises(ValueError):
-            distance_and_nearest(ExteriorBallDomain(1.0), [0.5, 0.0])
+            ExteriorBallDomain(1.0).nearest([0.5, 0.0])
         with pytest.raises(ValueError):
-            distance_and_nearest(make_ellipse_domain(), [3.0, 0.0])
+            make_ellipse_domain().nearest([3.0, 0.0])
 
     @pytest.mark.parametrize("domain,x", [
         (BallDomain(1.0), [math.nan, 0.0]),
@@ -163,44 +183,53 @@ class TestDistanceAndNearest:
         # catch a NaN center; the projection would not converge on one
         with pytest.raises(ValueError, match=r"point \[.*(nan|inf).*\] is "
                                              "not finite"):
-            distance_and_nearest(domain, x)
+            domain.nearest(x)
         with pytest.raises(ValueError, match="not finite"):
             touching_ball(domain, x, 0.5)
 
     def test_point_of_the_wrong_dimension_rejected_naming_both(self):
         ell = EllipseDomain(2.0, 1.0)
         with pytest.raises(ValueError, match=r"shape \(3,\) for N = 2"):
-            distance_and_nearest(ell, [0.0, 0.5, 0.0])
+            ell.nearest([0.0, 0.5, 0.0])
         with pytest.raises(ValueError, match=r"shape \(4, 3\) for N = 2"):
             boundary_distances(ell, np.zeros((4, 3)))
         with pytest.raises(ValueError, match=r"shape \(3,\) for N = 2"):
             touching_ball(ell, [0.0, 0.5, 0.0], 0.5)
         with pytest.raises(ValueError, match=r"shape \(3,\) for N = 2"):
-            principal_curvatures(ell, [0.0, 1.0, 0.0])
+            ell.curvatures([0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match=r"shape \(1,\) for N = 3"):
-            distance_and_nearest(implicit_ball(1.0, dim=3), [0.5])
+            implicit_ball(1.0, dim=3).nearest([0.5])
         for dom in (BallDomain(1.0), ExteriorBallDomain(1.0)):
             with pytest.raises(ValueError, match="dimension 0"):
-                distance_and_nearest(dom, [])
+                dom.nearest([])
+
+    @pytest.mark.parametrize("domain,method,x,match", malformed_points())
+    def test_malformed_point_rejected_naming_it(self, domain, method, x,
+                                                match):
+        with pytest.raises(ValueError, match=match):
+            getattr(domain, method)(x)
+        if method == "distances":
+            with pytest.raises(ValueError, match=match):
+                boundary_distances(domain, x)
 
     def test_implicit_matches_closed_form(self):
         dom = implicit_ball(1.5)
         for pt in ([0.3, 0.4], [-1.0, 0.2], [0.0, 1.2]):
-            d, y = distance_and_nearest(dom, pt)
+            d, y = dom.nearest(pt)
             r = np.linalg.norm(pt)
             assert d == pytest.approx(1.5 - r, abs=1e-10)
             assert np.linalg.norm(y) == pytest.approx(1.5, abs=1e-10)
 
     def test_ellipse_minor_axis(self):
         dom = make_ellipse_domain(2.0, 1.0)
-        d, y = distance_and_nearest(dom, [0.0, 0.5])
+        d, y = dom.nearest([0.0, 0.5])
         assert d == pytest.approx(0.5, abs=1e-10)
         assert y == pytest.approx([0.0, 1.0], abs=1e-10)
 
     def test_projection_idempotent(self):
         dom = make_ellipse_domain(2.0, 1.0)
-        _, y = distance_and_nearest(dom, [0.3, 0.4])
-        d2, _ = distance_and_nearest(dom, y)
+        _, y = dom.nearest([0.3, 0.4])
+        d2, _ = dom.nearest(y)
         assert abs(d2) < 1e-10
 
     def test_ellipse_against_dense_parametric_minimum(self):
@@ -233,7 +262,7 @@ class TestDistanceAndNearest:
     def test_ellipse_deep_points(self, pt, expected):
         # one linearization step from these points lands near (2, 0),
         # in the basin of a far critical point
-        d, y = distance_and_nearest(make_ellipse_domain(2.0, 1.0), pt)
+        d, y = make_ellipse_domain(2.0, 1.0).nearest(pt)
         assert d == pytest.approx(secular_distance([2.0, 1.0], pt)[0],
                                   abs=1e-12)
         assert d == pytest.approx(expected, abs=5e-6)
@@ -245,7 +274,7 @@ class TestDistanceAndNearest:
     ])
     def test_ellipsoid_points(self, pt, expected):
         axes = [2.0, 1.0, 1.5]
-        d, y = distance_and_nearest(implicit_ellipsoid(axes), pt)
+        d, y = implicit_ellipsoid(axes).nearest(pt)
         assert d == pytest.approx(secular_distance(axes, pt)[0], abs=1e-12)
         assert d == pytest.approx(expected, abs=5e-6)
         assert np.sum((y / axes) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -273,7 +302,7 @@ class TestDistanceAndNearest:
         dom = make_ellipse_domain(2.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d, y = distance_and_nearest(dom, [0.0, 0.0])
+            d, y = dom.nearest([0.0, 0.0])
         assert d == pytest.approx(1.0, abs=1e-12)
         assert abs(y[0]) < 1e-12 and abs(y[1]) == pytest.approx(1.0,
                                                                 abs=1e-12)
@@ -286,7 +315,7 @@ class TestDistanceAndNearest:
     def test_ellipsoid_center(self):
         axes = [2.0, 1.0, 1.5]
         dom = implicit_ellipsoid(axes)
-        d, y = distance_and_nearest(dom, [0.0, 0.0, 0.0])
+        d, y = dom.nearest([0.0, 0.0, 0.0])
         assert d == pytest.approx(1.0, abs=1e-12)
         assert np.sum((y / axes) ** 2) == pytest.approx(1.0, abs=1e-12)
         pts = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, 0.2]])
@@ -311,8 +340,8 @@ class TestDistanceAndNearest:
 
         dom = ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=2)
         with pytest.raises(RuntimeError, match="no positive eigenvalue"):
-            distance_and_nearest(dom, [0.0, 0.0])
-        assert distance_and_nearest(dom, [0.5, 0.0])[0] == pytest.approx(0.5)
+            dom.nearest([0.0, 0.0])
+        assert dom.nearest([0.5, 0.0])[0] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("x", [[0.8, 0.0], [-2.0, 0.0]])
     def test_stop_on_a_local_maximum_raises(self, x):
@@ -322,7 +351,7 @@ class TestDistanceAndNearest:
         dom = make_ellipse_domain(4.0, 1.0)
         with pytest.raises(RuntimeError,
                            match="local maximum of the distance for 1 of 1"):
-            distance_and_nearest(dom, x)
+            dom.nearest(x)
         pts = np.array([[0.8, 0.3], x, x, [0.0, 0.0]])
         with pytest.raises(RuntimeError, match="for 2 of 4 points"):
             boundary_distances(dom, pts)
@@ -330,8 +359,7 @@ class TestDistanceAndNearest:
     def test_off_the_axis_finds_the_nearest_point(self):
         # the medial-axis distance b sqrt(1 - x1^2/(a^2 - b^2)), moved by
         # less than 1e-9 at 1e-9 off the axis
-        d, _ = distance_and_nearest(make_ellipse_domain(4.0, 1.0),
-                                    [0.8, 1e-9])
+        d, _ = make_ellipse_domain(4.0, 1.0).nearest([0.8, 1e-9])
         assert d == pytest.approx(math.sqrt(1.0 - 0.8 ** 2 / 15.0), abs=2e-9)
 
     def test_blocks_change_no_bit(self, monkeypatch):
@@ -371,24 +399,23 @@ class TestDistanceAndNearest:
 
 class TestPrincipalCurvatures:
     def test_ball_and_exterior(self):
-        assert principal_curvatures(BallDomain(2.0), [2.0, 0.0]) == pytest.approx(
+        assert BallDomain(2.0).curvatures([2.0, 0.0]) == pytest.approx(
             [0.5])
-        assert principal_curvatures(
-            ExteriorBallDomain(0.5), [0.5, 0.0, 0.0]) == pytest.approx(
-            [-2.0, -2.0])
+        assert ExteriorBallDomain(0.5).curvatures(
+            [0.5, 0.0, 0.0]) == pytest.approx([-2.0, -2.0])
 
     def test_ellipse_vertices(self):
         dom = make_ellipse_domain(2.0, 1.0)
         # top of the minor axis: kappa = b/a^2 -> here 1/4
-        assert principal_curvatures(dom, [0.0, 1.0]) == pytest.approx(
+        assert dom.curvatures([0.0, 1.0]) == pytest.approx(
             [0.25], abs=1e-12)
         # end of the major axis: kappa = a/b^2 -> here 2
-        assert principal_curvatures(dom, [2.0, 0.0]) == pytest.approx(
+        assert dom.curvatures([2.0, 0.0]) == pytest.approx(
             [2.0], abs=1e-12)
 
     def test_implicit_ball_matches_convention(self):
         dom = implicit_ball(1.5, dim=2)
-        got = principal_curvatures(dom, [1.5, 0.0])
+        got = dom.curvatures([1.5, 0.0])
         assert got == pytest.approx([1.0 / 1.5], abs=1e-12)
 
 
@@ -711,7 +738,7 @@ class TestEllipseTube:
     ])
     def test_cut_and_far_normals(self, axes, x, s):
         dom = make_ellipse_domain(*axes)
-        cfg = touching_ball(dom, x, distance_and_nearest(dom, x)[0])
+        cfg = touching_ball(dom, x, dom.nearest(x)[0])
         assert level_set_area(dom, cfg, s) == pytest.approx(
             parallel_length(s, *axes, cfg.x, cfg.R), rel=1e-9, abs=0.0)
 

@@ -12,12 +12,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ive, kve
 
 from resolvent_asym import quadrature
 from resolvent_asym.cli import main
 from resolvent_asym.geometry import ModulusOfContinuity, psi_of_eps
 from resolvent_asym.params import ProblemParams
 from resolvent_asym.quadrature import (
+    integrate_sin_weighted,
     integrate_sinh_weighted,
     log_sin_kernel,
     log_sinh_kernel,
@@ -87,6 +89,80 @@ def test_fallback_region(sigma):
                - log_sinh_oracle(sigma, alpha)) <= 1e-10
 
 
+def log_sinh_quad_oracle(sigma, alpha):
+    # log f by mp.quad of the log-domain integrand, split at its peak
+    # sinh(t) tanh(t) = alpha/sigma in steps of the peak's width:
+    # mp.besselk fails to converge at large order
+    s, a = mp.mpf(sigma), mp.mpf(alpha)
+
+    def g(t):
+        return a * mp.log(mp.sinh(t)) - 2 * s * mp.sinh(t / 2) ** 2
+
+    q = a / s
+    peak = mp.findroot(lambda t: mp.log(mp.sinh(t) * mp.tanh(t) / q),
+                       mp.asinh(mp.sqrt(q)) if q < 1 else mp.acosh(q))
+    width = 1 / mp.sqrt(s * mp.cosh(peak) + a / mp.sinh(peak) ** 2)
+    cuts = [peak + k * width for k in (-40, -10, -3, 0, 3, 10, 40, 80)]
+    top = g(peak)
+    return float(top + mp.log(mp.quad(lambda t: mp.exp(g(t) - top),
+                                      [mp.mpf(0)] + [c for c in cuts
+                                                     if c > 0])))
+
+
+def fallback_sigmas(scaled_bessel, alpha):
+    """The sigma in [1e-30, 1e6] at which scaled_bessel(alpha/2, sigma) is
+    zero, subnormal or infinite, so that the kernel's quadrature fallback
+    answers: one a decade, and ten a decade in the top decade, where the
+    kernel is smallest."""
+    coarse = np.geomspace(1e-30, 1e6, 37)
+    b = scaled_bessel(0.5 * alpha, coarse)
+    sigma = coarse[(b < np.finfo(float).tiny) | (b == math.inf)]
+    dense = np.geomspace(sigma[-1], 10.0 * sigma[-1], 11)
+    b = scaled_bessel(0.5 * alpha, dense)
+    return np.concatenate(
+        [sigma, dense[(b < np.finfo(float).tiny) | (b == math.inf)][1:]])
+
+
+FALLBACKS = {
+    "sin": (log_sin_kernel, ive, integrate_sin_weighted, log_sin_oracle,
+            quadrature._SIN_EDGE),
+    "sinh": (log_sinh_kernel, kve, integrate_sinh_weighted,
+             log_sinh_quad_oracle, quadrature._SINH_EDGE),
+}
+
+
+@pytest.mark.parametrize("family", FALLBACKS)
+def test_fallback_agrees_at_its_edge(family):
+    # at the largest alpha it is checked at, the fallback is within 1e-12
+    # of max(1, |log f|) from 1e-30 to the top of its sigma range
+    kernel, scaled_bessel, _, oracle, edge = FALLBACKS[family]
+    sigma = fallback_sigmas(scaled_bessel, edge)
+    got = kernel(sigma, edge)
+    with mp.workdps(30):
+        for s, value in zip(sigma, got):
+            ref = oracle(s, edge)
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), s
+
+
+@pytest.mark.parametrize("family,alpha,sigma", [
+    ("sin", 2300.0, 850.0),
+    ("sinh", 4200.0, 3000.0),
+])
+def test_fallback_refused_past_its_edge(family, alpha, sigma):
+    # past the edge the engine accepts two coarse levels below its
+    # absolute floor: log I is off by 0.15 here, log f by 20
+    kernel, scaled_bessel, integrate, oracle, edge = FALLBACKS[family]
+    with mp.workdps(30):
+        ref = oracle(sigma, alpha)
+    assert abs(integrate(sigma, alpha).log_magnitude - ref) > 0.1
+    for a, s in ((alpha, sigma),
+                 (edge + 1.0, fallback_sigmas(scaled_bessel, edge + 1.0)[-1])):
+        with pytest.raises(ValueError,
+                           match=rf"alpha = {a} is past {edge:g}, .* "
+                                 rf"sigma = {s}$"):
+            kernel(np.array([1e6, s]), a)
+
+
 @pytest.mark.parametrize("kernel,oracle", [
     (log_sin_kernel, log_sin_oracle),
     (log_sinh_kernel, log_sinh_oracle),
@@ -139,6 +215,17 @@ def test_eval_log_u(kind, n, p, eps):
     got = eval_log_u(sol, np.array(radii))
     for r, value in zip(radii, got):
         ref = log_u_oracle(kind, params.alpha, params.p_conjugate, eps, r)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (r, value, ref)
+
+
+def test_eval_log_u_below_the_fallback_edge():
+    # alpha = 1,999 (N = 3, p = 1.001): the sin kernel's fallback answers
+    params = ProblemParams(n=3, p=1.001, eps=0.1)
+    sol = RadialSolution(params, Geometry.ball(1.0))
+    radii = [0.5, 0.7, 0.9]
+    for r, value in zip(radii, eval_log_u(sol, np.array(radii))):
+        ref = log_u_oracle("ball", params.alpha, params.p_conjugate, 0.1, r)
+        assert value < 0.0
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (r, value, ref)
 
 
