@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 from .params import INFINITY, ProblemParams, conjugate, limit_prediction  # noqa: F401
 from .radial import Geometry, RadialSolution, eval_log_u, ode_residual, \
     varadhan_residual  # noqa: F401
-from .barriers import EnhancedBarriers, enhanced_U, enhanced_V, \
-    sandwich_check  # noqa: F401
+from .barriers import enhanced_U, enhanced_V, sandwich_check  # noqa: F401
 from .geometry import BallDomain, ExteriorBallDomain, ImplicitDomain, \
     TouchingBallConfig, area_ratio_limit, level_set_area, touching_ball  # noqa: F401
 from .qmeans import QMeanQuery, QMeanResult, q_mean, qmean_limit_experiment, \

@@ -11,8 +11,7 @@ the complement of a ball about a witness z from below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -22,79 +21,58 @@ from .quadrature import _log_cosh, log_sin_kernel, log_sinh_kernel
 from .radial import RadialSolution, eval_log_u, varadhan_residual
 
 
-@dataclass(frozen=True)
-class EnhancedBarriers:
-    """Barrier pair under interior/exterior ball radii (r_i, r_e).
-
-    U uses sigma_e = sqrt(p') r_e / eps, V uses sigma_i = sqrt(p') r_i / eps
-    in its first branch; both are functions of the scaled boundary distance
-    tau = sqrt(p') d_Gamma / eps.
-    """
-
-    params: ProblemParams
-    r_i: float
-    r_e: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r_i < math.inf and 0.0 < self.r_e < math.inf):
-            raise ValueError(f"ball radii must be finite and positive, got "
-                             f"r_i={self.r_i}, r_e={self.r_e}")
-        self.params.sigma(max(self.r_i, self.r_e))
-
-    @property
-    def sigma_i(self) -> float:
-        return self.params.sigma(self.r_i)
-
-    @property
-    def sigma_e(self) -> float:
-        return self.params.sigma(self.r_e)
-
-
-def _check_tau(tau: np.ndarray) -> None:
-    """One min and one max: a NaN, infinite or negative tau shows in one."""
+def _checked(params: ProblemParams, name: str, r: float,
+             tau: Union[float, np.ndarray]) -> Tuple[float, np.ndarray]:
+    """(sigma = sqrt(p') r / eps, tau as a 1-d array) for the one ball radius
+    r a barrier reads, named in the error unless finite and positive.  One
+    min and one max of tau: a NaN, infinite or negative tau shows in one."""
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {r}")
+    sigma = params.sigma(r)
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
     if tau.size and not (tau.min() >= 0.0 and math.isfinite(tau.max())):
         bad = tau[~(np.isfinite(tau) & (tau >= 0.0))][0]
         raise ValueError(f"tau must be finite and >= 0, got {bad}")
+    return sigma, tau
 
 
-def enhanced_U(b: EnhancedBarriers, tau: Union[float, np.ndarray]
-               ) -> Union[float, np.ndarray]:
+def enhanced_U(params: ProblemParams, r_e: float,
+               tau: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """log U(tau) = -tau + log f(sigma_e + tau) - log f(sigma_e); p=inf: -tau.
 
-    U(0) = 1 and e^tau U(tau) decreases from 1: the lower barrier.
+    sigma_e = sqrt(p') r_e / eps for the exterior ball radius r_e.  U(0) = 1
+    and e^tau U(tau) decreases from 1: the lower barrier.
     """
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    _check_tau(tau_arr)
-    if b.params.is_infinity:
+    sigma_e, tau_arr = _checked(params, "r_e", r_e, tau)
+    if params.is_infinity:
         out = -tau_arr
     else:
-        log_f = log_sinh_kernel(b.sigma_e + np.append(tau_arr, 0.0),
-                                b.params.alpha)
+        log_f = log_sinh_kernel(sigma_e + np.append(tau_arr, 0.0),
+                                params.alpha)
         out = -tau_arr + log_f[:-1] - log_f[-1]
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
-def enhanced_V(b: EnhancedBarriers, tau: Union[float, np.ndarray]
-               ) -> Union[float, np.ndarray]:
-    """log V(tau): the upper barrier, piecewise across tau = sigma_i.
+def enhanced_V(params: ProblemParams, r_i: float,
+               tau: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """log V(tau): the upper barrier, piecewise across tau = sigma_i, with
+    sigma_i = sqrt(p') r_i / eps for the interior ball radius r_i.
 
     Finite p:  tau <  sigma_i: -tau + log I(sigma_i - tau) - log I(sigma_i)
                tau >= sigma_i: -tau + log I(0) - log I(tau)
     p = infinity: cosh(sigma_i - tau)/cosh(sigma_i), then 1/cosh(tau).
     Continuity at the split is a numerical observation, not asserted here.
     """
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    _check_tau(tau_arr)
-    si = b.sigma_i
+    si, tau_arr = _checked(params, "r_i", r_i, tau)
     first = tau_arr < si
-    if b.params.is_infinity:
+    if params.is_infinity:
         out = np.where(first, _log_cosh(si - tau_arr) - _log_cosh(si),
                        -_log_cosh(tau_arr))
     else:
         # one call for every branch argument, then I(sigma_i) and I(0)
         log_i = log_sin_kernel(
             np.concatenate([np.where(first, si - tau_arr, tau_arr),
-                            [si, 0.0]]), b.params.alpha)
+                            [si, 0.0]]), params.alpha)
         log_k, base, zero = log_i[:-2], log_i[-2], log_i[-1]
         out = -tau_arr + np.where(first, log_k - base, zero - log_k)
     return float(out[0]) if np.ndim(tau) == 0 else out
@@ -103,11 +81,11 @@ def enhanced_V(b: EnhancedBarriers, tau: Union[float, np.ndarray]
 def _sandwich(params: ProblemParams, geometry: Geometry, r_grid: np.ndarray):
     """(r, d_Gamma, log U, log u, log V) on a radius grid, as arrays."""
     sol = RadialSolution(params, geometry)
-    b = EnhancedBarriers(params, r_i=geometry.R, r_e=geometry.R)
     r = np.atleast_1d(np.asarray(r_grid, dtype=float))
     d = geometry.distance(r)
     tau = math.sqrt(params.p_conjugate) * d / params.eps
-    return r, d, enhanced_U(b, tau), eval_log_u(sol, r), enhanced_V(b, tau)
+    return (r, d, enhanced_U(params, geometry.R, tau), eval_log_u(sol, r),
+            enhanced_V(params, geometry.R, tau))
 
 
 def sandwich_check(params: ProblemParams, geometry: Geometry,

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .barriers import EnhancedBarriers, enhanced_U, enhanced_V
+from .barriers import enhanced_U, enhanced_V
 from .experiments import (
     RADIAL_KINDS,
     GeometrySpec,
@@ -76,10 +76,10 @@ def _cmd_special_f(args) -> int:
 
 def _cmd_barriers(args) -> int:
     params = ProblemParams(n=args.N, p=args.p, eps=args.eps)
-    b = EnhancedBarriers(params, r_i=args.r_inner, r_e=args.r_outer)
     tau = np.asarray(args.tau, dtype=float)
     rows = [{"tau": float(t), "log_U": float(lu), "log_V": float(lv)}
-            for t, lu, lv in zip(tau, enhanced_U(b, tau), enhanced_V(b, tau))]
+            for t, lu, lv in zip(tau, enhanced_U(params, args.r_outer, tau),
+                                 enhanced_V(params, args.r_inner, tau))]
     emit(rows)
     return 0
 
@@ -88,8 +88,8 @@ def _cmd_geom(args) -> int:
     spec = GeometrySpec(kind=args.kind, domain_radius=args.domain_radius,
                         R=args.R)
     cfg = touching_config(spec, args.N)
-    limit = area_ratio_limit(cfg)
     areas = level_set_area(cfg.domain, cfg, np.asarray(args.s, dtype=float))
+    limit = area_ratio_limit(cfg)
     rows = [{"s": s, "area": area,
              "ratio": area / s ** (0.5 * (args.N - 1)),
              "predicted_limit": limit}

@@ -58,18 +58,33 @@ _ARC_STEP_TOL = 1e-9
 _ARC_MAX_ITER = 100
 
 
+def _gamma(x: float, n: int) -> float:
+    """Gamma(x) in dimension N = n, refused past x = 171.6, where it is inf."""
+    g = gamma(x)
+    if math.isinf(g):
+        raise ValueError(f"N = {n} is too large: Gamma({x}) overflows a float")
+    return g
+
+
+def _require_square(name: str, v: float) -> None:
+    """Raise naming v unless it is positive with a normal float square."""
+    if not (v > 0.0 and _TINY <= v * v < math.inf):
+        raise ValueError(f"{name} must be positive with a square in the "
+                         f"normal float range, got {v}")
+
+
 def unit_sphere_area(n: int) -> float:
-    """Surface measure of the unit sphere S^{n-1} in R^n: 2 pi^{n/2}/Gamma(n/2)."""
+    """Surface measure of S^{n-1} in R^n, 2 pi^{n/2}/Gamma(n/2), n <= 343."""
     _require_count("ambient dimension", n)
-    return 2.0 * math.pi ** (0.5 * n) / gamma(0.5 * n)
+    return 2.0 * math.pi ** (0.5 * n) / _gamma(0.5 * n, n)
 
 
 def ball_volume(n: int, radius: float) -> float:
-    """Volume of the n-ball: pi^{n/2} R^n / Gamma(n/2 + 1)."""
+    """Volume of the n-ball: pi^{n/2} R^n / Gamma(n/2 + 1), n <= 341."""
     _require_count("ambient dimension", n)
     if not radius >= 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    return math.pi ** (0.5 * n) * radius ** n / gamma(0.5 * n + 1.0)
+    return math.pi ** (0.5 * n) * radius ** n / _gamma(0.5 * n + 1.0, n)
 
 
 class GeometryKind(Enum):
@@ -235,9 +250,7 @@ class EllipseDomain(ImplicitDomain):
     def __init__(self, a: float, b: float) -> None:
         a, b = float(a), float(b)
         for name, v in (("a", a), ("b", b)):
-            if not (v > 0.0 and _TINY <= v * v < math.inf):
-                raise ValueError(f"semi-axis {name} must be positive with a "
-                                 f"square in the normal float range, got {v}")
+            _require_square(f"semi-axis {name}", v)
         inv_a2, inv_b2 = 1.0 / (a * a), 1.0 / (b * b)
 
         def phi(p):
@@ -547,15 +560,18 @@ def touching_ball(domain: Geometry | ImplicitDomain, x: Sequence[float],
                   R: float, seed: int = _DEFAULT_SEED) -> TouchingBallConfig:
     """Validate and assemble a touching-ball configuration at x.
 
-    Checks: d_Gamma(x) = R to within 1e-9 max(1, R), so absolute below R = 1
-    and relative above; the closed ball stays inside the closed domain, to
-    the same tolerance; the touching point is unique (probed along 10^4 random
-    directions: everything more than 0.3 rad away from the contact direction
-    keeps boundary distance >= 1e-4 R); all curvatures < 1/R.
+    Checks: R, and |x| unless x = 0, have normal float squares (the areas
+    square them); d_Gamma(x) = R to within 1e-9 max(1, R), so absolute below
+    R = 1 and relative above; the closed ball stays inside the closed domain,
+    to the same tolerance; the touching point is unique (probed along 10^4
+    random directions: everything more than 0.3 rad away from the contact
+    direction keeps boundary distance >= 1e-4 R); all curvatures < 1/R.
     """
-    x = np.asarray(x, dtype=float)
-    if not R > 0.0:
-        raise ValueError(f"R must be positive, got {R}")
+    x = _points(x)
+    R, c = float(R), math.hypot(*x)
+    _require_square("R", R)
+    if c:
+        _require_square("the centre's norm |x|", c)
     d, y = domain.nearest(x)
     if abs(d - R) > _TOUCH_TOL * max(1.0, R):
         raise ValueError(f"x is at boundary distance {d}, not R = {R}")
@@ -574,13 +590,13 @@ def touching_ball(domain: Geometry | ImplicitDomain, x: Sequence[float],
         raise ValueError(
             "touching point is not unique: a second near-contact exists "
             f"(min off-axis distance {np.min(dists[far]):.3e})")
-    return TouchingBallConfig(x=x, R=float(R), y_x=y, curvatures=kappas,
+    return TouchingBallConfig(x=x, R=R, y_x=y, curvatures=kappas,
                               domain=domain)
 
 
 def _sin_power_integral(m: int, phi: np.ndarray) -> np.ndarray:
-    """int_0^phi sin^m t dt for integer m >= 0, elementwise; phi is clipped
-    to [0, pi]."""
+    """int_0^phi sin^m t dt for integer 0 <= m <= 341 (unit_sphere_area(m + 2)
+    refuses larger first), elementwise; phi is clipped to [0, pi]."""
     phi = np.clip(phi, 0.0, math.pi)
     total = math.sqrt(math.pi) * gamma(0.5 * (m + 1)) / gamma(0.5 * m + 1.0)
     half = 0.5 * total * betainc(0.5 * (m + 1), 0.5,
@@ -592,7 +608,8 @@ def _sphere_cap_area(n: int, r1: np.ndarray, c: float,
                      window: float) -> np.ndarray:
     """Areas of the spheres {|p| = r1} cut to the ball of radius `window`
     centered at distance c from the origin (ambient dimension n),
-    elementwise in r1; r1 <= 0 gives 0."""
+    elementwise in r1; r1 <= 0 gives 0.  The centred test is relative, so
+    the areas scale with the configuration."""
     r1 = np.asarray(r1, dtype=float)
     full = unit_sphere_area(n) * r1 ** (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -600,7 +617,7 @@ def _sphere_cap_area(n: int, r1: np.ndarray, c: float,
     cap = (unit_sphere_area(n - 1) * r1 ** (n - 1)
            * _sin_power_integral(n - 2, np.arccos(np.clip(cos_phi, -1.0, 1.0))))
     out = np.where(cos_phi >= 1.0, 0.0, np.where(cos_phi <= -1.0, full, cap))
-    centered = c < 1e-14 * np.maximum(1.0, r1)
+    centered = c <= 1e-14 * np.maximum(r1, window)
     out = np.where(centered, np.where(r1 <= window, full, 0.0), out)
     return np.where(r1 > 0.0, out, 0.0)
 

@@ -166,6 +166,12 @@ def limit_prediction(n: int, p: float, q: float,
     q = float(q)
     if math.isinf(q) and q > 0:
         return 0.5
-    c = c_nq(n, q)
-    denom = (conjugate(p) ** (0.5 * (n + 1)) * pi) ** (1.0 / (2.0 * (q - 1.0)))
-    return c / denom
+    power = 1.0 / (2.0 * (q - 1.0))
+    try:  # math.exp and ** raise OverflowError, a quotient gives inf
+        out = c_nq(n, q) / (conjugate(p) ** (0.5 * (n + 1)) * pi) ** power
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"N = {n} is too large at p = {p}, q = {q}: the "
+                         "limit prediction overflows a float")
+    return out

@@ -40,7 +40,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import gammaln
 
-from .barriers import EnhancedBarriers, enhanced_U, enhanced_V
+from .barriers import enhanced_U, enhanced_V
 from .geometry import (
     _DEFAULT_SEED,
     EllipseDomain,
@@ -442,11 +442,10 @@ def qmean_limit_experiment(params_seq: Sequence[ProblemParams],
 
     for pp in params_seq:
         if isinstance(dom, EllipseDomain):
-            b = EnhancedBarriers(pp, r_i=cfg.R, r_e=cfg.R)
             for path, barrier in (("barrier-U", enhanced_U),
                                   ("barrier-V", enhanced_V)):
-                add_row(pp, lambda tau, barrier=barrier, b=b:
-                        np.exp(barrier(b, tau)), path)
+                add_row(pp, lambda tau, barrier=barrier, pp=pp:
+                        np.exp(barrier(pp, cfg.R, tau)), path)
         else:
             add_row(pp, solution_profile(pp, dom), "coarea")
     return rows

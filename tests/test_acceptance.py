@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from resolvent_asym.barriers import EnhancedBarriers, enhanced_U, enhanced_V, \
-    sandwich_check
+from resolvent_asym.barriers import enhanced_U, enhanced_V, sandwich_check
 from resolvent_asym.experiments import GeometrySpec, SweepConfig, emit, \
     run_qmean_sweep, run_varadhan_sweep
 from resolvent_asym.geometry import BallDomain, ExteriorBallDomain, \
@@ -233,10 +232,9 @@ def test_criterion_09_qmean_solver_properties():
         den = math.pi * BALL_CFG.R ** 2
         assert mu == pytest.approx(num / den, abs=1e-8)
 
-        b = EnhancedBarriers(ProblemParams(n=2, p=INFINITY, eps=0.1),
-                             r_i=1.0, r_e=1.0)
-        prof_u = lambda tau: np.exp(enhanced_U(b, np.asarray(tau)))
-        prof_v = lambda tau: np.exp(enhanced_V(b, np.asarray(tau)))
+        pp = ProblemParams(n=2, p=INFINITY, eps=0.1)
+        prof_u = lambda tau: np.exp(enhanced_U(pp, 1.0, np.asarray(tau)))
+        prof_v = lambda tau: np.exp(enhanced_V(pp, 1.0, np.asarray(tau)))
         for q in (1.5, 3.0):
             mu_u = q_mean(QMeanQuery(cfg=BALL_CFG, q=q, xi=0.1,
                                      profile=prof_u)).mu

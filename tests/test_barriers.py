@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from resolvent_asym.barriers import (
-    EnhancedBarriers,
     comparison_chain,
     enhanced_U,
     enhanced_V,
@@ -22,78 +21,84 @@ def pp(n=3, p=2.0, eps=0.1):
 
 class TestEnhancedPair:
     def test_U_at_zero_is_one(self):
-        b = EnhancedBarriers(pp(), r_i=1.0, r_e=1.0)
-        assert enhanced_U(b, 0.0) == 0.0
+        assert enhanced_U(pp(), 1.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 5.0, INFINITY])
     def test_exp_tau_U_in_unit_interval_decreasing(self, p):
-        b = EnhancedBarriers(pp(p=p), r_i=1.0, r_e=1.0)
         taus = np.linspace(0.0, 8.0, 17)
-        vals = enhanced_U(b, taus) + taus  # log(e^tau U)
+        vals = enhanced_U(pp(p=p), 1.0, taus) + taus  # log(e^tau U)
         assert np.all(vals <= 1e-15)
         assert np.all(np.diff(vals) <= 1e-15)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 5.0, INFINITY])
     def test_V_nonincreasing_within_branches(self, p):
-        b = EnhancedBarriers(pp(p=p, eps=0.25), r_i=1.0, r_e=1.0)
-        si = b.sigma_i
+        params = pp(p=p, eps=0.25)
+        si = params.sigma(1.0)
         inner = np.linspace(0.0, si * 0.999, 25)
         outer = np.linspace(si * 1.001, 3.0 * si, 25)
         for grid in (inner, outer):
-            vals = enhanced_V(b, grid)
+            vals = enhanced_V(params, 1.0, grid)
             assert np.all(np.diff(vals) <= 1e-12)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 5.0, INFINITY])
     def test_U_below_V_pointwise(self, p):
-        b = EnhancedBarriers(pp(p=p, eps=0.3), r_i=0.8, r_e=1.2)
-        taus = np.linspace(0.0, 4.0 * b.sigma_i, 60)
-        assert np.all(enhanced_U(b, taus) <= enhanced_V(b, taus) + 1e-12)
+        params = pp(p=p, eps=0.3)
+        taus = np.linspace(0.0, 4.0 * params.sigma(0.8), 60)
+        assert np.all(enhanced_U(params, 1.2, taus)
+                      <= enhanced_V(params, 0.8, taus) + 1e-12)
 
     def test_V_continuous_at_split_observation(self):
         # not asserted by the formulas, but the sigma_i split makes both
         # branches agree there; record the observation at loose tolerance
-        b = EnhancedBarriers(pp(p=2.0, eps=0.3), r_i=1.0, r_e=1.0)
-        si = b.sigma_i
-        below = enhanced_V(b, si * (1.0 - 1e-9))
-        above = enhanced_V(b, si * (1.0 + 1e-9))
+        params = pp(p=2.0, eps=0.3)
+        si = params.sigma(1.0)
+        below = enhanced_V(params, 1.0, si * (1.0 - 1e-9))
+        above = enhanced_V(params, 1.0, si * (1.0 + 1e-9))
         assert below == pytest.approx(above, abs=1e-6)
 
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
     def test_U_tends_to_pure_exponential(self, tau):
-        devs = []
-        for eps in (0.4, 0.1, 0.025):
-            b = EnhancedBarriers(pp(p=2.0, eps=eps), r_i=1.0, r_e=1.0)
-            devs.append(abs(enhanced_U(b, tau) + tau))
+        devs = [abs(enhanced_U(pp(p=2.0, eps=eps), 1.0, tau) + tau)
+                for eps in (0.4, 0.1, 0.025)]
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] < 0.05
 
     def test_negative_tau_rejected(self):
-        b = EnhancedBarriers(pp(), r_i=1.0, r_e=1.0)
         with pytest.raises(ValueError):
-            enhanced_U(b, -0.5)
+            enhanced_U(pp(), 1.0, -0.5)
         with pytest.raises(ValueError):
-            enhanced_V(b, -0.5)
+            enhanced_V(pp(), 1.0, -0.5)
 
     @pytest.mark.parametrize("p", [3.0, INFINITY])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("fn", [enhanced_U, enhanced_V])
     def test_non_finite_tau_rejected(self, p, bad, fn):
-        b = EnhancedBarriers(pp(p=p), r_i=1.0, r_e=1.0)
         with pytest.raises(ValueError, match=f"got {bad}$"):
-            fn(b, np.array([0.5, bad, 1.0]))
+            fn(pp(p=p), 1.0, np.array([0.5, bad, 1.0]))
         with pytest.raises(ValueError, match="finite and >= 0"):
-            fn(b, bad)
+            fn(pp(p=p), 1.0, bad)
 
     @pytest.mark.parametrize("fn", [enhanced_U, enhanced_V])
     def test_scalar_and_empty_tau(self, fn):
-        b = EnhancedBarriers(pp(p=3.0), r_i=1.0, r_e=1.0)
-        assert isinstance(fn(b, np.float64(0.5)), float)
-        assert fn(b, np.array([0.5]))[0] == fn(b, 0.5)
-        assert fn(b, np.array([])).shape == (0,)
+        params = pp(p=3.0)
+        assert isinstance(fn(params, 1.0, np.float64(0.5)), float)
+        assert fn(params, 1.0, np.array([0.5]))[0] == fn(params, 1.0, 0.5)
+        assert fn(params, 1.0, np.array([])).shape == (0,)
 
-    def test_radii_validation(self):
-        with pytest.raises(ValueError):
-            EnhancedBarriers(pp(), r_i=0.0, r_e=1.0)
+    @pytest.mark.parametrize("p", [3.0, INFINITY])
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("fn,name", [(enhanced_U, "r_e"),
+                                         (enhanced_V, "r_i")])
+    def test_radius_rejected_by_name(self, p, r, fn, name):
+        # each barrier checks the one radius it reads, before tau
+        with pytest.raises(ValueError) as err:
+            fn(pp(p=p), r, np.array([0.5]))
+        assert str(err.value) == f"{name} must be finite and positive, got {r}"
+
+    @pytest.mark.parametrize("fn", [enhanced_U, enhanced_V])
+    def test_overflowing_sigma_names_eps(self, fn):
+        with pytest.raises(ValueError, match=r"^eps = 1e-310 is too small"):
+            fn(pp(eps=1e-310), 1.0, 0.5)
 
 
 class TestSandwich:

@@ -139,6 +139,22 @@ class TestEvalRadial:
         log_u = [float(row["log_u"]) for row in parse_csv(out)]
         assert len(log_u) == 3 and all(v < 0.0 for v in log_u)
 
+    @pytest.mark.parametrize("argv,row", [
+        (("--N", "400", "--geometry", "ball", "--R", "1", "--r", "0.5"),
+         "0.5,-0.279904124947,0.584382023201"),
+        (("--N", "400", "--geometry", "exterior", "--R", "1", "--r", "1.5"),
+         "1.5,-80.9589208439,-7.4835196487"),
+        (("--N", "3", "--geometry", "ball", "--R", "1e-300", "--r", "5e-301"),
+         "5e-301,0,6.12372435696e-301"),
+    ])
+    def test_large_dimension_and_tiny_radius_answer(self, capsys, argv, row):
+        # the radial kernels take no Gamma(N/2) and no squares of R, so the
+        # refusals of geom at N = 400 and at R = 1e-160 do not reach here
+        code, out, _ = run_cli(capsys, "eval-radial", "--p", "3", "--eps",
+                               "0.1", *argv)
+        assert code == 0
+        assert out == f"r,log_u,varadhan_residual\n{row}\n"
+
     @pytest.mark.parametrize("text", ["inf", "Infinity", " INF "])
     def test_infinite_exponent_spellings(self, capsys, text):
         code, out, _ = run_cli(capsys, "eval-radial", "--N", "2", "--p",
@@ -305,14 +321,15 @@ class TestBarriers:
     @pytest.mark.parametrize("r_inner,r_outer", [("inf", "1"), ("1", "inf")])
     def test_infinite_radius_exits_2(self, capsys, recwarn, p, r_inner,
                                      r_outer):
-        # no nan log_U/log_V rows with exit 0 and a RuntimeWarning
+        # no nan log_U/log_V rows with exit 0 and a RuntimeWarning; U reads
+        # --r-outer and V --r-inner, and the error names the radius it read
         code, out, err = run_cli(capsys, "barriers", "--N", "2", "--p", p,
                                  "--eps", "0.1", "--r-inner", r_inner,
                                  "--r-outer", r_outer, "--tau", "0.5")
         assert code == 2
         assert out == ""
-        assert err == (f"error: ball radii must be finite and positive, got "
-                       f"r_i={float(r_inner)}, r_e={float(r_outer)}\n")
+        name = "r_i" if r_inner == "inf" else "r_e"
+        assert err == f"error: {name} must be finite and positive, got inf\n"
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
@@ -376,6 +393,58 @@ class TestGeom:
         assert err == ("error: dimension N must be an integer >= 2, "
                        f"got {n}\n")
 
+    def test_small_domain_keeps_its_areas(self, capsys, recwarn):
+        # the centred test of the sphere caps was absolute, so every area
+        # below a domain radius of about 1e-14 read 0 with exit 0
+        code, out, _ = run_cli(capsys, "geom", "--kind", "ball",
+                               "--domain-radius", "1e-100", "--R", "5e-101",
+                               "--N", "2", "--s", "5e-102")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert float(row["area"]) == pytest.approx(0.6033648156538913e-100,
+                                                   rel=1e-11, abs=0.0)
+        assert float(row["ratio"]) == pytest.approx(2.69832948607e-50,
+                                                    rel=1e-11, abs=0.0)
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    @pytest.mark.parametrize("radius,R,message", [
+        ("1e200", "5e199", "R must be positive with a square in the normal "
+                           "float range, got 5e+199"),
+        ("1e200", "0.5", "the centre's norm |x| must be positive with a "
+                         "square in the normal float range, got 1e+200"),
+        ("1e-160", "5e-161", "R must be positive with a square in the "
+                             "normal float range, got 5e-161"),
+    ])
+    def test_squares_out_of_the_float_range_exit_2(self, capsys, recwarn,
+                                                   radius, R, message):
+        # a domain radius of 1e200 leaked numpy's overflow warning and then
+        # blamed a point at radius inf
+        code, out, err = run_cli(capsys, "geom", "--kind", "ball",
+                                 "--domain-radius", radius, "--R", R,
+                                 "--N", "2", "--s", "0.05")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    def test_dimension_past_the_gamma_range_exits_2_naming_n(self, capsys):
+        # Gamma(N/2) overflowed: area nan and predicted_limit 0 with exit 0
+        code, out, err = run_cli(capsys, "geom", "--kind", "ball",
+                                 "--domain-radius", "1", "--R", "0.5",
+                                 "--N", "400", "--s", "0.05")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: N = 400 is too large: Gamma(200.0) overflows "
+                       "a float\n")
+
+    def test_dimension_341_answers_as_before(self, capsys):
+        code, out, _ = run_cli(capsys, "geom", "--kind", "ball",
+                               "--domain-radius", "1", "--R", "0.5",
+                               "--N", "341", "--s", "0.05")
+        assert code == 0
+        assert out == ("s,area,ratio,predicted_limit\n"
+                       "0.05,0,0,6.7576489343e-172\n")
+
 
 def qmean_config(tmp_path, **overrides):
     doc = {
@@ -391,6 +460,21 @@ def qmean_config(tmp_path, **overrides):
 
 
 class TestQmeanCommand:
+    @pytest.mark.parametrize("q,message", [
+        (2.0, "N = 400 is too large at p = 2.0, q = 2.0: the limit "
+              "prediction overflows a float"),
+        (3.0, "N = 400 is too large: Gamma(200.0) overflows a float")])
+    def test_dimension_past_the_float_range_exits_2_naming_n(
+            self, capsys, tmp_path, q, message):
+        # q = 2 raised OverflowError from c_nq (a traceback); q = 3 met
+        # areas of 0 and nan and exited 3
+        cfg_path = qmean_config(tmp_path, params_grid={
+            "N": [400], "p": [2.0], "q": [q]})
+        code, out, err = run_cli(capsys, "qmean", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_writes_csv(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
         cfg_path = qmean_config(tmp_path, output=str(out_path))

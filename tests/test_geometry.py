@@ -52,6 +52,24 @@ def implicit_ball(rho: float, dim: int = 2) -> ImplicitDomain:
     return ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=dim)
 
 
+def shifted_implicit_ball() -> ImplicitDomain:
+    """The disc of radius 2 about (1, 0): a ball of radius 1 about the
+    origin touches it at (-1, 0) alone."""
+    center = np.array([1.0, 0.0])
+
+    def phi(p):
+        q = np.asarray(p, dtype=float) - center
+        return np.sum(q * q, axis=-1) - 4.0
+
+    def grad(p):
+        return 2.0 * (np.asarray(p, dtype=float) - center)
+
+    def hess(p):
+        return 2.0 * np.broadcast_to(np.eye(2), np.shape(p)[:-1] + (2, 2))
+
+    return ImplicitDomain(phi=phi, grad=grad, hess=hess, dim=2)
+
+
 def implicit_ellipsoid(axes) -> ImplicitDomain:
     """sum_i (p_i / a_i)^2 < 1 in N = len(axes) dimensions."""
     inv = 1.0 / np.asarray(axes, dtype=float) ** 2
@@ -124,6 +142,24 @@ class TestSphereFormulas:
             unit_sphere_area(0)
         with pytest.raises(ValueError):
             ball_volume(2, -1.0)
+
+    def test_last_dimensions_in_the_gamma_range_keep_their_bits(self):
+        assert unit_sphere_area(341) == 2.0885510235282815e-221
+        assert unit_sphere_area(343) == 3.848314693351255e-223
+        assert ball_volume(341, 1.0) == 6.124783060200236e-224
+
+    @pytest.mark.parametrize("fn,n,arg", [
+        (unit_sphere_area, 344, 172.0), (unit_sphere_area, 400, 200.0),
+        (lambda n: ball_volume(n, 1.0), 342, 172.0),
+        (lambda n: ball_volume(n, 1.0), 400, 201.0)])
+    def test_dimension_past_the_gamma_range_rejected_naming_n(self, fn, n,
+                                                              arg):
+        # Gamma overflowed to inf: an area or volume of 0 (true value
+        # about 5e-224 at 344), and a cap integral of 0 or nan
+        with pytest.raises(ValueError) as err:
+            fn(n)
+        assert str(err.value) == (f"N = {n} is too large: Gamma({arg}) "
+                                  "overflows a float")
 
 
 def malformed_points():
@@ -444,6 +480,34 @@ class TestTouchingBall:
         with pytest.raises(ValueError):
             touching_ball(BallDomain(1.0), [0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("R", [1e-160, 1e160, 5e-324, math.nan])
+    def test_radius_with_a_square_out_of_the_float_range_rejected(self, R):
+        # the level-set areas square R: subnormal below about 1e-154,
+        # overflowing above about 1e154
+        scale = R if math.isfinite(R) else 1.0
+        with pytest.raises(ValueError) as err:
+            touching_ball(BallDomain(2.0 * scale), [scale, 0.0], R)
+        assert str(err.value) == ("R must be positive with a square in the "
+                                  f"normal float range, got {R}")
+
+    @pytest.mark.parametrize("x,c", [([2e200, 0.0], "2e+200"),
+                                     ([1e-170, 0.0], "1e-170")])
+    def test_centre_with_a_square_out_of_the_float_range_rejected(self, x,
+                                                                   c):
+        # on a ball, a centre of 1e200 overflowed np.linalg.norm's dot and
+        # blamed a "point at radius inf"; a subnormal |x|^2 loses digits
+        dom = shifted_implicit_ball()
+        with pytest.raises(ValueError) as err:
+            touching_ball(dom, x, 1.0)
+        assert str(err.value) == ("the centre's norm |x| must be positive "
+                                  "with a square in the normal float range, "
+                                  f"got {c}")
+
+    def test_centre_at_the_origin_accepted(self):
+        # |x| = 0 takes no digits from a square
+        cfg = touching_ball(shifted_implicit_ball(), [0.0, 0.0], 1.0)
+        assert cfg.y_x == pytest.approx([-1.0, 0.0])
+
     def test_nonunique_contact_rejected(self):
         # near the center of the ellipse the ball almost touches both the top
         # and the bottom vertex; the direction probe must notice the second
@@ -493,6 +557,21 @@ class TestLevelSetArea:
             level_set_area(cfg.domain, cfg, -0.1)
         with pytest.raises(ValueError):
             level_set_area(cfg.domain, cfg, np.array([0.1, 0.0]))
+
+    @pytest.mark.parametrize("k", [1e-14, 1e-100, 1e-150])
+    @pytest.mark.parametrize("domain,x,R,s", [
+        (BallDomain, [0.5, 0.0], 0.5, 0.05),
+        (ExteriorBallDomain, [2.0, 0.0, 0.0], 1.0, 0.05),
+    ])
+    def test_scale_free(self, k, domain, x, R, s):
+        # the centred test of the caps was absolute (c < 1e-14), so every
+        # area read 0 once the configuration was scaled below about 1e-14
+        n = len(x)
+        cfg = touching_ball(domain(1.0), x, R)
+        small = touching_ball(domain(k), np.multiply(x, k), R * k)
+        area = level_set_area(small.domain, small, s * k) / k ** (n - 1)
+        assert area == pytest.approx(level_set_area(cfg.domain, cfg, s),
+                                     rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("domain,x,R", [
         # R > rho/2: levels s in (rho, 2R) have rho - s <= 0 inside B_R(x)

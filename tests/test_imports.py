@@ -1,8 +1,10 @@
 """Every name a module of the package imports is used in that module, no
 module imports a memo cache or a thread, every name the benchmark imports
 from the package exists, every function, class, method and dataclass field
-the package defines is read by code other than the tests, and no function
-outside input validation picks its work by testing a domain's class.
+the package defines is read by code other than the tests, no function
+outside input validation picks its work by testing a domain's class, and
+every argument the benchmark's tracer reads by name is a parameter of the
+function it wraps.
 
 No linter runs on this repository, and deleted code tends to leave its
 imports behind.  The package's __init__ is exempt: its imports are the
@@ -303,3 +305,84 @@ def test_a_dispatch_on_a_domain_class_is_reported():
         "isinstance(..., BallDomain) (line 7)",
         "isinstance(..., EllipseDomain) (line 7)",
         "isinstance(..., ImplicitDomain) (line 9)"]
+
+
+# The benchmark's tracer reads some arguments by name (_param): the first
+# argument of each _amount_of_arg(name, ...) in its SPANS, and the names its
+# other amount factories pass to _param, such as emit's path.  A renamed
+# parameter makes Tracer.install drop that per-layer count without a word,
+# so the names are checked here against the package's signatures.  The
+# tracer is read as a tree, never imported or changed.
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def traced_arguments(tracer: str) -> list:
+    """(module, function, argument) for each argument that the SPANS of
+    the tracer source `tracer` reads by name."""
+    tree = ast.parse(tracer)
+    named = {node.name: [call.args[1].value for call in ast.walk(node)
+                         if isinstance(call, ast.Call)
+                         and isinstance(call.func, ast.Name)
+                         and call.func.id == "_param"
+                         and isinstance(call.args[1], ast.Constant)]
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    spans = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["SPANS"])
+    found = []
+    for module, function, factory in (entry.elts for entry in spans.elts):
+        if (isinstance(factory, ast.Call)
+                and factory.func.id == "_amount_of_arg"):
+            names = [factory.args[0].value]
+        elif isinstance(factory, ast.Name):
+            names = named.get(factory.id, [])
+        else:
+            names = []
+        found += [(module.value, function.value, name) for name in names]
+    return found
+
+
+def unmatched_traced_arguments(tracer: str, modules: dict) -> list:
+    """`module.function(argument)` for each argument the tracer reads by
+    name that is not a parameter of that top-level function of `modules`
+    (module name -> source)."""
+    params = {}
+    for name, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                params[f"{name}.{node.name}"] = {
+                    arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+    return sorted(f"{module}.{function}({arg})"
+                  for module, function, arg in traced_arguments(tracer)
+                  if arg not in params.get(f"{module}.{function}", ()))
+
+
+def test_the_tracer_reads_arguments_the_package_has():
+    tracer = TRACER.read_text(encoding="utf-8")
+    assert ("experiments", "emit", "path") in traced_arguments(tracer)
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in SOURCES}
+    assert unmatched_traced_arguments(tracer, modules) == []
+
+
+def test_a_renamed_traced_argument_is_reported():
+    tracer = ("def _file_bytes(fn):\n"
+              "    get = _param(fn, 'path')\n    return get\n"
+              "SPANS = (\n"
+              "    ('radial', 'eval_log_u', _amount_of_arg('r', _size)),\n"
+              "    ('geometry', 'level_set_area',\n"
+              "     _amount_of_arg('levels', _size)),\n"
+              "    ('geometry', 'gone', _amount_of_arg('n_samples', int)),\n"
+              "    ('barriers', 'enhanced_U', None),\n"
+              "    ('experiments', 'emit', _file_bytes),\n)\n")
+    modules = {"radial": "def eval_log_u(sol, r):\n    pass\n",
+               "geometry": "def level_set_area(domain, cfg, s):\n    pass\n",
+               "experiments": "def emit(rows, out=None, *, config=None):\n"
+                              "    pass\n"}
+    assert traced_arguments(tracer) == [
+        ("radial", "eval_log_u", "r"), ("geometry", "level_set_area", "levels"),
+        ("geometry", "gone", "n_samples"), ("experiments", "emit", "path")]
+    assert unmatched_traced_arguments(tracer, modules) == [
+        "experiments.emit(path)", "geometry.gone(n_samples)",
+        "geometry.level_set_area(levels)"]

@@ -185,3 +185,21 @@ class TestLimitConstants:
         prediction = limit_prediction(3, 2.0, INFINITY, [1.0, 1.0], 0.25)
         assert prediction == 0.5
         assert isinstance(prediction, float)
+
+    @pytest.mark.parametrize("n,p,q,kappa", [
+        (301, 2.0, 2.0, 0.0),  # c_{N,q} = exp(log c) overflows
+        (250, 1.001, 3.0, 0.0),  # (p')^{(N+1)/2} overflows
+        (300, 2.0, 2.0, 0.5),  # the quotient overflows to inf
+    ])
+    def test_overflow_rejected_naming_n(self, n, p, q, kappa):
+        # math.exp and float ** raised OverflowError, a traceback in the
+        # CLI, and an overflowing quotient gave an inf prediction
+        with pytest.raises(ValueError) as err:
+            limit_prediction(n, p, q, [kappa] * (n - 1), 1.0)
+        assert str(err.value) == (f"N = {n} is too large at p = {p}, "
+                                  f"q = {q}: the limit prediction overflows "
+                                  "a float")
+
+    def test_last_dimension_before_the_overflow_answers(self):
+        assert math.isfinite(limit_prediction(300, 2.0, 2.0, [0.0] * 299,
+                                              1.0))

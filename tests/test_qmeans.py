@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from resolvent_asym.barriers import EnhancedBarriers, enhanced_U, enhanced_V
+from resolvent_asym.barriers import enhanced_U, enhanced_V
 from resolvent_asym.geometry import (
     BallDomain,
     ExteriorBallDomain,
@@ -64,14 +64,13 @@ ELLIPSE_CFG = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5)
 
 
 def barrier_bruteforce(cfg, pp, barrier, q, n_samples, seed):
-    """q_mean_bruteforce of exp(barrier(b, d/xi)), d the clipped boundary
-    distance: the Monte Carlo barrier rows that qmean_limit_experiment
-    drew on implicit domains before the ellipse had closed-form areas."""
-    b = EnhancedBarriers(pp, r_i=cfg.R, r_e=cfg.R)
-
+    """q_mean_bruteforce of exp(barrier(pp, R, d/xi)), d the clipped
+    boundary distance: the Monte Carlo barrier rows that
+    qmean_limit_experiment drew on implicit domains before the ellipse had
+    closed-form areas."""
     def raw(pts):
         d = np.maximum(boundary_distances(cfg.domain, pts), 0.0)
-        return np.exp(barrier(b, d / pp.xi))
+        return np.exp(barrier(pp, cfg.R, d / pp.xi))
 
     return q_mean_bruteforce(cfg, q, raw, n_samples=n_samples, seed=seed)
 
@@ -350,9 +349,8 @@ class TestInvariants:
         pts = sample_ball(cfg.x, cfg.R, 40_000, seed=9)
         d = np.maximum(boundary_distances(dom, pts), 0.0)
         tau = d / params.xi
-        b = EnhancedBarriers(params, r_i=cfg.R, r_e=cfg.R)
-        u_vals = np.exp(enhanced_U(b, tau))
-        v_vals = np.exp(enhanced_V(b, tau))
+        u_vals = np.exp(enhanced_U(params, cfg.R, tau))
+        v_vals = np.exp(enhanced_V(params, cfg.R, tau))
         assert np.all(u_vals <= v_vals + 1e-15)
         mu_u, _ = _empirical_qmean(u_vals, 2.0)
         mu_v, _ = _empirical_qmean(v_vals, 2.0)
@@ -821,12 +819,11 @@ class TestSetUpOnce:
         for p in (2.0, INFINITY):
             for eps in (0.05, 0.025):
                 pp = ProblemParams(n=2, p=p, eps=eps)
-                b = EnhancedBarriers(pp, r_i=ELLIPSE_CFG.R, r_e=ELLIPSE_CFG.R)
                 for barrier in (enhanced_U, enhanced_V):
                     queries.append(QMeanQuery(
                         cfg=ELLIPSE_CFG, q=2.0, xi=pp.xi,
-                        profile=lambda tau, barrier=barrier, b=b:
-                        np.exp(barrier(b, tau))))
+                        profile=lambda tau, barrier=barrier, pp=pp:
+                        np.exp(barrier(pp, ELLIPSE_CFG.R, tau))))
         assert len(queries) == 62
         for query in queries:
             assert repr(query.ends) == repr(scalar_ends(query))
