@@ -7,7 +7,7 @@ is governed by psi(eps), tabulated here for three moduli of continuity.
 """
 
 from resolvent_asym.experiments import GeometrySpec, ModulusSpec, \
-    SweepConfig, make_modulus, run_psi_rate_table, run_varadhan_sweep
+    SweepConfig, run_psi_rate_table, run_varadhan_sweep
 from resolvent_asym.params import INFINITY
 
 
@@ -42,7 +42,7 @@ def main():
              ("1/log(1/s)", ModulusSpec("log_reciprocal", r=0.5)))
     eps_seq = (0.05, 0.02, 0.01)
     for label, spec in specs:
-        table, converges = run_psi_rate_table(make_modulus(spec), eps_seq)
+        table, converges = run_psi_rate_table(spec, eps_seq)
         cells = "  ".join(f"{row['eps_log_psi']:10.4f}" for row in table)
         print(f"  {label:16s} eps log psi: {cells}   converges={converges}")
 

@@ -24,7 +24,6 @@ from .experiments import (
     SweepConfig,
     _format_cell,
     emit,
-    make_modulus,
     run_psi_rate_table,
     run_qmean_sweep,
     run_varadhan_sweep,
@@ -109,7 +108,7 @@ def _cmd_rates(args) -> int:
     cfg = _load_config(args.config)
     rows, fits = run_varadhan_sweep(cfg)
     # the psi table, like the sweep, fails before anything is written
-    psi = (run_psi_rate_table(make_modulus(cfg.modulus), cfg.eps_sequence)
+    psi = (run_psi_rate_table(cfg.modulus, cfg.eps_sequence)
            if cfg.modulus is not None else None)
     _write_or_print(rows, cfg)
     for (n, p), fit in fits.items():

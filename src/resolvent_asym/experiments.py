@@ -21,7 +21,6 @@ from .geometry import (
     _DEFAULT_SEED,
     BallDomain,
     ExteriorBallDomain,
-    ModulusOfContinuity,
     TouchingBallConfig,
     psi_of_eps,
     touching_ball,
@@ -116,7 +115,9 @@ class GeometrySpec:
 
 @dataclass(frozen=True)
 class ModulusSpec:
-    """Named modulus of continuity for psi-rate runs."""
+    """Named modulus of continuity omega on (0, r] for psi-rate runs, checked
+    when built: finite, strictly increasing and positive at 24 points of
+    (0, r], so slope r must not overflow and log_reciprocal needs r < 1."""
 
     kind: str
     r: float
@@ -125,21 +126,26 @@ class ModulusSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "sqrt", "log_reciprocal"):
             raise ValueError(f"unknown modulus kind {self.kind!r}")
-        if not self.r > 0.0:
-            raise ValueError("modulus range r must be positive")
+        if not 0.0 < self.r < math.inf:
+            raise ValueError(
+                f"modulus range r must be positive and finite, got {self.r}")
         if self.kind == "linear" and not (self.slope is not None
-                                          and self.slope > 0.0):
-            raise ValueError("linear modulus needs a positive slope")
+                                          and 0.0 < self.slope < math.inf):
+            raise ValueError("linear modulus needs a positive slope that is "
+                             f"finite, got {self.slope}")
+        with np.errstate(all="ignore"):
+            vals = self.omega(np.geomspace(self.r * 1e-8, self.r, 24))
+        if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals) > 0.0)
+                and vals[0] > 0.0):
+            raise ValueError(f"modulus {self.kind} with r = {self.r} is not "
+                             "finite, strictly increasing and positive")
 
-
-def make_modulus(spec: ModulusSpec) -> ModulusOfContinuity:
-    if spec.kind == "linear":
-        slope = float(spec.slope)
-        return ModulusOfContinuity(lambda s: slope * np.asarray(s), spec.r)
-    if spec.kind == "sqrt":
-        return ModulusOfContinuity(lambda s: np.sqrt(np.asarray(s)), spec.r)
-    return ModulusOfContinuity(
-        lambda s: 1.0 / np.log(1.0 / np.asarray(s)), spec.r)
+    def omega(self, s):
+        """omega at s, elementwise."""
+        s = np.asarray(s)
+        if self.kind == "linear":
+            return float(self.slope) * s
+        return np.sqrt(s) if self.kind == "sqrt" else 1.0 / np.log(1.0 / s)
 
 
 def _parse_exponent(v) -> float:
@@ -321,7 +327,7 @@ def run_varadhan_sweep(cfg: SweepConfig
     return rows, fits
 
 
-def run_psi_rate_table(modulus: ModulusOfContinuity,
+def run_psi_rate_table(modulus: ModulusSpec,
                        eps_sequence: Sequence[float]
                        ) -> Tuple[List[dict], bool]:
     """(eps, psi, eps log psi, eps log|log psi|) rows plus a convergence flag.

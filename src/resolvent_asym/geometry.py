@@ -30,13 +30,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import (Callable, ClassVar, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, ClassVar, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 from scipy.special import betainc, ellipeinc, gamma
 
 from .params import _require_count, pi_gamma as _pi_gamma_product
+
+if TYPE_CHECKING:
+    from .experiments import ModulusSpec
 
 _PROJECT_TOL = 1e-12
 _PROJECT_MAX_ITER = 80
@@ -561,8 +564,8 @@ def touching_ball(domain: Geometry | ImplicitDomain, x: Sequence[float],
     """Validate and assemble a touching-ball configuration at x.
 
     Checks: R, and |x| unless x = 0, have normal float squares (the areas
-    square them); d_Gamma(x) = R to within 1e-9 max(1, R), so absolute below
-    R = 1 and relative above; the closed ball stays inside the closed domain,
+    square them); d_Gamma(x) = R to within 1e-9 R plus 4 ulp of |x|, the
+    precision of x itself; the closed ball stays inside the closed domain,
     to the same tolerance; the touching point is unique (probed along 10^4
     random directions: everything more than 0.3 rad away from the contact
     direction keeps boundary distance >= 1e-4 R); all curvatures < 1/R.
@@ -573,7 +576,8 @@ def touching_ball(domain: Geometry | ImplicitDomain, x: Sequence[float],
     if c:
         _require_square("the centre's norm |x|", c)
     d, y = domain.nearest(x)
-    if abs(d - R) > _TOUCH_TOL * max(1.0, R):
+    tol = _TOUCH_TOL * R + 4.0 * _EPS * c
+    if abs(d - R) > tol:
         raise ValueError(f"x is at boundary distance {d}, not R = {R}")
     kappas = domain.curvatures(y)
     _pi_gamma_product(kappas, R)  # raises when any kappa >= 1/R
@@ -581,7 +585,7 @@ def touching_ball(domain: Geometry | ImplicitDomain, x: Sequence[float],
                             _UNIQUENESS_DIRECTIONS, x.size)
     probes = x[None, :] + R * dirs
     dists = boundary_distances(domain, probes)
-    if np.min(dists) < -_TOUCH_TOL * max(1.0, R):
+    if np.min(dists) < -tol:
         raise ValueError("the closed ball B_R(x) leaves the domain")
     axis = (y - x) / R
     angles = np.arccos(np.clip(dirs @ axis, -1.0, 1.0))
@@ -608,18 +612,24 @@ def _sphere_cap_area(n: int, r1: np.ndarray, c: float,
                      window: float) -> np.ndarray:
     """Areas of the spheres {|p| = r1} cut to the ball of radius `window`
     centered at distance c from the origin (ambient dimension n),
-    elementwise in r1; r1 <= 0 gives 0.  The centred test is relative, so
-    the areas scale with the configuration."""
+    elementwise in r1; r1 <= 0 gives 0.  The cosine reads r1, c and window
+    in exact power-of-two units and the centred test is relative, so the
+    areas scale; one that overflows raises ValueError naming N."""
     r1 = np.asarray(r1, dtype=float)
-    full = unit_sphere_area(n) * r1 ** (n - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_phi = (r1 * r1 + c * c - window * window) / (2.0 * r1 * c)
-    cap = (unit_sphere_area(n - 1) * r1 ** (n - 1)
-           * _sin_power_integral(n - 2, np.arccos(np.clip(cos_phi, -1.0, 1.0))))
+    unit = 2.0 ** -math.frexp(max(c, window))[1]
+    ru, cu, wu = r1 * unit, c * unit, window * unit
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cos_phi = (ru * ru + cu * cu - wu * wu) / (2.0 * ru * cu)
+        full = unit_sphere_area(n) * r1 ** (n - 1)
+        cap = (unit_sphere_area(n - 1) * r1 ** (n - 1) * _sin_power_integral(
+            n - 2, np.arccos(np.clip(cos_phi, -1.0, 1.0))))
     out = np.where(cos_phi >= 1.0, 0.0, np.where(cos_phi <= -1.0, full, cap))
     centered = c <= 1e-14 * np.maximum(r1, window)
     out = np.where(centered, np.where(r1 <= window, full, 0.0), out)
-    return np.where(r1 > 0.0, out, 0.0)
+    out = np.where(r1 > 0.0, out, 0.0)
+    if np.any(np.isinf(out)):
+        raise ValueError(f"N = {n}: a level-set area overflows a float")
+    return out
 
 
 @dataclass(frozen=True)
@@ -631,7 +641,7 @@ class _EllipseTube:
     ball touches it at y(t0), and parameters are offsets u = t - t0.
 
     The ball's center is taken as y(t0) + R nu(t0), the center that
-    touching_ball checks to 1e-9, so that the interior test at offset 0
+    touching_ball checks to 1e-9 R, so that the interior test at offset 0
     reads s (s - 2R), with no cancellation as s -> 0 or s -> 2R.
     """
     a: float
@@ -913,7 +923,8 @@ def level_set_area_mc(domain: Geometry | ImplicitDomain,
     vol = ball_volume(n, cfg.R)
     seqs = np.random.SeedSequence(seed).spawn(_N_STRATA)
     base = n_samples // _N_STRATA
-    reach = (cfg.R - s - hw - _TOUCH_TOL * max(1.0, cfg.R)) * (1.0 - 1e-12)
+    reach = (cfg.R - s - hw - _TOUCH_TOL * cfg.R
+             - 4.0 * _EPS * math.hypot(*x)) * (1.0 - 1e-12)
     counts_total = 0
     var_sum = 0.0
     total = 0
@@ -945,26 +956,6 @@ def area_ratio_limit(cfg: TouchingBallConfig) -> float:
             / (n - 1) / math.sqrt(cfg.pi_gamma))
 
 
-@dataclass(frozen=True, eq=False)
-class ModulusOfContinuity:
-    """A strictly increasing modulus omega on (0, r] with omega(0+) = 0."""
-
-    omega: Callable
-    r: float
-
-    def __post_init__(self) -> None:
-        if not self.r > 0.0:
-            raise ValueError(f"r must be positive, got {self.r}")
-        probe = np.geomspace(self.r * 1e-8, self.r, 24)
-        vals = np.asarray(self.omega(probe), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("omega must be finite on (0, r]")
-        if not np.all(np.diff(vals) > 0.0):
-            raise ValueError("omega must be strictly increasing on (0, r]")
-        if vals[0] <= 0.0:
-            raise ValueError("omega must be positive on (0, r]")
-
-
 def _narrow(f: Callable, lo: float, hi: float) -> Tuple[float, float]:
     """(s, f(s)) at the argmin of f on arrays s of _PSI_GRID points evenly
     spaced in log s, the first over [lo, hi] and each next over the two
@@ -979,7 +970,7 @@ def _narrow(f: Callable, lo: float, hi: float) -> Tuple[float, float]:
     return math.exp(x[i]), float(v[i])
 
 
-def psi_of_eps(modulus: ModulusOfContinuity, eps: float) -> float:
+def psi_of_eps(modulus: ModulusSpec, eps: float) -> float:
     """Distance from (0, eps) to the graph {(s, omega(s)): 0 < s <= r}.
 
     Requires omega(tiny) <= eps <= omega(r), tiny the least normal float;

@@ -157,8 +157,12 @@ class QMeanQuery:
         if not self.xi > 0.0:
             raise ValueError(f"xi must be positive, got {self.xi}")
         s_max, area = self.cfg.domain.level_sets(self.cfg)
+        # G is linear in the areas and Brent reads ratios of G: areas over a
+        # power of two near R^(N-1), in the float range, keep the roots' bits
+        unit = 2.0 ** min(max(-(self.cfg.n - 1) * math.frexp(self.cfg.R)[1],
+                              -1022), 1023)
         object.__setattr__(self, "s_max", s_max)
-        object.__setattr__(self, "area", area)
+        object.__setattr__(self, "area", lambda s: area(s) * unit)
         object.__setattr__(self, "rule", None if is_infinity(self.q) else
                            FixedRule(_LEVEL, min(1.0, self.q - 1.0,
                                                  0.5 * (self.cfg.n - 1))))

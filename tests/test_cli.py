@@ -437,6 +437,23 @@ class TestGeom:
         assert err == ("error: N = 400 is too large: Gamma(200.0) overflows "
                        "a float\n")
 
+    def test_cap_at_the_edge_of_the_float_range(self, capsys):
+        # r1 * r1 + c * c overflowed: area 0 and ratio 0 with exit 0
+        code, out, _ = run_cli(capsys, "geom", "--kind", "ball",
+                               "--domain-radius", "1.3e154", "--R",
+                               "6.5e153", "--N", "2", "--s", "1e153")
+        assert code == 0
+        assert parse_csv(out)[0]["area"] == "9.47498687279e+153"
+
+    def test_area_past_the_float_range_exits_2_naming_n(self, capsys):
+        # r1 ** (N - 1) overflowed: area and ratio inf with exit 0
+        code, out, err = run_cli(capsys, "geom", "--kind", "exterior",
+                                 "--domain-radius", "1e20", "--R", "1e20",
+                                 "--N", "20", "--s", "1e19")
+        assert code == 2
+        assert out == ""
+        assert err == "error: N = 20: a level-set area overflows a float\n"
+
     def test_dimension_341_answers_as_before(self, capsys):
         code, out, _ = run_cli(capsys, "geom", "--kind", "ball",
                                "--domain-radius", "1", "--R", "0.5",
@@ -653,7 +670,48 @@ class TestQmeanCommand:
                        f"x={calls[2]!r}\n")
 
 
+BAD_MODULI = [
+    ({"kind": "log_reciprocal", "r": 1.0}, "modulus log_reciprocal"),
+    ({"kind": "log_reciprocal", "r": 2.0}, "modulus log_reciprocal"),
+    ({"kind": "sqrt", "r": math.inf}, "modulus range r"),
+    ({"kind": "linear", "r": 1.0, "slope": math.inf},
+     "linear modulus needs a positive slope"),
+    ({"kind": "linear", "r": 1e300, "slope": 1e300}, "modulus linear"),
+    ({"kind": "sqrt", "r": 0.0}, "modulus range r"),
+    ({"kind": "sqrt", "r": -1.0}, "modulus range r"),
+    ({"kind": "cubic", "r": 1.0}, "unknown modulus kind"),
+]
+
+
+def bad_modulus_config(tmp_path, modulus):
+    """A sweep config whose modulus is refused, with an infinity written as
+    the JSON number 1e999, which Python's json reads as inf."""
+    path = qmean_config(tmp_path, modulus=modulus)
+    path.write_text(path.read_text().replace("Infinity", "1e999"))
+    return path
+
+
 class TestRatesCommand:
+    @pytest.mark.parametrize("modulus,field", BAD_MODULI,
+                             ids=lambda v: json.dumps(v) if isinstance(
+                                 v, dict) else None)
+    @pytest.mark.parametrize("command", ["rates", "qmean"])
+    def test_bad_modulus_exits_2_when_the_config_loads(
+            self, capsys, tmp_path, monkeypatch, modulus, field, command):
+        # refused before any sweep runs, the unused modulus of qmean too
+        def no_sweep(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_varadhan_sweep", no_sweep)
+        monkeypatch.setattr(cli, "run_qmean_sweep", no_sweep)
+        code, out, err = run_cli(capsys, command, "--config",
+                                 str(bad_modulus_config(tmp_path, modulus)))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert field in err
+        assert err.count("\n") == 1
+
     def test_degenerate_exterior_with_psi_table(self, capsys, tmp_path):
         out_path = tmp_path / "rates.csv"
         cfg_path = qmean_config(

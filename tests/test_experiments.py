@@ -13,7 +13,6 @@ from resolvent_asym.experiments import (
     SweepConfig,
     emit,
     fit_rate,
-    make_modulus,
     run_psi_rate_table,
     run_qmean_sweep,
     run_varadhan_sweep,
@@ -267,7 +266,7 @@ class TestVaradhanSweep:
 
 class TestPsiRateTable:
     def test_linear_modulus_converges(self):
-        modulus = make_modulus(ModulusSpec("linear", r=1.0, slope=2.0))
+        modulus = ModulusSpec("linear", r=1.0, slope=2.0)
         eps_seq = [0.1, 0.01, 0.001, 1e-4]
         rows, converges = run_psi_rate_table(modulus, eps_seq)
         assert converges
@@ -278,14 +277,14 @@ class TestPsiRateTable:
                 row["eps"] * math.log(row["psi"]), rel=1e-12)
 
     def test_dini_modulus_does_not_converge(self):
-        modulus = make_modulus(ModulusSpec("log_reciprocal", r=0.5))
+        modulus = ModulusSpec("log_reciprocal", r=0.5)
         rows, converges = run_psi_rate_table(modulus, [0.05, 0.02, 0.01])
         assert not converges
         for row in rows:
             assert row["eps_log_psi"] == pytest.approx(-1.0, abs=0.15)
 
     def test_sqrt_modulus_converges(self):
-        modulus = make_modulus(ModulusSpec("sqrt", r=1.0))
+        modulus = ModulusSpec("sqrt", r=1.0)
         rows, converges = run_psi_rate_table(
             modulus, [0.1, 0.05, 0.025, 0.0125])
         assert converges
@@ -294,12 +293,12 @@ class TestPsiRateTable:
             assert 0.2 * row["eps"] ** 2 < row["psi"] < 2.0 * row["eps"] ** 2
 
     def test_empty_sequence_rejected(self):
-        modulus = make_modulus(ModulusSpec("sqrt", r=1.0))
+        modulus = ModulusSpec("sqrt", r=1.0)
         with pytest.raises(ValueError, match="empty"):
             run_psi_rate_table(modulus, [])
 
     def test_eps_beyond_modulus_range(self):
-        modulus = make_modulus(ModulusSpec("linear", r=1.0, slope=2.0))
+        modulus = ModulusSpec("linear", r=1.0, slope=2.0)
         with pytest.raises(ValueError):
             run_psi_rate_table(modulus, [3.0, 1.5, 0.7, 0.3])
 

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from resolvent_asym import geometry
+from resolvent_asym.experiments import ModulusSpec
 from resolvent_asym.qmeans import QMeanQuery, q_mean
 from resolvent_asym.quadrature import FixedRule
 from resolvent_asym.geometry import (
@@ -13,7 +15,6 @@ from resolvent_asym.geometry import (
     EllipseDomain,
     ExteriorBallDomain,
     ImplicitDomain,
-    ModulusOfContinuity,
     TouchingBallConfig,
     area_ratio_limit,
     ball_volume,
@@ -470,6 +471,14 @@ class TestTouchingBall:
     def test_ellipse_touching(self):
         cfg = touching_ball(make_ellipse_domain(2.0, 1.0), [0.0, 0.5], 0.5)
         assert cfg.pi_gamma == pytest.approx(1.0 - 0.5 * 0.25, abs=1e-10)
+
+    @pytest.mark.parametrize("cls,sign", [(BallDomain, -1.0),
+                                          (ExteriorBallDomain, 1.0)])
+    @pytest.mark.parametrize("R", [1e-9, 1e-13])
+    def test_small_ball_in_a_large_domain_accepted(self, cls, sign, R):
+        # |x| = 1 -+ R has rounded away about 1e-16 of d(x), more than
+        # 1e-9 R: the tolerance keeps 4 ulp of |x| for it
+        touching_ball(cls(1.0), [1.0 + sign * R, 0.0, 0.0], R)
 
     def test_wrong_distance_rejected(self):
         with pytest.raises(ValueError):
@@ -1080,15 +1089,26 @@ def sqrt_modulus_root(eps: float) -> float:
 class TestModulusAndPsi:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ModulusOfContinuity(lambda s: -s, 1.0)
-        with pytest.raises(ValueError):
-            ModulusOfContinuity(lambda s: np.ones_like(s), 1.0)
-        with pytest.raises(ValueError):
-            ModulusOfContinuity(lambda s: s, 0.0)
+            ModulusSpec("linear", 0.0, 1.0)
+
+    @pytest.mark.parametrize("spec,message", [
+        (("log_reciprocal", 1.0), "modulus log_reciprocal with r = 1.0 is"),
+        (("log_reciprocal", 2.0), "modulus log_reciprocal with r = 2.0 is"),
+        (("linear", 1e300, 1e300), "modulus linear with r = 1e+300 is"),
+        (("sqrt", math.inf), "modulus range r must be positive and finite, "
+                             "got inf"),
+        (("linear", 1.0, math.inf), "linear modulus needs a positive slope "
+                                    "that is finite, got inf"),
+    ], ids=["dini-r=1", "dini-r=2", "linear-overflow", "r-inf", "slope-inf"])
+    def test_validation_names_the_field(self, spec, message):
+        # the probe of 24 points of (0, r] runs when the spec is built, with
+        # no RuntimeWarning from omega
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            ModulusSpec(*spec)
 
     def test_linear_closed_form(self):
         for L in (0.5, 1.0, 3.0):
-            mod = ModulusOfContinuity(lambda s, L=L: L * s, 1.0)
+            mod = ModulusSpec("linear", 1.0, L)
             for eps in (0.3, 0.1, 0.02):
                 expected = eps / math.sqrt(1.0 + L * L)
                 assert psi_of_eps(mod, eps) == pytest.approx(expected,
@@ -1096,19 +1116,19 @@ class TestModulusAndPsi:
 
     def test_linear_ratio_limit(self):
         L = 2.0
-        mod = ModulusOfContinuity(lambda s: L * s, 1.0)
+        mod = ModulusSpec("linear", 1.0, L)
         ratios = [psi_of_eps(mod, eps) / eps for eps in (0.1, 0.01, 0.001)]
         for r in ratios:
             assert r == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-6)
 
     def test_sqrt_modulus_quadratic_psi(self):
-        mod = ModulusOfContinuity(lambda s: np.sqrt(s), 1.0)
+        mod = ModulusSpec("sqrt", 1.0)
         for eps in (0.1, 0.03, 0.01):
             psi = psi_of_eps(mod, eps)
             assert 0.2 * eps ** 2 < psi < 2.0 * eps ** 2
 
     def test_dini_type_modulus(self):
-        mod = ModulusOfContinuity(lambda s: 1.0 / np.log(1.0 / s), 0.5)
+        mod = ModulusSpec("log_reciprocal", 0.5)
         # omega(s) = eps at s = e^{-1/eps}; the graph is nearly vertical
         # there, so psi tracks the horizontal offset
         for eps in (0.05, 0.02, 0.01):
@@ -1116,24 +1136,24 @@ class TestModulusAndPsi:
             assert val == pytest.approx(-1.0, abs=0.15)
 
     def test_eps_above_omega_r_rejected(self):
-        mod = ModulusOfContinuity(lambda s: s, 1.0)
+        mod = ModulusSpec("linear", 1.0, 1.0)
         with pytest.raises(ValueError):
             psi_of_eps(mod, 1.5)
 
     def test_psi_never_exceeds_eps(self):
-        mod = ModulusOfContinuity(lambda s: np.sqrt(s), 1.0)
+        mod = ModulusSpec("sqrt", 1.0)
         for eps in (0.3, 0.1):
             assert psi_of_eps(mod, eps) <= eps + 1e-15
 
     def test_r_over_tiny_past_the_float_range(self):
         # r / tiny overflows once r > 4
-        mod = ModulusOfContinuity(lambda s: s, 10.0)
+        mod = ModulusSpec("linear", 10.0, 1.0)
         assert psi_of_eps(mod, 5.0) == pytest.approx(5.0 / math.sqrt(2.0),
                                                      rel=1e-12)
 
     def test_sqrt_modulus_cubic_oracle(self):
         # d^2 = x^4 + (x - eps)^2 at s = x^2 is least where 2x^3 + x = eps
-        mod = ModulusOfContinuity(lambda s: np.sqrt(s), 1.0)
+        mod = ModulusSpec("sqrt", 1.0)
         for eps in np.geomspace(1e-6, 0.3, 40):
             x = sqrt_modulus_root(eps)
             assert psi_of_eps(mod, eps) == pytest.approx(
@@ -1143,7 +1163,7 @@ class TestModulusAndPsi:
         # the graph of 1/log(1/s) crosses eps at s = e^{-1/eps} with slope
         # eps^2 e^{1/eps}, at least 1.2e6 here, so psi is e^{-1/eps} to
         # 1e-12; at eps = 0.0132 the slope is about 1e29
-        mod = ModulusOfContinuity(lambda s: 1.0 / np.log(1.0 / s), 0.5)
+        mod = ModulusSpec("log_reciprocal", 0.5)
         for eps in np.geomspace(1.0 / 700.0, 0.05, 200):
             assert psi_of_eps(mod, eps) == pytest.approx(
                 math.exp(-1.0 / eps), rel=1e-12), eps
@@ -1152,35 +1172,37 @@ class TestModulusAndPsi:
     def test_psi_below_the_float_range_rejected(self, eps):
         # omega(tiny) = 1/log(1/tiny) = 1.41e-3 > eps: psi = e^{-1/eps}
         # underflows
-        mod = ModulusOfContinuity(lambda s: 1.0 / np.log(1.0 / s), 0.5)
+        mod = ModulusSpec("log_reciprocal", 0.5)
         with pytest.raises(ValueError, match=rf"^eps = {eps} is below omega"
                            r".*psi\(eps\) underflows$"):
             psi_of_eps(mod, eps)
 
-    @pytest.mark.parametrize("omega,nearest", [
-        (lambda s: 2.0 * s, lambda eps: 0.4 * eps),
-        (np.sqrt, lambda eps: sqrt_modulus_root(eps) ** 2),
-        (lambda s: 1.0 / np.log(1.0 / s), lambda eps: math.exp(-1.0 / eps)),
+    @pytest.mark.parametrize("kind,slope,nearest", [
+        ("linear", 2.0, lambda eps: 0.4 * eps),
+        ("sqrt", None, lambda eps: sqrt_modulus_root(eps) ** 2),
+        ("log_reciprocal", None, lambda eps: math.exp(-1.0 / eps)),
     ], ids=["linear", "sqrt", "dini"])
     @pytest.mark.parametrize("eps", [0.05, 0.0132, 0.002])
-    def test_no_point_of_a_fine_local_grid_is_nearer(self, omega, nearest,
-                                                     eps):
-        psi = psi_of_eps(ModulusOfContinuity(omega, 0.5), eps)
+    def test_no_point_of_a_fine_local_grid_is_nearer(self, kind, slope,
+                                                     nearest, eps):
+        mod = ModulusSpec(kind, 0.5, slope)
+        psi = psi_of_eps(mod, eps)
         s = nearest(eps) * np.exp(np.linspace(-1e-3, 1e-3, 400_001))
-        assert psi <= np.hypot(s, omega(s) - eps).min() * (1.0 + 1e-12)
+        assert psi <= np.hypot(s, mod.omega(s) - eps).min() * (1.0 + 1e-12)
 
-    @pytest.mark.parametrize("omega", [lambda s: 2.0 * s, np.sqrt,
-                                       lambda s: 1.0 / np.log(1.0 / s)],
+    @pytest.mark.parametrize("kind,slope", [("linear", 2.0), ("sqrt", None),
+                                            ("log_reciprocal", None)],
                              ids=["linear", "sqrt", "dini"])
-    def test_search_shape(self, omega):
+    def test_search_shape(self, kind, slope):
         # each search narrows whole arrays: no one-point calls, and few
         sizes = []
 
-        def recorded(s):
-            sizes.append(np.size(s))
-            return omega(s)
+        class Recorded(ModulusSpec):
+            def omega(self, s):
+                sizes.append(np.size(s))
+                return super().omega(s)
 
-        mod = ModulusOfContinuity(recorded, 0.5)
+        mod = Recorded(kind, 0.5, slope)
         for eps in (0.3, 0.0132, 0.002):
             sizes.clear()
             psi_of_eps(mod, eps)

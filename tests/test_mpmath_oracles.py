@@ -16,7 +16,8 @@ from scipy.special import ive, kve
 
 from resolvent_asym import quadrature
 from resolvent_asym.cli import main
-from resolvent_asym.geometry import ModulusOfContinuity, psi_of_eps
+from resolvent_asym.experiments import ModulusSpec
+from resolvent_asym.geometry import psi_of_eps
 from resolvent_asym.params import ProblemParams
 from resolvent_asym.quadrature import (
     integrate_sin_weighted,
@@ -246,7 +247,7 @@ def dini_psi_oracle(eps):
 def test_dini_psi_minimisation():
     # above eps = 0.05 the nearest point leaves the crossing e^{-1/eps};
     # eps = 1/log 2 crosses at s = r
-    mod = ModulusOfContinuity(lambda s: 1.0 / np.log(1.0 / s), 0.5)
+    mod = ModulusSpec("log_reciprocal", 0.5)
     for eps in np.geomspace(0.05, 1.0 / math.log(2.0), 40):
         assert psi_of_eps(mod, eps) == pytest.approx(
             dini_psi_oracle(eps), rel=1e-10), eps

@@ -1,5 +1,6 @@
 """Every command of the README's "Command line" block runs with its config,
-and every package name its prose puts in backticks still exists."""
+every example command of its "Refused inputs" list exits 2 with one error
+line, and every package name its prose puts in backticks still exists."""
 
 import importlib
 import json
@@ -20,6 +21,8 @@ COMMANDS = [line for line in
             re.search(r"```sh\n(.*?)```", SECTION, re.S).group(1).splitlines()
             if line.startswith("resolvent-asym ")]
 CONFIG = re.search(r"```json\n(.*?)```", SECTION, re.S).group(1)
+REFUSED = re.findall(r"`(resolvent-asym [^`]*)`",
+                     SECTION.split("### Refused inputs", 1)[1])
 
 
 def test_block_found():
@@ -43,6 +46,22 @@ def test_config_output_written_as_csv(line, tmp_path, monkeypatch, capsys):
     assert cli.main(shlex.split(line)[1:]) == 0
     assert f"rows to {output}\n" in capsys.readouterr().out
     assert (tmp_path / output).read_text().startswith("n,p,")
+
+
+def test_refused_examples_found():
+    assert len(REFUSED) >= 12
+
+
+@pytest.mark.parametrize("line", REFUSED)
+def test_refused_example_exits_2_with_one_error_line(line, capsys):
+    # each "Refused inputs" example: exit 2, no rows and one error line,
+    # with no RuntimeWarning (pytest makes warnings errors)
+    assert cli.main(shlex.split(line)[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.err.endswith("\n")
 
 
 PROSE = re.sub(r"```.*?```", "", README, flags=re.S)
