@@ -5,15 +5,15 @@
 
 With g = 1 both are modified Bessel functions of order nu = alpha/2 (DLMF
 10.32.2 and 10.32.8); log_sin_kernel and log_sinh_kernel evaluate those
-closed forms, vectorized in sigma.  sin_family and sinh_family define each
-weight once: its log, its interval and the strength of its endpoint
-singularity.  The tanh-sinh engine (Takahasi & Mori 1974) integrates them
-against any nonnegative g, is the kernels' fallback where the scaled Bessel
-values leave the float range, and is the oracle the closed forms are tested
-against.  _nodes builds the arrays of a set of abscissae that do not
-depend on the interval, and _values places them on [a, b] (endpoint offsets
-kept as logarithms) and evaluates the integrand there in one call; the
-adaptive rules do both once per refinement level, on its new abscissae.
+closed forms, vectorized in sigma: scipy's ive/kve, and Debye's expansion
+or the power series where those leave the float range.  sin_family and
+sinh_family define each weight once: its log, its interval and the strength
+of its endpoint singularity.  The tanh-sinh engine (Takahasi & Mori 1974)
+integrates them against any nonnegative g and is the closed forms' oracle.
+_nodes builds the arrays of a set of abscissae that do not depend on the
+interval, and _values places them on [a, b] (endpoint offsets kept as
+logarithms) and evaluates the integrand there in one call; the adaptive
+rules do both once per refinement level, on its new abscissae.
 tanh_sinh_log sums the levels in the log domain, so endpoint singularities
 (sin theta)^alpha with alpha near -1 neither underflow nor overflow; its
 logsumexp is scipy's algorithm, bit for bit, without the array-API
@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import gammaln, ive, kve
+from numpy.polynomial.polynomial import polyval
+from scipy.special import exprel, gammaln, ive, kve, zeta
 
 _LOG_PI_HALF = math.log(math.pi / 2.0)
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
@@ -45,8 +46,6 @@ _ABS_TOL = 1e-300
 _LOG_ABS_TOL = math.log(_ABS_TOL)
 _REL_TOL = 1e-10
 _MAX_REFINEMENTS = 10
-# the largest alpha at which each kernel's quadrature fallback is checked
-_SIN_EDGE, _SINH_EDGE = 2200.0, 4000.0
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,8 @@ def tanh_sinh_log(log_f: Callable, a: float, b: float,
 
 def _level_sum(w: np.ndarray, vals: np.ndarray) -> float:
     """Sum of the finite weighted terms of one level (h-free weights w)."""
-    terms = w * vals
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = w * vals
     return float(np.sum(terms[np.isfinite(terms)]))
 
 
@@ -345,61 +345,79 @@ def integrate_sinh_weighted(sigma: float, alpha: float,
     return _integrate(sinh_family(sigma, alpha, theta_min), g)
 
 
-def _large_argument(nu: float, z: np.ndarray, k: bool) -> np.ndarray:
-    """e^z K_nu(z) if k, else e^{-z} I_nu(z) without its e^{-2z} part, by the
-    large-argument expansions DLMF 10.40.2/10.40.1 summed until a term falls
-    below 1e-17 of the sum; nan where 30 terms do not get there."""
-    sign = 1.0 if k else -1.0
-    term, total = np.ones_like(z), np.ones_like(z)
-    for j in range(1, 31):
-        term *= sign * (4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j * z)
-        total += term
-        small = np.abs(term) <= 1e-17 * np.abs(total)
-        if np.all(small):
-            break
-    total[~small] = math.nan
-    return np.sqrt(0.5 * math.pi / z) / (1.0 if k else math.pi) * total
+# Debye's u_k(p), k < 10, by DLMF 10.41.9, each kept as the coefficients of
+# u_k(p)/p^k in p^2, which over r^k is u_k(p)/nu^k; and Stirling's series of
+# log Gamma(nu + 1/2) - (nu log nu - nu + log(2 pi)/2) in 1/nu, 1/nu^3, ...
+# From nu = 20 the first term each drops is below 1.3e-13 and 1.6e-15.
+_DEBYE, _u = [], np.polynomial.Polynomial([1.0])
+for _k in range(10):
+    _DEBYE.append(_u.coef[_k::2])
+    _u = _u.deriv() * [0, 0, 0.5, 0, -0.5] + (_u * [1, 0, -5]).integ() / 8
+_STIRLING_HALF = (-1 / 24, 7 / 2880, -31 / 40320, 127 / 215040)
 
 
-def _log_bessel_kernel(sigma, alpha: float, positive: bool, log_const: float,
-                       scaled_bessel: Callable, integrate: Callable,
-                       edge: float):
-    """log_const - nu log(sigma/2) + log scaled_bessel(nu, sigma), nu = alpha/2.
+def _log_debye(nu: float, z: np.ndarray, positive: bool) -> np.ndarray:
+    """The kernel by Debye's expansions (DLMF 10.41.3/10.41.4), r = hypot(nu,
+    z).  From nu = 20, c = nu and Stirling's series cancel nu log nu by hand,
+    as r - z = nu^2/(r + z) and r - nu = x z do: log I(0) keeps its digits."""
+    r = np.hypot(nu, z)
+    t, q, total = (-1.0 if positive else 1.0) / r, (nu / r) ** 2, 0.0
+    for coef in reversed(_DEBYE):
+        total = total * t + polyval(q, coef)
+    c, head = ((nu, polyval(nu ** -2.0, _STIRLING_HALF) / nu) if nu >= 20.0
+               else (1.0, gammaln(nu + 0.5) - 0.5 * math.log(2 * math.pi) + nu))
+    out = head + np.log(total) + 0.5 * np.log(math.pi / r)
+    if positive:
+        return out - nu * (1.0 + nu / (r + z) + 2.0 * np.log(z)
+                           - np.log(nu + r) - math.log(2.0 * c))
+    x = z / (r + nu)
+    return out - nu * (z * (1.0 + x) / (r + z)
+                       + np.log1p((x * z + 2.0 * (nu - c)) / (2.0 * c)))
 
-    positive marks the K kernel.  Past scipy's range (nan, sigma > ~1e9) the
-    large-argument expansion stands in.  Entries still zero, subnormal,
-    infinite or nan carry no usable digits (large nu at small sigma) although
-    the kernel is finite; they go to the quadrature `integrate`.  Past
-    alpha = `edge` its sigma range reaches kernels below _ABS_TOL, where it
-    takes two coarse levels under that floor as converged, so there they
-    raise ValueError naming alpha and sigma.
-    """
+
+def _log_series(nu: float, z: np.ndarray, positive: bool,
+                log_const: float) -> np.ndarray:
+    """The kernel by the z -> 0 terms of the power series (DLMF 10.25.2,
+    10.27.4): 1/Gamma(nu + 1), or Gamma(a)/2 (z/2)^-a, a = |nu|, and below
+    a = 0.025 its second term, with log(Gamma(1 - a)/Gamma(1 + a)) to a^3."""
+    if not positive:
+        return log_const - gammaln(nu + 1.0)
+    a, log_half = abs(nu), np.log(z) - math.log(2.0)
+    m = 2.0 * (log_half + np.euler_gamma + zeta(3.0) * a * a / 3.0)
+    tail = np.log(-m * exprel(a * m)) if a < 0.025 else -math.log(a)
+    return (log_const - (nu + a) * log_half + gammaln(1.0 + a)
+            - math.log(2.0) + tail)
+
+
+def _log_bessel_kernel(sigma, alpha: float, positive: bool):
+    """log_sinh_kernel if positive, else log_sin_kernel.  Where scipy's
+    scaled value is zero, subnormal, infinite or nan (large nu, sigma past
+    1e9 or below 1e-300), or log(sigma/2) is -inf, a closed form answers
+    each entry from its own sigma: Debye's expansion where |nu| >= 20 or
+    sigma >= 1, else the power series."""
     _check_alpha(alpha)
+    log_const = gammaln(0.5 * (alpha + 1.0)) + (
+        -_HALF_LOG_PI if positive else _HALF_LOG_PI)
     s = np.asarray(sigma, dtype=float)
     flat = s.reshape(-1)
     nu = 0.5 * alpha
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        b = scaled_bessel(nu, flat)
-        usable = (b >= _TINY) & (b < math.inf) & (flat > 0.0)
-        slow = not usable.all()
-        if slow:
+        b = (kve if positive else ive)(nu, flat)
+        out = log_const - nu * np.log(0.5 * flat) + np.log(b)
+        unusable = ~((b >= _TINY) & np.isfinite(out))
+        if unusable.any():
             # an infinite sigma gives nan, so it always lands here
             if not np.all((flat > 0.0 if positive else flat >= 0.0)
                           & (flat < math.inf)):
                 raise ValueError(f"sigma must be finite and "
                                  f"{'>' if positive else '>='} 0, got {sigma}")
-            far = np.isnan(b)
-            b[far] = _large_argument(nu, flat[far], positive)
-            usable = (b >= _TINY) & (b < math.inf) & (flat > 0.0)
-        out = log_const - nu * np.log(0.5 * flat) + np.log(b)
-    for i in np.flatnonzero(~usable) if slow else ():
-        if flat[i] != 0.0 and alpha > edge:
-            raise ValueError(f"alpha = {alpha} is past {edge:g}, the largest "
-                             f"checked order, at sigma = {flat[i]}")
-        # I(0) = sqrt(pi) Gamma((alpha+1)/2) / Gamma(nu+1), the Beta integral
-        out[i] = (log_const - gammaln(nu + 1.0) if flat[i] == 0.0
-                  else integrate(float(flat[i]), alpha).log_magnitude)
+            debye = unusable & ((abs(nu) >= 20.0) | (flat >= 1.0))
+            series = unusable & ~debye
+            if debye.any():
+                out[debye] = _log_debye(nu, flat[debye], positive)
+            if series.any():
+                out[series] = _log_series(nu, flat[series], positive, log_const)
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
@@ -410,9 +428,7 @@ def log_sin_kernel(sigma: Union[float, np.ndarray], alpha: float
     log I = log(pi)/2 + log Gamma((alpha+1)/2) - nu log(sigma/2)
             + log(e^{-sigma} I_nu(sigma)),  nu = alpha/2.
     """
-    return _log_bessel_kernel(sigma, alpha, False,
-                              _HALF_LOG_PI + gammaln(0.5 * (alpha + 1.0)),
-                              ive, integrate_sin_weighted, _SIN_EDGE)
+    return _log_bessel_kernel(sigma, alpha, False)
 
 
 def log_sinh_kernel(sigma: Union[float, np.ndarray], alpha: float
@@ -422,6 +438,4 @@ def log_sinh_kernel(sigma: Union[float, np.ndarray], alpha: float
     log f = -log(pi)/2 + log Gamma((alpha+1)/2) - nu log(sigma/2)
             + log(e^{sigma} K_nu(sigma)),  nu = alpha/2.
     """
-    return _log_bessel_kernel(sigma, alpha, True,
-                              -_HALF_LOG_PI + gammaln(0.5 * (alpha + 1.0)),
-                              kve, integrate_sinh_weighted, _SINH_EDGE)
+    return _log_bessel_kernel(sigma, alpha, True)

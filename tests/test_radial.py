@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import i0e, k0e
 
 from resolvent_asym.geometry import BallDomain, ExteriorBallDomain
@@ -12,7 +13,6 @@ from resolvent_asym.radial import (
     RadialSolution,
     eval_log_u,
     ode_residual,
-    scaling_check,
     varadhan_residual,
 )
 
@@ -107,13 +107,18 @@ class TestStructuralProperties:
                 for eps in (0.4, 0.2, 0.1, 0.05)]
         assert all(a > b for a, b in zip(logs, logs[1:]))
 
-    @pytest.mark.parametrize("p", [1.5, 2.0, 5.0, INFINITY])
-    @pytest.mark.parametrize("kind", ["ball", "exterior"])
-    def test_scaling_invariance(self, p, kind):
-        sol = make(3, p, 0.12, kind)
-        grid = (np.linspace(0.05, 0.95, 7) if kind == "ball"
-                else np.linspace(1.05, 2.5, 7))
-        assert scaling_check(sol, grid) < 1e-9
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=st.sampled_from(BENCH_PS), kind=st.sampled_from(["ball",
+                                                             "exterior"]),
+           t=st.floats(0.0, 1.0), s=st.floats(0.1, 10.0))
+    def test_scaling_invariance(self, p, kind, t, s):
+        # u depends on (r/eps, R/eps) only, so scaling r, R and eps by s
+        # moves log u by rounding alone
+        lo, hi = (0.05, 0.95) if kind == "ball" else (1.05, 2.5)
+        r = lo + t * (hi - lo)
+        scaled = make(3, p, 0.12 * s, kind, R=s)
+        assert abs(eval_log_u(make(3, p, 0.12, kind), r)
+                   - eval_log_u(scaled, r * s)) < 1e-9
 
     def test_rejects_radius_outside_domain(self):
         with pytest.raises(ValueError):
@@ -274,26 +279,13 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("p", [1.05, 2.0, 10.0])
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("kind", ["ball", "exterior"])
-    def test_large_argument_branch(self, monkeypatch, n, p, kind):
+    def test_past_scipy_range(self, n, p, kind):
         # sigma = sqrt(p') r / eps > 1e9: scipy's scaled Bessel values are
-        # nan there and the large-argument expansion sums terms until the
-        # whole array has converged (2 terms at r = 1, 3 at r = 0.2 for
-        # N = 2, p = 1.05)
-        from resolvent_asym import quadrature
-
-        sizes = []
-
-        def spy(nu, z, k, real=quadrature._large_argument):
-            sizes.append(z.size)
-            return real(nu, z, k)
-
-        monkeypatch.setattr(quadrature, "_large_argument", spy)
+        # nan there and Debye's expansion answers each entry on its own
         sol = make(n, p, 1e-10, kind)
         radii = (np.linspace(0.2, 1.0, 17) if kind == "ball"
                  else np.linspace(1.0, 3.0, 17))
         self.assert_elementwise(sol, radii)
-        # the boundary, the batch, then each radius alone
-        assert sizes == [1, 17] + [1] * 17
 
 
 class TestBoundaryKernelOnce:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from resolvent_asym.quadrature import integrate_sinh_weighted
+from resolvent_asym.quadrature import (
+    NonConvergenceError,
+    integrate_sinh_weighted,
+)
 from resolvent_asym.special import (
     AsymptoticBranch,
     MollifierKind,
@@ -124,6 +127,14 @@ class TestMollifier:
                   for s in (1.0, 10.0, 100.0, 1e4)]
         assert all(a > b for a, b in zip(masses, masses[1:]))
         assert masses[-1] < 1e-8
+
+    @pytest.mark.parametrize("kind", [MollifierKind.NU, MollifierKind.MU])
+    def test_strong_endpoint_singularity_fails_without_a_warning(self, kind):
+        # alpha = -0.98 (p near 51 at N = 2): the rule needs more doublings
+        # than it has, and the infinite endpoint terms it drops by design
+        # raise no RuntimeWarning on the way (warnings are errors here)
+        with pytest.raises(NonConvergenceError):
+            mollifier_expectation(np.cos, 1.0, -0.98, kind)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
