@@ -145,7 +145,7 @@ class Geometry:
         R, c = cfg.R, float(np.linalg.norm(np.asarray(cfg.x, dtype=float)))
         return self.s_max(R), partial(
             _zero_outside, R,
-            lambda s: _sphere_cap_area(cfg.n, self.radius(s), c, R))
+            lambda s: _sphere_cap_area(cfg.n, s, self.radius(s), c, R))
 
 
 @dataclass(frozen=True)
@@ -598,36 +598,27 @@ def touching_ball(domain: Geometry | ImplicitDomain, x: Sequence[float],
                               domain=domain)
 
 
-def _sin_power_integral(m: int, phi: np.ndarray) -> np.ndarray:
-    """int_0^phi sin^m t dt for integer 0 <= m <= 341 (unit_sphere_area(m + 2)
-    refuses larger first), elementwise; phi is clipped to [0, pi]."""
-    phi = np.clip(phi, 0.0, math.pi)
-    total = math.sqrt(math.pi) * gamma(0.5 * (m + 1)) / gamma(0.5 * m + 1.0)
-    half = 0.5 * total * betainc(0.5 * (m + 1), 0.5,
-                                 np.sin(np.minimum(phi, math.pi - phi)) ** 2)
-    return np.where(phi <= 0.5 * math.pi, half, total - half)
-
-
-def _sphere_cap_area(n: int, r1: np.ndarray, c: float,
-                     window: float) -> np.ndarray:
-    """Areas of the spheres {|p| = r1} cut to the ball of radius `window`
-    centered at distance c from the origin (ambient dimension n),
-    elementwise in r1; r1 <= 0 gives 0.  The cosine reads r1, c and window
-    in exact power-of-two units and the centred test is relative, so the
-    areas scale; one that overflows raises ValueError naming N."""
-    r1 = np.asarray(r1, dtype=float)
-    unit = 2.0 ** -math.frexp(max(c, window))[1]
-    ru, cu, wu = r1 * unit, c * unit, window * unit
+def _sphere_cap_area(n: int, s: np.ndarray, r1: np.ndarray, c: float,
+                     R: float) -> np.ndarray:
+    """Areas of the level spheres {|p| = r1} at boundary distances s, cut to
+    the touching ball B_R(x), |x| = c (ambient dimension n), elementwise.
+    By the law of cosines at exact contact the cap's polar angle phi has
+    sin^2(phi/2) = h = s (2R - s) / (4 r1 c) on the ball and on its
+    complement alike, with no cancellation as s -> 0; c = 0 gives h = inf,
+    the full sphere, and r1 = 0 area 0.  The cap's fraction of the sphere
+    is a regularized incomplete beta in sin^2(phi) = 4h(1 - h) below
+    h = 1/4, and in cos^2(phi) = (1 - 2h)^2 from there on, exact at the
+    hemisphere.  An area that overflows raises ValueError naming N."""
+    a = 0.5 * (n - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cos_phi = (ru * ru + cu * cu - wu * wu) / (2.0 * ru * cu)
-        full = unit_sphere_area(n) * r1 ** (n - 1)
-        cap = (unit_sphere_area(n - 1) * r1 ** (n - 1) * _sin_power_integral(
-            n - 2, np.arccos(np.clip(cos_phi, -1.0, 1.0))))
-    out = np.where(cos_phi >= 1.0, 0.0, np.where(cos_phi <= -1.0, full, cap))
-    centered = c <= 1e-14 * np.maximum(r1, window)
-    out = np.where(centered, np.where(r1 <= window, full, 0.0), out)
-    out = np.where(r1 > 0.0, out, 0.0)
-    if np.any(np.isinf(out)):
+        h = s / (4.0 * c) * ((2.0 * R - s) / r1)
+        cosine = 1.0 - 2.0 * h
+        frac = np.where(
+            h < 0.25, 0.5 * betainc(a, 0.5, 4.0 * h * (1.0 - h)),
+            0.5 - 0.5 * np.sign(cosine)
+            * betainc(0.5, a, np.minimum(cosine * cosine, 1.0)))
+        out = unit_sphere_area(n) * frac * r1 ** (n - 1)
+    if not np.all(np.isfinite(out)):
         raise ValueError(f"N = {n}: a level-set area overflows a float")
     return out
 

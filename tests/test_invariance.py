@@ -11,7 +11,7 @@ eps = 0.02 k with the exact radial solution as the profile:
 - the exterior of the ball of radius k, N = 3, x = (2k, 0, 0), R = k
 
 j runs over the range where touching_ball accepts the squares of R and
-|x| (to 512 on the ball; on the exterior the areas overflow from 510).
+|x|: to 512 on the ball, and to 510 on the exterior, whose |x| = 2k.
 """
 
 import functools
@@ -29,7 +29,8 @@ from resolvent_asym.radial import RadialSolution, eval_log_u
 SCALES = (-509, -350, -100, 0, 100, 350, 509)
 # kind: (domain class, N, x / k, R / k, the exponents j of k = 2^j)
 SETUPS = {"ball": (BallDomain, 2, (0.5, 0.0), 0.5, SCALES + (512,)),
-          "exterior": (ExteriorBallDomain, 3, (2.0, 0.0, 0.0), 1.0, SCALES)}
+          "exterior": (ExteriorBallDomain, 3, (2.0, 0.0, 0.0), 1.0,
+                       SCALES + (510,))}
 DISTANCES = np.array([0.0, 0.01, 0.3])
 TAUS = np.array([0.0, 1.0, 5.0])
 LEVELS = np.array([0.01, 0.3, 0.9])
@@ -69,18 +70,6 @@ def test_answers_do_not_move_with_the_scale(kind, j):
     for name, value in want.items():
         np.testing.assert_allclose(got[name], value, rtol=1e-12, atol=0.0,
                                    err_msg=name)
-
-
-def test_exterior_areas_past_the_float_range_rejected_naming_n():
-    domain, cfg, k = configuration("exterior", 510)
-    with pytest.raises(ValueError,
-                       match=r"^N = 3: a level-set area overflows a float"):
-        level_set_area(domain, cfg, k * LEVELS)
-    pp = ProblemParams(n=3, p=2.0, eps=0.02 * k)
-    with pytest.raises(ValueError,
-                       match=r"^N = 3: a level-set area overflows a float"):
-        q_mean(QMeanQuery(cfg=cfg, q=2.0, xi=pp.xi,
-                          profile=solution_profile(pp, domain)))
 
 
 def test_touching_radius_checked_relative_to_r():

@@ -1,10 +1,13 @@
 """The kernels and the radial solutions against 40- and 60-digit mpmath
-Bessel functions and 30-digit mpmath quadrature, and psi(eps) of the
-Dini-type modulus against a 40-digit minimisation.
+Bessel functions and 30-digit mpmath quadrature, psi(eps) of the Dini-type
+modulus against a 40-digit minimisation, the sphere caps against mpmath's
+incomplete beta, and the co-area q = 2 means against a 20-digit quotient
+of mpmath integrals over those caps.
 
 mpmath is a test-only dependency: it shares no code with scipy's Bessel
-routines, with the package's Debye and power-series closed forms or with
-its tanh-sinh engine, so it pins all three.
+routines and incomplete beta, with the package's Debye and power-series
+closed forms or with its tanh-sinh engine and co-area route, so it pins
+them all.
 """
 
 import json
@@ -17,8 +20,10 @@ from scipy.special import ive, kve
 from resolvent_asym import quadrature
 from resolvent_asym.cli import main
 from resolvent_asym.experiments import ModulusSpec
-from resolvent_asym.geometry import psi_of_eps
-from resolvent_asym.params import ProblemParams
+from resolvent_asym.geometry import (BallDomain, ExteriorBallDomain,
+                                     level_set_area, psi_of_eps, touching_ball)
+from resolvent_asym.params import INFINITY, ProblemParams
+from resolvent_asym.qmeans import QMeanQuery, q_mean, solution_profile
 from resolvent_asym.quadrature import (
     integrate_sin_weighted,
     integrate_sinh_weighted,
@@ -148,12 +153,12 @@ def test_closed_form_at_the_old_edges(family, alpha):
     ("sinh", 4200.0, 3000.0),
 ])
 def test_closed_form_past_the_old_edges(family, alpha, sigma):
-    # the engine accepts two coarse levels below its absolute floor here
-    # (log I off by 0.15, log f by 20); the kernels no longer call it
+    # the kernel and the engine agree with the oracle where the integral is
+    # far below 1e-300, which the log-domain rule represents as its log
     integrate = (integrate_sinh_weighted if KERNELS[family][2]
                  else integrate_sin_weighted)
     ref = log_quad_oracle(sigma, alpha, KERNELS[family][2])
-    assert abs(integrate(sigma, alpha).log_magnitude - ref) > 0.1
+    assert abs(integrate(sigma, alpha).log_magnitude - ref) <= 1e-12 * abs(ref)
     assert_near_quad_oracle(family, [sigma], alpha)
 
 
@@ -406,3 +411,76 @@ def test_rates_dini_rows(capsys, tmp_path):
         assert abs(float(row["eps_log_psi"])
                    - eps * math.log(dini_psi_oracle(eps))) <= 1e-9, eps
     assert out[-1] == "eps_log_psi_converges false"
+
+
+def mp_cap(kind, rho, R, n, s):
+    """The level-s sphere cap in the touching ball B_R(x), |x| = rho -+ R,
+    at the precision in force: |S^(N-1)| r1^(N-1) I_h((N-1)/2, (N-1)/2),
+    h = (1 - cos phi)/2 with cos phi by the law of cosines (the substitution
+    u = sin^2(t/2) in int_0^phi sin^(N-2) t dt)."""
+    rho, R, s = mp.mpf(rho), mp.mpf(R), mp.mpf(s)
+    r1, c = (rho - s, rho - R) if kind == "ball" else (rho + s, rho + R)
+    if r1 <= 0:
+        return mp.mpf(0)
+    h = min(max((1 - (r1 * r1 + c * c - R * R) / (2 * r1 * c)) / 2, 0), 1)
+    a = mp.mpf(n - 1) / 2
+    return (2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+            * r1 ** (n - 1) * mp.betainc(a, a, 0, h, regularized=True))
+
+
+def radial_cfg(kind, rho, R, n):
+    """The touching ball B_R(x), x = (rho -+ R, 0, ...), in the ball of
+    radius rho or its exterior."""
+    x = np.zeros(n)
+    if kind == "ball":
+        x[0] = rho - R
+        return touching_ball(BallDomain(rho), x, R)
+    x[0] = rho + R
+    return touching_ball(ExteriorBallDomain(rho), x, R)
+
+
+CAP_SETUPS = [("ball", 1.0, 0.25), ("ball", 1.0, 0.5), ("ball", 1.0, 0.75),
+              ("exterior", 1.0, 0.5), ("exterior", 1.0, 1.0),
+              ("exterior", 3.0, 0.5)]
+
+
+@pytest.mark.parametrize("kind,rho,R", CAP_SETUPS)
+@pytest.mark.parametrize("n", [2, 3, 5, 20])
+def test_sphere_caps(kind, rho, R, n):
+    # from s = 1e-17, where a cosine of the cap's angle cancels, to
+    # 2R (1 - 1e-15), past the hemisphere and a ball's centre
+    cfg = radial_cfg(kind, rho, R, n)
+    s = np.concatenate([np.geomspace(1e-17, 2.0 * R, 35)[:-1],
+                        2.0 * R * (1.0 - np.geomspace(0.1, 1e-15, 8))])
+    got = level_set_area(cfg.domain, cfg, s)
+    for si, value in zip(s, got):
+        ref = float(mp_cap(kind, rho, R, n, si))
+        assert abs(value - ref) <= 2e-14 * ref, (si, value, ref)
+
+
+@pytest.mark.parametrize("kind,R", [("ball", 0.5), ("exterior", 1.0)])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("eps", [0.05, 0.02])
+def test_coarea_mean_at_q_two(kind, R, n, eps):
+    # at q = 2 the q-mean is the mean of u over B_R(x), int u A ds / vol, and
+    # at p = inf u is cosh(r/eps)/cosh(1/eps) in the unit ball and
+    # e^(-d/eps) outside it: a 20-digit quotient over the closed caps
+    cfg = radial_cfg(kind, 1.0, R, n)
+    pp = ProblemParams(n=n, p=INFINITY, eps=eps)
+    mu = q_mean(QMeanQuery(cfg=cfg, q=2.0, xi=pp.xi,
+                           profile=solution_profile(pp, cfg.domain))).mu
+    with mp.workdps(20):
+        e = mp.mpf(eps)
+        if kind == "ball":
+            def u(s):
+                return mp.cosh((1 - s) / e) / mp.cosh(1 / e)
+        else:
+            def u(s):
+                return mp.exp(-s / e)
+        s_max = cfg.domain.s_max(R)
+        cuts = [k * eps for k in (0, 1, 5, 20) if k * eps < s_max] + [s_max]
+        total = mp.quad(lambda s: u(s) * mp_cap(kind, 1.0, R, n, s), cuts)
+        volume = mp.pi ** (mp.mpf(n) / 2) * mp.mpf(R) ** n / mp.gamma(
+            mp.mpf(n) / 2 + 1)
+        ref = float(total / volume)
+    assert abs(mu - ref) <= 1e-14 * ref, (mu, ref)

@@ -77,6 +77,9 @@ class TestSinWeighted:
         shifted = integrate_sin_weighted(3.0, 1.0, g=np.sin)
         assert direct.log_magnitude == pytest.approx(shifted.log_magnitude,
                                                      abs=1e-10)
+        # a g that vanishes everywhere: every level is log 0 = -inf
+        assert integrate_sin_weighted(
+            3.0, 1.0, g=np.zeros_like).log_magnitude == -math.inf
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -169,6 +172,33 @@ class TestAdaptivity:
         with pytest.raises(NonConvergenceError) as exc:
             tanh_sinh_sum(lambda x, *rest: np.exp(x), 0.0, 3.0)
         assert exc.value.last_estimate != exc.value.previous_estimate
+
+
+class TestNeverSilentlyWrong:
+    """The engine at g = 1 against the closed-form kernels over sigma from
+    1e-30 to 1e40 (and 0 for the sine family) and alpha up to 1000: each
+    value is within 1e-9 of max(1, |log|) or raises NonConvergenceError,
+    and for sigma <= 1e16, alpha <= 39 it answers within 1e-12."""
+
+    ALPHAS = (-0.9, -0.5, 0.0, 0.5, 2.0, 7.5, 39.0, 60.0, 100.0, 1000.0)
+    SIGMAS = 10.0 ** np.arange(-30, 41)
+
+    @pytest.mark.parametrize("integrate,kernel,sigmas", [
+        (integrate_sin_weighted, log_sin_kernel, np.append(0.0, SIGMAS)),
+        (integrate_sinh_weighted, log_sinh_kernel, SIGMAS)],
+        ids=["sin", "sinh"])
+    def test_grid(self, integrate, kernel, sigmas):
+        for alpha in self.ALPHAS:
+            for sigma, ref in zip(sigmas, kernel(sigmas, alpha)):
+                inside = sigma <= 1e16 and alpha <= 39.0
+                try:
+                    got = integrate(float(sigma), alpha).log_magnitude
+                except NonConvergenceError:
+                    assert not inside, (sigma, alpha)
+                    continue
+                tol = 1e-12 if inside else 1e-9
+                assert abs(got - ref) <= tol * max(1.0, abs(ref)), (sigma,
+                                                                     alpha)
 
 
 class TestClosedFormKernels:
