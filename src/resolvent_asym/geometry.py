@@ -702,7 +702,8 @@ class _EllipseTube:
         with np.errstate(divide="ignore", invalid="ignore"):
             e0 = 4.0 * ((a * a * st * stb + b * b * ct * ctb) / ch
                         - R * ab / w0)
-        return v, c0, c1, e0, -e0 * ab / (w2 * w)
+        # ab / w2 first: e0 ab alone overflows at large scales
+        return v, c0, c1, e0, -e0 * (ab / w2) / w
 
     def start(self, s: np.ndarray, side: np.ndarray) -> np.ndarray:
         """Offsets, on the side of `side`, where the level-s parallel of the

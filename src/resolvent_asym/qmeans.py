@@ -19,9 +19,8 @@ keeps about 2 floats per sample: the values and one scratch array.  Every
 root (the q-mean itself and the distance where a profile crosses mu) is
 found by one helper, _root: scipy's brentq ported line for line, fed with
 the end values its caller already holds, so that no G is evaluated twice
-at one point.
-Both q-means go to it through _qmean_root, which decides what is constant
-and what is too small to resolve.
+at one point, and stopped at 4 ulp of the root itself, however small.
+Both q-means go to it through _qmean_root, which decides what is constant.
 
 Solution profiles evaluate the exact radial solution through
 radial.eval_log_u, whose kernels are closed-form; on an ellipse the limit
@@ -56,9 +55,11 @@ from .radial import RadialSolution, eval_log_u
 # Fixed tanh-sinh level of the co-area integrals: adaptive stopping would make
 # G jump between levels as mu moves, a fixed level keeps it smooth and monotone.
 _LEVEL = 6
-# Brent's relative tolerance (4 ulp) and iteration cap, scipy's brentq defaults;
-# a Python float, so that the roots come back as Python floats
+# Brent's relative tolerance (4 ulp) and iteration cap, scipy's brentq defaults,
+# and its absolute tolerance, the least normal float: every root stops on its
+# own scale.  Python floats, so that the roots come back as Python floats
 _RTOL = 4.0 * sys.float_info.epsilon
+_XTOL = sys.float_info.min
 _MAXITER = 100
 
 
@@ -70,10 +71,10 @@ def _root(G: Callable, lo: float, hi: float, g_lo: float,
     Returns (mu, G(mu)/scale), scale the larger |G| at the two ends.  When G
     does not change sign the root is lo if G(lo) <= 0, else hi if G(hi) >= 0.
     Otherwise Brent's method (Brent 1973, ch. 4), line for line scipy 1.17's
-    brentq (Zeros/brentq.c) and so bit for bit its root, but with the end
-    values from the caller and G(mu) from the last iteration: G is never
-    evaluated twice at one point.  Brent stops at 4 ulp relative, or at
-    2^-60 of the bracket near zero.  A NaN in G, or 100 iterations without
+    brentq (Zeros/brentq.c) with xtol the least normal float, and so bit for
+    bit its root, but with the end values from the caller and G(mu) from
+    the last iteration: G is never evaluated twice at one point.  Brent
+    stops at 4 ulp of the root.  A NaN in G, or 100 iterations without
     convergence, raise RuntimeError.
     """
     for x, g in ((lo, g_lo), (hi, g_hi)):
@@ -84,7 +85,6 @@ def _root(G: Callable, lo: float, hi: float, g_lo: float,
         return lo, g_lo / scale
     if g_hi >= 0.0:
         return hi, g_hi / scale
-    xtol = 2.0 ** -60 * (hi - lo)
     xpre, fpre, xcur, fcur = lo, float(g_lo), hi, float(g_hi)
     xblk = fblk = spre = scur = 0.0
     for _ in range(_MAXITER):
@@ -94,7 +94,7 @@ def _root(G: Callable, lo: float, hi: float, g_lo: float,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2.0
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur, fcur / scale
@@ -205,24 +205,17 @@ def _sample_G(mu: float, v: np.ndarray, qm1: float, buf: np.ndarray) -> float:
     return float(upper - buf.mean())
 
 
-def _qmean_root(G: Callable, lo: float, hi: float, what: str,
+def _qmean_root(G: Callable, lo: float, hi: float,
                 ends: Optional[Callable] = None) -> Tuple[float, float]:
     """(mu, residual/scale) by _root for the G of values spanning [lo, hi];
     ends(), when given, returns (G(lo), G(hi)) in one evaluation.
 
     Values spread within 1e-14 of their magnitude are constant: their
-    midrange, residual 0.  A root within the absolute tolerance
-    2^-60 (hi - lo) of lo is not resolved: RuntimeError, naming lo `what`."""
+    midrange, residual 0."""
     if hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
         return 0.5 * (lo + hi), 0.0
     g_lo, g_hi = ends() if ends else (G(lo), G(hi))
-    mu, residual = _root(G, lo, hi, g_lo, g_hi)
-    xtol = 2.0 ** -60 * (hi - lo)
-    if mu - lo <= xtol:
-        raise RuntimeError(
-            f"the q-mean lies within the root's absolute tolerance "
-            f"{xtol:.3g} of {what} {lo:.3g}; it is not resolved")
-    return mu, residual
+    return _root(G, lo, hi, g_lo, g_hi)
 
 
 def _empirical_qmean(values: np.ndarray, q: float) -> Tuple[float, float]:
@@ -230,7 +223,7 @@ def _empirical_qmean(values: np.ndarray, q: float) -> Tuple[float, float]:
     v = np.asarray(values, dtype=float)
     qm1, buf = q - 1.0, np.empty_like(v)
     return _qmean_root(lambda m: _sample_G(m, v, qm1, buf), float(v.min()),
-                       float(v.max()), "the sample minimum")
+                       float(v.max()))
 
 
 def _coarea_G(mu: float, query: QMeanQuery) -> float:
@@ -287,7 +280,7 @@ def q_mean(query: QMeanQuery) -> QMeanResult:
     else:
         mu, residual = _qmean_root(
             lambda m: _coarea_G(m, query), fend, f0,
-            "the profile's end value", lambda: _coarea_ends(query))
+            lambda: _coarea_ends(query))
     return QMeanResult(mu=mu, residual=residual)
 
 
@@ -300,10 +293,9 @@ def q_mean_bruteforce(cfg: TouchingBallConfig, q: float, raw: Callable,
     co-area route's oracle.  raw must be pointwise (a point's value may not
     depend on the other points): the sample is drawn in blocks, bit for bit
     the one-shot draw, and raw sees one block at a time, so memory stays at
-    about 2 floats per sample.  A q-mean within the root's absolute
-    tolerance of the sample's minimum raises RuntimeError
-    (_empirical_qmean).  The error is the delta-method estimate
-    sd(g)/(sqrt(n) |E dG/dmu|) for the estimating function
+    about 2 floats per sample.  The root stops at 4 ulp of mu, however
+    small mu is against the sample's range.  The error is the delta-method
+    estimate sd(g)/(sqrt(n) |E dG/dmu|) for the estimating function
     g(v, mu) = [v-mu]_+^{q-1} - [mu-v]_+^{q-1}; at q = 2 this reduces to the
     usual sd/sqrt(n) of the sample mean.
     """

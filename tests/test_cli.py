@@ -643,34 +643,30 @@ class TestQmeanCommand:
         assert err == ("error: eps = 1e-310 is too small: sqrt(p') r / eps "
                        "overflows at r = 1.0\n")
 
-    def test_unresolved_small_mean_exits_3(self, capsys, tmp_path):
-        # at eps = 1e-4 mu is about 5e-21, below the root's absolute tolerance
+    def test_small_mean_exits_0(self, capsys, tmp_path):
+        # at eps = 1e-4 mu is about 5e-21, far below 2^-60 of the profile's
+        # range, where the root once stopped and the sweep exited 3
         cfg_path = qmean_config(
             tmp_path, params_grid={"N": [6], "p": [3.0], "q": [1.5]},
             eps_sequence={"start": 1e-3, "factor": 0.1, "count": 2})
         code, out, err = run_cli(capsys, "qmean", "--config", str(cfg_path))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("numerical failure: the q-mean lies within "
-                              "the root's absolute tolerance 8.67e-19")
-        assert err.count("\n") == 1
+        assert (code, err) == (0, "")
+        rows = parse_csv(out)
+        assert [float(row["eps"]) for row in rows] == [1e-3, 1e-4]
+        assert float(rows[1]["ratio"]) == pytest.approx(1.0, abs=0.01)
 
     @pytest.mark.parametrize("n,eps", [(4, 2.1544e-5), (5, 6.8129e-5)])
-    def test_root_within_the_tolerance_exits_3(self, capsys, tmp_path, n,
-                                               eps):
-        # Brent stops at mu = 5.45e-19 (N = 4) and 4.34e-19 (N = 5): above
-        # the profile's end value 0, but within the root's absolute
-        # tolerance, so the q-mean and its ratio are not resolved
+    def test_root_near_the_end_value_exits_0(self, capsys, tmp_path, n,
+                                             eps):
+        # Brent once stopped at 5.45e-19 (N = 4) and 4.34e-19 (N = 5), within
+        # 2^-60 of the profile's range above its end value 0
         cfg_path = qmean_config(
             tmp_path, params_grid={"N": [n], "p": [3.0], "q": [1.5]},
             eps_sequence={"start": eps, "factor": 0.5, "count": 1})
         code, out, err = run_cli(capsys, "qmean", "--config", str(cfg_path))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("numerical failure: the q-mean lies within "
-                              "the root's absolute tolerance 8.67e-19 of "
-                              "the profile's end value 0;")
-        assert err.count("\n") == 1
+        assert (code, err) == (0, "")
+        (row,) = parse_csv(out)
+        assert float(row["ratio"]) == pytest.approx(1.0, abs=0.01)
 
     def test_nan_in_the_root_exits_3(self, capsys, tmp_path, monkeypatch):
         real = qmeans._coarea_G

@@ -1,4 +1,4 @@
-"""Scaling invariance as an oracle on the radial domains.
+"""Scaling invariance as an oracle on the radial domains and the ellipse.
 
 Replacing (domain, x, R, eps) by (k domain, k x, k R, k eps) leaves every
 q-mean mu, log u at a given tau = d/xi and the barrier values unchanged,
@@ -12,6 +12,11 @@ eps = 0.02 k with the exact radial solution as the profile:
 
 j runs over the range where touching_ball accepts the squares of R and
 |x|: to 512 on the ball, and to 510 on the exterior, whose |x| = 2k.
+
+The ellipse with semi-axes (2k, k), x = (0, k/2), R = k/2 is built from
+its k = 1 touching ball with every length times k and the curvature over k,
+since touching_ball's projection does not reach these scales; its barrier
+rows of qmean_limit_experiment are compared from k = 2^-332 to 2^332.
 """
 
 import functools
@@ -20,10 +25,12 @@ import numpy as np
 import pytest
 
 from resolvent_asym.barriers import enhanced_U, enhanced_V
-from resolvent_asym.geometry import (BallDomain, ExteriorBallDomain,
+from resolvent_asym.geometry import (BallDomain, EllipseDomain,
+                                     ExteriorBallDomain, TouchingBallConfig,
                                      level_set_area, touching_ball)
 from resolvent_asym.params import INFINITY, ProblemParams
-from resolvent_asym.qmeans import QMeanQuery, q_mean, solution_profile
+from resolvent_asym.qmeans import (QMeanQuery, q_mean, qmean_limit_experiment,
+                                   solution_profile)
 from resolvent_asym.radial import RadialSolution, eval_log_u
 
 SCALES = (-509, -350, -100, 0, 100, 350, 509)
@@ -76,3 +83,34 @@ def test_touching_radius_checked_relative_to_r():
     # d(x) = 5e-101 = 5 R: an absolute tolerance of 1e-9 let this through
     with pytest.raises(ValueError, match="not R = 1e-101"):
         touching_ball(BallDomain(1e-100), [5e-101, 0.0], 1e-101)
+
+
+ELLIPSE = touching_ball(EllipseDomain(2.0, 1.0), [0.0, 0.5], 0.5)
+ELLIPSE_LEVELS = np.array([0.01, 0.1, 0.3, 0.6, 0.9])
+
+
+@functools.lru_cache(maxsize=None)
+def ellipse_answers(j: int) -> dict:
+    """The ellipse's areas over k and its 8 barrier-row mu at k = 2^j."""
+    k = 2.0 ** j
+    cfg = TouchingBallConfig(x=k * ELLIPSE.x, R=k * ELLIPSE.R,
+                             y_x=k * ELLIPSE.y_x,
+                             curvatures=ELLIPSE.curvatures / k,
+                             domain=EllipseDomain(2.0 * k, k))
+    out = {"area": level_set_area(cfg.domain, cfg, k * ELLIPSE_LEVELS) / k}
+    for p, q in ((INFINITY, 2.0), (3.0, 1.5)):
+        rows = qmean_limit_experiment(
+            [ProblemParams(n=2, p=p, eps=e * k) for e in (0.05, 0.02)], cfg, q)
+        for row in rows:
+            out[f"mu p={p} q={q} eps={row['eps'] / k:g} {row['path']}"] = \
+                row["mu"]
+    return out
+
+
+@pytest.mark.parametrize("j", [-332, -300, -100, 100, 256, 300, 332])
+def test_ellipse_answers_do_not_move_with_the_scale(j):
+    got, want = ellipse_answers(j), ellipse_answers(0)
+    assert len(want) == 9
+    for name, value in want.items():
+        np.testing.assert_allclose(got[name], value, rtol=1e-12, atol=0.0,
+                                   err_msg=name)

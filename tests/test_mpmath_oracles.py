@@ -1,8 +1,9 @@
 """The kernels and the radial solutions against 40- and 60-digit mpmath
 Bessel functions and 30-digit mpmath quadrature, psi(eps) of the Dini-type
 modulus against a 40-digit minimisation, the sphere caps against mpmath's
-incomplete beta, and the co-area q = 2 means against a 20-digit quotient
-of mpmath integrals over those caps.
+incomplete beta, and the co-area q-means at p = inf against mpmath
+integrals over those caps: a 20-digit quotient at q = 2, and elsewhere a
+20- or 30-digit G that changes sign across mu.
 
 mpmath is a test-only dependency: it shares no code with scipy's Bessel
 routines and incomplete beta, with the package's Debye and power-series
@@ -23,7 +24,8 @@ from resolvent_asym.experiments import ModulusSpec
 from resolvent_asym.geometry import (BallDomain, ExteriorBallDomain,
                                      level_set_area, psi_of_eps, touching_ball)
 from resolvent_asym.params import INFINITY, ProblemParams
-from resolvent_asym.qmeans import QMeanQuery, q_mean, solution_profile
+from resolvent_asym.qmeans import (QMeanQuery, q_mean, qmean_limit_experiment,
+                                   solution_profile)
 from resolvent_asym.quadrature import (
     integrate_sin_weighted,
     integrate_sinh_weighted,
@@ -458,25 +460,64 @@ def test_sphere_caps(kind, rho, R, n):
         assert abs(value - ref) <= 2e-14 * ref, (si, value, ref)
 
 
+def mp_u(kind, eps):
+    """u(s) at p = inf at the precision in force: cosh((1 - s)/eps) /
+    cosh(1/eps) in the unit ball and e^(-s/eps) outside it."""
+    e = mp.mpf(eps)
+    if kind == "ball":
+        return lambda s: mp.cosh((1 - s) / e) / mp.cosh(1 / e)
+    return lambda s: mp.exp(-s / e)
+
+
+def mp_crossing(kind, eps, m):
+    """The distance where the p = inf u of mp_u crosses m."""
+    e = mp.mpf(eps)
+    if kind == "ball":
+        return 1 - e * mp.acosh(m * mp.cosh(1 / e))
+    return -e * mp.log(m)
+
+
+def mp_G(kind, R, n, eps, q, m):
+    """The co-area G(m) = int sign(u - m) |u - m|^(q-1) A ds over the unit
+    ball's (or its exterior's) touching ball at the precision in force,
+    split at the crossing sc of m, where the power bends, and at
+    sc + 20 eps, where u has fallen to about e^-20 m."""
+    u = mp_u(kind, eps)
+    s_max = min(2 * mp.mpf(R), 1) if kind == "ball" else 2 * mp.mpf(R)
+    sc = mp_crossing(kind, eps, mp.mpf(m))
+    cuts = sorted({mp.mpf(0), sc, min(sc + 20 * mp.mpf(eps), s_max), s_max})
+
+    def f(s):
+        d = u(s) - m
+        return mp.sign(d) * abs(d) ** (q - 1) * mp_cap(kind, 1.0, R, n, s)
+
+    return mp.quad(f, cuts)
+
+
+def assert_root_between(kind, R, n, eps, q, mu, rel):
+    """mp_G changes sign across mu (1 -+ rel): mu is its root to rel."""
+    m = mp.mpf(mu)
+    assert mp_G(kind, R, n, eps, q, m * (1 - mp.mpf(rel))) > 0, mu
+    assert mp_G(kind, R, n, eps, q, m * (1 + mp.mpf(rel))) < 0, mu
+
+
 @pytest.mark.parametrize("kind,R", [("ball", 0.5), ("exterior", 1.0)])
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("eps", [0.05, 0.02])
-def test_coarea_mean_at_q_two(kind, R, n, eps):
-    # at q = 2 the q-mean is the mean of u over B_R(x), int u A ds / vol, and
-    # at p = inf u is cosh(r/eps)/cosh(1/eps) in the unit ball and
-    # e^(-d/eps) outside it: a 20-digit quotient over the closed caps
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_coarea_mean(kind, R, n, eps, q):
+    # at p = inf u is closed form; at q = 2 the q-mean is the mean of u
+    # over B_R(x), int u A ds / vol, a 20-digit quotient over the closed
+    # caps, and at any other q it is the root of a 20-digit G
     cfg = radial_cfg(kind, 1.0, R, n)
     pp = ProblemParams(n=n, p=INFINITY, eps=eps)
-    mu = q_mean(QMeanQuery(cfg=cfg, q=2.0, xi=pp.xi,
+    mu = q_mean(QMeanQuery(cfg=cfg, q=q, xi=pp.xi,
                            profile=solution_profile(pp, cfg.domain))).mu
     with mp.workdps(20):
-        e = mp.mpf(eps)
-        if kind == "ball":
-            def u(s):
-                return mp.cosh((1 - s) / e) / mp.cosh(1 / e)
-        else:
-            def u(s):
-                return mp.exp(-s / e)
+        if q != 2.0:
+            assert_root_between(kind, R, n, eps, q, mu, 1e-14)
+            return
+        u = mp_u(kind, eps)
         s_max = cfg.domain.s_max(R)
         cuts = [k * eps for k in (0, 1, 5, 20) if k * eps < s_max] + [s_max]
         total = mp.quad(lambda s: u(s) * mp_cap(kind, 1.0, R, n, s), cuts)
@@ -484,3 +525,21 @@ def test_coarea_mean_at_q_two(kind, R, n, eps):
             mp.mpf(n) / 2 + 1)
         ref = float(total / volume)
     assert abs(mu - ref) <= 1e-14 * ref, (mu, ref)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_tiny_exterior_means(n):
+    # x = (2, 0, ...), R = 1, p = inf, q = 1.5: mu falls to about 1e-32 at
+    # eps = 1e-5, far below 2^-60 of the profile's range, and each is the
+    # root of a 30-digit G; the scaled ratio approaches 1 like eps
+    cfg = radial_cfg("exterior", 1.0, 1.0, n)
+    epss = (1e-3, 1e-4, 1e-5)
+    rows = qmean_limit_experiment(
+        [ProblemParams(n=n, p=INFINITY, eps=eps) for eps in epss], cfg, 1.5)
+    with mp.workdps(30):
+        for eps, row in zip(epss, rows):
+            assert_root_between("exterior", 1.0, n, eps, 1.5, row["mu"],
+                                1e-10)
+    gaps = [abs(row["ratio"] - 1.0) for row in rows]
+    assert gaps[0] <= 0.015
+    assert gaps[1] <= gaps[0] / 5.0 and gaps[2] <= gaps[1] / 5.0, gaps

@@ -6,6 +6,7 @@ areas of the ball and the two- and three-dimensional ball complements.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ def test_root_is_brentq(kind, lo, width, at, k, w, ripple):
     g_lo, g_hi = G(lo), G(hi)
     assume(g_lo > 0.0 > g_hi)
     ours = _outcome(lambda: _root(G, lo, hi, g_lo, g_hi)[0])
-    theirs = _outcome(lambda: brentq(G, lo, hi, xtol=2.0 ** -60 * width,
+    theirs = _outcome(lambda: brentq(G, lo, hi, xtol=sys.float_info.min,
                                      rtol=_RTOL))
     event(f"{kind}: {'no convergence' if ours == 'no convergence' else 'root'}")
     assert ours == theirs

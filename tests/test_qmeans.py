@@ -2,6 +2,7 @@ import collections
 import gc
 import hashlib
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -171,13 +172,13 @@ class TestEmpiricalRoot:
         assert v.min() < mu < v.max()
         assert abs(res) < 1e-12
 
-    def test_unresolved_small_mean_raises(self):
-        # one value 1 among 999 zeros at q = 1.1: mu = 999^-10 or so, far
-        # below the root's absolute tolerance 2^-60 (max - min)
+    def test_small_mean_is_resolved(self):
+        # one value 1 among 999 zeros at q = 1.1: mu / (1 - mu) = 999^-10,
+        # far below 2^-60 (max - min), where the root once stopped
         v = np.zeros(1000)
         v[-1] = 1.0
-        with pytest.raises(RuntimeError, match="absolute tolerance 8.67e-19"):
-            _empirical_qmean(v, 1.1)
+        mu, _ = _empirical_qmean(v, 1.1)
+        assert mu == pytest.approx(999.0 ** -10, rel=1e-12, abs=0.0)
 
     def test_tiny_sample_is_not_constant(self):
         # values far below 1 with spread: the root, not the midrange
@@ -272,17 +273,18 @@ class TestCoareaRoute:
     @pytest.mark.parametrize("n,eps", [(4, 1e-5), (5, 1e-5), (6, 1e-4),
                                        (6, 1e-5), (4, 2.1544e-5),
                                        (5, 6.8129e-5)])
-    def test_unresolved_small_mean_raises(self, n, eps):
-        # mu ~ (eps/R)^((N+1)/(2(q-1))) falls below the root's absolute
-        # tolerance 2^-60 (f0 - fend): the root would stop at fend = 0, or,
-        # in the last two cases, within that tolerance above it (at
-        # 5.45e-19 and 4.34e-19)
+    def test_small_mean_is_resolved(self, n, eps):
+        # mu ~ (eps/R)^((N+1)/(2(q-1))) falls below 2^-60 (f0 - fend), where
+        # the root once stopped: at fend = 0, or, in the last two cases,
+        # at 5.45e-19 and 4.34e-19; the scaled mu is within 1% of its limit
         cfg = touching_ball(BallDomain(1.0), [0.5] + [0.0] * (n - 1), 0.5)
         pp = ProblemParams(n=n, p=3.0, eps=eps)
-        query = QMeanQuery(cfg=cfg, q=1.5, xi=pp.xi,
-                           profile=solution_profile(pp, cfg.domain))
-        with pytest.raises(RuntimeError, match="absolute tolerance 8.67e-19"):
-            q_mean(query)
+        res = q_mean(QMeanQuery(cfg=cfg, q=1.5, xi=pp.xi,
+                                profile=solution_profile(pp, cfg.domain)))
+        scaled = (cfg.R / eps) ** ((n + 1) / (2.0 * 0.5)) * res.mu
+        prediction = limit_prediction(n, 3.0, 1.5, cfg.curvatures, cfg.R)
+        assert scaled == pytest.approx(prediction, rel=0.01)
+        assert abs(res.residual) < 1e-12
 
     def test_small_resolved_mean_returns(self):
         cfg = touching_ball(BallDomain(1.0), [0.5] + [0.0] * 5, 0.5)
@@ -291,7 +293,7 @@ class TestCoareaRoute:
         res = q_mean(QMeanQuery(cfg=cfg, q=1.5, xi=pp.xi, profile=prof))
         # the profile's end value fend = prof(smax/xi) underflows to 0
         assert prof(1.0 / pp.xi) == 0.0
-        assert res.mu == pytest.approx(4.3988252e-14, rel=1e-7)
+        assert res.mu == pytest.approx(4.3988061e-14, rel=1e-7)
 
 
 class TestInfinityMidrange:
@@ -501,9 +503,11 @@ class TestRecordedCoarea:
     """sha256 of the co-area q-means and profile limits, recorded before the
     fixed-level rule evaluated all of its levels in one integrand call.  The
     q-mean digest was re-recorded when the sphere caps took the half-angle
-    form: each of its 54 mu moved by at most 4.3e-15 relative, and
-    test_mpmath_oracles checks the q = 2 means on these domains against
-    mpmath to 1e-14."""
+    form (each of its 54 mu moved by at most 4.3e-15 relative), and again
+    when Brent stopped at 4 ulp of the root rather than at 2^-60 of the
+    bracket (21 mu moved, by at most 7.0e-14 relative).
+    test_mpmath_oracles checks the p = inf means on these domains at
+    q = 1.5, 2 and 3 against mpmath to 1e-14."""
 
     CONFIGS = (BALL_CFG, EXT_CFG,
                touching_ball(ExteriorBallDomain(1.0), [2.0, 0.0, 0.0], 1.0))
@@ -524,7 +528,7 @@ class TestRecordedCoarea:
         assert len(records) == 54
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
         assert digest == (
-            "b665792db53be7ac4e79d27ba0e5692f9b42f96f1346b0f76100efcf0f8b3586")
+            "14dd642edc5f8b4a51fe64e27b7c529f65000cc37e3b5e69236b38d16b414f5a")
 
     def test_one_area_call_per_integral(self):
         calls = []
@@ -648,7 +652,7 @@ def record(monkeypatch, name):
 
 
 def brentq_root(G, lo, hi):
-    return brentq(G, lo, hi, xtol=2.0 ** -60 * (hi - lo), rtol=qmeans._RTOL)
+    return brentq(G, lo, hi, xtol=sys.float_info.min, rtol=qmeans._RTOL)
 
 
 # the port itself, whatever a test patches into qmeans._root
